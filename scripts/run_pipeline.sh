@@ -8,7 +8,10 @@
 set -euo pipefail
 
 OUT="${1:-runs/pipeline}"
-export SOUPKIT_THREADS="${SOUPKIT_THREADS:-0}"   # 0 = one worker per CPU
+# SOUPKIT_THREADS caps the sweep's worker count and a cap below 1 counts
+# as 1, so the default 0 runs the sweep serially; no --workers is passed
+# below either.
+export SOUPKIT_THREADS="${SOUPKIT_THREADS:-0}"
 mkdir -p "$OUT"
 
 CONFIG="$OUT/config.json"

@@ -46,7 +46,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ensembles import fit_temperature
-from .errors import DegenerateBasisError, NonFiniteError
+from .errors import DegenerateBasisError, NonFiniteError, ShapeMismatchError
 from .fileio import atomic_write_text
 from .tensorstore import (
     Checkpoint,
@@ -80,7 +80,9 @@ PLANE_METRICS = ("loss", "error")
 
 
 def _delta_params(p0: Params, p1: Params) -> Params:
-    return {name: p1[name] - p0[name] for name in p0}
+    if p1.layout != p0.layout:
+        raise ShapeMismatchError("endpoint tensor names or shapes differ")
+    return Params(p0.layout, p1.vector - p0.vector)
 
 
 def _error_rate(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -508,8 +510,8 @@ def relu_flip_count(
     baseline = None
     changed = None
     for tau in np.linspace(0.0, 1.0, num_nodes):
-        cache, _ = _forward_cached(params_axpy(p0, delta, float(tau)), X)
-        states = [cache[i]["u"] > 0.0 for i in range(len(cache) - 1)]
+        cache, _ = _forward_cached(as_params(params_axpy(p0, delta, float(tau))), X)
+        states = [u > 0.0 for _, _, u in cache[:-1]]
         if baseline is None:
             baseline = states
             changed = [np.zeros_like(s) for s in states]

@@ -24,7 +24,7 @@ Exit codes:
     2  configuration problem (bad value, unknown key, bad flag)
     3  missing input file or directory
     4  training diverged (non-finite loss)
-    5  malformed input file (checkpoint or dataset format)
+    5  malformed input file (checkpoint, dataset or manifest format)
     6  shape/geometry mismatch or non-finite result
 
 Errors print one JSON object to stderr: {"error": category, "type":
@@ -187,14 +187,18 @@ def _split_arrays(ds: datagen.Dataset, name: str) -> tuple[np.ndarray, np.ndarra
     return split.x, split.y
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_alphas(text: str) -> list[float]:
+    """Comma-separated mixing weights, each in [0, 1]."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        alphas = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-    if not values:
-        raise ConfigError(f"{flag}: no values given")
-    return values
+        raise ConfigError(f"--alphas: {exc}") from exc
+    if not alphas:
+        raise ConfigError("--alphas: no values given")
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError(f"--alphas: {alpha} outside [0, 1]")
+    return alphas
 
 
 def _parse_range(text: str, flag: str) -> list[float]:
@@ -326,12 +330,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_interp(args: argparse.Namespace) -> int:
+    alphas = _parse_alphas(args.alphas)
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
     ds = _load_dataset(args.data)
     split_names = [s for s in args.splits.split(",") if s]
     split_map = {name: _split_arrays(ds, name) for name in split_names}
-    alphas = _parse_floats(args.alphas, "--alphas")
     rows = analysis.interpolation_curve(theta0, theta1, alphas, split_map)
     analysis.write_curve_csv(rows, args.out)
     return EXIT_OK
@@ -390,11 +394,11 @@ def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
+    alphas = _parse_alphas(args.alphas)
     pairs = _pairs_from_file(args.pairs)
     ds = _load_dataset(args.data)
     split_names = [s for s in args.splits.split(",") if s]
     split_map = {name: _split_arrays(ds, name) for name in split_names}
-    alphas = _parse_floats(args.alphas, "--alphas")
     report = analysis.approx_validation_report(
         pairs, alphas, split_map, beta_mode=args.beta_mode
     )

@@ -40,7 +40,7 @@ class HeaderError(CheckpointFormatError):
 
 
 class DataFormatError(SoupkitError):
-    """Malformed dataset file (bad row, label out of range, bad header)."""
+    """Malformed dataset file (bad row, label out of range, bad header) or sweep manifest."""
 
 
 class ShapeMismatchError(SoupkitError):

@@ -121,10 +121,6 @@ class PortableRng:
         keys = self.raw(n)
         return np.argsort(keys, kind="stable")
 
-    def shuffle(self, values: np.ndarray) -> np.ndarray:
-        """Return a shuffled copy of ``values`` along axis 0."""
-        return np.asarray(values)[self.permutation(len(values))]
-
     def beta(self, a: float, b: float) -> float:
         """One Beta(a, b) draw by Johnk's rejection method."""
         if a <= 0 or b <= 0:

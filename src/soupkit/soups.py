@@ -12,8 +12,9 @@ so that plain parameter averaging lands in the same loss basin.
 * learned: gradient-optimized mixing weights and logit scale.  Raw
   scores a (one vector per mixing group) pass through softmax to give
   simplex coefficients; the logit scale is beta = exp(b); a and b start
-  at zero (uniform mix, beta 1).  Optimized by three full-batch steps of
-  the decoupled-Adam rule at constant lr 0.1 on a held-out split.  The
+  at zero (uniform mix, beta 1).  All of a and b form one vector,
+  optimized by three full-batch steps of the trainer's AdamW step (no
+  weight decay) at constant lr 0.1 on a held-out split.  The
   gradient w.r.t. a follows the chain d loss/d alpha_i = <grad_theta
   loss, theta_i> restricted to the group, then softmax backward.  With
   ``by_layer`` every ``layer{i}.`` prefix is its own group (the head
@@ -42,10 +43,10 @@ from .tinynet import (
     smoothed_targets,
     softmax,
 )
+from .trainer import AdamState, adamw_step
 
 LEARNED_SOUP_LR = 0.1
 LEARNED_SOUP_EPOCHS = 3
-_ADAM_B1, _ADAM_B2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -175,14 +176,14 @@ def learned_soup(
     num_classes = arch_of(params_list[0]).num_classes
     targets = smoothed_targets(np.asarray(y_val), num_classes, 0.0)
 
-    # Raw optimizer variables: one score vector per group plus the log scale.
-    raw = {key: np.zeros(k) for key in group_keys}
-    raw["__logscale__"] = np.zeros(1)
-    m_state = {key: np.zeros_like(v) for key, v in raw.items()}
-    v_state = {key: np.zeros_like(v) for key, v in raw.items()}
+    # Raw optimizer variables in one vector: a row of k scores per group,
+    # then the log scale.
+    raw = np.zeros(len(group_keys) * k + 1)
+    scores = raw[:-1].reshape(len(group_keys), k)
+    adam = AdamState.zeros_like(raw)
 
     def alphas() -> dict[str, np.ndarray]:
-        return {key: softmax(raw[key]) for key in group_keys}
+        return {key: softmax(row) for key, row in zip(group_keys, scores)}
 
     def mixed_params(alpha: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         mixed = {}
@@ -195,16 +196,15 @@ def learned_soup(
         return {name: mixed[name] for name in names}
 
     trace: list[float] = []
-    t = 0
     for step in range(LEARNED_SOUP_EPOCHS):
         alpha = alphas()
-        beta = float(np.exp(raw["__logscale__"][0]))
+        beta = float(np.exp(raw[-1]))
         theta = mixed_params(alpha)
         loss, theta_grad = grad64(theta, X_val, targets, inv_temperature=beta)
         trace.append(loss)
 
-        grads = {}
-        for key in group_keys:
+        grad = np.empty_like(raw)
+        for key, grad_row in zip(group_keys, grad[:-1].reshape(scores.shape)):
             # d loss / d alpha_i restricted to this group's tensors
             d_alpha = np.array(
                 [
@@ -216,25 +216,15 @@ def learned_soup(
                 ]
             )
             a = alpha[key]
-            grads[key] = a * (d_alpha - float(np.dot(a, d_alpha)))  # softmax backward
+            grad_row[:] = a * (d_alpha - float(np.dot(a, d_alpha)))  # softmax backward
         logits = forward(theta, X_val)
         probs = softmax(beta * logits)
         d_beta = float(np.mean(np.sum((probs - targets) * logits, axis=1)))
-        grads["__logscale__"] = np.array([d_beta * beta])
-
-        t += 1
-        bc1 = 1.0 - _ADAM_B1**t
-        bc2 = 1.0 - _ADAM_B2**t
-        for key in raw:
-            g = grads[key]
-            m_state[key] = _ADAM_B1 * m_state[key] + (1.0 - _ADAM_B1) * g
-            v_state[key] = _ADAM_B2 * v_state[key] + (1.0 - _ADAM_B2) * g * g
-            raw[key] -= LEARNED_SOUP_LR * (
-                (m_state[key] / bc1) / (np.sqrt(v_state[key] / bc2) + _ADAM_EPS)
-            )
+        grad[-1] = d_beta * beta
+        adamw_step(raw, grad, adam, LEARNED_SOUP_LR, weight_decay=0.0)
 
     alpha = alphas()
-    beta = float(np.exp(raw["__logscale__"][0]))
+    beta = float(np.exp(raw[-1]))
     theta = mixed_params(alpha)
     trace.append(loss_ce(forward(theta, X_val), np.asarray(y_val), 0.0, beta))
 

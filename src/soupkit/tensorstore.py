@@ -109,13 +109,6 @@ class Checkpoint:
     def __len__(self) -> int:
         return len(self.tensors)
 
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self)
-
-    def astype64(self) -> dict[str, np.ndarray]:
-        """Float64 copies of all tensors, keyed by name."""
-        return {t.name: t.data.astype(np.float64) for t in self}
-
 
 @dataclass(frozen=True)
 class ParamFilter:

@@ -10,25 +10,28 @@ the final layer is affine with no gain.  Parameters are named
 ``layer{i}.weight``, ``layer{i}.bias`` and, for hidden layers only,
 ``layer{i}.gain``.
 
-Checkpoints store float32, but every computation here runs in float64:
-operations accept either a :class:`~soupkit.tensorstore.Checkpoint` or a
-plain ``{name: float64 array}`` mapping, and analyses that need exact
-derivative probes pass float64 mappings straight through.  The relu
-subgradient at exactly zero is taken to be zero.
+Checkpoints store float32; every computation here runs in float64 on
+:class:`Params`, one flat vector plus a :class:`Layout` (names in
+checkpoint order, with slices and shapes).  ``params["layer0.weight"]``
+is a view into ``params.vector``, so the matmuls read named tensors while
+optimizer steps update the whole model in one vector expression.
+Operations accept a Checkpoint, a Params or any ``{name: array}``
+mapping.  The relu subgradient at exactly zero is taken to be zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from itertools import accumulate
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import PortableRng, derive_seed
 from .tensorstore import Checkpoint
-
-Params = dict[str, np.ndarray]
 
 _INIT_STREAM_TAG = 0x494E4954  # distinct substream for weight init draws
 
@@ -58,41 +61,68 @@ class ArchSpec:
         return len(self.layer_widths) - 1
 
 
+@lru_cache(maxsize=64)
+def _layer_names(names: tuple[str, ...]) -> tuple[tuple[str, str, str | None], ...]:
+    """(weight, bias, gain) names per layer, no gain for the head; cached, so validated once."""
+    count = sum(name.endswith(".weight") for name in names)
+    layers = tuple(
+        (f"layer{i}.weight", f"layer{i}.bias", f"layer{i}.gain" if i < count - 1 else None)
+        for i in range(count)
+    )
+    expected = {name for layer in layers for name in layer if name is not None}
+    missing, unexpected = sorted(expected - set(names)), sorted(set(names) - expected)
+    if missing or unexpected:
+        raise ShapeMismatchError(f"parameter names: missing {missing}, unexpected {unexpected}")
+    return layers
+
+
+class Layout(NamedTuple):
+    """Tensor names in vector order, with each tensor's slice and shape."""
+
+    names: tuple[str, ...]
+    spans: tuple[tuple[slice, tuple[int, ...]], ...]
+
+
+class Params(Mapping[str, np.ndarray]):
+    """Float64 parameters: one flat vector, read by name through views."""
+
+    __slots__ = ("layout", "vector", "_views")
+
+    def __init__(self, layout: Layout, vector: np.ndarray) -> None:
+        self.layout, self.vector = layout, vector
+        self._views = {
+            name: vector[sl].reshape(shape) for name, (sl, shape) in zip(layout.names, layout.spans)
+        }
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def copy(self) -> Params:
+        return Params(self.layout, self.vector.copy())
+
+
 def as_params(theta: Checkpoint | Mapping[str, np.ndarray]) -> Params:
-    """Float64 parameter map from a checkpoint or array mapping."""
-    if isinstance(theta, Checkpoint):
-        return theta.astype64()
-    return {k: np.asarray(v, dtype=np.float64) for k, v in theta.items()}
-
-
-def _structure(params: Params) -> int:
-    """Validate the layer{i}.* naming scheme; return the layer count."""
-    layers = set()
-    for name in params:
-        head, _, leaf = name.partition(".")
-        if not head.startswith("layer") or leaf not in ("weight", "bias", "gain"):
-            raise ShapeMismatchError(f"unrecognized parameter name {name!r}")
-        try:
-            layers.add(int(head[5:]))
-        except ValueError as exc:
-            raise ShapeMismatchError(f"unrecognized parameter name {name!r}") from exc
-    count = max(layers) + 1
-    if layers != set(range(count)):
-        raise ShapeMismatchError(f"non-contiguous layer indices {sorted(layers)}")
-    for i in range(count):
-        for leaf in ("weight", "bias") + (("gain",) if i < count - 1 else ()):
-            if f"layer{i}.{leaf}" not in params:
-                raise ShapeMismatchError(f"missing parameter layer{i}.{leaf}")
-    return count
+    """Float64 parameters from a checkpoint or array mapping (a Params as is)."""
+    if isinstance(theta, Params):
+        return theta
+    arrays = {t.name: t.data for t in theta} if isinstance(theta, Checkpoint) else theta
+    shapes = [np.shape(a) for a in arrays.values()]
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    layout = Layout(tuple(arrays), tuple(zip(map(slice, [0, *ends], ends), shapes)))
+    return Params(layout, np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64))
 
 
 def arch_of(theta: Checkpoint | Mapping[str, np.ndarray]) -> ArchSpec:
     """Recover the width chain from parameter shapes."""
     params = as_params(theta)
-    count = _structure(params)
     widths = [params["layer0.weight"].shape[0]]
-    for i in range(count):
-        widths.append(params[f"layer{i}.weight"].shape[1])
+    widths += [params[weight].shape[1] for weight, _, _ in _layer_names(params.layout.names)]
     return ArchSpec(tuple(widths))
 
 
@@ -121,23 +151,23 @@ def init_checkpoint(arch: ArchSpec, seed: int) -> Checkpoint:
     return Checkpoint.from_arrays(arrays, meta)
 
 
-def _forward_cached(params: Params, X: np.ndarray) -> tuple[list[dict], np.ndarray]:
-    count = _structure(params)
+def _forward_cached(params: Params, X: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """Logits plus (input, preactivation, gained preactivation) per layer."""
+    layers = _layer_names(params.layout.names)
     x = np.asarray(X, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params["layer0.weight"].shape[0]:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match layer0.weight {params['layer0.weight'].shape}"
         )
-    cache: list[dict] = []
-    for i in range(count - 1):
-        z = x @ params[f"layer{i}.weight"] + params[f"layer{i}.bias"]
-        u = params[f"layer{i}.gain"] * z
-        a = np.maximum(u, 0.0)
-        cache.append({"x": x, "z": z, "u": u})
-        x = a
-    logits = x @ params[f"layer{count - 1}.weight"] + params[f"layer{count - 1}.bias"]
-    cache.append({"x": x})
-    return cache, logits
+    cache: list[tuple] = []
+    for weight, bias, gain in layers[:-1]:
+        z = x @ params[weight] + params[bias]
+        u = params[gain] * z
+        cache.append((x, z, u))
+        x = np.maximum(u, 0.0)
+    weight, bias, _ = layers[-1]
+    cache.append((x, None, None))
+    return cache, x @ params[weight] + params[bias]
 
 
 def forward(theta: Checkpoint | Mapping[str, np.ndarray], X: np.ndarray) -> np.ndarray:
@@ -196,7 +226,7 @@ def loss_ce(
 
 
 def grad64(
-    params: Params,
+    params: Mapping[str, np.ndarray],
     X: np.ndarray,
     targets: np.ndarray,
     inv_temperature: float = 1.0,
@@ -204,30 +234,37 @@ def grad64(
     """Loss and its gradient w.r.t. every parameter, all float64.
 
     Loss is the batch mean of the target-distribution cross-entropy of
-    ``inv_temperature * logits``.
+    ``inv_temperature * logits``; the gradient shares the params' layout.
     """
-    count = _structure(params)
+    if inv_temperature <= 0.0:
+        raise ValueError("inv_temperature must be positive")
+    if not isinstance(params, Params):
+        params = as_params(params)
     cache, logits = _forward_cached(params, X)
     n = logits.shape[0]
-    probs = softmax(inv_temperature * logits)
-    loss = cross_entropy_from_targets(logits, targets, inv_temperature)
-    grads: Params = {}
-    upstream = inv_temperature * (probs - targets) / n  # d loss / d logits
-    for i in range(count - 1, -1, -1):
-        layer_in = cache[i]["x"]
-        if i == count - 1:
-            d_z = upstream
-        else:
-            mask = cache[i]["u"] > 0.0
-            d_u = upstream * mask
-            grads[f"layer{i}.gain"] = np.sum(d_u * cache[i]["z"], axis=0)
-            d_z = d_u * params[f"layer{i}.gain"]
-        grads[f"layer{i}.weight"] = layer_in.T @ d_z
-        grads[f"layer{i}.bias"] = np.sum(d_z, axis=0)
+    # One max-shift and exp pass serves both softmax and log-softmax.  The
+    # ufunc reductions are what np.max/np.sum call, minus their Python wrapper.
+    shifted = inv_temperature * logits
+    shifted -= np.maximum.reduce(shifted, axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = np.add.reduce(exp, axis=-1, keepdims=True)
+    loss = float(-np.mean(np.add.reduce(targets * (shifted - np.log(total)), axis=1)))
+    grads = Params(params.layout, np.empty_like(params.vector))
+    upstream = inv_temperature * (exp / total - targets) / n  # d loss / d logits
+    layers = _layer_names(params.layout.names)
+    for i in range(len(layers) - 1, -1, -1):
+        weight, bias, gain = layers[i]
+        layer_in, z, u = cache[i]
+        d_z = upstream
+        if gain is not None:
+            d_u = upstream * (u > 0.0)
+            np.add.reduce(d_u * z, axis=0, out=grads[gain])
+            d_z = d_u * params[gain]
+        np.matmul(layer_in.T, d_z, out=grads[weight])
+        np.add.reduce(d_z, axis=0, out=grads[bias])
         if i > 0:
-            upstream = d_z @ params[f"layer{i}.weight"].T
-    ordered = {name: grads[name] for name in params}
-    return loss, ordered
+            upstream = d_z @ params[weight].T
+    return loss, grads
 
 
 def grad(
@@ -275,16 +312,12 @@ def logit_second_directional(
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    params = as_params(theta)
-    d = as_params(delta)
-    if set(params) != set(d):
-        raise ShapeMismatchError("delta names do not match theta names")
-    plus = {k: params[k] + h * d[k] for k in params}
-    minus = {k: params[k] - h * d[k] for k in params}
-    f0 = forward(params, X)
-    fp = forward(plus, X)
-    fm = forward(minus, X)
-    return (fp - 2.0 * f0 + fm) / (h * h)
+    params, d = as_params(theta), as_params(delta)
+    if d.layout != params.layout:
+        raise ShapeMismatchError("delta names or shapes do not match theta")
+    plus = Params(params.layout, params.vector + h * d.vector)
+    minus = Params(params.layout, params.vector - h * d.vector)
+    return (forward(plus, X) - 2.0 * forward(params, X) + forward(minus, X)) / (h * h)
 
 
 @dataclass
@@ -324,6 +357,6 @@ def evaluate(
     return EvalReport(count=len(labels), loss=loss, top1_error=err, calibrated_loss=calibrated)
 
 
-def params_axpy(base: Params, direction: Params, t: float) -> Params:
+def params_axpy(base: Params, direction: Params, t: float) -> dict[str, np.ndarray]:
     """base + t * direction, a float64 point on a weight-space line."""
     return {k: base[k] + t * direction[k] for k in base}

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import Dataset
-from .errors import ConfigError, DivergenceError, SoupkitError
+from .errors import ConfigError, DataFormatError, DivergenceError, SoupkitError
 from .fileio import atomic_write_text
 from .rng import PortableRng, derive_seed
 from .tensorstore import Checkpoint, content_digest, load as load_checkpoint, save as save_checkpoint
@@ -137,30 +137,26 @@ def mixup_batch(
     return lam * X + (1.0 - lam) * X[perm], lam * targets + (1.0 - lam) * targets[perm]
 
 
-def sgd_step(params: Params, grads: Params, lr: float, weight_decay: float) -> None:
-    """In-place w -= lr * (g + wd * w)."""
-    for name in params:
-        params[name] -= lr * (grads[name] + weight_decay * params[name])
+def sgd_step(w: np.ndarray, g: np.ndarray, lr: float, weight_decay: float) -> None:
+    """In-place w -= lr * (g + wd * w) on a flat parameter vector."""
+    w -= lr * (g + weight_decay * w)
 
 
 @dataclass
 class AdamState:
-    m: Params
-    v: Params
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros_like(cls, params: Params) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def zeros_like(cls, w: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(w), v=np.zeros_like(w))
 
 
 def adamw_step(
-    params: Params, grads: Params, state: AdamState, lr: float, weight_decay: float
+    w: np.ndarray, g: np.ndarray, state: AdamState, lr: float, weight_decay: float
 ) -> None:
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update of a flat vector, in place.
 
     m and v use betas (0.9, 0.999) with bias correction; decay is applied
     directly to the weights, scaled by lr, never through the moments.
@@ -168,21 +164,11 @@ def adamw_step(
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for name in params:
-        g = grads[name]
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * params[name])
-
-
-def _global_norm(grads: Params) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-
-
-def _split_loss(params: Params, X: np.ndarray, y: np.ndarray, smoothing: float) -> float:
-    return loss_ce(forward(params, X), y, smoothing=smoothing)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    w -= lr * (state.m / bc1 / (np.sqrt(state.v / bc2) + ADAM_EPS) + weight_decay * w)
 
 
 @dataclass
@@ -201,14 +187,15 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
     X_all = train.x.astype(np.float64)
     base_targets = smoothed_targets(train.y, num_classes, h.label_smoothing)
 
-    params = {k: v.copy() for k, v in params0.items()}
-    ema = {k: v.copy() for k, v in params0.items()} if h.ema_decay is not None else None
-    adam = AdamState.zeros_like(params) if h.optimizer == "adamw" else None
+    params = params0.copy()
+    w = params.vector
+    ema = params0.copy() if h.ema_decay is not None else None
+    adam = AdamState.zeros_like(w) if h.optimizer == "adamw" else None
 
     n = len(train.y)
     steps_per_epoch = (n + h.batch_size - 1) // h.batch_size
     total_steps = h.epochs * steps_per_epoch
-    loss_initial = _split_loss(params, X_all, train.y, h.label_smoothing)
+    loss_initial = loss_ce(forward(params, X_all), train.y, h.label_smoothing)
 
     step = 0
     for epoch in range(h.epochs):
@@ -232,42 +219,39 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at step {step}")
             if h.sam_rho:
-                norm = _global_norm(grads)
+                # Summed tensor by tensor: one pairwise sum over the whole
+                # vector rounds differently and would change SAM's output.
+                norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
                 if norm > 0.0:
-                    ascended = {k: params[k] + h.sam_rho * grads[k] / norm for k in params}
+                    ascended = Params(params.layout, w + h.sam_rho * grads.vector / norm)
                     loss, grads = grad64(ascended, xb, tb)
                     if not math.isfinite(loss):
                         raise DivergenceError(f"non-finite perturbed loss at step {step}")
             if h.optimizer == "sgd":
-                sgd_step(params, grads, lr, h.weight_decay)
+                sgd_step(w, grads.vector, lr, h.weight_decay)
             else:
-                adamw_step(params, grads, adam, lr, h.weight_decay)
+                adamw_step(w, grads.vector, adam, lr, h.weight_decay)
             if ema is not None:
-                d = h.ema_decay
-                for k in params:
-                    ema[k] = d * ema[k] + (1.0 - d) * params[k]
+                ema.vector *= h.ema_decay
+                ema.vector += (1.0 - h.ema_decay) * w
             step += 1
 
-    loss_final = _split_loss(params, X_all, train.y, h.label_smoothing)
+    loss_final = loss_ce(forward(params, X_all), train.y, h.label_smoothing)
     return params, ema, loss_initial, loss_final
 
 
-def _finalize(
-    params: Params, meta: dict[str, str], dataset: Dataset
-) -> tuple[Checkpoint, float]:
+def _finalize(params: Params, meta: dict[str, str], dataset: Dataset) -> Checkpoint:
     ckpt = Checkpoint.from_arrays({k: v.astype(np.float32) for k, v in params.items()})
-    report = evaluate(ckpt, dataset.val.x, dataset.val.y)
-    meta = dict(meta)
-    meta["val_accuracy"] = repr(report.accuracy)
-    ckpt.meta.update(meta)
-    return ckpt, report.accuracy
+    accuracy = evaluate(ckpt, dataset.val.x, dataset.val.y).accuracy
+    ckpt.meta.update(meta, val_accuracy=repr(accuracy))
+    return ckpt
 
 
 def pretrain(arch: ArchSpec, dataset: Dataset, cfg: HyperConfig) -> Checkpoint:
     """Train a fresh base model from a seeded init; returns theta0."""
     cfg.validate()
     init = init_checkpoint(arch, cfg.seed)
-    params, _, loss_init, loss_final = _train_loop(init.astype64(), cfg, dataset)
+    params, _, loss_init, loss_final = _train_loop(as_params(init), cfg, dataset)
     meta = {
         "role": "pretrain",
         "arch": ",".join(str(w) for w in arch.layer_widths),
@@ -276,8 +260,7 @@ def pretrain(arch: ArchSpec, dataset: Dataset, cfg: HyperConfig) -> Checkpoint:
         "train_loss_initial": repr(loss_init),
         "train_loss_final": repr(loss_final),
     }
-    ckpt, _ = _finalize(params, meta, dataset)
-    return ckpt
+    return _finalize(params, meta, dataset)
 
 
 def finetune(theta0: Checkpoint, h: HyperConfig, dataset: Dataset) -> TrainResult:
@@ -293,10 +276,8 @@ def finetune(theta0: Checkpoint, h: HyperConfig, dataset: Dataset) -> TrainResul
         "train_loss_initial": repr(loss_init),
         "train_loss_final": repr(loss_final),
     }
-    ckpt, _ = _finalize(params, meta, dataset)
-    ema_ckpt = None
-    if ema is not None:
-        ema_ckpt, _ = _finalize(ema, {**meta, "role": "finetune-ema"}, dataset)
+    ckpt = _finalize(params, meta, dataset)
+    ema_ckpt = None if ema is None else _finalize(ema, {**meta, "role": "finetune-ema"}, dataset)
     return TrainResult(
         checkpoint=ckpt, ema=ema_ckpt, train_loss_initial=loss_init, train_loss_final=loss_final
     )
@@ -480,19 +461,21 @@ def save_manifest(manifest: SweepManifest, path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> SweepManifest:
     path = Path(path)
-    raw = json.loads(path.read_text())
-    entries = [
-        SweepEntry(
-            index=e["index"],
-            config=HyperConfig.from_dict(e["config"]),
-            path=e["path"],
-            val_accuracy=e["val_accuracy"],
-            ema_path=e.get("ema_path"),
-            ema_val_accuracy=e.get("ema_val_accuracy"),
-            error=e.get("error"),
-        )
-        for e in raw["entries"]
-    ]
-    return SweepManifest(
-        entries=entries, theta0_digest=raw.get("theta0_digest", ""), directory=str(path.parent)
-    )
+    try:
+        raw = json.loads(path.read_text())
+        entries = [
+            SweepEntry(
+                index=e["index"],
+                config=HyperConfig.from_dict(e["config"]),
+                path=e["path"],
+                val_accuracy=e["val_accuracy"],
+                ema_path=e.get("ema_path"),
+                ema_val_accuracy=e.get("ema_val_accuracy"),
+                error=e.get("error"),
+            )
+            for e in raw["entries"]
+        ]
+        theta0_digest = raw.get("theta0_digest", "")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataFormatError(f"{path}: not a sweep manifest: {exc!r}") from exc
+    return SweepManifest(entries=entries, theta0_digest=theta0_digest, directory=str(path.parent))

@@ -333,6 +333,49 @@ def test_help_and_bad_subcommand_use_argparse_exits(capsys):
     capsys.readouterr()
 
 
+def _single_error_line(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"theta0_digest": ""}),
+        json.dumps({"entries": [{"config": {}, "path": "m.ckpt", "val_accuracy": 0.5}]}),
+        json.dumps({"entries": [{"index": 0, "path": "m.ckpt", "val_accuracy": 0.5}]}),
+        json.dumps(["entries"]),
+    ],
+)
+def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    argv = ["soup", "uniform", "--manifest", str(manifest), "--out", str(tmp_path / "s.ckpt")]
+    assert cli.main(argv) == cli.EXIT_FORMAT
+    assert _single_error_line(capsys)["error"] == "data-format"
+
+
+@pytest.mark.parametrize("alphas", ["0,1.5", "-0.1", "0.5,nan"])
+@pytest.mark.parametrize("command", ["interp", "approx"])
+def test_alphas_outside_unit_interval_exit_config_code(
+    workspace, tmp_path, capsys, command, alphas
+):
+    if command == "interp":
+        inputs = ["--ckpt-a", str(workspace["base"]), "--ckpt-b", str(workspace["base"])]
+    else:
+        pairs = tmp_path / "pairs.json"
+        base = str(workspace["base"])
+        pairs.write_text(json.dumps([{"id": "p", "theta0": base, "theta1": base}]))
+        inputs = ["--pairs", str(pairs)]
+    argv = [command, *inputs, "--data", str(workspace["data"]), "--alphas", alphas,
+            "--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ------------------------------------------------------------------- soups
 
 

@@ -11,7 +11,7 @@ import pytest
 from soupkit.datagen import DatasetConfig, generate
 from soupkit.errors import ConfigError, DivergenceError
 from soupkit.rng import PortableRng
-from soupkit.tensorstore import checkpoints_equal, load, serialize
+from soupkit.tensorstore import checkpoints_equal, content_digest, load, serialize
 from soupkit.tinynet import ArchSpec, evaluate, init_checkpoint
 from soupkit.trainer import (
     AdamState,
@@ -53,41 +53,41 @@ def _fast(**overrides) -> HyperConfig:
 
 
 def test_sgd_step_hand_computed():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.array([0.5, 0.25])}
+    params = np.array([1.0, -2.0])
+    grads = np.array([0.5, 0.25])
     sgd_step(params, grads, lr=0.1, weight_decay=0.2)
     # w - lr*(g + wd*w): [1 - 0.1*(0.5+0.2), -2 - 0.1*(0.25-0.4)]
-    assert params["w"].tolist() == pytest.approx([0.93, -1.985], abs=1e-15)
+    assert params.tolist() == pytest.approx([0.93, -1.985], abs=1e-15)
 
 
 def test_adamw_first_step_hand_computed():
-    params = {"w": np.array([1.0])}
-    grads = {"w": np.array([0.5])}
+    params = np.array([1.0])
+    grads = np.array([0.5])
     state = AdamState.zeros_like(params)
     adamw_step(params, grads, state, lr=0.1, weight_decay=0.0)
     # bias-corrected m_hat = g, v_hat = g^2, so the step is lr*g/(|g|+eps)
     expected = 1.0 - 0.1 * (0.5 / (0.5 + 1e-8))
-    assert params["w"][0] == pytest.approx(expected, rel=1e-15)
+    assert params[0] == pytest.approx(expected, rel=1e-15)
     assert state.t == 1
-    assert state.m["w"][0] == pytest.approx(0.1 * 0.5, rel=1e-15)
-    assert state.v["w"][0] == pytest.approx(0.001 * 0.25, rel=1e-12)
+    assert state.m[0] == pytest.approx(0.1 * 0.5, rel=1e-15)
+    assert state.v[0] == pytest.approx(0.001 * 0.25, rel=1e-12)
 
 
 def test_adamw_decoupled_decay():
-    params = {"w": np.array([2.0])}
-    grads = {"w": np.array([0.0])}
+    params = np.array([2.0])
+    grads = np.array([0.0])
     state = AdamState.zeros_like(params)
     adamw_step(params, grads, state, lr=0.1, weight_decay=0.05)
     # zero gradient: only the decay term lr*wd*w moves the weight
-    assert params["w"][0] == pytest.approx(2.0 - 0.1 * 0.05 * 2.0, rel=1e-15)
+    assert params[0] == pytest.approx(2.0 - 0.1 * 0.05 * 2.0, rel=1e-15)
 
 
 def test_adamw_two_steps_match_manual_recurrence():
-    params = {"w": np.array([1.0])}
+    params = np.array([1.0])
     state = AdamState.zeros_like(params)
     g1, g2, lr = 0.3, -0.2, 0.05
-    adamw_step(params, {"w": np.array([g1])}, state, lr, 0.0)
-    adamw_step(params, {"w": np.array([g2])}, state, lr, 0.0)
+    adamw_step(params, np.array([g1]), state, lr, 0.0)
+    adamw_step(params, np.array([g2]), state, lr, 0.0)
     m1 = 0.1 * g1
     v1 = 0.001 * g1 * g1
     w = 1.0 - lr * ((m1 / 0.1) / (math.sqrt(v1 / 0.001) + 1e-8))
@@ -96,7 +96,7 @@ def test_adamw_two_steps_match_manual_recurrence():
     bc1 = 1 - 0.9**2
     bc2 = 1 - 0.999**2
     w -= lr * ((m2 / bc1) / (math.sqrt(v2 / bc2) + 1e-8))
-    assert params["w"][0] == pytest.approx(w, rel=1e-14)
+    assert params[0] == pytest.approx(w, rel=1e-14)
 
 
 def test_cosine_schedule_endpoints():
@@ -229,6 +229,31 @@ def test_divergence_raises_with_step_number(small_data):
     bomb = _fast(optimizer="sgd", learning_rate=1e8, weight_decay=0.1, epochs=12)
     with pytest.raises(DivergenceError, match=r"step \d+"):
         finetune(theta0, bomb, small_data)
+
+
+# Content digests recorded from an earlier, per-tensor implementation of
+# the optimizers, EMA and SAM: any change to the training arithmetic that
+# alters a single output bit fails here.
+PINNED_BASE_DIGEST = "bf39d34d16be8ec1"
+PINNED_FINETUNES = [
+    (
+        dict(seed=9, mixup_alpha=0.3, input_noise_std=0.2, label_smoothing=0.05, ema_decay=0.9),
+        "491f201c0cd8401c",
+        "e77877c70ecf5463",
+    ),
+    (dict(sam_rho=0.05, batch_size=36), "15a4eec604e786ac", None),
+    (dict(optimizer="sgd", schedule="constant", learning_rate=0.05), "2dce496b15a015b7", None),
+]
+
+
+def test_training_bytes_are_pinned(small_data):
+    theta0 = pretrain(ARCH, small_data, _fast())
+    assert content_digest(theta0) == PINNED_BASE_DIGEST
+    for overrides, want, want_ema in PINNED_FINETUNES:
+        result = finetune(theta0, _fast(**overrides), small_data)
+        assert content_digest(result.checkpoint) == want, overrides
+        ema = None if result.ema is None else content_digest(result.ema)
+        assert ema == want_ema, overrides
 
 
 # ------------------------------------------------------------- config
