@@ -5,14 +5,14 @@ Submodules
 ----------
 - :mod:`soupkit.rng` — portable, platform-independent random streams
 - :mod:`soupkit.datagen` — synthetic Gaussian-mixture classification tasks
-- :mod:`soupkit.tensorstore` — the SOUPCKPT checkpoint container and
-  float64-accumulated weight-space arithmetic
+- :mod:`soupkit.tensorstore` — the SOUPCKPT checkpoint container, the
+  flat float64 ``Params`` type, and float64-accumulated weight-space
+  arithmetic
 - :mod:`soupkit.tinynet` — a small ReLU MLP: forward, loss, analytic
   gradients, logit-space Hessian forms
-- :mod:`soupkit.trainer` — SGD pretraining/fine-tuning, random-search
-  sweeps, sweep manifests
-- :mod:`soupkit.soups` — uniform, greedy, and learned weight averaging,
-  plus two-endpoint interpolation curves
+- :mod:`soupkit.trainer` — SGD/AdamW pretraining and fine-tuning,
+  random-search sweeps, sweep manifests
+- :mod:`soupkit.soups` — uniform, greedy, and learned weight averaging
 - :mod:`soupkit.ensembles` — logit ensembles, temperature scaling,
   equal-mass-bin calibration error
 - :mod:`soupkit.analysis` — interpolation advantage, pair angles, loss

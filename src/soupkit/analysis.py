@@ -9,7 +9,7 @@ exact integral identity used as the approximation's numerical oracle.
 Numerical conventions
 ---------------------
 * All weight-space interpolation inside this module happens on float64
-  parameter maps (no float32 round-trip), so finite differences are
+  Params vectors (no float32 round-trip), so finite differences are
   not polluted by storage quantization.  Entry points accept
   checkpoints and convert once.
 * The alpha second derivative uses a central difference with step
@@ -52,15 +52,17 @@ from .tensorstore import (
     Checkpoint,
     DEFAULT_ANGLE_FILTER,
     ParamFilter,
+    Params,
     angle_between,
+    as_params,
     combine,
+    dot,
     subtract,
+    to_checkpoint,
 )
 from .tinynet import (
-    Params,
     _forward_cached,
     arch_of,
-    as_params,
     evaluate,
     forward,
     hessian_quadratic_form,
@@ -205,32 +207,21 @@ def _plane_frame(
     p0 = as_params(theta0)
     d1 = _delta_params(p0, as_params(theta1))
     d2 = _delta_params(p0, as_params(theta2))
-
-    def norm(d: Params) -> float:
-        return math.sqrt(sum(float(np.sum(v * v)) for v in d.values()))
-
-    def dot(a: Params, b: Params) -> float:
-        return sum(float(np.sum(a[k] * b[k])) for k in a)
-
-    n1 = norm(d1)
+    n1 = math.sqrt(dot(d1, d1))
     if n1 == 0.0:
         raise DegenerateBasisError("theta1 equals theta0; no direction to span")
-    u1 = {k: v / n1 for k, v in d1.items()}
+    u1 = Params(p0.layout, d1.vector / n1)
     proj = dot(d2, u1)
-    resid = {k: d2[k] - proj * u1[k] for k in d2}
-    n2 = norm(resid)
+    resid = Params(p0.layout, d2.vector - proj * u1.vector)
+    n2 = math.sqrt(dot(resid, resid))
     # Relative threshold: exact parallels cancel only up to rounding.
-    if n2 <= 1e-9 * norm(d2):
+    if n2 <= 1e-9 * math.sqrt(dot(d2, d2)):
         raise DegenerateBasisError("theta2 - theta0 is parallel to theta1 - theta0")
-    u2 = {k: v / n2 for k, v in resid.items()}
+    u2 = Params(p0.layout, resid.vector / n2)
     basis = PlaneBasis(
         origin=theta0,
-        u1=Checkpoint.from_arrays(
-            {k: v.astype(np.float32) for k, v in u1.items()}, {"role": "plane-u1"}
-        ),
-        u2=Checkpoint.from_arrays(
-            {k: v.astype(np.float32) for k, v in u2.items()}, {"role": "plane-u2"}
-        ),
+        u1=to_checkpoint(u1, {"role": "plane-u1"}),
+        u2=to_checkpoint(u2, {"role": "plane-u2"}),
         coords0=(0.0, 0.0),
         coords1=(n1, 0.0),
         coords2=(proj, n2),
@@ -262,7 +253,7 @@ def plane_landscape(
     matrix = np.empty((len(ys), len(xs)), dtype=np.float64)
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            point = {k: p0[k] + x * u1[k] + y * u2[k] for k in p0}
+            point = Params(p0.layout, p0.vector + x * u1.vector + y * u2.vector)
             report = evaluate(point, X, labels)
             matrix[i, j] = report.loss if metric == "loss" else report.top1_error
     return matrix, basis
@@ -510,7 +501,7 @@ def relu_flip_count(
     baseline = None
     changed = None
     for tau in np.linspace(0.0, 1.0, num_nodes):
-        cache, _ = _forward_cached(as_params(params_axpy(p0, delta, float(tau))), X)
+        cache, _ = _forward_cached(params_axpy(p0, delta, float(tau)), X)
         states = [u > 0.0 for _, _, u in cache[:-1]]
         if baseline is None:
             baseline = states

@@ -92,11 +92,7 @@ def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> dict:
     """Config dict from an optional JSON file plus --set overrides."""
     doc: dict = {}
     if path is not None:
-        text = Path(path).read_text()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        doc = _read_json(path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")
     for text in overrides:
@@ -220,6 +216,15 @@ def _manifest_models(path: str) -> tuple[trainer.SweepManifest, list[Checkpoint]
     if not models:
         raise ConfigError(f"manifest {path} has no successful entries")
     return manifest, models
+
+
+def _read_json(path: str | Path, error: type[SoupkitError]):
+    """Parsed JSON file; text that is not UTF-8 JSON raises ``error``."""
+    text = Path(path).read_bytes()
+    try:
+        return json.loads(text.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -366,13 +371,14 @@ def cmd_grid_study(args: argparse.Namespace) -> int:
 
 
 def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
-    raw = json.loads(Path(path).read_text())
+    raw = _read_json(path, ConfigError)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: pair file must be a JSON list")
     base = Path(path).parent
     pairs = []
     for i, item in enumerate(raw):
-        item = dict(item)
+        if not isinstance(item, dict):
+            raise ConfigError(f"{path}: pair {i} must be a JSON object")
         try:
             pair_id = str(item.pop("id"))
             theta0 = item.pop("theta0")
@@ -425,6 +431,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_json_object(path: str) -> dict:
+    doc = _read_json(path, DataFormatError)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path}: top level must be a JSON object")
+    return doc
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     payload: dict = {}
     if args.manifest is not None:
@@ -439,16 +452,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             "mean_val_accuracy": (sum(accs) / len(accs)) if accs else None,
             "theta0_digest": manifest.theta0_digest,
         }
-    soups_info = []
-    for sidecar in args.soup or []:
-        soups_info.append({"path": sidecar, **json.loads(Path(sidecar).read_text())})
-    if soups_info:
-        payload["soups"] = soups_info
-    evals = []
-    for report_path in args.eval_report or []:
-        evals.append({"path": report_path, **json.loads(Path(report_path).read_text())})
-    if evals:
-        payload["evals"] = evals
+    for key, paths in (("soups", args.soup), ("evals", args.eval_report)):
+        entries = [{"path": path, **_read_json_object(path)} for path in paths or []]
+        if entries:
+            payload[key] = entries
     if not payload:
         raise ConfigError("report needs at least one of --manifest/--soup/--eval-report")
     _write_json(args.out, payload)

@@ -186,7 +186,7 @@ def _parse_split(text: str, path: str, num_classes: int | None) -> Split:
     if not lines or not lines[0].startswith("label,"):
         raise DataFormatError(f"{path}: missing 'label,f0,...' header")
     width = len(lines[0].split(",")) - 1
-    xs = np.empty((len(lines) - 1, width), dtype=np.float32)
+    xs = np.empty((len(lines) - 1, width), dtype=np.float64)
     ys = np.empty(len(lines) - 1, dtype=np.int64)
     for i, line in enumerate(lines[1:]):
         parts = line.split(",")
@@ -200,8 +200,14 @@ def _parse_split(text: str, path: str, num_classes: int | None) -> Split:
         if label < 0 or (num_classes is not None and label >= num_classes):
             raise DataFormatError(f"{path}: row {i + 1} label {label} out of range")
         ys[i] = label
-        xs[i] = np.asarray(values, dtype=np.float32)
-    return Split(x=xs, y=ys)
+        xs[i] = values
+    with np.errstate(over="ignore"):  # values beyond float32 range become inf, caught below
+        x32 = xs.astype(np.float32)
+    finite_rows = np.isfinite(x32).all(axis=1)
+    if not finite_rows.all():
+        row = int(np.argmin(finite_rows)) + 1
+        raise DataFormatError(f"{path}: row {row} has a value that is not finite in float32")
+    return Split(x=x32, y=ys)
 
 
 def save_csv(ds: Dataset, directory: str | Path) -> None:

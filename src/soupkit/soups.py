@@ -32,10 +32,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fileio import atomic_write_text
-from .tensorstore import Checkpoint, combine, content_digest, save as save_checkpoint
+from .tensorstore import (
+    Checkpoint,
+    Params,
+    as_params,
+    combine,
+    content_digest,
+    dot,
+    save as save_checkpoint,
+    to_checkpoint,
+)
 from .tinynet import (
     arch_of,
-    as_params,
     evaluate,
     forward,
     grad64,
@@ -149,16 +157,6 @@ def greedy_soup(
     )
 
 
-def _mixing_groups(names: Sequence[str], by_layer: bool) -> dict[str, list[str]]:
-    if not by_layer:
-        return {"all": list(names)}
-    groups: dict[str, list[str]] = {}
-    for name in names:
-        prefix = name.split(".", 1)[0] + "."
-        groups.setdefault(prefix, []).append(name)
-    return groups
-
-
 def learned_soup(
     models: Sequence[Checkpoint],
     X_val: np.ndarray,
@@ -170,9 +168,14 @@ def learned_soup(
         raise ValueError("learned_soup needs at least one model")
     k = len(models)
     params_list = [as_params(m) for m in models]
-    names = list(params_list[0])
-    groups = _mixing_groups(names, by_layer)
-    group_keys = list(groups)
+    layout = params_list[0].layout
+    groups = [name.split(".", 1)[0] + "." if by_layer else "all" for name in layout.names]
+    group_keys = list(dict.fromkeys(groups))
+    members = [[n for n, g in zip(layout.names, groups) if g == key] for key in group_keys]
+    # The group row of every vector entry: alpha.T[:, value_rows] holds one
+    # coefficient row per model.
+    sizes = [sl.stop - sl.start for sl, _ in layout.spans]
+    value_rows = np.repeat([group_keys.index(g) for g in groups], sizes)
     num_classes = arch_of(params_list[0]).num_classes
     targets = smoothed_targets(np.asarray(y_val), num_classes, 0.0)
 
@@ -182,40 +185,25 @@ def learned_soup(
     scores = raw[:-1].reshape(len(group_keys), k)
     adam = AdamState.zeros_like(raw)
 
-    def alphas() -> dict[str, np.ndarray]:
-        return {key: softmax(row) for key, row in zip(group_keys, scores)}
-
-    def mixed_params(alpha: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        mixed = {}
-        for key in group_keys:
-            for name in groups[key]:
-                acc = alpha[key][0] * params_list[0][name]
-                for i in range(1, k):
-                    acc = acc + alpha[key][i] * params_list[i][name]
-                mixed[name] = acc
-        return {name: mixed[name] for name in names}
+    def mixed_params(alpha: np.ndarray) -> Params:
+        coeffs = alpha.T[:, value_rows]
+        acc = coeffs[0] * params_list[0].vector
+        for c, p in zip(coeffs[1:], params_list[1:]):
+            acc = acc + c * p.vector
+        return Params(layout, acc)
 
     trace: list[float] = []
     for step in range(LEARNED_SOUP_EPOCHS):
-        alpha = alphas()
+        alpha = softmax(scores)  # one row per group
         beta = float(np.exp(raw[-1]))
         theta = mixed_params(alpha)
         loss, theta_grad = grad64(theta, X_val, targets, inv_temperature=beta)
         trace.append(loss)
 
         grad = np.empty_like(raw)
-        for key, grad_row in zip(group_keys, grad[:-1].reshape(scores.shape)):
+        for names, a, grad_row in zip(members, alpha, grad[:-1].reshape(scores.shape)):
             # d loss / d alpha_i restricted to this group's tensors
-            d_alpha = np.array(
-                [
-                    sum(
-                        float(np.sum(theta_grad[name] * params_list[i][name]))
-                        for name in groups[key]
-                    )
-                    for i in range(k)
-                ]
-            )
-            a = alpha[key]
+            d_alpha = np.array([dot(theta_grad, p, names) for p in params_list])
             grad_row[:] = a * (d_alpha - float(np.dot(a, d_alpha)))  # softmax backward
         logits = forward(theta, X_val)
         probs = softmax(beta * logits)
@@ -223,13 +211,13 @@ def learned_soup(
         grad[-1] = d_beta * beta
         adamw_step(raw, grad, adam, LEARNED_SOUP_LR, weight_decay=0.0)
 
-    alpha = alphas()
+    alpha = softmax(scores)
     beta = float(np.exp(raw[-1]))
     theta = mixed_params(alpha)
     trace.append(loss_ce(forward(theta, X_val), np.asarray(y_val), 0.0, beta))
 
-    ckpt = Checkpoint.from_arrays(
-        {name: theta[name].astype(np.float32) for name in names},
+    ckpt = to_checkpoint(
+        theta,
         {
             "role": "soup",
             "soup.kind": "learned-by-layer" if by_layer else "learned",
@@ -240,22 +228,10 @@ def learned_soup(
     return SoupResult(
         checkpoint=ckpt,
         ingredient_indices=list(range(k)),
-        coefficients={key: [float(a) for a in alpha[key]] for key in group_keys},
+        coefficients={key: [float(v) for v in row] for key, row in zip(group_keys, alpha)},
         temperature=beta,
         loss_trace=trace,
     )
-
-
-def wise_ft_curve(
-    theta0: Checkpoint, theta1: Checkpoint, alphas: Sequence[float]
-) -> list[tuple[float, Checkpoint]]:
-    """Interpolation sweep (1 - a) * theta0 + a * theta1 over alphas."""
-    out = []
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha {a} outside [0, 1]")
-        out.append((float(a), combine([1.0 - a, a], [theta0, theta1])))
-    return out
 
 
 def save_soup(result: SoupResult, path: str | Path) -> None:

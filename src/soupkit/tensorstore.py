@@ -1,9 +1,16 @@
-"""Named float32 tensor collections and the SOUPCKPT file format.
+"""Named float32 tensor collections, the SOUPCKPT file format, and the
+float64 weight-space type.
 
 A :class:`Checkpoint` is an ordered map of named float32 tensors plus a
-string-to-string meta block.  It is the unit that everything else in the
-package consumes and produces: trained weights, merged weights,
-gradients, and interpolation deltas all travel as checkpoints.
+string-to-string meta block.  It is what the package stores and
+exchanges: trained weights and merged weights travel as checkpoints.
+
+:class:`Params` is the float64 working form of the same weights: one
+flat vector plus a :class:`Layout` (names in checkpoint order, with each
+tensor's slice and shape), read by name through reshaped views.
+Training, gradients, interpolation deltas and plane directions travel
+as Params.  :func:`as_params` widens a checkpoint exactly;
+:func:`to_checkpoint` is the one place float64 rounds to float32.
 
 File format (version 1)
 -----------------------
@@ -24,7 +31,8 @@ a save/load round trip bit for bit.
 
 All reductions over tensor values (dot products, norms, weighted
 combinations) accumulate in float64 and only round to float32 at the
-storage boundary.
+storage boundary.  Inner products sum tensor by tensor in layout order
+(:func:`dot`): one sum over the whole vector rounds differently.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,9 +127,6 @@ class ParamFilter:
 
     def includes(self, name: str) -> bool:
         return not any(name.endswith(sfx) for sfx in self.exclude_suffixes)
-
-    def apply(self, ckpt: Checkpoint) -> list[Tensor]:
-        return [t for t in ckpt if self.includes(t.name)]
 
 
 INCLUDE_ALL = ParamFilter()
@@ -232,25 +238,80 @@ def content_digest(ckpt: Checkpoint) -> str:
     return h.hexdigest()[:16]
 
 
-def _require_same_structure(ckpts: Sequence[Checkpoint]) -> None:
-    ref = ckpts[0]
-    for other in ckpts[1:]:
-        if other.names != ref.names:
-            raise ShapeMismatchError(
-                f"tensor name sets differ: {ref.names} vs {other.names}"
-            )
-        for ta, tb in zip(ref, other):
-            if ta.shape != tb.shape:
-                raise ShapeMismatchError(
-                    f"tensor {ta.name!r} shape {ta.shape} vs {tb.shape}"
-                )
+class Layout(NamedTuple):
+    """Tensor names in vector order, with each tensor's slice and shape."""
+
+    names: tuple[str, ...]
+    spans: tuple[tuple[slice, tuple[int, ...]], ...]
+
+
+class Params(Mapping[str, np.ndarray]):
+    """Float64 parameters: one flat vector, read by name through views."""
+
+    __slots__ = ("layout", "vector", "_views")
+
+    def __init__(self, layout: Layout, vector: np.ndarray) -> None:
+        self.layout, self.vector = layout, vector
+        self._views = {
+            name: vector[sl].reshape(shape) for name, (sl, shape) in zip(layout.names, layout.spans)
+        }
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def copy(self) -> Params:
+        return Params(self.layout, self.vector.copy())
+
+
+def as_params(theta: Checkpoint | Mapping[str, np.ndarray]) -> Params:
+    """Float64 parameters from a checkpoint or array mapping (a Params as is)."""
+    if isinstance(theta, Params):
+        return theta
+    if isinstance(theta, Checkpoint):
+        names, arrays = tuple(theta.tensors), [t.data for t in theta]
+    else:
+        names, arrays = tuple(theta), [np.asarray(a) for a in theta.values()]
+    shapes = [a.shape for a in arrays]
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    layout = Layout(names, tuple(zip(map(slice, [0, *ends], ends), shapes)))
+    flat = [a.reshape(-1) for a in arrays]
+    return Params(layout, np.concatenate(flat, dtype=np.float64) if flat else np.empty(0))
+
+
+def to_checkpoint(params: Params, meta: Mapping[str, str]) -> Checkpoint:
+    """Float32 storage of float64 parameters: the package's one rounding step."""
+    with np.errstate(over="ignore"):  # Tensor() rejects the infs right after
+        stored = params.vector.astype(np.float32)
+    tensors = {
+        name: Tensor(name, stored[sl].reshape(shape))
+        for name, (sl, shape) in zip(params.layout.names, params.layout.spans)
+    }
+    return Checkpoint(tensors=tensors, meta=dict(meta))
+
+
+def dot(a: Params, b: Params, names: Iterable[str] | None = None) -> float:
+    """Float64 inner product over ``names`` (default all), tensor by tensor.
+
+    Each tensor's product is summed on its own and the sums are added in
+    the order given: trained SAM weights, plane coordinates and learned
+    soups depend on this rounding.
+    """
+    if a.layout != b.layout:
+        raise ShapeMismatchError("inner product of parameters with different names or shapes")
+    return sum(float(np.sum(a[k] * b[k])) for k in (a.layout.names if names is None else names))
 
 
 def combine(coeffs: Sequence[float], ckpts: Sequence[Checkpoint]) -> Checkpoint:
-    """Per-tensor linear combination sum_i coeffs[i] * ckpts[i].
+    """Linear combination sum_i coeffs[i] * ckpts[i] on the flat vector.
 
     Accumulates left to right over inputs in float64, rounds once to
-    float32.  All inputs must share tensor names and shapes.
+    float32.  All inputs must share tensor names, order and shapes.
     """
     if len(ckpts) == 0:
         raise ShapeMismatchError("combine needs at least one checkpoint")
@@ -258,20 +319,22 @@ def combine(coeffs: Sequence[float], ckpts: Sequence[Checkpoint]) -> Checkpoint:
         raise ShapeMismatchError(
             f"{len(coeffs)} coefficients for {len(ckpts)} checkpoints"
         )
-    _require_same_structure(ckpts)
-    out: dict[str, np.ndarray] = {}
-    for name in ckpts[0].names:
-        acc = float(coeffs[0]) * ckpts[0][name].data.astype(np.float64)
-        for c, ckpt in zip(coeffs[1:], ckpts[1:]):
-            acc += float(c) * ckpt[name].data.astype(np.float64)
-        with np.errstate(over="ignore"):  # Tensor() rejects the infs right after
-            out[name] = acc.astype(np.float32)
+    first = as_params(ckpts[0])
+    acc = float(coeffs[0]) * first.vector
+    # One input widened at a time: holding every float64 copy at once is slower.
+    for c, ckpt in zip(coeffs[1:], ckpts[1:]):
+        other = as_params(ckpt)
+        if other.layout != first.layout:
+            raise ShapeMismatchError(
+                f"tensor names or shapes differ: {first.layout.names} vs {other.layout.names}"
+            )
+        acc += float(c) * other.vector
     meta = {
         "recipe": "combine",
         "recipe.coeffs": ",".join(repr(float(c)) for c in coeffs),
         "recipe.inputs": ",".join(content_digest(c) for c in ckpts),
     }
-    return Checkpoint.from_arrays(out, meta)
+    return to_checkpoint(Params(first.layout, acc), meta)
 
 
 def subtract(a: Checkpoint, b: Checkpoint) -> Checkpoint:
@@ -281,18 +344,8 @@ def subtract(a: Checkpoint, b: Checkpoint) -> Checkpoint:
 
 def delta_dot(a: Checkpoint, b: Checkpoint, param_filter: ParamFilter = INCLUDE_ALL) -> float:
     """Float64 inner product over the filtered shared tensors."""
-    _require_same_structure([a, b])
-    total = 0.0
-    for tensor in a:
-        if not param_filter.includes(tensor.name):
-            continue
-        total += float(
-            np.dot(
-                tensor.data.astype(np.float64).ravel(),
-                b[tensor.name].data.astype(np.float64).ravel(),
-            )
-        )
-    return total
+    pa, pb = as_params(a), as_params(b)
+    return dot(pa, pb, [name for name in pa.layout.names if param_filter.includes(name)])
 
 
 def delta_norm(a: Checkpoint, param_filter: ParamFilter = INCLUDE_ALL) -> float:

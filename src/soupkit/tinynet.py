@@ -11,27 +11,26 @@ the final layer is affine with no gain.  Parameters are named
 ``layer{i}.gain``.
 
 Checkpoints store float32; every computation here runs in float64 on
-:class:`Params`, one flat vector plus a :class:`Layout` (names in
-checkpoint order, with slices and shapes).  ``params["layer0.weight"]``
-is a view into ``params.vector``, so the matmuls read named tensors while
-optimizer steps update the whole model in one vector expression.
-Operations accept a Checkpoint, a Params or any ``{name: array}``
-mapping.  The relu subgradient at exactly zero is taken to be zero.
+:class:`~soupkit.tensorstore.Params`, one flat vector plus a layout
+(names in checkpoint order, with slices and shapes).
+``params["layer0.weight"]`` is a view into ``params.vector``, so the
+matmuls read named tensors while optimizer steps update the whole model
+in one vector expression.  Operations accept a Checkpoint, a Params or
+any ``{name: array}`` mapping.  The relu subgradient at exactly zero is
+taken to be zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import PortableRng, derive_seed
-from .tensorstore import Checkpoint
+from .tensorstore import Checkpoint, Params, as_params, to_checkpoint
 
 _INIT_STREAM_TAG = 0x494E4954  # distinct substream for weight init draws
 
@@ -74,48 +73,6 @@ def _layer_names(names: tuple[str, ...]) -> tuple[tuple[str, str, str | None], .
     if missing or unexpected:
         raise ShapeMismatchError(f"parameter names: missing {missing}, unexpected {unexpected}")
     return layers
-
-
-class Layout(NamedTuple):
-    """Tensor names in vector order, with each tensor's slice and shape."""
-
-    names: tuple[str, ...]
-    spans: tuple[tuple[slice, tuple[int, ...]], ...]
-
-
-class Params(Mapping[str, np.ndarray]):
-    """Float64 parameters: one flat vector, read by name through views."""
-
-    __slots__ = ("layout", "vector", "_views")
-
-    def __init__(self, layout: Layout, vector: np.ndarray) -> None:
-        self.layout, self.vector = layout, vector
-        self._views = {
-            name: vector[sl].reshape(shape) for name, (sl, shape) in zip(layout.names, layout.spans)
-        }
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._views[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._views)
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-    def copy(self) -> Params:
-        return Params(self.layout, self.vector.copy())
-
-
-def as_params(theta: Checkpoint | Mapping[str, np.ndarray]) -> Params:
-    """Float64 parameters from a checkpoint or array mapping (a Params as is)."""
-    if isinstance(theta, Params):
-        return theta
-    arrays = {t.name: t.data for t in theta} if isinstance(theta, Checkpoint) else theta
-    shapes = [np.shape(a) for a in arrays.values()]
-    ends = list(accumulate(math.prod(shape) for shape in shapes))
-    layout = Layout(tuple(arrays), tuple(zip(map(slice, [0, *ends], ends), shapes)))
-    return Params(layout, np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64))
 
 
 def arch_of(theta: Checkpoint | Mapping[str, np.ndarray]) -> ArchSpec:
@@ -279,7 +236,7 @@ def grad(
     num_classes = arch_of(params).num_classes
     targets = smoothed_targets(labels, num_classes, smoothing)
     _, grads = grad64(params, X, targets, inv_temperature)
-    return Checkpoint.from_arrays(grads, {"role": "gradient"})
+    return to_checkpoint(grads, {"role": "gradient"})
 
 
 def hessian_quadratic_form(logits: np.ndarray, v: np.ndarray) -> np.ndarray | float:
@@ -357,6 +314,6 @@ def evaluate(
     return EvalReport(count=len(labels), loss=loss, top1_error=err, calibrated_loss=calibrated)
 
 
-def params_axpy(base: Params, direction: Params, t: float) -> dict[str, np.ndarray]:
+def params_axpy(base: Params, direction: Params, t: float) -> Params:
     """base + t * direction, a float64 point on a weight-space line."""
-    return {k: base[k] + t * direction[k] for k in base}
+    return Params(base.layout, base.vector + t * direction.vector)

@@ -33,11 +33,18 @@ from .datagen import Dataset
 from .errors import ConfigError, DataFormatError, DivergenceError, SoupkitError
 from .fileio import atomic_write_text
 from .rng import PortableRng, derive_seed
-from .tensorstore import Checkpoint, content_digest, load as load_checkpoint, save as save_checkpoint
-from .tinynet import (
-    ArchSpec,
+from .tensorstore import (
+    Checkpoint,
     Params,
     as_params,
+    content_digest,
+    dot,
+    load as load_checkpoint,
+    save as save_checkpoint,
+    to_checkpoint,
+)
+from .tinynet import (
+    ArchSpec,
     evaluate,
     forward,
     grad64,
@@ -219,9 +226,7 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at step {step}")
             if h.sam_rho:
-                # Summed tensor by tensor: one pairwise sum over the whole
-                # vector rounds differently and would change SAM's output.
-                norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                norm = math.sqrt(dot(grads, grads))
                 if norm > 0.0:
                     ascended = Params(params.layout, w + h.sam_rho * grads.vector / norm)
                     loss, grads = grad64(ascended, xb, tb)
@@ -241,9 +246,8 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
 
 
 def _finalize(params: Params, meta: dict[str, str], dataset: Dataset) -> Checkpoint:
-    ckpt = Checkpoint.from_arrays({k: v.astype(np.float32) for k, v in params.items()})
-    accuracy = evaluate(ckpt, dataset.val.x, dataset.val.y).accuracy
-    ckpt.meta.update(meta, val_accuracy=repr(accuracy))
+    ckpt = to_checkpoint(params, meta)
+    ckpt.meta["val_accuracy"] = repr(evaluate(ckpt, dataset.val.x, dataset.val.y).accuracy)
     return ckpt
 
 

@@ -112,3 +112,23 @@ def greedy_pool_oracle(subset_score, individual_scores, presort=True):
         if score >= best:
             pool, best = candidate, score
     return pool
+
+
+def combine_reference(coeffs, ckpts):
+    """sum_i coeffs[i] * ckpts[i], element by element in python floats.
+
+    Starts each element at coeffs[0] * x0 (not at 0.0, which would turn
+    a -0.0 into +0.0), adds the other terms left to right, and rounds
+    once to float32.  Returns name -> float32 array in checkpoint order.
+    """
+    out = {}
+    for tensor in ckpts[0]:
+        columns = [[float(v) for v in c[tensor.name].data.ravel()] for c in ckpts]
+        flat = []
+        for j in range(tensor.data.size):
+            acc = float(coeffs[0]) * columns[0][j]
+            for c, column in zip(coeffs[1:], columns[1:]):
+                acc += float(c) * column[j]
+            flat.append(np.float32(acc))
+        out[tensor.name] = np.array(flat, dtype=np.float32).reshape(tensor.shape)
+    return out

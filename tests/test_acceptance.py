@@ -497,14 +497,14 @@ def test_10_interpolation_curve_has_interior_optimum_under_shift(task):
             batch_size=64,
             seed=seed,
         )
-        curve = soups.wise_ft_curve(robust_base, theta1, alphas)
-        assert evaluate(curve[0][1], shift_x, shift_y) == evaluate(
-            robust_base, shift_x, shift_y
+        rows = analysis.interpolation_curve(
+            robust_base, theta1, alphas, {"shift": (shift_x, shift_y)}
         )
-        assert evaluate(curve[-1][1], shift_x, shift_y) == evaluate(
-            theta1, shift_x, shift_y
-        )
-        shift_accs = [_acc(ck, shift_x, shift_y) for _, ck in curve]
+        assert [r["alpha"] for r in rows] == alphas
+        for row, endpoint in ((rows[0], robust_base), (rows[-1], theta1)):
+            report = evaluate(endpoint, shift_x, shift_y)
+            assert (row["loss"], row["top1_error"]) == (report.loss, report.top1_error)
+        shift_accs = [1.0 - r["top1_error"] for r in rows]
         wins += max(shift_accs[1:-1]) >= max(shift_accs[0], shift_accs[-1])
     _verdict(
         wins >= 6,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ import oracles
 from soupkit import analysis
 from soupkit.errors import DegenerateBasisError
 from soupkit.rng import PortableRng
-from soupkit.tensorstore import Checkpoint, ParamFilter, delta_dot, delta_norm
+from soupkit.tensorstore import Checkpoint, ParamFilter, content_digest, delta_dot, delta_norm
 from soupkit.tinynet import ArchSpec, as_params, evaluate, init_checkpoint
 
 INCLUDE_ALL = ParamFilter(exclude_suffixes=())
@@ -153,6 +154,20 @@ def test_plane_basis_reconstructs_anchor_models(desk_base, desk_models):
         for name in p0:
             rebuilt = p0[name] + cx * u1[name] + cy * u2[name]
             np.testing.assert_allclose(rebuilt, want[name], rtol=1e-4, atol=1e-6)
+
+
+def test_plane_landscape_bytes_are_pinned(desk_base, desk_models, desk_dataset):
+    # Recorded before the plane frame became vector expressions on Params.
+    val = desk_dataset.splits["val"]
+    matrix, basis = analysis.plane_landscape(
+        desk_base, desk_models[0], desk_models[1],
+        [-0.5, 0.0, 0.7, 1.9], [-0.4, 0.0, 1.3], val.x, val.y,
+    )
+    assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == "fd03c7098744d939"
+    assert repr(basis.coords1) == "(1.4340947986854777, 0.0)"
+    assert repr(basis.coords2) == "(0.7122845624501305, 0.258518293885309)"
+    assert content_digest(basis.u1) == "4c3969718ec0cd62"
+    assert content_digest(basis.u2) == "9d1001c3bcfaeeb9"
 
 
 def test_plane_basis_rejects_degenerate_directions():

@@ -376,6 +376,60 @@ def test_alphas_outside_unit_interval_exit_config_code(
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{}", b"not json", b"[1, 2]"], ids=["not-utf8", "not-json", "not-object"]
+)
+def test_malformed_config_file_exits_config_code(tmp_path, capsys, raw):
+    config = tmp_path / "run.json"
+    config.write_bytes(raw)
+    argv = ["datagen", "--config", str(config), "--out", str(tmp_path / "d")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"not json", b"\xff\xfe[]", b"[1, 2]", b'[["id", "p"]]', b'{"id": "p"}'],
+    ids=["not-json", "not-utf8", "entry-not-object", "entry-pair-list", "not-list"],
+)
+def test_malformed_pairs_file_exits_config_code(workspace, tmp_path, capsys, raw):
+    pairs = tmp_path / "pairs.json"
+    pairs.write_bytes(raw)
+    argv = ["approx", "--pairs", str(pairs), "--data", str(workspace["data"]),
+            "--out", str(tmp_path / "a.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+
+
+@pytest.mark.parametrize("flag", ["--soup", "--eval-report"])
+@pytest.mark.parametrize(
+    "raw", [b"not json", b"\xff\xfe{}", b"[1, 2]"], ids=["not-json", "not-utf8", "not-object"]
+)
+def test_malformed_report_input_exits_format_code(tmp_path, capsys, flag, raw):
+    source = tmp_path / "input.json"
+    source.write_bytes(raw)
+    argv = ["report", flag, str(source), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == cli.EXIT_FORMAT
+    assert _single_error_line(capsys)["error"] == "data-format"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "1e39"])
+def test_non_finite_dataset_value_exits_format_code(workspace, tmp_path, capsys, value):
+    data = tmp_path / "data"
+    data.mkdir()
+    for source in workspace["data"].iterdir():
+        (data / source.name).write_bytes(source.read_bytes())
+    lines = (data / "test.csv").read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-1] + [value])
+    (data / "test.csv").write_text("\n".join(lines) + "\n")
+    argv = ["eval", "--ckpt", str(workspace["base"]), "--data", str(data),
+            "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == cli.EXIT_FORMAT
+    assert _single_error_line(capsys)["error"] == "data-format"
+    assert not (tmp_path / "r.json").exists()
+
+
 # ------------------------------------------------------------------- soups
 
 

@@ -216,6 +216,21 @@ def test_label_out_of_range_rejected(tmp_path):
         load_csv(tmp_path)
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e39"])
+def test_non_finite_value_rejected_with_file_and_row(tmp_path, value):
+    # 1e39 is finite in float64 but overflows the float32 the splits hold.
+    ds = generate(_small())
+    save_csv(ds, tmp_path)
+    path = tmp_path / "test.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[3].split(",")
+    parts[4] = value
+    lines[3] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=r"test\.csv: row 3 "):
+        load_csv(tmp_path)
+
+
 def test_missing_split_file_rejected(tmp_path):
     ds = generate(_small())
     save_csv(ds, tmp_path)

@@ -1,4 +1,4 @@
-"""Weight-space merging: uniform / greedy / learned recipes, curves."""
+"""Weight-space merging: uniform / greedy / learned recipes, two-point mixes."""
 
 from __future__ import annotations
 
@@ -262,23 +262,48 @@ def test_learned_soup_is_deterministic(desk_models, desk_dataset):
     assert a.loss_trace == b.loss_trace
 
 
+PINNED_LEARNED = {
+    False: (
+        "fca52c87efa83635",
+        {"all": [0.2741039495039893, 0.15051341370864002, 0.1507023175174375,
+                 0.27417299519686217, 0.15050732407307094]},
+        "1.3479565079288531",
+    ),
+    True: (
+        "23555f257e9d8b56",
+        {
+            "layer0.": [0.27413704248450893, 0.150494707915994, 0.15066330191154106,
+                        0.27421071475306025, 0.15049423293489578],
+            "layer1.": [0.274058618761402, 0.15054133482459078, 0.15075494397913378,
+                        0.2741191212493626, 0.1505259811855109],
+        },
+        "1.3479565375249853",
+    ),
+}
+
+
+@pytest.mark.parametrize("by_layer", [False, True])
+def test_learned_soup_bytes_are_pinned(desk_models, desk_dataset, by_layer):
+    # Recorded before the mix became one coefficient row per model.
+    val = desk_dataset.splits["val"]
+    result = soups.learned_soup(desk_models, val.x, val.y, by_layer=by_layer)
+    digest, coefficients, temperature = PINNED_LEARNED[by_layer]
+    assert content_digest(result.checkpoint) == digest
+    assert result.coefficients == coefficients
+    assert repr(result.temperature) == temperature
+
+
 # ------------------------------------------------------------------ curve
 
 
-def test_wise_ft_curve_endpoints_are_bitwise_inputs(desk_base, desk_models):
-    curve = soups.wise_ft_curve(desk_base, desk_models[0], [0.0, 0.5, 1.0])
-    assert checkpoints_equal(curve[0][1], desk_base, check_meta=False)
-    assert checkpoints_equal(curve[2][1], desk_models[0], check_meta=False)
-    midpoint = combine([0.5, 0.5], [desk_base, desk_models[0]])
-    assert checkpoints_equal(curve[1][1], midpoint, check_meta=False)
-    assert [a for a, _ in curve] == [0.0, 0.5, 1.0]
-
-
-def test_wise_ft_curve_rejects_alpha_outside_unit_interval(desk_base, desk_models):
-    with pytest.raises(ValueError):
-        soups.wise_ft_curve(desk_base, desk_models[0], [0.0, 1.2])
-    with pytest.raises(ValueError):
-        soups.wise_ft_curve(desk_base, desk_models[0], [-0.1])
+def test_two_point_combine_endpoints_are_bitwise_inputs(desk_base, desk_models):
+    # The WiSE-FT curve (1 - a) * theta0 + a * theta1 is combine([1 - a, a], ...).
+    theta0, theta1 = desk_base, desk_models[0]
+    curve = [combine([1.0 - a, a], [theta0, theta1]) for a in (0.0, 0.5, 1.0)]
+    assert checkpoints_equal(curve[0], theta0, check_meta=False)
+    assert checkpoints_equal(curve[2], theta1, check_meta=False)
+    midpoint = combine([0.5, 0.5], [theta0, theta1])
+    assert checkpoints_equal(curve[1], midpoint, check_meta=False)
 
 
 # ------------------------------------------------------------ persistence

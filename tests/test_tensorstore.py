@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
+
 from soupkit.errors import (
     BadMagicError,
     DuplicateTensorError,
@@ -235,6 +237,51 @@ def test_uniform_combine_of_identical_checkpoints(k, seed):
         ref = ckpt[name].data.astype(np.float64)
         scale = np.maximum(np.abs(ref), 1e-12)
         assert np.all(np.abs(out[name].data - ref) / scale < 1e-6)
+
+
+@st.composite
+def combine_inputs(draw):
+    """Coefficients and 1-5 checkpoints sharing one random layout.
+
+    Names come in a shuffled, non-sorted order; tensors may have a zero
+    side, so some hold no values at all.
+    """
+    count = draw(st.integers(min_value=1, max_value=4))
+    names = draw(st.permutations([f"t{i}" for i in range(count)]))
+    shapes = [
+        draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+        for _ in names
+    ]
+    k = draw(st.integers(min_value=1, max_value=5))
+    coeffs = draw(st.lists(st.floats(-8.0, 8.0, allow_nan=False), min_size=k, max_size=k))
+    ckpts = [
+        Checkpoint.from_arrays(
+            {n: draw(hnp.arrays(np.float32, s, elements=_finite32)) for n, s in zip(names, shapes)}
+        )
+        for _ in range(k)
+    ]
+    return coeffs, ckpts
+
+
+@given(combine_inputs())
+@settings(max_examples=80, deadline=None)
+def test_combine_is_bitwise_per_tensor_float64_reference(inputs):
+    coeffs, ckpts = inputs
+    got = combine(coeffs, ckpts)
+    want = oracles.combine_reference(coeffs, ckpts)
+    assert got.names == list(want) == ckpts[0].names
+    for name, expected in want.items():
+        assert got[name].shape == expected.shape
+        assert got[name].data.tobytes() == expected.tobytes(), name
+
+
+def test_combine_bytes_are_pinned(desk_base, desk_models):
+    # Digests recorded before combine moved onto the flat float64 vector.
+    two = combine([1.0 - 0.3, 0.3], [desk_base, desk_models[0]])
+    assert content_digest(two) == "c79fe857a5cb71ad"
+    sixteen = [desk_base] + list(desk_models) * 3
+    mixed = combine([(i + 1) / 136 for i in range(16)], sixteen)
+    assert content_digest(mixed) == "f9513fb81799ff01"
 
 
 def test_combine_structure_errors():

@@ -329,9 +329,10 @@ def test_argmax_ties_break_to_lowest_index():
 
 
 def test_params_axpy():
-    base = {"layer0.weight": np.ones((2, 2))}
-    step = {"layer0.weight": np.full((2, 2), 2.0)}
+    base = as_params({"layer0.weight": np.ones((2, 2))})
+    step = as_params({"layer0.weight": np.full((2, 2), 2.0)})
     out = params_axpy(base, step, 0.25)
+    assert out.layout == base.layout
     assert np.allclose(out["layer0.weight"], 1.5)
 
 
