@@ -5,9 +5,9 @@ Submodules
 ----------
 - :mod:`soupkit.rng` — portable, platform-independent random streams
 - :mod:`soupkit.datagen` — synthetic Gaussian-mixture classification tasks
-- :mod:`soupkit.tensorstore` — the SOUPCKPT checkpoint container, the
-  flat float64 ``Params`` type, and float64-accumulated weight-space
-  arithmetic
+- :mod:`soupkit.tensorstore` — the SOUPCKPT file format, the float32
+  ``Checkpoint`` and float64 ``Params`` over one shared layout, and
+  float64-accumulated weight-space arithmetic
 - :mod:`soupkit.tinynet` — a small ReLU MLP: forward, loss, analytic
   gradients, logit-space Hessian forms
 - :mod:`soupkit.trainer` — SGD/AdamW pretraining and fine-tuning,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -374,8 +375,7 @@ def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
     raw = _read_json(path, ConfigError)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: pair file must be a JSON list")
-    base = Path(path).parent
-    pairs = []
+    specs = []
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"{path}: pair {i} must be a JSON object")
@@ -388,15 +388,18 @@ def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
         lr = item.pop("learning_rate", None)
         if item:
             raise ConfigError(f"{path}: pair {i} has unknown keys {sorted(item)}")
-        pairs.append(
-            analysis.PairSpec(
-                pair_id=pair_id,
-                theta0=load_checkpoint(base / theta0),
-                theta1=load_checkpoint(base / theta1),
-                learning_rate=None if lr is None else float(lr),
-            )
-        )
-    return pairs
+        if not isinstance(theta0, str) or not isinstance(theta1, str):
+            raise ConfigError(f"{path}: pair {i} theta0 and theta1 must be path strings")
+        if lr is not None and (
+            isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr)
+        ):
+            raise ConfigError(f"{path}: pair {i} learning_rate must be a finite number")
+        specs.append((pair_id, theta0, theta1, None if lr is None else float(lr)))
+    base = Path(path).parent
+    return [
+        analysis.PairSpec(pair_id, load_checkpoint(base / t0), load_checkpoint(base / t1), lr)
+        for pair_id, t0, t1, lr in specs
+    ]
 
 
 def cmd_approx(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ class ConfigError(SoupkitError):
 
 
 class CheckpointFormatError(SoupkitError):
-    """Base class for checkpoint file format violations."""
+    """Checkpoint file format violation, such as a stored NaN; base of the kinds below."""
 
 
 class BadMagicError(CheckpointFormatError):

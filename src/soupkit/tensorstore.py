@@ -1,15 +1,19 @@
-"""Named float32 tensor collections, the SOUPCKPT file format, and the
-float64 weight-space type.
+"""Stored and working weights over one layout, and the SOUPCKPT file format.
 
-A :class:`Checkpoint` is an ordered map of named float32 tensors plus a
-string-to-string meta block.  It is what the package stores and
-exchanges: trained weights and merged weights travel as checkpoints.
+A :class:`Layout` lists tensor names in vector order with each tensor's
+slice and shape.  Stored and working weights share it:
 
-:class:`Params` is the float64 working form of the same weights: one
-flat vector plus a :class:`Layout` (names in checkpoint order, with each
-tensor's slice and shape), read by name through reshaped views.
-Training, gradients, interpolation deltas and plane directions travel
-as Params.  :func:`as_params` widens a checkpoint exactly;
+- :class:`Checkpoint` is what the package stores and exchanges: one
+  contiguous float32 vector over a layout, plus a string-to-string meta
+  block.  Trained and merged weights travel as checkpoints.
+- :class:`Params` is the float64 working form of the same weights: one
+  contiguous float64 vector over a layout.  Training, gradients,
+  interpolation deltas and plane directions travel as Params.
+
+Both read by name through reshaped views (``ckpt["layer0.weight"]`` is
+a float32 view into ``ckpt.vector``), but neither is the other: code
+that passes a Params through unchanged must not get float32 values.
+:func:`as_params` widens a checkpoint exactly onto its own layout;
 :func:`to_checkpoint` is the one place float64 rounds to float32.
 
 File format (version 1)
@@ -41,7 +45,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -49,6 +53,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    CheckpointFormatError,
     DuplicateTensorError,
     FormatVersionError,
     HeaderError,
@@ -68,55 +73,74 @@ def _aligned(n: int) -> int:
     return (n + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-class Tensor:
-    """A named, row-major float32 array; values must be finite."""
+class Layout(NamedTuple):
+    """Tensor names in vector order, with each tensor's slice and shape."""
 
-    __slots__ = ("name", "data")
-
-    def __init__(self, name: str, data: np.ndarray | Sequence[float]) -> None:
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"tensor {name!r} contains non-finite values")
-        self.name = name
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor({self.name!r}, shape={self.shape})"
+    names: tuple[str, ...]
+    spans: tuple[tuple[slice, tuple[int, ...]], ...]
 
 
-@dataclass
-class Checkpoint:
-    """Ordered name -> Tensor map with free-form string metadata."""
+def _flatten(arrays: Mapping[str, np.ndarray], dtype: type) -> tuple[Layout, np.ndarray]:
+    """``arrays`` laid out back to back in mapping order, as one ``dtype`` vector."""
+    values = [np.asarray(a) for a in arrays.values()]
+    ends = list(accumulate(a.size for a in values))
+    spans = zip(map(slice, [0, *ends], ends), (a.shape for a in values))
+    flat = [a.reshape(-1) for a in values]
+    vector = np.concatenate(flat, dtype=dtype) if flat else np.empty(0, dtype)
+    return Layout(tuple(arrays), tuple(spans)), vector
 
-    tensors: dict[str, Tensor] = field(default_factory=dict)
-    meta: dict[str, str] = field(default_factory=dict)
+
+class _Weights(Mapping[str, np.ndarray]):
+    """One flat vector over a layout, read by name through reshaped views."""
+
+    __slots__ = ("layout", "vector", "_views")
+
+    def __init__(self, layout: Layout, vector: np.ndarray) -> None:
+        self.layout, self.vector = layout, vector
+        self._views = {
+            name: vector[sl].reshape(shape) for name, (sl, shape) in zip(layout.names, layout.spans)
+        }
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
+class Checkpoint(_Weights):
+    """Stored weights: one finite float32 vector over a layout, plus string metadata."""
+
+    __slots__ = ("meta",)
+
+    def __init__(self, layout: Layout, vector: np.ndarray, meta: Mapping[str, str]) -> None:
+        super().__init__(layout, vector)
+        if not np.isfinite(vector).all():
+            bad = next(name for name, values in self.items() if not np.isfinite(values).all())
+            raise NonFiniteError(f"tensor {bad!r} contains non-finite values")
+        self.meta = dict(meta)
 
     @classmethod
     def from_arrays(
         cls, arrays: Mapping[str, np.ndarray], meta: Mapping[str, str] | None = None
-    ) -> "Checkpoint":
-        tensors = {name: Tensor(name, arr) for name, arr in arrays.items()}
-        return cls(tensors=tensors, meta=dict(meta or {}))
+    ) -> Checkpoint:
+        return cls(*_flatten(arrays, np.float32), meta or {})
 
-    @property
-    def names(self) -> list[str]:
-        return list(self.tensors)
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
+class Params(_Weights):
+    """Float64 working weights: one flat vector over a layout.
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
+    Never a Checkpoint and never built from one without widening, so a
+    Params handed through unchanged always computes in float64.
+    """
 
-    def __iter__(self) -> Iterator[Tensor]:
-        return iter(self.tensors.values())
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.tensors)
+    def copy(self) -> Params:
+        return Params(self.layout, self.vector.copy())
 
 
 @dataclass(frozen=True)
@@ -138,16 +162,9 @@ DEFAULT_ANGLE_FILTER = ParamFilter(exclude_suffixes=(".gain", ".bias"))
 def serialize(ckpt: Checkpoint) -> bytes:
     entries = []
     offset = 0
-    for tensor in ckpt:
-        nbytes = tensor.data.size * 4
-        entries.append(
-            {
-                "name": tensor.name,
-                "shape": list(tensor.shape),
-                "offset": offset,
-                "nbytes": nbytes,
-            }
-        )
+    for name, (sl, shape) in zip(ckpt.layout.names, ckpt.layout.spans):
+        nbytes = (sl.stop - sl.start) * 4
+        entries.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
         offset = _aligned(offset + nbytes)
     header = json.dumps(
         {"tensors": entries, "meta": dict(ckpt.meta)}, separators=(",", ":"), ensure_ascii=False
@@ -160,10 +177,10 @@ def serialize(ckpt: Checkpoint) -> bytes:
     buf[0:8] = MAGIC
     struct.pack_into("<II", buf, 8, FORMAT_VERSION, len(header))
     buf[16 : 16 + len(header)] = header
-    for entry, tensor in zip(entries, ckpt):
+    stored = ckpt.vector.astype("<f4", copy=False)
+    for entry, (sl, _) in zip(entries, ckpt.layout.spans):
         start = payload_base + entry["offset"]
-        raw = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-        buf[start : start + len(raw)] = raw
+        buf[start : start + entry["nbytes"]] = stored[sl].tobytes()
     return bytes(buf)
 
 
@@ -188,7 +205,7 @@ def deserialize(blob: bytes) -> Checkpoint:
     if not isinstance(entries, list) or not isinstance(meta, dict):
         raise HeaderError("header fields have wrong types")
     payload_base = _aligned(16 + header_len)
-    tensors: dict[str, Tensor] = {}
+    arrays: dict[str, np.ndarray] = {}
     for entry in entries:
         try:
             name = entry["name"]
@@ -197,7 +214,7 @@ def deserialize(blob: bytes) -> Checkpoint:
             nbytes = int(entry["nbytes"])
         except (TypeError, KeyError, ValueError) as exc:
             raise HeaderError(f"malformed tensor entry {entry!r}") from exc
-        if name in tensors:
+        if name in arrays:
             raise DuplicateTensorError(f"tensor {name!r} declared twice")
         if nbytes != int(np.prod(shape, dtype=np.int64)) * 4 or min(shape, default=1) < 0:
             raise HeaderError(f"tensor {name!r}: shape {shape} does not match {nbytes} bytes")
@@ -205,8 +222,11 @@ def deserialize(blob: bytes) -> Checkpoint:
         if start + nbytes > len(blob):
             raise TruncatedFileError(f"tensor {name!r} payload extends past end of file")
         data = np.frombuffer(blob, dtype="<f4", count=nbytes // 4, offset=start)
-        tensors[name] = Tensor(name, data.reshape(shape).copy())
-    return Checkpoint(tensors=tensors, meta={str(k): str(v) for k, v in meta.items()})
+        arrays[name] = data.reshape(shape)
+    try:
+        return Checkpoint.from_arrays(arrays, {str(k): str(v) for k, v in meta.items()})
+    except NonFiniteError as exc:  # a stored NaN or inf is a malformed file, not a result
+        raise CheckpointFormatError(str(exc)) from exc
 
 
 def save(ckpt: Checkpoint, path) -> None:
@@ -220,79 +240,37 @@ def load(path) -> Checkpoint:
 
 def checkpoints_equal(a: Checkpoint, b: Checkpoint, check_meta: bool = True) -> bool:
     """Bitwise equality: same names in order, shapes, payload bytes, meta."""
-    if a.names != b.names:
+    if a.layout != b.layout or a.vector.tobytes() != b.vector.tobytes():
         return False
-    for ta, tb in zip(a, b):
-        if ta.shape != tb.shape or ta.data.tobytes() != tb.data.tobytes():
-            return False
     return a.meta == b.meta if check_meta else True
 
 
 def content_digest(ckpt: Checkpoint) -> str:
     """Short hex digest over tensor names, shapes, and payload bytes."""
     h = hashlib.sha256()
-    for tensor in ckpt:
-        h.update(tensor.name.encode("utf-8"))
-        h.update(str(tensor.shape).encode("ascii"))
-        h.update(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    stored = ckpt.vector.astype("<f4", copy=False)
+    for name, (sl, shape) in zip(ckpt.layout.names, ckpt.layout.spans):
+        h.update(name.encode("utf-8"))
+        h.update(str(shape).encode("ascii"))
+        h.update(stored[sl].tobytes())
     return h.hexdigest()[:16]
 
 
-class Layout(NamedTuple):
-    """Tensor names in vector order, with each tensor's slice and shape."""
-
-    names: tuple[str, ...]
-    spans: tuple[tuple[slice, tuple[int, ...]], ...]
-
-
-class Params(Mapping[str, np.ndarray]):
-    """Float64 parameters: one flat vector, read by name through views."""
-
-    __slots__ = ("layout", "vector", "_views")
-
-    def __init__(self, layout: Layout, vector: np.ndarray) -> None:
-        self.layout, self.vector = layout, vector
-        self._views = {
-            name: vector[sl].reshape(shape) for name, (sl, shape) in zip(layout.names, layout.spans)
-        }
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._views[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._views)
-
-    def __len__(self) -> int:
-        return len(self._views)
-
-    def copy(self) -> Params:
-        return Params(self.layout, self.vector.copy())
-
-
 def as_params(theta: Checkpoint | Mapping[str, np.ndarray]) -> Params:
-    """Float64 parameters from a checkpoint or array mapping (a Params as is)."""
+    """Float64 parameters: a checkpoint widened onto its own layout, an
+    array mapping flattened in its order, a Params as is."""
     if isinstance(theta, Params):
         return theta
     if isinstance(theta, Checkpoint):
-        names, arrays = tuple(theta.tensors), [t.data for t in theta]
-    else:
-        names, arrays = tuple(theta), [np.asarray(a) for a in theta.values()]
-    shapes = [a.shape for a in arrays]
-    ends = list(accumulate(math.prod(shape) for shape in shapes))
-    layout = Layout(names, tuple(zip(map(slice, [0, *ends], ends), shapes)))
-    flat = [a.reshape(-1) for a in arrays]
-    return Params(layout, np.concatenate(flat, dtype=np.float64) if flat else np.empty(0))
+        return Params(theta.layout, theta.vector.astype(np.float64))
+    return Params(*_flatten(theta, np.float64))
 
 
 def to_checkpoint(params: Params, meta: Mapping[str, str]) -> Checkpoint:
     """Float32 storage of float64 parameters: the package's one rounding step."""
-    with np.errstate(over="ignore"):  # Tensor() rejects the infs right after
+    with np.errstate(over="ignore"):  # Checkpoint() rejects the infs right after
         stored = params.vector.astype(np.float32)
-    tensors = {
-        name: Tensor(name, stored[sl].reshape(shape))
-        for name, (sl, shape) in zip(params.layout.names, params.layout.spans)
-    }
-    return Checkpoint(tensors=tensors, meta=dict(meta))
+    return Checkpoint(params.layout, stored, meta)
 
 
 def dot(a: Params, b: Params, names: Iterable[str] | None = None) -> float:

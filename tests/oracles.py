@@ -122,13 +122,13 @@ def combine_reference(coeffs, ckpts):
     once to float32.  Returns name -> float32 array in checkpoint order.
     """
     out = {}
-    for tensor in ckpts[0]:
-        columns = [[float(v) for v in c[tensor.name].data.ravel()] for c in ckpts]
+    for name, tensor in ckpts[0].items():
+        columns = [[float(v) for v in c[name].ravel()] for c in ckpts]
         flat = []
-        for j in range(tensor.data.size):
+        for j in range(tensor.size):
             acc = float(coeffs[0]) * columns[0][j]
             for c, column in zip(coeffs[1:], columns[1:]):
                 acc += float(c) * column[j]
             flat.append(np.float32(acc))
-        out[tensor.name] = np.array(flat, dtype=np.float32).reshape(tensor.shape)
+        out[name] = np.array(flat, dtype=np.float32).reshape(tensor.shape)
     return out

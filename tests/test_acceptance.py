@@ -277,9 +277,9 @@ def test_05_quadrature_identity_matches_ensemble_soup_gap():
         theta0 = init_checkpoint(arch, seed=seed)
         rng = PortableRng(seed + 1000)
         arrays = {}
-        for t in theta0:
-            bump = scale * rng.normals(t.data.size).reshape(t.data.shape)
-            arrays[t.name] = (t.data.astype(np.float64) + bump).astype(np.float32)
+        for name, values in theta0.items():
+            bump = scale * rng.normals(values.size).reshape(values.shape)
+            arrays[name] = (values.astype(np.float64) + bump).astype(np.float32)
         return theta0, Checkpoint.from_arrays(arrays)
 
     checked, seed, worst = 0, 0, 0.0
@@ -309,7 +309,7 @@ def test_06_linear_logits_make_soup_equal_ensemble(task):
     rng = PortableRng(123)
     endpoints = []
     for sign in (1.0, -1.0):
-        arrays = {t.name: t.data.copy() for t in theta0}
+        arrays = {name: values.copy() for name, values in theta0.items()}
         for name in ("layer1.weight", "layer1.bias"):
             bump = 0.15 * rng.normals(arrays[name].size).reshape(arrays[name].shape)
             arrays[name] = (arrays[name].astype(np.float64) + sign * bump).astype(
@@ -349,9 +349,9 @@ def test_07_analytic_gradients_match_finite_differences():
         beta = 1.0 + 0.3 * (case % 3)
         analytic = grad(params, X, labels, 0.1 * (case % 2), beta)
         numeric = oracles.fd_gradient(params, X, targets, beta)
-        for t in analytic:
+        for name, values in analytic.items():
             rel = np.max(
-                np.abs(t.data - numeric[t.name]) / (np.abs(numeric[t.name]) + 1e-8)
+                np.abs(values - numeric[name]) / (np.abs(numeric[name]) + 1e-8)
             )
             worst_rel = max(worst_rel, float(rel))
     assert worst_rel < 1e-4
@@ -442,7 +442,7 @@ def test_09_formats_and_training_are_deterministic(task, tmp_path):
     loaded = load_checkpoint(first)
     save_checkpoint(loaded, second)
     bytes_ok = first.read_bytes() == second.read_bytes()
-    values_ok = all(np.array_equal(loaded[n].data, arrays[n]) for n in arrays)
+    values_ok = all(np.array_equal(loaded[n], arrays[n]) for n in arrays)
 
     hyper = dict(
         learning_rate=0.01, weight_decay=1e-4, epochs=4, batch_size=64, seed=99
@@ -456,11 +456,11 @@ def test_09_formats_and_training_are_deterministic(task, tmp_path):
     rel = max(
         float(
             np.max(
-                np.abs(merged[t.name].data.astype(np.float64) - t.data)
-                / (np.abs(t.data.astype(np.float64)) + 1e-12)
+                np.abs(merged[name].astype(np.float64) - values)
+                / (np.abs(values.astype(np.float64)) + 1e-12)
             )
         )
-        for t in theta0
+        for name, values in theta0.items()
     )
     _verdict(
         bytes_ok and values_ok and repro_ok and rel <= 1e-6,

@@ -92,8 +92,8 @@ def test_interpolation_advantage_toy_midpoint_fixes_one_error():
         logits = [
             [relu * w[0] + b[0], relu * w[1] + b[1]]
             for relu in (2.0, 0.0, 2.0, 0.0)
-            for w, b in [(theta["layer1.weight"].data.tolist()[0],
-                          theta["layer1.bias"].data.tolist())]
+            for w, b in [(theta["layer1.weight"].tolist()[0],
+                          theta["layer1.bias"].tolist())]
         ]
         _, err = oracles.per_example_eval(logits, y)
         assert err == pytest.approx(want_err)
@@ -127,8 +127,8 @@ def test_plane_basis_hand_geometry():
     basis = analysis.plane_basis(
         _vector_ckpt(0, 0), _vector_ckpt(2, 0), _vector_ckpt(1, 1)
     )
-    np.testing.assert_array_equal(basis.u1["w"].data, [1.0, 0.0])
-    np.testing.assert_array_equal(basis.u2["w"].data, [0.0, 1.0])
+    np.testing.assert_array_equal(basis.u1["w"], [1.0, 0.0])
+    np.testing.assert_array_equal(basis.u2["w"], [0.0, 1.0])
     assert basis.coords0 == (0.0, 0.0)
     assert basis.coords1 == (2.0, 0.0)
     assert basis.coords2 == (1.0, 1.0)
@@ -322,7 +322,7 @@ def test_approx_linear_head_pair_cancels(desk_base, desk_dataset):
     # interpolation weight: the soup and ensemble coincide and the two
     # approximation terms cancel.
     val = desk_dataset.splits["val"]
-    p = {t.name: t.data.copy() for t in desk_base}
+    p = {name: values.copy() for name, values in desk_base.items()}
     rng = PortableRng(123)
     bump_w = 0.15 * rng.normals(p["layer1.weight"].size).reshape(
         p["layer1.weight"].shape
@@ -419,9 +419,9 @@ def _perturbation_pair(seed, scale=0.01):
     theta0 = init_checkpoint(arch, seed=seed)
     rng = PortableRng(seed + 1000)
     arrays = {}
-    for t in theta0:
-        bump = scale * rng.normals(t.data.size).reshape(t.data.shape)
-        arrays[t.name] = (t.data.astype(np.float64) + bump).astype(np.float32)
+    for name, values in theta0.items():
+        bump = scale * rng.normals(values.size).reshape(values.shape)
+        arrays[name] = (values.astype(np.float64) + bump).astype(np.float32)
     return theta0, Checkpoint.from_arrays(arrays)
 
 

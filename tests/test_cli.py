@@ -215,21 +215,25 @@ def test_missing_dataset_exits_missing_input(workspace, tmp_path, capsys):
 
 def test_corrupt_checkpoint_exits_format_code(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"not a checkpoint at all")
-    run_fail(
-        [
-            "eval",
-            "--ckpt",
-            str(bad),
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(tmp_path / "r.json"),
-        ],
-        cli.EXIT_FORMAT,
-        "checkpoint-format",
-        capsys,
-    )
+    # A stored NaN is a malformed file (5), not a non-finite result (6);
+    # the file's last four bytes are the last value of its last tensor.
+    nan_payload = workspace["base"].read_bytes()[:-4] + np.array(np.nan, "<f4").tobytes()
+    for blob in (b"not a checkpoint at all", nan_payload):
+        bad.write_bytes(blob)
+        run_fail(
+            [
+                "eval",
+                "--ckpt",
+                str(bad),
+                "--data",
+                str(workspace["data"]),
+                "--out",
+                str(tmp_path / "r.json"),
+            ],
+            cli.EXIT_FORMAT,
+            "checkpoint-format",
+            capsys,
+        )
 
 
 def test_corrupt_dataset_exits_format_code(workspace, tmp_path, capsys):
@@ -389,8 +393,19 @@ def test_malformed_config_file_exits_config_code(tmp_path, capsys, raw):
 
 @pytest.mark.parametrize(
     "raw",
-    [b"not json", b"\xff\xfe[]", b"[1, 2]", b'[["id", "p"]]', b'{"id": "p"}'],
-    ids=["not-json", "not-utf8", "entry-not-object", "entry-pair-list", "not-list"],
+    [
+        b"not json",
+        b"\xff\xfe[]",
+        b"[1, 2]",
+        b'[["id", "p"]]',
+        b'{"id": "p"}',
+        # Checkpoint paths that do not exist: the pair is rejected before any load.
+        b'[{"id": "p", "theta0": 5, "theta1": "b.ckpt"}]',
+        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": "fast"}]',
+        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": NaN}]',
+    ],
+    ids=["not-json", "not-utf8", "entry-not-object", "entry-pair-list", "not-list",
+         "path-not-string", "rate-not-number", "rate-not-finite"],
 )
 def test_malformed_pairs_file_exits_config_code(workspace, tmp_path, capsys, raw):
     pairs = tmp_path / "pairs.json"
@@ -442,9 +457,9 @@ def test_soup_uniform_single_model_matches_member(workspace, tmp_path):
     run_ok(["soup", "uniform", "--manifest", str(single), "--out", str(out)])
     member = load_checkpoint(workspace["manifest"].parent / doc["entries"][0]["path"])
     merged = load_checkpoint(out)
-    assert set(merged.names) == set(member.names)
-    for name in member.names:
-        assert np.array_equal(merged[name].data, member[name].data)
+    assert set(merged) == set(member)
+    for name in member:
+        assert np.array_equal(merged[name], member[name])
 
 
 def test_soup_greedy_beats_best_individual_on_selection_split(workspace, tmp_path):

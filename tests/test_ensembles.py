@@ -67,7 +67,7 @@ def _subset_scorer_table(table):
 
     def score(members):
         idx = frozenset(
-            int(np.flatnonzero(m["w"].data)[0]) for m in members
+            int(np.flatnonzero(m["w"])[0]) for m in members
         )
         return table[idx]
 

@@ -12,19 +12,20 @@ import importlib.util
 from pathlib import Path
 
 from soupkit import analysis, soups, tensorstore, tinynet
+from soupkit.tinynet import ArchSpec, init_checkpoint
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _tracing_targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # defines functions and tables only
-    return module.TARGETS
+    return module
 
 
 def test_every_traced_target_resolves():
-    targets = _tracing_targets()
+    targets = _tracing().TARGETS
     assert targets
     for module_name, attr, span_name, _ in targets:
         owner = importlib.import_module(module_name)
@@ -41,3 +42,13 @@ def test_modules_bind_the_traced_functions_they_call():
     assert soups.combine is tensorstore.combine
     assert analysis.combine is tensorstore.combine
     assert tinynet.as_params is tensorstore.as_params
+
+
+def test_flop_attributes_read_weight_shapes_from_checkpoints_and_params(tmp_path):
+    # forward/grad64 FLOP counts read ``name in theta`` and
+    # ``theta[name].shape`` from whatever the traced call was given.
+    path = tmp_path / "m.ckpt"
+    tensorstore.save(init_checkpoint(ArchSpec((4, 6, 5, 3)), seed=1), path)
+    loaded = tensorstore.load(path)
+    weight_sizes = _tracing()._weight_sizes
+    assert weight_sizes(loaded) == weight_sizes(tinynet.as_params(loaded)) == [4 * 6, 6 * 5, 5 * 3]

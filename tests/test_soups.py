@@ -52,7 +52,7 @@ def _basis_models(k):
 
 def _table_scorer(table):
     def score(ckpt):
-        members = frozenset(int(i) for i in np.flatnonzero(ckpt["w"].data))
+        members = frozenset(int(i) for i in np.flatnonzero(ckpt["w"]))
         return table[members]
 
     return score
@@ -115,7 +115,7 @@ def test_greedy_soup_matches_control_flow_oracle(multiplier):
     models = _basis_models(k)
 
     def score(ckpt):
-        members = sorted(int(i) for i in np.flatnonzero(ckpt["w"].data))
+        members = sorted(int(i) for i in np.flatnonzero(ckpt["w"]))
         return subset_acc(members)
 
     result = soups.greedy_soup(models, score)

@@ -15,6 +15,7 @@ import oracles
 
 from soupkit.errors import (
     BadMagicError,
+    CheckpointFormatError,
     DuplicateTensorError,
     FormatVersionError,
     HeaderError,
@@ -29,8 +30,9 @@ from soupkit.tensorstore import (
     INCLUDE_ALL,
     Checkpoint,
     ParamFilter,
-    Tensor,
+    Params,
     angle_between,
+    as_params,
     checkpoints_equal,
     combine,
     content_digest,
@@ -63,7 +65,7 @@ def checkpoints(draw, max_tensors=3):
     k = draw(st.integers(min_value=1, max_value=max_tensors))
     arrays = {}
     for i in range(k):
-        shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4))
+        shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4))
         arrays[f"t{i}"] = draw(hnp.arrays(np.float32, shape, elements=_finite32))
     meta = draw(st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3))
     return Checkpoint.from_arrays(arrays, meta)
@@ -75,7 +77,7 @@ def checkpoints(draw, max_tensors=3):
 def test_simple_round_trip_is_exact():
     ckpt = Checkpoint.from_arrays({"w": np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)})
     back = deserialize(serialize(ckpt))
-    assert np.max(np.abs(back["w"].data - ckpt["w"].data)) == 0.0
+    assert np.max(np.abs(back["w"] - ckpt["w"])) == 0.0
     assert checkpoints_equal(ckpt, back)
 
 
@@ -176,10 +178,31 @@ def test_meta_preserved_and_stringified():
 
 
 def test_non_finite_rejected_on_construction():
-    with pytest.raises(NonFiniteError):
-        Tensor("w", np.array([1.0, np.nan], dtype=np.float32))
-    with pytest.raises(NonFiniteError):
-        Tensor("w", np.array([np.inf], dtype=np.float32))
+    ok = np.zeros(2, np.float32)
+    with pytest.raises(NonFiniteError, match="'w'"):
+        Checkpoint.from_arrays({"a": ok, "w": np.array([1.0, np.nan], dtype=np.float32)})
+    with pytest.raises(NonFiniteError, match="'w'"):
+        Checkpoint.from_arrays({"w": np.array([np.inf], dtype=np.float32), "b": ok})
+
+
+def test_non_finite_payload_is_a_format_error_naming_the_tensor():
+    blob = bytearray(serialize(_random_checkpoint(1)))
+    header_len = struct.unpack_from("<I", blob, 12)[0]
+    payload_base = (16 + header_len + 63) // 64 * 64
+    struct.pack_into("<f", blob, payload_base + 4, np.nan)  # second value of layer0.weight
+    with pytest.raises(CheckpointFormatError, match="'layer0.weight'") as info:
+        deserialize(bytes(blob))
+    assert not isinstance(info.value, NonFiniteError)
+
+
+def test_checkpoint_and_params_share_one_layout():
+    ckpt = _random_checkpoint(4)
+    params = as_params(ckpt)
+    assert params.layout is ckpt.layout
+    assert not isinstance(ckpt, Params)
+    assert ckpt.vector.dtype == np.float32 and params.vector.dtype == np.float64
+    assert list(ckpt) == ["layer0.weight", "layer0.bias"]
+    assert np.shares_memory(ckpt["layer0.bias"], ckpt.vector)
 
 
 # ---------------------------------------------------------------- combine
@@ -189,14 +212,14 @@ def test_combine_against_scalar_oracle():
     ckpts = [_random_checkpoint(s) for s in (11, 12, 13)]
     coeffs = (0.5, 0.25, 0.25)
     got = combine(coeffs, ckpts)
-    for name in ckpts[0].names:
-        flat = [c[name].data.ravel() for c in ckpts]
+    for name in ckpts[0]:
+        flat = [c[name].ravel() for c in ckpts]
         for j in range(flat[0].size):
             acc = 0.0  # python float = IEEE float64
             for c, vals in zip(coeffs, flat):
                 acc += c * float(vals[j])
             expected = np.float32(acc)
-            assert got[name].data.ravel()[j] == expected
+            assert got[name].ravel()[j] == expected
 
 
 def test_combine_records_recipe():
@@ -217,9 +240,9 @@ def test_combine_linearity_within_one_ulp(a, b, seed):
     ckpt = _random_checkpoint(seed)
     lhs = combine([a + b], [ckpt])
     rhs = combine([1.0, 1.0], [combine([a], [ckpt]), combine([b], [ckpt])])
-    for name in ckpt.names:
-        x, y = lhs[name].data, rhs[name].data
-        base = ckpt[name].data.astype(np.float64)
+    for name in ckpt:
+        x, y = lhs[name], rhs[name]
+        base = ckpt[name].astype(np.float64)
         # Each float32 addend carries half an ulp at its own magnitude, so
         # the budget is one ulp at the largest accumulated term plus the
         # result's own quantum.
@@ -233,10 +256,10 @@ def test_combine_linearity_within_one_ulp(a, b, seed):
 def test_uniform_combine_of_identical_checkpoints(k, seed):
     ckpt = _random_checkpoint(seed)
     out = combine([1.0 / k] * k, [ckpt] * k)
-    for name in ckpt.names:
-        ref = ckpt[name].data.astype(np.float64)
+    for name in ckpt:
+        ref = ckpt[name].astype(np.float64)
         scale = np.maximum(np.abs(ref), 1e-12)
-        assert np.all(np.abs(out[name].data - ref) / scale < 1e-6)
+        assert np.all(np.abs(out[name] - ref) / scale < 1e-6)
 
 
 @st.composite
@@ -269,10 +292,10 @@ def test_combine_is_bitwise_per_tensor_float64_reference(inputs):
     coeffs, ckpts = inputs
     got = combine(coeffs, ckpts)
     want = oracles.combine_reference(coeffs, ckpts)
-    assert got.names == list(want) == ckpts[0].names
+    assert list(got) == list(want) == list(ckpts[0])
     for name, expected in want.items():
         assert got[name].shape == expected.shape
-        assert got[name].data.tobytes() == expected.tobytes(), name
+        assert got[name].tobytes() == expected.tobytes(), name
 
 
 def test_combine_bytes_are_pinned(desk_base, desk_models):
@@ -313,7 +336,7 @@ def test_subtract_and_norm():
     a = Checkpoint.from_arrays({"w": np.array([3.0, 4.0], np.float32)})
     b = Checkpoint.from_arrays({"w": np.array([0.0, 0.0], np.float32)})
     d = subtract(a, b)
-    assert d["w"].data.tolist() == [3.0, 4.0]
+    assert d["w"].tolist() == [3.0, 4.0]
     assert delta_norm(d) == pytest.approx(5.0, rel=1e-7)
     assert delta_dot(d, d) == pytest.approx(25.0, rel=1e-7)
 
@@ -366,8 +389,8 @@ def test_dot_with_filter_matches_manual_sum():
     got = delta_dot(d1, d2, DEFAULT_ANGLE_FILTER)
     manual = float(
         np.dot(
-            d1["layer0.weight"].data.astype(np.float64).ravel(),
-            d2["layer0.weight"].data.astype(np.float64).ravel(),
+            d1["layer0.weight"].astype(np.float64).ravel(),
+            d2["layer0.weight"].astype(np.float64).ravel(),
         )
     )
     assert got == pytest.approx(manual, rel=1e-12)
