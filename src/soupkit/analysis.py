@@ -8,10 +8,11 @@ exact integral identity used as the approximation's numerical oracle.
 
 Numerical conventions
 ---------------------
-* All weight-space interpolation inside this module happens on float64
-  Params vectors (no float32 round-trip), so finite differences are
-  not polluted by storage quantization.  Entry points accept
-  checkpoints and convert once.
+* Deltas, angles, curvature probes, interpolation and plane points are
+  float64 ``tensorstore.axpy`` lines on Params (no float32 round-trip),
+  so finite differences are not polluted by storage quantization.
+  Only models evaluated as stored averages (curves, midpoints, grid
+  pairs) use the float32 ``combine``, which keeps endpoints bitwise.
 * The alpha second derivative uses a central difference with step
   ``h_alpha`` (default 0.05); alphas closer than ``h_alpha`` to 0 or 1
   fall back to the one-sided second difference anchored at the
@@ -46,20 +47,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ensembles import fit_temperature
-from .errors import DegenerateBasisError, NonFiniteError, ShapeMismatchError
+from .errors import DegenerateBasisError, NonFiniteError, UndefinedAngleError
 from .fileio import atomic_write_text
-from .tensorstore import (
-    Checkpoint,
-    DEFAULT_ANGLE_FILTER,
-    ParamFilter,
-    Params,
-    angle_between,
-    as_params,
-    combine,
-    dot,
-    subtract,
-    to_checkpoint,
-)
+from .tensorstore import Checkpoint, Params, as_params, axpy, combine, dot, to_checkpoint
 from .tinynet import (
     _forward_cached,
     arch_of,
@@ -68,7 +58,6 @@ from .tinynet import (
     hessian_quadratic_form,
     logit_second_directional,
     loss_ce,
-    params_axpy,
     predictions,
 )
 
@@ -76,15 +65,18 @@ ALPHA_FD_STEP = 0.05
 SIMPSON_NODES = 33
 BETA_MODES = ("fixed-1", "calibrate-soup")
 PLANE_METRICS = ("loss", "error")
+# The pair angle compares weight matrices only: the per-channel gain and
+# bias vectors would otherwise dominate the norms.
+ANGLE_EXCLUDED_SUFFIXES = (".gain", ".bias")
 
 
 # ----------------------------------------------------------- small helpers
 
 
-def _delta_params(p0: Params, p1: Params) -> Params:
-    if p1.layout != p0.layout:
-        raise ShapeMismatchError("endpoint tensor names or shapes differ")
-    return Params(p0.layout, p1.vector - p0.vector)
+def _segment(theta0: Checkpoint | Params, theta1: Checkpoint | Params) -> tuple[Params, ...]:
+    """Both endpoints in float64 and the delta theta1 - theta0 between them."""
+    p0, p1 = as_params(theta0), as_params(theta1)
+    return p0, p1, axpy(p1, p0, -1.0)
 
 
 def _error_rate(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -133,16 +125,16 @@ def interpolation_advantage(
     return acc_mid - 0.5 * (acc1 + acc2)
 
 
-def pair_angle(
-    theta0: Checkpoint,
-    theta1: Checkpoint,
-    theta2: Checkpoint,
-    param_filter: ParamFilter = DEFAULT_ANGLE_FILTER,
-) -> float:
-    """Angle (degrees) between theta1 - theta0 and theta2 - theta0."""
-    return angle_between(
-        subtract(theta1, theta0), subtract(theta2, theta0), param_filter
-    )
+def pair_angle(theta0: Checkpoint, theta1: Checkpoint, theta2: Checkpoint) -> float:
+    """Angle (degrees) between the float64 deltas theta1 - theta0 and theta2 - theta0."""
+    p0, _, d1 = _segment(theta0, theta1)
+    d2 = axpy(as_params(theta2), p0, -1.0)
+    names = [n for n in p0.layout.names if not n.endswith(ANGLE_EXCLUDED_SUFFIXES)]
+    n1, n2 = math.sqrt(dot(d1, d1, names)), math.sqrt(dot(d2, d2, names))
+    if n1 == 0.0 or n2 == 0.0:
+        raise UndefinedAngleError("angle against a zero-norm delta is undefined")
+    cosine = dot(d1, d2, names) / (n1 * n2)
+    return math.degrees(math.acos(min(1.0, max(-1.0, cosine))))
 
 
 def interpolation_curve(
@@ -204,15 +196,14 @@ class PlaneBasis:
 def _plane_frame(
     theta0: Checkpoint, theta1: Checkpoint, theta2: Checkpoint
 ) -> tuple[Params, Params, Params, PlaneBasis]:
-    p0 = as_params(theta0)
-    d1 = _delta_params(p0, as_params(theta1))
-    d2 = _delta_params(p0, as_params(theta2))
+    p0, _, d1 = _segment(theta0, theta1)
+    d2 = axpy(as_params(theta2), p0, -1.0)
     n1 = math.sqrt(dot(d1, d1))
     if n1 == 0.0:
         raise DegenerateBasisError("theta1 equals theta0; no direction to span")
     u1 = Params(p0.layout, d1.vector / n1)
     proj = dot(d2, u1)
-    resid = Params(p0.layout, d2.vector - proj * u1.vector)
+    resid = axpy(d2, u1, -proj)
     n2 = math.sqrt(dot(resid, resid))
     # Relative threshold: exact parallels cancel only up to rounding.
     if n2 <= 1e-9 * math.sqrt(dot(d2, d2)):
@@ -253,8 +244,7 @@ def plane_landscape(
     matrix = np.empty((len(ys), len(xs)), dtype=np.float64)
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            point = Params(p0.layout, p0.vector + x * u1.vector + y * u2.vector)
-            report = evaluate(point, X, labels)
+            report = evaluate(axpy(axpy(p0, u1, x), u2, y), X, labels)
             matrix[i, j] = report.loss if metric == "loss" else report.top1_error
     return matrix, basis
 
@@ -381,15 +371,13 @@ def soup_vs_ensemble_approx(
         raise ValueError(f"beta_mode must be one of {BETA_MODES}")
     if not 0.0 < h_alpha <= 0.5:
         raise ValueError("h_alpha must lie in (0, 0.5]")
-    p0 = as_params(theta0)
-    p1 = as_params(theta1)
-    delta = _delta_params(p0, p1)
+    p0, p1, delta = _segment(theta0, theta1)
     labels = np.asarray(labels)
 
     f0 = forward(p0, X)
     f1 = forward(p1, X)
     delta_f = f1 - f0
-    f_soup = forward(params_axpy(p0, delta, alpha), X)
+    f_soup = forward(axpy(p0, delta, alpha), X)
     f_ens = (1.0 - alpha) * f0 + alpha * f1
 
     if beta_mode == "fixed-1":
@@ -398,7 +386,7 @@ def soup_vs_ensemble_approx(
         beta = fit_temperature(f_soup, labels).beta
 
     def loss_at(a: float) -> float:
-        return loss_ce(forward(params_axpy(p0, delta, a), X), labels, 0.0, beta)
+        return loss_ce(forward(axpy(p0, delta, a), X), labels, 0.0, beta)
 
     second_derivative = _alpha_second_derivative(loss_at, alpha, h_alpha)
     variance = float(np.mean(hessian_quadratic_form(beta * f_soup, delta_f)))
@@ -439,11 +427,10 @@ def ensemble_minus_soup_logits(
     X: np.ndarray,
 ) -> np.ndarray:
     """f_ens - f_soup per example and class, in float64 weight space."""
-    p0 = as_params(theta0)
-    p1 = as_params(theta1)
+    p0, p1, delta = _segment(theta0, theta1)
     f0 = forward(p0, X)
     f1 = forward(p1, X)
-    f_soup = forward(params_axpy(p0, _delta_params(p0, p1), alpha), X)
+    f_soup = forward(axpy(p0, delta, alpha), X)
     return (1.0 - alpha) * f0 + alpha * f1 - f_soup
 
 
@@ -465,16 +452,14 @@ def integral_oracle(
         raise ValueError(f"alpha {alpha} outside [0, 1]")
     if num_nodes < 3 or num_nodes % 2 == 0:
         raise ValueError("num_nodes must be odd and >= 3")
-    p0 = as_params(theta0)
-    p1 = as_params(theta1)
-    delta = _delta_params(p0, p1)
+    p0, p1, delta = _segment(theta0, theta1)
 
     taus = np.linspace(0.0, 1.0, num_nodes)
     h = 1.0 / (num_nodes - 1)
     integral = np.zeros((X.shape[0], arch_of(p0).num_classes))
     for j, tau in enumerate(taus):
         curvature = logit_second_directional(
-            params_axpy(p0, delta, float(tau)), delta, X, h=curvature_step
+            axpy(p0, delta, float(tau)), delta, X, h=curvature_step
         )
         simpson_w = 1.0 if j in (0, num_nodes - 1) else (4.0 if j % 2 == 1 else 2.0)
         integral += (h / 3.0) * simpson_w * float(interpolation_kernel(tau, alpha)) * curvature
@@ -495,13 +480,11 @@ def relu_flip_count(
     some tau node differs from its sign at tau = 0.  Zero means the
     integral identity's smoothness assumption holds on the path.
     """
-    p0 = as_params(theta0)
-    p1 = as_params(theta1)
-    delta = _delta_params(p0, p1)
+    p0, _, delta = _segment(theta0, theta1)
     baseline = None
     changed = None
     for tau in np.linspace(0.0, 1.0, num_nodes):
-        cache, _ = _forward_cached(params_axpy(p0, delta, float(tau)), X)
+        cache, _ = _forward_cached(axpy(p0, delta, float(tau)), X)
         states = [u > 0.0 for _, _, u in cache[:-1]]
         if baseline is None:
             baseline = states

@@ -208,6 +208,8 @@ def _parse_range(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag}: {exc}") from exc
     if count < 1:
         raise ConfigError(f"{flag}: count must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{flag}: endpoints must be finite, got {text!r}")
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
@@ -229,7 +231,11 @@ def _read_json(path: str | Path, error: type[SoupkitError]):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity never reaches the artifact
+        raise NonFiniteError(f"{path}: non-finite value in output: {exc}") from exc
+    atomic_write_text(path, text + "\n")
 
 
 DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
@@ -314,6 +320,10 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.beta is not None and not 0.0 < args.beta < math.inf:
+        raise ConfigError(f"--beta must be finite and > 0, got {args.beta}")
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     ckpt = load_checkpoint(args.ckpt)
     ds = _load_dataset(args.data)
     X, y = _split_arrays(ds, args.split)
@@ -348,13 +358,13 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 
 def cmd_plane(args: argparse.Namespace) -> int:
+    xs = _parse_range(args.x_range, "--x-range")
+    ys = _parse_range(args.y_range, "--y-range")
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
     theta2 = load_checkpoint(args.ckpt_c)
     ds = _load_dataset(args.data)
     X, y = _split_arrays(ds, args.split)
-    xs = _parse_range(args.x_range, "--x-range")
-    ys = _parse_range(args.y_range, "--y-range")
     matrix, basis = analysis.plane_landscape(
         theta0, theta1, theta2, xs, ys, X, y, metric=args.metric
     )
@@ -395,6 +405,9 @@ def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
         ):
             raise ConfigError(f"{path}: pair {i} learning_rate must be a finite number")
         specs.append((pair_id, theta0, theta1, None if lr is None else float(lr)))
+    ids = [spec[0] for spec in specs]
+    if len(ids) < 2 or len(set(ids)) != len(ids):
+        raise ConfigError(f"{path}: need at least two pairs with distinct ids, got {ids}")
     base = Path(path).parent
     return [
         analysis.PairSpec(pair_id, load_checkpoint(base / t0), load_checkpoint(base / t1), lr)
@@ -416,6 +429,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     ds = _load_dataset(args.data)
     fit_x, fit_y = _split_arrays(ds, args.fit_split)
     eval_x, eval_y = _split_arrays(ds, args.eval_split)

@@ -33,19 +33,19 @@ Tensor ``offset`` is relative to the payload base, which is the first
 is itself 64-byte aligned.  Gaps are zero-filled.  A checkpoint survives
 a save/load round trip bit for bit.
 
-All reductions over tensor values (dot products, norms, weighted
-combinations) accumulate in float64 and only round to float32 at the
-storage boundary.  Inner products sum tensor by tensor in layout order
-(:func:`dot`): one sum over the whole vector rounds differently.
+Weight-space arithmetic runs in float64.  :func:`axpy` is the one
+float64 line ``x + t*y`` (deltas, interpolation and plane points stay
+Params); :func:`combine` is the float32 storage combination, rounding
+its float64 sum once into a Checkpoint.  Inner products sum tensor by
+tensor in layout order (:func:`dot`): one sum over the whole vector
+rounds differently.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -60,7 +60,6 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     TruncatedFileError,
-    UndefinedAngleError,
 )
 from .fileio import atomic_write_bytes
 
@@ -143,22 +142,6 @@ class Params(_Weights):
         return Params(self.layout, self.vector.copy())
 
 
-@dataclass(frozen=True)
-class ParamFilter:
-    """Include-predicate over tensor names, by excluded name suffixes."""
-
-    exclude_suffixes: tuple[str, ...] = ()
-
-    def includes(self, name: str) -> bool:
-        return not any(name.endswith(sfx) for sfx in self.exclude_suffixes)
-
-
-INCLUDE_ALL = ParamFilter()
-# Direction analyses (angles between fine-tuning deltas) ignore the
-# per-channel gain and bias vectors, which otherwise dominate norms.
-DEFAULT_ANGLE_FILTER = ParamFilter(exclude_suffixes=(".gain", ".bias"))
-
-
 def serialize(ckpt: Checkpoint) -> bytes:
     entries = []
     offset = 0
@@ -214,6 +197,8 @@ def deserialize(blob: bytes) -> Checkpoint:
             nbytes = int(entry["nbytes"])
         except (TypeError, KeyError, ValueError) as exc:
             raise HeaderError(f"malformed tensor entry {entry!r}") from exc
+        if not isinstance(name, str):
+            raise HeaderError(f"tensor name {name!r} is not a string")
         if name in arrays:
             raise DuplicateTensorError(f"tensor {name!r} declared twice")
         if nbytes != int(np.prod(shape, dtype=np.int64)) * 4 or min(shape, default=1) < 0:
@@ -285,6 +270,13 @@ def dot(a: Params, b: Params, names: Iterable[str] | None = None) -> float:
     return sum(float(np.sum(a[k] * b[k])) for k in (a.layout.names if names is None else names))
 
 
+def axpy(x: Params, y: Params, t: float) -> Params:
+    """x + t * y in float64: a delta is ``axpy(p1, p0, -1.0)``, a line point ``axpy(p0, d, a)``."""
+    if x.layout != y.layout:
+        raise ShapeMismatchError("line through parameters with different names or shapes")
+    return Params(x.layout, x.vector + t * y.vector)
+
+
 def combine(coeffs: Sequence[float], ckpts: Sequence[Checkpoint]) -> Checkpoint:
     """Linear combination sum_i coeffs[i] * ckpts[i] on the flat vector.
 
@@ -313,34 +305,3 @@ def combine(coeffs: Sequence[float], ckpts: Sequence[Checkpoint]) -> Checkpoint:
         "recipe.inputs": ",".join(content_digest(c) for c in ckpts),
     }
     return to_checkpoint(Params(first.layout, acc), meta)
-
-
-def subtract(a: Checkpoint, b: Checkpoint) -> Checkpoint:
-    """The delta a - b, used as a direction in weight space."""
-    return combine([1.0, -1.0], [a, b])
-
-
-def delta_dot(a: Checkpoint, b: Checkpoint, param_filter: ParamFilter = INCLUDE_ALL) -> float:
-    """Float64 inner product over the filtered shared tensors."""
-    pa, pb = as_params(a), as_params(b)
-    return dot(pa, pb, [name for name in pa.layout.names if param_filter.includes(name)])
-
-
-def delta_norm(a: Checkpoint, param_filter: ParamFilter = INCLUDE_ALL) -> float:
-    return math.sqrt(delta_dot(a, a, param_filter))
-
-
-def angle_between(
-    d1: Checkpoint, d2: Checkpoint, param_filter: ParamFilter = DEFAULT_ANGLE_FILTER
-) -> float:
-    """Angle in degrees between two weight-space deltas.
-
-    By default the per-channel gain and bias tensors are excluded, so the
-    angle reflects the orientation of the weight matrices only.
-    """
-    n1 = delta_norm(d1, param_filter)
-    n2 = delta_norm(d2, param_filter)
-    if n1 == 0.0 or n2 == 0.0:
-        raise UndefinedAngleError("angle against a zero-norm delta is undefined")
-    cosine = delta_dot(d1, d2, param_filter) / (n1 * n2)
-    return math.degrees(math.acos(min(1.0, max(-1.0, cosine))))

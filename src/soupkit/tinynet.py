@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import PortableRng, derive_seed
-from .tensorstore import Checkpoint, Params, as_params, to_checkpoint
+from .tensorstore import Checkpoint, Params, as_params, axpy, to_checkpoint
 
 _INIT_STREAM_TAG = 0x494E4954  # distinct substream for weight init draws
 
@@ -270,10 +270,7 @@ def logit_second_directional(
     if h <= 0.0:
         raise ValueError("h must be positive")
     params, d = as_params(theta), as_params(delta)
-    if d.layout != params.layout:
-        raise ShapeMismatchError("delta names or shapes do not match theta")
-    plus = Params(params.layout, params.vector + h * d.vector)
-    minus = Params(params.layout, params.vector - h * d.vector)
+    plus, minus = axpy(params, d, h), axpy(params, d, -h)
     return (forward(plus, X) - 2.0 * forward(params, X) + forward(minus, X)) / (h * h)
 
 
@@ -313,7 +310,3 @@ def evaluate(
         calibrated = loss_ce(logits, labels, inv_temperature=inv_temperature)
     return EvalReport(count=len(labels), loss=loss, top1_error=err, calibrated_loss=calibrated)
 
-
-def params_axpy(base: Params, direction: Params, t: float) -> Params:
-    """base + t * direction, a float64 point on a weight-space line."""
-    return Params(base.layout, base.vector + t * direction.vector)

@@ -132,3 +132,24 @@ def combine_reference(coeffs, ckpts):
             flat.append(np.float32(acc))
         out[name] = np.array(flat, dtype=np.float32).reshape(tensor.shape)
     return out
+
+
+def pair_angle_reference(theta0, theta1, theta2, excluded=(".gain", ".bias")):
+    """Degrees between theta1 - theta0 and theta2 - theta0 in python floats.
+
+    Each delta element is the float64 difference of two stored float32
+    values (never rounded back to float32); tensors whose names end in
+    ``excluded`` are skipped; sums are exactly rounded (``math.fsum``).
+    """
+    d1, d2 = [], []
+    for name in theta0:
+        if name.endswith(excluded):
+            continue
+        rows = zip(*(t[name].ravel().tolist() for t in (theta0, theta1, theta2)))
+        for x0, x1, x2 in rows:
+            d1.append(x1 - x0)
+            d2.append(x2 - x0)
+    n1 = math.sqrt(math.fsum(v * v for v in d1))
+    n2 = math.sqrt(math.fsum(v * v for v in d2))
+    cosine = math.fsum(a * b for a, b in zip(d1, d2)) / (n1 * n2)
+    return math.degrees(math.acos(max(-1.0, min(1.0, cosine))))

@@ -12,10 +12,8 @@ import oracles
 from soupkit import analysis
 from soupkit.errors import DegenerateBasisError
 from soupkit.rng import PortableRng
-from soupkit.tensorstore import Checkpoint, ParamFilter, content_digest, delta_dot, delta_norm
+from soupkit.tensorstore import Checkpoint, content_digest, dot
 from soupkit.tinynet import ArchSpec, as_params, evaluate, init_checkpoint
-
-INCLUDE_ALL = ParamFilter(exclude_suffixes=())
 
 
 # --------------------------------------------------- statistical helpers
@@ -107,13 +105,21 @@ def test_pair_angle_right_triangle_is_ninety_degrees():
     theta0 = Checkpoint.from_arrays(base)
     theta1 = Checkpoint.from_arrays({**base, "layer0.weight": [[1.0, 0.0]]})
     theta2 = Checkpoint.from_arrays({**base, "layer0.weight": [[0.0, 1.0]]})
-    got = analysis.pair_angle(theta0, theta1, theta2, param_filter=INCLUDE_ALL)
+    got = analysis.pair_angle(theta0, theta1, theta2)
     assert got == pytest.approx(90.0, abs=1e-6)
 
 
 def test_pair_angle_on_trained_models_is_in_range(desk_base, desk_models):
     phi = analysis.pair_angle(desk_base, desk_models[0], desk_models[1])
     assert 0.0 < phi < 180.0
+
+
+def test_pair_angle_matches_float64_oracle(desk_base, desk_models):
+    # Float64 deltas: rounding them to float32 moves these angles by ~3e-9 relative.
+    for i, j in ((0, 1), (2, 3), (1, 4)):
+        got = analysis.pair_angle(desk_base, desk_models[i], desk_models[j])
+        want = oracles.pair_angle_reference(desk_base, desk_models[i], desk_models[j])
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # ----------------------------------------------------------- plane basis
@@ -136,9 +142,10 @@ def test_plane_basis_hand_geometry():
 
 def test_plane_basis_orthonormal_on_trained_models(desk_base, desk_models):
     basis = analysis.plane_basis(desk_base, desk_models[0], desk_models[1])
-    assert delta_dot(basis.u1, basis.u2, INCLUDE_ALL) == pytest.approx(0.0, abs=1e-5)
-    assert delta_norm(basis.u1, INCLUDE_ALL) == pytest.approx(1.0, abs=1e-6)
-    assert delta_norm(basis.u2, INCLUDE_ALL) == pytest.approx(1.0, abs=1e-6)
+    u1, u2 = as_params(basis.u1), as_params(basis.u2)
+    assert dot(u1, u2) == pytest.approx(0.0, abs=1e-5)
+    assert math.sqrt(dot(u1, u1)) == pytest.approx(1.0, abs=1e-6)
+    assert math.sqrt(dot(u2, u2)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_plane_basis_reconstructs_anchor_models(desk_base, desk_models):
@@ -444,6 +451,35 @@ def test_integral_oracle_residual_shrinks_with_more_nodes():
     coarse = float(np.max(analysis.integral_oracle(theta0, theta1, 0.3, X, num_nodes=17)))
     fine = float(np.max(analysis.integral_oracle(theta0, theta1, 0.3, X, num_nodes=65)))
     assert fine <= coarse
+
+
+def test_approx_and_integral_oracle_bytes_are_pinned(desk_base, desk_models, desk_dataset):
+    # Recorded before every line point went through tensorstore.axpy.
+    val = desk_dataset.splits["val"]
+    records = [
+        analysis.soup_vs_ensemble_approx(
+            desk_base, desk_models[0], alpha, val.x, val.y, beta_mode=mode, pair_id="p", split="val"
+        )
+        for alpha, mode in ((0.02, "fixed-1"), (0.5, "calibrate-soup"), (0.99, "calibrate-soup"))
+    ]
+    assert [repr(r) for r in records] == [
+        "ApproxRecord(pair_id='p', split='val', alpha=0.02, beta=1.0, "
+        "approx_value=0.0075376433813723765, true_loss_diff=0.0037272597007943498, "
+        "true_err_diff=0.010416666666666685, second_derivative_term=1.3437681202472793, "
+        "variance_term=2.112915404060787)",
+        "ApproxRecord(pair_id='p', split='val', alpha=0.5, beta=3.140197714836401, "
+        "approx_value=0.020233804746984718, true_loss_diff=0.019301485079681685, "
+        "true_err_diff=0.0, second_derivative_term=2.4442051012967587, "
+        "variance_term=0.2642853035937443)",
+        "ApproxRecord(pair_id='p', split='val', alpha=0.99, beta=2.739921269977553, "
+        "approx_value=-0.0007462959106711992, true_loss_diff=0.00025947988169947034, "
+        "true_err_diff=0.0, second_derivative_term=0.44482404023322697, "
+        "variance_term=0.039170186072160613)",
+    ]
+    X = val.x[:16]
+    gap = analysis.integral_oracle(desk_base, desk_models[0], 0.3, X, num_nodes=9)
+    assert hashlib.sha256(gap.tobytes()).hexdigest()[:16] == "73d6ba0424e2b4d9"
+    assert analysis.relu_flip_count(desk_base, desk_models[0], X, num_nodes=9) == 25
 
 
 def test_integral_oracle_validates_arguments():

@@ -7,6 +7,7 @@ the documented exit codes with their machine-readable stderr lines.
 """
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +219,10 @@ def test_corrupt_checkpoint_exits_format_code(workspace, tmp_path, capsys):
     # A stored NaN is a malformed file (5), not a non-finite result (6);
     # the file's last four bytes are the last value of its last tensor.
     nan_payload = workspace["base"].read_bytes()[:-4] + np.array(np.nan, "<f4").tobytes()
-    for blob in (b"not a checkpoint at all", nan_payload):
+    header = json.dumps({"tensors": [{"name": 5, "shape": [1], "offset": 0, "nbytes": 4}],
+                         "meta": {}}).encode()
+    name_not_string = b"SOUPCKPT" + struct.pack("<II", 1, len(header)) + header + bytes(64)
+    for blob in (b"not a checkpoint at all", nan_payload, name_not_string):
         bad.write_bytes(blob)
         run_fail(
             [
@@ -403,9 +407,12 @@ def test_malformed_config_file_exits_config_code(tmp_path, capsys, raw):
         b'[{"id": "p", "theta0": 5, "theta1": "b.ckpt"}]',
         b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": "fast"}]',
         b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": NaN}]',
+        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"}]',
+        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"},'
+        b' {"id": "p", "theta0": "a.ckpt", "theta1": "c.ckpt"}]',
     ],
     ids=["not-json", "not-utf8", "entry-not-object", "entry-pair-list", "not-list",
-         "path-not-string", "rate-not-number", "rate-not-finite"],
+         "path-not-string", "rate-not-number", "rate-not-finite", "one-pair", "duplicate-id"],
 )
 def test_malformed_pairs_file_exits_config_code(workspace, tmp_path, capsys, raw):
     pairs = tmp_path / "pairs.json"
@@ -414,6 +421,48 @@ def test_malformed_pairs_file_exits_config_code(workspace, tmp_path, capsys, raw
             "--out", str(tmp_path / "a.csv")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert _single_error_line(capsys)["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("eval", ["--beta", "0"]),
+        ("eval", ["--beta", "-1"]),
+        ("eval", ["--beta", "nan"]),
+        ("eval", ["--beta", "inf"]),
+        ("eval", ["--bins", "0"]),
+        ("calibrate", ["--bins", "0"]),
+        ("plane", ["--x-range=nan:1:3"]),
+        ("plane", ["--y-range=0:inf:3"]),
+    ],
+    ids=["beta-zero", "beta-negative", "beta-nan", "beta-inf", "eval-bins-zero",
+         "calibrate-bins-zero", "range-nan", "range-inf"],
+)
+def test_bad_numeric_flag_exits_config_code(tmp_path, capsys, command, flags):
+    # Inputs that do not exist: a read before the check would exit 3.
+    missing = str(tmp_path / "missing")
+    inputs = {
+        "eval": ["--ckpt", missing],
+        "calibrate": ["--ckpt", missing],
+        "plane": ["--ckpt-a", missing, "--ckpt-b", missing, "--ckpt-c", missing,
+                  "--x-range", "0:1:3", "--y-range", "0:1:3"],
+    }[command]
+    out = tmp_path / "out"
+    argv = [command, *inputs, "--data", missing, *flags, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_json_metric_exits_non_finite_code(workspace, tmp_path, capsys):
+    # A finite but huge --beta overflows the scaled logits; NaN must not reach the JSON.
+    out = tmp_path / "e.json"
+    argv = ["eval", "--ckpt", str(workspace["base"]), "--data", str(workspace["data"]),
+            "--beta", "1e308", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_SHAPE
+    assert _single_error_line(capsys)["error"] == "non-finite"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--soup", "--eval-report"])

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 
+from soupkit.analysis import ANGLE_EXCLUDED_SUFFIXES, pair_angle
 from soupkit.errors import (
     BadMagicError,
     CheckpointFormatError,
@@ -26,23 +27,18 @@ from soupkit.errors import (
 )
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import (
-    DEFAULT_ANGLE_FILTER,
-    INCLUDE_ALL,
     Checkpoint,
-    ParamFilter,
     Params,
-    angle_between,
     as_params,
+    axpy,
     checkpoints_equal,
     combine,
     content_digest,
-    delta_dot,
-    delta_norm,
     deserialize,
+    dot,
     load,
     save,
     serialize,
-    subtract,
 )
 
 
@@ -169,6 +165,20 @@ def test_header_size_inconsistency():
     struct.pack_into("<II", blob, 8, 1, len(header))
     blob[16 : 16 + len(header)] = header
     with pytest.raises(HeaderError):
+        deserialize(bytes(blob))
+
+
+def test_non_string_tensor_name_is_a_header_error():
+    import json
+
+    entry = {"name": 5, "shape": [2], "offset": 0, "nbytes": 8}
+    header = json.dumps({"tensors": [entry], "meta": {}}).encode()
+    payload_base = (16 + len(header) + 63) // 64 * 64
+    blob = bytearray(payload_base + 8)
+    blob[0:8] = b"SOUPCKPT"
+    struct.pack_into("<II", blob, 8, 1, len(header))
+    blob[16 : 16 + len(header)] = header
+    with pytest.raises(HeaderError, match="not a string"):
         deserialize(bytes(blob))
 
 
@@ -332,34 +342,56 @@ def test_combine_overflow_is_caught():
 # ---------------------------------------------------------------- geometry
 
 
+def test_axpy():
+    base = as_params({"layer0.weight": np.ones((2, 2))})
+    step = as_params({"layer0.weight": np.full((2, 2), 2.0)})
+    out = axpy(base, step, 0.25)
+    assert out.layout == base.layout
+    assert np.allclose(out["layer0.weight"], 1.5)
+    with pytest.raises(ShapeMismatchError):
+        axpy(base, as_params({"layer0.weight": np.ones((2, 3))}), 0.25)
+    with pytest.raises(ShapeMismatchError):
+        axpy(base, as_params({"layer0.bias": np.ones((2, 2))}), 0.25)
+
+
 def test_subtract_and_norm():
-    a = Checkpoint.from_arrays({"w": np.array([3.0, 4.0], np.float32)})
-    b = Checkpoint.from_arrays({"w": np.array([0.0, 0.0], np.float32)})
-    d = subtract(a, b)
+    a = as_params(Checkpoint.from_arrays({"w": np.array([3.0, 4.0], np.float32)}))
+    b = as_params(Checkpoint.from_arrays({"w": np.array([0.0, 0.0], np.float32)}))
+    d = axpy(a, b, -1.0)
     assert d["w"].tolist() == [3.0, 4.0]
-    assert delta_norm(d) == pytest.approx(5.0, rel=1e-7)
-    assert delta_dot(d, d) == pytest.approx(25.0, rel=1e-7)
+    assert math.sqrt(dot(d, d)) == pytest.approx(5.0, rel=1e-7)
+    assert dot(d, d) == pytest.approx(25.0, rel=1e-7)
+
+
+# The angle tests run analysis.pair_angle from a zero origin, so its
+# deltas theta - 0 are exactly the checkpoints given.
+
+
+def _zero_like(ckpt):
+    return Checkpoint(ckpt.layout, np.zeros_like(ckpt.vector), {})
 
 
 def test_angle_of_orthogonal_deltas_is_90():
     d1 = Checkpoint.from_arrays({"w": np.array([1.0, 0.0, 0.0], np.float32)})
     d2 = Checkpoint.from_arrays({"w": np.array([0.0, 2.0, 0.0], np.float32)})
-    assert angle_between(d1, d2, INCLUDE_ALL) == pytest.approx(90.0, abs=1e-6)
+    assert pair_angle(_zero_like(d1), d1, d2) == pytest.approx(90.0, abs=1e-6)
 
 
 def test_angle_self_and_opposite():
     d = _random_checkpoint(5)
-    assert angle_between(d, d, INCLUDE_ALL) == pytest.approx(0.0, abs=5e-4)
+    zero = _zero_like(d)
+    assert pair_angle(zero, d, d) == pytest.approx(0.0, abs=5e-4)
     neg = combine([-1.0], [d])
-    assert angle_between(d, neg, INCLUDE_ALL) == pytest.approx(180.0, abs=5e-4)
+    assert pair_angle(zero, d, neg) == pytest.approx(180.0, abs=5e-4)
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=30, deadline=None)
 def test_angle_symmetry(s1, s2):
     d1, d2 = _random_checkpoint(s1), _random_checkpoint(s2)
-    a = angle_between(d1, d2, INCLUDE_ALL)
-    assert a == angle_between(d2, d1, INCLUDE_ALL)
+    zero = _zero_like(d1)
+    a = pair_angle(zero, d1, d2)
+    assert a == pair_angle(zero, d2, d1)
     assert 0.0 <= a <= 180.0
 
 
@@ -367,7 +399,7 @@ def test_zero_norm_angle_is_an_error():
     zero = Checkpoint.from_arrays({"w": np.zeros(3, np.float32)})
     d = Checkpoint.from_arrays({"w": np.ones(3, np.float32)})
     with pytest.raises(UndefinedAngleError):
-        angle_between(zero, d, INCLUDE_ALL)
+        pair_angle(zero, zero, d)
 
 
 def test_default_angle_filter_drops_gain_and_bias():
@@ -377,22 +409,23 @@ def test_default_angle_filter_drops_gain_and_bias():
         "layer0.bias": np.array([-50.0], np.float32),
     }
     d = Checkpoint.from_arrays(arrays)
-    assert delta_norm(d, DEFAULT_ANGLE_FILTER) == pytest.approx(1.0)
-    assert delta_norm(d, INCLUDE_ALL) == pytest.approx(math.sqrt(1 + 100**2 + 50**2), rel=1e-6)
-    assert ParamFilter((".gain", ".bias")).includes("layer0.weight")
-    assert not ParamFilter((".gain", ".bias")).includes("layer3.gain")
+    p = as_params(d)
+    kept = [name for name in d if not name.endswith(ANGLE_EXCLUDED_SUFFIXES)]
+    assert kept == ["layer0.weight"]
+    assert "layer3.gain".endswith(ANGLE_EXCLUDED_SUFFIXES)
+    assert math.sqrt(dot(p, p, kept)) == pytest.approx(1.0)
+    assert math.sqrt(dot(p, p)) == pytest.approx(math.sqrt(1 + 100**2 + 50**2), rel=1e-6)
+    # Only the weights differ in direction: the angle sees none of the rest.
+    flipped = Checkpoint.from_arrays({**arrays, "layer0.bias": np.array([50.0], np.float32)})
+    assert pair_angle(_zero_like(d), d, flipped) == pytest.approx(0.0, abs=5e-4)
 
 
 def test_dot_with_filter_matches_manual_sum():
-    d1 = _random_checkpoint(31)
-    d2 = _random_checkpoint(32)
-    got = delta_dot(d1, d2, DEFAULT_ANGLE_FILTER)
-    manual = float(
-        np.dot(
-            d1["layer0.weight"].astype(np.float64).ravel(),
-            d2["layer0.weight"].astype(np.float64).ravel(),
-        )
-    )
+    d1 = as_params(_random_checkpoint(31))
+    d2 = as_params(_random_checkpoint(32))
+    kept = [name for name in d1 if not name.endswith(ANGLE_EXCLUDED_SUFFIXES)]
+    got = dot(d1, d2, kept)
+    manual = float(np.dot(d1["layer0.weight"].ravel(), d2["layer0.weight"].ravel()))
     assert got == pytest.approx(manual, rel=1e-12)
 
 

@@ -26,7 +26,6 @@ from soupkit.tinynet import (
     log_softmax,
     logit_second_directional,
     loss_ce,
-    params_axpy,
     predictions,
     smoothed_targets,
     softmax,
@@ -326,14 +325,6 @@ def test_evaluate_calibrated_loss():
 def test_argmax_ties_break_to_lowest_index():
     logits = np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 1.0], [5.0, 4.0, 5.0]])
     assert predictions(logits).tolist() == [1, 0, 0]
-
-
-def test_params_axpy():
-    base = as_params({"layer0.weight": np.ones((2, 2))})
-    step = as_params({"layer0.weight": np.full((2, 2), 2.0)})
-    out = params_axpy(base, step, 0.25)
-    assert out.layout == base.layout
-    assert np.allclose(out["layer0.weight"], 1.5)
 
 
 def test_eval_report_dataclass():
