@@ -237,14 +237,21 @@ def plane_landscape(
     labels: np.ndarray,
     metric: str = "loss",
 ) -> tuple[np.ndarray, PlaneBasis]:
-    """Metric values over theta0 + x*u1 + y*u2; matrix[i, j] = (ys[i], xs[j])."""
+    """Metric values over theta0 + x*u1 + y*u2; matrix[i, j] = (ys[i], xs[j]).
+
+    Raises NonFiniteError when the loss at some point is not finite.
+    """
     if metric not in PLANE_METRICS:
         raise ValueError(f"metric must be one of {PLANE_METRICS}")
     p0, u1, u2, basis = _plane_frame(theta0, theta1, theta2)
     matrix = np.empty((len(ys), len(xs)), dtype=np.float64)
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            report = evaluate(axpy(axpy(p0, u1, x), u2, y), X, labels)
+            # Far-out points can overflow the logits; the loss check reports that.
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = evaluate(axpy(axpy(p0, u1, x), u2, y), X, labels)
+            if not math.isfinite(report.loss):
+                raise NonFiniteError(f"non-finite loss at plane point x={x!r}, y={y!r}")
             matrix[i, j] = report.loss if metric == "loss" else report.top1_error
     return matrix, basis
 
@@ -295,8 +302,11 @@ def grid_endpoint_study(
     cells = []
     for a in range(len(models)):
         for b in range(a, len(models)):
-            pair = combine([0.5, 0.5], [models[a], models[b]])
-            pair_acc = evaluate(pair, X, labels).accuracy
+            if a == b:  # combine([0.5, 0.5], [m, m]) is m bit for bit
+                pair_acc = accs[a]
+            else:
+                pair = combine([0.5, 0.5], [models[a], models[b]])
+                pair_acc = evaluate(pair, X, labels).accuracy
             best = max(accs[a : b + 1])
             cells.append(
                 GridStudyCell(
@@ -353,29 +363,30 @@ def _alpha_second_derivative(loss_at, alpha: float, h: float) -> float:
     return (loss_at(alpha - h) - 2.0 * loss_at(alpha) + loss_at(alpha + h)) / (h * h)
 
 
-def soup_vs_ensemble_approx(
-    theta0: Checkpoint,
-    theta1: Checkpoint,
-    alpha: float,
-    X: np.ndarray,
-    labels: np.ndarray,
-    beta_mode: str = "calibrate-soup",
-    pair_id: str = "pair",
-    split: str = "",
-    h_alpha: float = ALPHA_FD_STEP,
-) -> ApproxRecord:
-    """Second-order estimate of L_soup - L_ens for one (pair, alpha)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
+def _check_approx_args(alphas: Sequence[float], beta_mode: str, h_alpha: float) -> None:
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha {alpha} outside [0, 1]")
     if beta_mode not in BETA_MODES:
         raise ValueError(f"beta_mode must be one of {BETA_MODES}")
     if not 0.0 < h_alpha <= 0.5:
         raise ValueError("h_alpha must lie in (0, 0.5]")
-    p0, p1, delta = _segment(theta0, theta1)
-    labels = np.asarray(labels)
 
-    f0 = forward(p0, X)
-    f1 = forward(p1, X)
+
+def _approx_record(
+    p0: Params,
+    delta: Params,
+    f0: np.ndarray,
+    f1: np.ndarray,
+    alpha: float,
+    X: np.ndarray,
+    labels: np.ndarray,
+    beta_mode: str,
+    pair_id: str,
+    split: str,
+    h_alpha: float,
+) -> ApproxRecord:
+    """One record from the endpoint logits f0, f1, which do not depend on alpha."""
     delta_f = f1 - f0
     f_soup = forward(axpy(p0, delta, alpha), X)
     f_ens = (1.0 - alpha) * f0 + alpha * f1
@@ -386,7 +397,8 @@ def soup_vs_ensemble_approx(
         beta = fit_temperature(f_soup, labels).beta
 
     def loss_at(a: float) -> float:
-        return loss_ce(forward(axpy(p0, delta, a), X), labels, 0.0, beta)
+        f = f_soup if a == alpha else forward(axpy(p0, delta, a), X)
+        return loss_ce(f, labels, 0.0, beta)
 
     second_derivative = _alpha_second_derivative(loss_at, alpha, h_alpha)
     variance = float(np.mean(hessian_quadratic_form(beta * f_soup, delta_f)))
@@ -409,6 +421,26 @@ def soup_vs_ensemble_approx(
         true_err_diff=true_err_diff,
         second_derivative_term=second_derivative,
         variance_term=variance,
+    )
+
+
+def soup_vs_ensemble_approx(
+    theta0: Checkpoint,
+    theta1: Checkpoint,
+    alpha: float,
+    X: np.ndarray,
+    labels: np.ndarray,
+    beta_mode: str = "calibrate-soup",
+    pair_id: str = "pair",
+    split: str = "",
+    h_alpha: float = ALPHA_FD_STEP,
+) -> ApproxRecord:
+    """Second-order estimate of L_soup - L_ens for one (pair, alpha)."""
+    _check_approx_args([alpha], beta_mode, h_alpha)
+    p0, p1, delta = _segment(theta0, theta1)
+    return _approx_record(
+        p0, delta, forward(p0, X), forward(p1, X), alpha, X, np.asarray(labels),
+        beta_mode, pair_id, split, h_alpha,
     )
 
 
@@ -560,21 +592,18 @@ def approx_validation_report(
     ids = [p.pair_id for p in pairs]
     if len(set(ids)) != len(ids):
         raise ValueError("pair_id values must be unique")
+    alphas = [float(alpha) for alpha in alpha_grid]
+    _check_approx_args(alphas, beta_mode, h_alpha)
     records = []
     for pair in pairs:
+        p0, p1, delta = _segment(pair.theta0, pair.theta1)
         for split_name, (X, y) in splits.items():
-            for alpha in alpha_grid:
+            f0, f1, labels = forward(p0, X), forward(p1, X), np.asarray(y)
+            for alpha in alphas:
                 records.append(
-                    soup_vs_ensemble_approx(
-                        pair.theta0,
-                        pair.theta1,
-                        float(alpha),
-                        X,
-                        y,
-                        beta_mode=beta_mode,
-                        pair_id=pair.pair_id,
-                        split=split_name,
-                        h_alpha=h_alpha,
+                    _approx_record(
+                        p0, delta, f0, f1, alpha, X, labels,
+                        beta_mode, pair.pair_id, split_name, h_alpha,
                     )
                 )
     rates = [p.learning_rate for p in pairs if p.learning_rate is not None]

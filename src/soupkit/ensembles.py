@@ -28,8 +28,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fileio import atomic_write_text
-from .tensorstore import Checkpoint
-from .tinynet import EvalReport, evaluate, forward, loss_ce, softmax
+from .tensorstore import Checkpoint, content_digest
+from .tinynet import (
+    EvalReport,
+    cross_entropy_from_targets,
+    evaluate_logits,
+    forward,
+    loss_ce,
+    smoothed_targets,
+    softmax,
+)
 from .soups import greedy_select
 
 BETA_GRID_LO = 0.05
@@ -43,11 +51,16 @@ def logit_ensemble(
     models: Sequence[Checkpoint],
     X: np.ndarray,
     weights: Sequence[float] | None = None,
+    *,
+    logits_cache: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Weighted mean of per-model logits, shape [n, num_classes].
 
     Weights must be nonnegative with a positive sum; they are
     normalized to sum to one.  Default is the uniform ensemble.
+    ``logits_cache`` maps a checkpoint's ``content_digest`` to its
+    logits on this X: a member found there is not forwarded again, and
+    a missing one is added.  Use one cache per X.
     """
     if not models:
         raise ValueError("logit_ensemble needs at least one model")
@@ -59,18 +72,32 @@ def logit_ensemble(
     if np.any(w < 0.0) or w.sum() <= 0.0:
         raise ValueError("weights must be nonnegative with a positive sum")
     w = w / w.sum()
-    acc = w[0] * forward(models[0], X)
+
+    def logits_of(model: Checkpoint) -> np.ndarray:
+        if logits_cache is None or not isinstance(model, Checkpoint):
+            return forward(model, X)
+        key = content_digest(model)
+        if key not in logits_cache:
+            logits_cache[key] = forward(model, X)
+        return logits_cache[key]
+
+    acc = w[0] * logits_of(models[0])
     for i in range(1, len(models)):
-        acc = acc + w[i] * forward(models[i], X)
+        acc = acc + w[i] * logits_of(models[i])
     return acc
 
 
 def ensemble_accuracy_fn(X: np.ndarray, y: np.ndarray) -> Callable[[Sequence[Checkpoint]], float]:
-    """Scorer: top-1 accuracy of the uniform logit ensemble of a pool."""
+    """Scorer: top-1 accuracy of the uniform logit ensemble of a pool.
+
+    Each distinct member (by content digest) is forwarded once over the
+    scorer's life, so a greedy search forwards every candidate once.
+    """
     labels = np.asarray(y)
+    cache: dict[str, np.ndarray] = {}
 
     def score(members: Sequence[Checkpoint]) -> float:
-        logits = logit_ensemble(members, X)
+        logits = logit_ensemble(members, X, logits_cache=cache)
         # First index wins ties, matching single-model prediction.
         pred = np.argmax(logits, axis=1)
         return float(np.mean(pred == labels))
@@ -110,11 +137,12 @@ class TemperatureFit:
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     """Logit scale minimizing mean NLL of beta * logits on this split."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    # loss_ce(logits, labels, 0.0, beta) with the one-hot targets built once
+    targets = smoothed_targets(np.asarray(labels), logits.shape[1], 0.0)
 
     def nll(log_beta: float) -> float:
-        return loss_ce(logits, labels, 0.0, math.exp(log_beta))
+        return cross_entropy_from_targets(logits, targets, math.exp(log_beta))
 
     lo, hi = math.log(BETA_GRID_LO), math.log(BETA_GRID_HI)
     probes = [nll(lo), nll(0.5 * (lo + hi)), nll(hi)]
@@ -273,14 +301,9 @@ def evaluate_with_calibration(
     ``calibrated_loss`` and the confidence used for ECE apply the given
     beta (1.0 when None, i.e. uncalibrated).
     """
-    base = evaluate(theta, X, labels)
     scale = 1.0 if beta is None else beta
     logits = forward(theta, X)
     conf, corr = confidences_and_correct(logits, labels, scale)
-    return EvalReport(
-        count=base.count,
-        loss=base.loss,
-        top1_error=base.top1_error,
-        calibrated_loss=loss_ce(logits, np.asarray(labels), 0.0, scale),
-        ece=ece_equal_mass(conf, corr, num_bins),
-    )
+    report = evaluate_logits(logits, labels, scale)
+    report.ece = ece_equal_mass(conf, corr, num_bins)
+    return report

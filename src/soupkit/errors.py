@@ -2,9 +2,15 @@
 
 Each failure category gets its own class so callers (and the CLI exit
 code mapping) can tell them apart without parsing messages.
+:func:`require_finite` is the finite-number check the config validators
+share.
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Real
+from typing import Sequence
 
 
 class SoupkitError(Exception):
@@ -61,3 +67,17 @@ class DegenerateBasisError(SoupkitError):
 
 class DivergenceError(SoupkitError):
     """Training loss became non-finite; message names the failing step."""
+
+
+def require_finite(config: object, names: Sequence[str], optional: Sequence[str] = ()) -> None:
+    """ConfigError unless each named field of ``config`` is a finite real number.
+
+    Fields in ``optional`` may also be None.  Comparisons such as
+    ``value < 0`` let NaN through, so config validators call this first.
+    """
+    for name in [*names, *optional]:
+        value = getattr(config, name)
+        if value is None and name in optional:
+            continue
+        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import PortableRng, derive_seed
-from .tensorstore import Checkpoint, Params, as_params, axpy, to_checkpoint
+from .tensorstore import Checkpoint, Params, as_params, axpy
 
 _INIT_STREAM_TAG = 0x494E4954  # distinct substream for weight init draws
 
@@ -108,14 +108,19 @@ def init_checkpoint(arch: ArchSpec, seed: int) -> Checkpoint:
     return Checkpoint.from_arrays(arrays, meta)
 
 
-def _forward_cached(params: Params, X: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """Logits plus (input, preactivation, gained preactivation) per layer."""
-    layers = _layer_names(params.layout.names)
+def _layers_and_input(params: Params, X: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Per-layer parameter names and X as float64, after the input-width check."""
     x = np.asarray(X, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params["layer0.weight"].shape[0]:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match layer0.weight {params['layer0.weight'].shape}"
         )
+    return _layer_names(params.layout.names), x
+
+
+def _forward_cached(params: Params, X: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """Logits plus (input, preactivation, gained preactivation) per layer, for gradients."""
+    layers, x = _layers_and_input(params, X)
     cache: list[tuple] = []
     for weight, bias, gain in layers[:-1]:
         z = x @ params[weight] + params[bias]
@@ -128,9 +133,22 @@ def _forward_cached(params: Params, X: np.ndarray) -> tuple[list[tuple], np.ndar
 
 
 def forward(theta: Checkpoint | Mapping[str, np.ndarray], X: np.ndarray) -> np.ndarray:
-    """Float64 logits, shape [n, num_classes]."""
-    _, logits = _forward_cached(as_params(theta), X)
-    return logits
+    """Float64 logits, shape [n, num_classes].
+
+    Forward only: each layer updates one fresh matmul result in place
+    and keeps nothing, bitwise equal to ``_forward_cached``'s logits.
+    """
+    params = as_params(theta)
+    layers, x = _layers_and_input(params, X)
+    for weight, bias, gain in layers[:-1]:
+        z = x @ params[weight]
+        z += params[bias]
+        z *= params[gain]
+        x = np.maximum(z, 0.0, out=z)
+    weight, bias, _ = layers[-1]
+    z = x @ params[weight]
+    z += params[bias]
+    return z
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -224,21 +242,6 @@ def grad64(
     return loss, grads
 
 
-def grad(
-    theta: Checkpoint | Mapping[str, np.ndarray],
-    X: np.ndarray,
-    labels: np.ndarray,
-    smoothing: float = 0.0,
-    inv_temperature: float = 1.0,
-) -> Checkpoint:
-    """Mean-loss gradient packaged as a checkpoint with theta's shapes."""
-    params = as_params(theta)
-    num_classes = arch_of(params).num_classes
-    targets = smoothed_targets(labels, num_classes, smoothing)
-    _, grads = grad64(params, X, targets, inv_temperature)
-    return to_checkpoint(grads, {"role": "gradient"})
-
-
 def hessian_quadratic_form(logits: np.ndarray, v: np.ndarray) -> np.ndarray | float:
     """v' H v for the cross-entropy Hessian in logit space.
 
@@ -294,14 +297,10 @@ def predictions(logits: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(logits), axis=-1)
 
 
-def evaluate(
-    theta: Checkpoint | Mapping[str, np.ndarray],
-    X: np.ndarray,
-    labels: np.ndarray,
-    inv_temperature: float | None = None,
+def evaluate_logits(
+    logits: np.ndarray, labels: np.ndarray, inv_temperature: float | None = None
 ) -> EvalReport:
-    """Loss and top-1 error on a split; calibrated loss when beta given."""
-    logits = forward(theta, X)
+    """Loss and top-1 error of known logits; calibrated loss when beta given."""
     labels = np.asarray(labels)
     loss = loss_ce(logits, labels)
     err = float(np.mean(predictions(logits) != labels))
@@ -310,3 +309,12 @@ def evaluate(
         calibrated = loss_ce(logits, labels, inv_temperature=inv_temperature)
     return EvalReport(count=len(labels), loss=loss, top1_error=err, calibrated_loss=calibrated)
 
+
+def evaluate(
+    theta: Checkpoint | Mapping[str, np.ndarray],
+    X: np.ndarray,
+    labels: np.ndarray,
+    inv_temperature: float | None = None,
+) -> EvalReport:
+    """Loss and top-1 error on a split; calibrated loss when beta given."""
+    return evaluate_logits(forward(theta, X), labels, inv_temperature)

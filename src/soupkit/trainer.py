@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import Dataset
-from .errors import ConfigError, DataFormatError, DivergenceError, SoupkitError
+from .errors import ConfigError, DataFormatError, DivergenceError, SoupkitError, require_finite
 from .fileio import atomic_write_text
 from .rng import PortableRng, derive_seed
 from .tensorstore import (
@@ -77,6 +77,11 @@ class HyperConfig:
     sam_rho: float | None = None
 
     def validate(self) -> None:
+        require_finite(
+            self,
+            ("learning_rate", "weight_decay", "label_smoothing", "mixup_alpha", "input_noise_std"),
+            optional=("ema_decay", "sam_rho"),
+        )
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be nonnegative")
         if self.weight_decay < 0:
@@ -384,7 +389,7 @@ class SweepManifest:
 
 
 def effective_workers(requested: int | None) -> int:
-    """Worker count for sweep execution, capped by SOUPKIT_THREADS."""
+    """Worker count for sweep execution, capped by SOUPKIT_THREADS; a cap below 1 is serial."""
     cap = os.environ.get("SOUPKIT_THREADS")
     workers = requested if requested is not None else 1
     if cap is not None:

@@ -465,6 +465,41 @@ def test_non_finite_json_metric_exits_non_finite_code(workspace, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("metric", ["loss", "error"])
+def test_overflowing_plane_range_exits_non_finite_code(workspace, tmp_path, capsys, metric):
+    # Finite but huge plane coordinates overflow the logits; no nan cell may be written.
+    manifest = trainer.load_manifest(workspace["manifest"])
+    paths = [manifest.checkpoint_path(e) for e in manifest.entries[:2]]
+    out = tmp_path / "plane.csv"
+    argv = ["plane", "--ckpt-a", str(workspace["base"]), "--ckpt-b", str(paths[0]),
+            "--ckpt-c", str(paths[1]), "--data", str(workspace["data"]), "--metric", metric,
+            "--x-range=-1e300:1e300:3", "--y-range=0:1:2", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_SHAPE
+    assert _single_error_line(capsys)["error"] == "non-finite"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_dataset_config_exits_config_code(workspace, tmp_path, capsys, value):
+    out = tmp_path / "data"
+    argv = ["datagen", "--config", str(workspace["config"]),
+            "--set", f"dataset.class_center_scale={value}", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["mixup_alpha", "learning_rate", "sam_rho"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_hyper_config_exits_config_code(workspace, tmp_path, capsys, key, value):
+    out = tmp_path / "theta0.ckpt"
+    argv = ["pretrain", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+            "--set", f"pretrain.{key}={value}", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--soup", "--eval-report"])
 @pytest.mark.parametrize(
     "raw", [b"not json", b"\xff\xfe{}", b"[1, 2]"], ids=["not-json", "not-utf8", "not-object"]

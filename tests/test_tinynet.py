@@ -18,8 +18,8 @@ from soupkit.tinynet import (
     as_params,
     cross_entropy_from_targets,
     evaluate,
+    _forward_cached,
     forward,
-    grad,
     grad64,
     hessian_quadratic_form,
     init_checkpoint,
@@ -123,6 +123,33 @@ def test_forward_accepts_checkpoint_and_params_equally():
     assert np.allclose(forward(ckpt, X), forward(params, X), atol=1e-5)
 
 
+@given(
+    widths=st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=5),
+    rows=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32),
+    float32_input=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_forward_bitwise_equals_cached_forward(widths, rows, seed, float32_input):
+    rng = PortableRng(seed)
+    params = {}
+    for i in range(len(widths) - 1):
+        fi, fo = widths[i], widths[i + 1]
+        params[f"layer{i}.weight"] = rng.normals(fi * fo).reshape(fi, fo)
+        params[f"layer{i}.bias"] = 0.5 * rng.normals(fo)
+        if i < len(widths) - 2:
+            params[f"layer{i}.gain"] = 1.5 * rng.normals(fo)  # perturbed, some negative
+    X = 2.0 * rng.normals(rows * widths[0]).reshape(rows, widths[0])
+    if float32_input:
+        X = X.astype(np.float32)
+    before = X.copy()
+    p = as_params(params)
+    got = forward(p, X)
+    assert got.dtype == np.float64 and got.shape == (rows, widths[-1])
+    assert got.tobytes() == _forward_cached(p, X)[1].tobytes()
+    assert X.tobytes() == before.tobytes()  # the in-place kernel leaves its input alone
+
+
 # ------------------------------------------------------------- losses
 
 
@@ -208,11 +235,12 @@ def test_grad_matches_central_differences(widths, seed, smoothing, beta):
         assert rel.max() < 1e-4, f"{name}: max rel err {rel.max():.2e}"
 
 
-def test_grad_checkpoint_wrapper_shapes():
+def test_grad64_shares_checkpoint_layout():
     params = _random_params((4, 6, 3), 3)
     ckpt = Checkpoint.from_arrays(params)
     X = PortableRng(9).normals(12).reshape(3, 4)
-    g = grad(ckpt, X, np.array([0, 1, 2]))
+    _, g = grad64(as_params(ckpt), X, smoothed_targets(np.array([0, 1, 2]), 3, 0.0))
+    assert g.layout == ckpt.layout
     assert list(g) == list(ckpt)
     for name in ckpt:
         assert g[name].shape == ckpt[name].shape
