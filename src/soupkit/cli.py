@@ -56,6 +56,7 @@ from .errors import (
     ShapeMismatchError,
     SoupkitError,
     UndefinedAngleError,
+    is_integer,
 )
 from .fileio import atomic_write_text
 from .tensorstore import Checkpoint, load as load_checkpoint, save as save_checkpoint
@@ -110,9 +111,16 @@ def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> dict:
     return doc
 
 
+def _object(value: object, where: str) -> dict:
+    """A copy of a config object; anything else is a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return dict(value)
+
+
 def _build(cls, data: Mapping, where: str):
     try:
-        obj = cls(**data)
+        obj = cls(**_object(data, where))
     except TypeError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return obj
@@ -125,31 +133,36 @@ def dataset_config_from(doc: Mapping) -> datagen.DatasetConfig:
 
 
 def arch_from(doc: Mapping) -> ArchSpec:
-    section = dict(doc.get("arch", {}))
+    section = _object(doc.get("arch", {}), "arch")
     widths = section.pop("layer_widths", None)
     if section:
         raise ConfigError(f"arch: unknown keys {sorted(section)}")
     if widths is None:
         raise ConfigError("arch.layer_widths is required")
+    if not (isinstance(widths, list) and all(is_integer(w) for w in widths)):
+        raise ConfigError(f"arch.layer_widths must be a list of integers, got {widths!r}")
     try:
-        return ArchSpec(tuple(int(w) for w in widths))
-    except (TypeError, ValueError) as exc:
+        return ArchSpec(tuple(widths))
+    except ValueError as exc:
         raise ConfigError(f"arch.layer_widths: {exc}") from exc
 
 
 def pretrain_config_from(doc: Mapping) -> trainer.HyperConfig:
-    return trainer.HyperConfig.from_dict(dict(doc.get("pretrain", {})))
+    return trainer.HyperConfig.from_dict(_object(doc.get("pretrain", {}), "pretrain"))
 
 
 def sweep_configs_from(doc: Mapping) -> list[trainer.HyperConfig]:
-    section = dict(doc.get("sweep", {}))
+    section = _object(doc.get("sweep", {}), "sweep")
     if "configs" in section:
         explicit = section.pop("configs")
         if section:
             raise ConfigError(f"sweep: unknown keys next to configs: {sorted(section)}")
         if not isinstance(explicit, list) or not explicit:
             raise ConfigError("sweep.configs must be a nonempty list")
-        return [trainer.HyperConfig.from_dict(dict(c)) for c in explicit]
+        return [
+            trainer.HyperConfig.from_dict(_object(c, f"sweep.configs[{i}]"))
+            for i, c in enumerate(explicit)
+        ]
     count = section.pop("count", None)
     master_seed = section.pop("master_seed", None)
     space_doc = section.pop("space", {})
@@ -157,14 +170,15 @@ def sweep_configs_from(doc: Mapping) -> list[trainer.HyperConfig]:
         raise ConfigError(f"sweep: unknown keys {sorted(section)}")
     if count is None or master_seed is None:
         raise ConfigError("sweep needs count and master_seed (or explicit configs)")
+    if not (is_integer(count) and count >= 1 and is_integer(master_seed)):
+        raise ConfigError(f"sweep: count must be an integer >= 1 and master_seed an integer, "
+                          f"got {count!r} and {master_seed!r}")
     space_doc = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in dict(space_doc).items()
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in _object(space_doc, "sweep.space").items()
     }
     space = _build(trainer.SearchSpace, space_doc, "sweep.space")
-    try:
-        return trainer.random_search_configs(int(count), int(master_seed), space)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
+    return trainer.random_search_configs(count, master_seed, space)
 
 
 # --------------------------------------------------------------- shared bits
@@ -640,7 +654,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every non-finite result is caught and mapped to exit 4 or 6, so
+        # NumPy's floating-point warnings would only break the one-line
+        # stderr contract.  run_sweep passes this state to its workers.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except Exception as exc:  # mapped to documented exit codes below
         for kind, category, code in _ERROR_EXITS:
             if isinstance(exc, kind):

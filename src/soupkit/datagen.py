@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, require_finite
+from .errors import ConfigError, DataFormatError, require_finite, require_int
 from .fileio import atomic_write_text
 from .rng import PortableRng
 
@@ -60,6 +60,8 @@ class DatasetConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        counts = ("input_dim", "num_classes", "num_train", "num_val", "num_test", "num_shift")
+        require_int(self, (*counts, "seed"))
         require_finite(self, ("class_center_scale", "within_class_std", "shift_magnitude"))
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")

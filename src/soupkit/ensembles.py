@@ -31,11 +31,12 @@ from .fileio import atomic_write_text
 from .tensorstore import Checkpoint, content_digest
 from .tinynet import (
     EvalReport,
-    cross_entropy_from_targets,
+    check_labels,
     evaluate_logits,
     forward,
+    log_softmax,
     loss_ce,
-    smoothed_targets,
+    onehot_nll,
     softmax,
 )
 from .soups import greedy_select
@@ -138,11 +139,11 @@ class TemperatureFit:
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     """Logit scale minimizing mean NLL of beta * logits on this split."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    # loss_ce(logits, labels, 0.0, beta) with the one-hot targets built once
-    targets = smoothed_targets(np.asarray(labels), logits.shape[1], 0.0)
+    # loss_ce(logits, labels, 0.0, beta) with the labels checked once
+    labels = check_labels(labels, logits.shape[1])
 
     def nll(log_beta: float) -> float:
-        return cross_entropy_from_targets(logits, targets, math.exp(log_beta))
+        return onehot_nll(log_softmax(math.exp(log_beta) * logits), labels)
 
     lo, hi = math.log(BETA_GRID_LO), math.log(BETA_GRID_HI)
     probes = [nll(lo), nll(0.5 * (lo + hi)), nll(hi)]

@@ -2,14 +2,14 @@
 
 Each failure category gets its own class so callers (and the CLI exit
 code mapping) can tell them apart without parsing messages.
-:func:`require_finite` is the finite-number check the config validators
-share.
+:func:`require_finite` and :func:`require_int` are the number checks the
+config validators share.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 from typing import Sequence
 
 
@@ -69,6 +69,16 @@ class DivergenceError(SoupkitError):
     """Training loss became non-finite; message names the failing step."""
 
 
+def is_finite_number(value: object) -> bool:
+    """True for a real number that is neither NaN nor infinite; a bool is not a number here."""
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+
+
+def is_integer(value: object) -> bool:
+    """True for an int (or NumPy integer); bool and integral floats such as 8.0 are not."""
+    return not isinstance(value, bool) and isinstance(value, Integral)
+
+
 def require_finite(config: object, names: Sequence[str], optional: Sequence[str] = ()) -> None:
     """ConfigError unless each named field of ``config`` is a finite real number.
 
@@ -79,5 +89,17 @@ def require_finite(config: object, names: Sequence[str], optional: Sequence[str]
         value = getattr(config, name)
         if value is None and name in optional:
             continue
-        if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        if not is_finite_number(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def require_int(config: object, names: Sequence[str]) -> None:
+    """ConfigError unless each named field of ``config`` is an integer (see :func:`is_integer`).
+
+    ``true`` passes ``epochs < 1`` as 1 and ``1.5`` reaches ``range()``,
+    so config validators call this before their range checks.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if not is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

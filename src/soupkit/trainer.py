@@ -30,7 +30,16 @@ from typing import Sequence
 import numpy as np
 
 from .datagen import Dataset
-from .errors import ConfigError, DataFormatError, DivergenceError, SoupkitError, require_finite
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    DivergenceError,
+    SoupkitError,
+    is_finite_number,
+    is_integer,
+    require_finite,
+    require_int,
+)
 from .fileio import atomic_write_text
 from .rng import PortableRng, derive_seed
 from .tensorstore import (
@@ -77,6 +86,7 @@ class HyperConfig:
     sam_rho: float | None = None
 
     def validate(self) -> None:
+        require_int(self, ("epochs", "batch_size", "seed"))
         require_finite(
             self,
             ("learning_rate", "weight_decay", "label_smoothing", "mixup_alpha", "input_noise_std"),
@@ -318,11 +328,37 @@ class SearchSpace:
     optimizer: str = "adamw"
     schedule: str = "cosine"
 
+    def validate(self) -> None:
+        """ConfigError unless every candidate drawn from this space is a valid HyperConfig."""
+        for name in ("lr_exponent_range", "wd_exponent_range", "epochs_range"):
+            pair = getattr(self, name)
+            if not (
+                isinstance(pair, tuple)
+                and len(pair) == 2
+                and all(is_finite_number(v) for v in pair)
+                and pair[0] <= pair[1]
+            ):
+                raise ConfigError(f"{name} must be an ordered pair of finite numbers: {pair!r}")
+        if not all(is_integer(v) and v >= 1 for v in self.epochs_range):
+            raise ConfigError(f"epochs_range must hold integers >= 1, got {self.epochs_range!r}")
+        unit = ("smoothing_max", "smoothing_off_probability", "mixup_off_probability",
+                "noise_off_probability")
+        require_finite(self, (*unit, "mixup_max", "noise_std_max"))
+        for name in unit:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
+        if self.mixup_max < 0 or self.noise_std_max < 0:
+            raise ConfigError("mixup_max and noise_std_max must be nonnegative")
+        # Fields every candidate copies as they are.
+        fixed = HyperConfig(batch_size=self.batch_size, optimizer=self.optimizer, schedule=self.schedule)
+        fixed.validate()
+
 
 def random_search_configs(
     count: int, master_seed: int, space: SearchSpace = SearchSpace()
 ) -> list[HyperConfig]:
     """Independent random-search candidates; lr/wd are log-uniform."""
+    space.validate()
     configs = []
     for i in range(count):
         rng = PortableRng(derive_seed(master_seed, i))
@@ -439,8 +475,16 @@ def run_sweep(
     if workers == 1:
         entries = [run_one(i) for i in range(len(configs))]
     else:
+        # A new thread starts from NumPy's default floating-point error
+        # state, so each worker runs under the caller's.
+        errstate = np.geterr()
+
+        def run_in_caller_errstate(index: int) -> SweepEntry:
+            with np.errstate(**errstate):
+                return run_one(index)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run_one, range(len(configs))))
+            entries = list(pool.map(run_in_caller_errstate, range(len(configs))))
 
     manifest = SweepManifest(
         entries=entries, theta0_digest=content_digest(theta0), directory=str(out_dir)
@@ -485,6 +529,6 @@ def load_manifest(path: str | Path) -> SweepManifest:
             for e in raw["entries"]
         ]
         theta0_digest = raw.get("theta0_digest", "")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"{path}: not a sweep manifest: {exc!r}") from exc
     return SweepManifest(entries=entries, theta0_digest=theta0_digest, directory=str(path.parent))

@@ -153,3 +153,36 @@ def pair_angle_reference(theta0, theta1, theta2, excluded=(".gain", ".bias")):
     n2 = math.sqrt(math.fsum(v * v for v in d2))
     cosine = math.fsum(a * b for a, b in zip(d1, d2)) / (n1 * n2)
     return math.degrees(math.acos(max(-1.0, min(1.0, cosine))))
+
+
+# The class-axis formulas as first written: np.max on the C-order array and
+# the one-hot cross-entropy as a sum of targets times log-probabilities.
+# tinynet computes the same bits with a column-major max and a gather.
+
+
+def class_max_c_order(g):
+    """np.max over the last axis of the array as given, keepdims."""
+    return np.max(g, axis=-1, keepdims=True)
+
+
+def softmax_c_order(logits):
+    g = np.asarray(logits, dtype=np.float64)
+    g = g - class_max_c_order(g)
+    e = np.exp(g)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def log_softmax_c_order(logits):
+    g = np.asarray(logits, dtype=np.float64)
+    m = class_max_c_order(g)
+    return g - m - np.log(np.sum(np.exp(g - m), axis=-1, keepdims=True))
+
+
+def cross_entropy_product_sum(logits, labels, smoothing=0.0, inv_temperature=1.0):
+    """-mean(sum(targets * log_softmax(beta * logits))) with (1 - s) * onehot + s / C targets."""
+    g = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    rows, classes = g.shape
+    targets = np.full((rows, classes), smoothing / classes, dtype=np.float64)
+    targets[np.arange(rows), labels] += 1.0 - smoothing
+    ls = log_softmax_c_order(inv_temperature * g)
+    return float(-np.mean(np.sum(targets * ls, axis=1)))

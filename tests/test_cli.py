@@ -7,15 +7,21 @@ the documented exit codes with their machine-readable stderr lines.
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import soupkit
 from soupkit import cli, datagen, trainer
 from soupkit.tensorstore import load as load_checkpoint
 from soupkit.tinynet import evaluate
+
+SRC_DIR = Path(soupkit.__file__).resolve().parent.parent
 
 RUN_CONFIG = {
     "dataset": {
@@ -355,6 +361,11 @@ def _single_error_line(capsys) -> dict:
         json.dumps({"entries": [{"config": {}, "path": "m.ckpt", "val_accuracy": 0.5}]}),
         json.dumps({"entries": [{"index": 0, "path": "m.ckpt", "val_accuracy": 0.5}]}),
         json.dumps(["entries"]),
+        # A config the manifest's own writer could not have produced.
+        json.dumps({"entries": [{"index": 0, "config": {"epochs": True}, "path": "m.ckpt",
+                                 "val_accuracy": 0.5}]}),
+        '{"entries": [{"index": 0, "config": {"learning_rate": NaN}, "path": "m.ckpt",'
+        ' "val_accuracy": 0.5}]}',
     ],
 )
 def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
@@ -454,7 +465,6 @@ def test_bad_numeric_flag_exits_config_code(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_non_finite_json_metric_exits_non_finite_code(workspace, tmp_path, capsys):
     # A finite but huge --beta overflows the scaled logits; NaN must not reach the JSON.
     out = tmp_path / "e.json"
@@ -462,6 +472,96 @@ def test_non_finite_json_metric_exits_non_finite_code(workspace, tmp_path, capsy
             "--beta", "1e308", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_SHAPE
     assert _single_error_line(capsys)["error"] == "non-finite"
+    assert not out.exists()
+
+
+def _run_cli_process(argv, env_updates=()):
+    """Run the CLI in a fresh interpreter, where NumPy warnings reach stderr unfiltered."""
+    env = {k: v for k, v in os.environ.items() if k != "SOUPKIT_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    env.update(env_updates)
+    return subprocess.run(
+        [sys.executable, "-m", "soupkit.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=300,
+    )
+
+
+def test_overflow_in_a_subprocess_prints_one_json_line(workspace, tmp_path):
+    out = tmp_path / "e.json"
+    proc = _run_cli_process(["eval", "--ckpt", str(workspace["base"]), "--data",
+                             str(workspace["data"]), "--beta", "1e308", "--out", str(out)])
+    assert proc.returncode == cli.EXIT_SHAPE
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "non-finite"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_overflowing_sweep_workers_print_nothing(workspace, tmp_path, workers):
+    # Input noise of 1e308 overflows outside the guarded gradient step, in the
+    # sweep's own worker threads when workers > 1; both entries then diverge.
+    configs = [{"input_noise_std": 1e308, "epochs": 1, "seed": s} for s in (1, 2)]
+    out = tmp_path / "sweep"
+    proc = _run_cli_process(["sweep", "--config", str(workspace["config"]),
+                             "--set", f"sweep.configs={json.dumps(configs)}",
+                             "--data", str(workspace["data"]), "--base", str(workspace["base"]),
+                             "--out", str(out), "--workers", workers])
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == ""
+    entries = json.loads((out / "manifest.json").read_text())["entries"]
+    assert all(e["error"].startswith("DivergenceError") for e in entries)
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("datagen", "dataset.num_train=1.5"),
+        ("datagen", "dataset.input_dim=true"),
+        ("datagen", 'dataset.seed="7"'),
+        ("pretrain", "pretrain.epochs=NaN"),
+        ("pretrain", "pretrain.epochs=true"),
+        ("pretrain", "pretrain.batch_size=2.5"),
+        ("pretrain", "arch.layer_widths=[6.5,12,3]"),
+        ("pretrain", "arch.layer_widths=[6,true,3]"),
+        ("sweep", "sweep.space.batch_size=0"),
+        ("sweep", "sweep.space.batch_size=false"),
+        ("sweep", "sweep.space.epochs_range=[1.5,3]"),
+        ("sweep", "sweep.space.epochs_range=[0,3]"),
+        ("sweep", "sweep.space.lr_exponent_range=[4,1]"),
+        ("sweep", "sweep.space.wd_exponent_range=[1,Infinity]"),
+        ("sweep", "sweep.space.lr_exponent_range=[1,2,3]"),
+        ("sweep", "sweep.space.mixup_off_probability=NaN"),
+        ("sweep", "sweep.space.smoothing_off_probability=1.5"),
+        ("sweep", "sweep.space.smoothing_max=2"),
+        ("sweep", "sweep.space.mixup_max=-0.1"),
+        ("sweep", "sweep.space.optimizer=lbfgs"),
+        ("sweep", "sweep.count=1.5"),
+        ("sweep", "sweep.count=0"),
+        ("sweep", "sweep.master_seed=true"),
+        ("sweep", "sweep.space=[1]"),
+        ("sweep", "sweep=[1]"),
+        ("sweep", "sweep.configs=[5]"),
+        ("pretrain", "pretrain=5"),
+        ("pretrain", "arch=5"),
+        ("datagen", "dataset=5"),
+    ],
+)
+def test_bad_config_field_exits_config_code(
+    workspace, tmp_path, capsys, command, override
+):
+    config = tmp_path / "run.json"
+    doc = {k: v for k, v in RUN_CONFIG.items() if k != "sweep"}
+    config.write_text(json.dumps({**doc, "sweep": {"count": 2, "master_seed": 0}}))
+    out = tmp_path / "out"
+    inputs = {
+        "datagen": [],
+        "pretrain": ["--data", str(workspace["data"])],
+        "sweep": ["--data", str(workspace["data"]), "--base", str(workspace["base"])],
+    }[command]
+    argv = [command, "--config", str(config), "--set", override, *inputs, "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
     assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from soupkit import ensembles, soups
+from soupkit.rng import PortableRng
 from soupkit.tinynet import forward, loss_ce
 
 
@@ -183,6 +184,44 @@ def test_fit_temperature_stays_inside_bracket():
     fit = ensembles.fit_temperature(logits, labels)
     assert 0.05 <= fit.beta <= 20.0
     assert fit.beta > 15.0
+
+
+def _pinned_fit_inputs():
+    rng = PortableRng(2203)
+    logits = 2.5 * rng.normals(300 * 8).reshape(300, 8)
+    noise = rng.uniforms(300)
+    labels = np.where(noise < 0.6, np.argmax(logits, axis=1), np.arange(300) % 8)
+    return logits, labels
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("8-class", ("0.5373752465222571", "1.525669537778083", False)),
+        ("3-class-float32", ("0.12104652585373625", "1.0695341906101439", False)),
+        ("flat", ("1.0", "1.3862943611198906", True)),
+    ],
+)
+def test_fit_temperature_pinned_values(case, want):
+    # Recorded with the one-hot product-sum NLL and the C-order max shift.
+    logits, labels = _pinned_fit_inputs()
+    if case == "3-class-float32":
+        logits, labels = logits[:, :3].astype(np.float32), labels % 3
+    elif case == "flat":
+        logits, labels = np.zeros((16, 4)), np.arange(16) % 4
+    fit = ensembles.fit_temperature(logits, labels)
+    assert (repr(fit.beta), repr(fit.nll), fit.degenerate) == want
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.array([0, -1, 2]), np.array([0, 3, 1]), np.array([[0, 1, 2]]), np.array([0, 1])],
+    ids=["negative", "too-large", "two-d", "count-mismatch"],
+)
+def test_fit_temperature_rejects_bad_labels(labels):
+    logits = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(ValueError):
+        ensembles.fit_temperature(logits, labels)
 
 
 # ----------------------------------------------------------- equal-mass ECE

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+from soupkit import tinynet
 from soupkit.errors import ShapeMismatchError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint, checkpoints_equal
@@ -181,6 +185,8 @@ def test_loss_ce_validation():
         loss_ce(logits, np.array([0, 1]), smoothing=1.0)
     with pytest.raises(ValueError):
         loss_ce(logits, np.array([0, 1]), inv_temperature=0.0)
+    with pytest.raises(ValueError):
+        loss_ce(logits, np.array([0, 1, 2]))  # one label per row
 
 
 def test_loss_ce_stability_with_large_logits():
@@ -197,6 +203,92 @@ def test_softmax_rows_normalize(seed):
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(p >= 0)
     assert np.allclose(np.exp(log_softmax(logits)), p, atol=1e-12)
+
+
+def _class_values(width):
+    """Tie-prone constants and signed zeros, moderate floats, and floats whose shifts overflow."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+        st.floats(-60.0, 60.0, width=width),
+        st.floats(allow_nan=False, allow_infinity=False, width=width),
+    )
+
+
+@st.composite
+def class_axis_cases(draw):
+    """(logits, labels) with 1-40 rows, 2-20 classes, float32 or float64."""
+    rows = draw(st.integers(min_value=1, max_value=40))
+    classes = draw(st.integers(min_value=2, max_value=20))
+    width = draw(st.sampled_from([32, 64]))
+    dtype = np.float32 if width == 32 else np.float64
+    logits = draw(hnp.arrays(dtype, (rows, classes), elements=_class_values(width)))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
+    return logits, np.array(labels)
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@given(class_axis_cases())
+@settings(max_examples=150, deadline=None)
+def test_softmax_and_log_softmax_bitwise_match_c_order_oracle(case):
+    logits, _ = case
+    with np.errstate(all="ignore"):
+        assert _same_bits(softmax(logits), oracles.softmax_c_order(logits))
+        assert _same_bits(log_softmax(logits), oracles.log_softmax_c_order(logits))
+
+
+@given(
+    class_axis_cases(),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([1.0, 0.05, 0.7, 20.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_loss_ce_bitwise_matches_product_sum_oracle(case, smoothing, beta):
+    logits, labels = case
+    with np.errstate(all="ignore"):
+        got = loss_ce(logits, labels, smoothing, beta)
+        want = oracles.cross_entropy_product_sum(logits, labels, smoothing, beta)
+    assert _same_bits(got, want), (got, want)
+
+
+def test_loss_ce_keeps_nan_where_product_sum_meets_minus_inf():
+    # The shift 1.7e308 - (-1.7e308) overflows to -inf; 0.0 * -inf is NaN in the product sum.
+    logits = np.array([[1.7e308, -1.7e308], [0.5, 0.25]])
+    labels = np.array([0, 1])
+    with np.errstate(all="ignore"):
+        got = loss_ce(logits, labels)
+        want = oracles.cross_entropy_product_sum(logits, labels)
+    assert np.isnan(got) and _same_bits(got, want)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=2, max_value=20),
+    st.sampled_from([0.0, 1.0, 40.0]),  # 0.0 ties every class
+    st.sampled_from([1.0, 0.3, 2.5]),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_grad64_bitwise_matches_c_order_max(seed, rows, classes, head_scale, beta, smooth, f32):
+    widths = (5, 7, classes)
+    params = _random_params(widths, seed)
+    params["layer1.weight"] *= head_scale
+    params["layer1.bias"] *= head_scale
+    rng = PortableRng(seed + 1)
+    X = rng.normals(rows * widths[0]).reshape(rows, widths[0])
+    if f32:
+        X = X.astype(np.float32)
+    labels = np.array([rng.below(classes) for _ in range(rows)])
+    targets = smoothed_targets(labels, classes, 0.1 if smooth else 0.0)
+    loss, grads = grad64(params, X, targets, beta)
+    with mock.patch.object(tinynet, "_class_max", oracles.class_max_c_order):
+        want_loss, want_grads = grad64(params, X, targets, beta)
+    assert _same_bits(loss, want_loss)
+    assert grads.vector.tobytes() == want_grads.vector.tobytes()
 
 
 # ------------------------------------------------------------- gradients
