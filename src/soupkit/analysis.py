@@ -14,9 +14,9 @@ Numerical conventions
   Only models evaluated as stored averages (curves, midpoints, grid
   pairs) use the float32 ``combine``, which keeps endpoints bitwise.
 * The alpha second derivative uses a central difference with step
-  ``h_alpha`` (default 0.05); alphas closer than ``h_alpha`` to 0 or 1
-  fall back to the one-sided second difference anchored at the
-  endpoint, so every probe stays inside [0, 1].
+  ``ALPHA_FD_STEP`` (0.05); alphas closer than that to 0 or 1 fall
+  back to the one-sided second difference anchored at the endpoint, so
+  every probe stays inside [0, 1].
 * The tau-integral uses composite Simpson quadrature on an odd,
   evenly spaced node grid (default 33 nodes).
 
@@ -40,7 +40,7 @@ whose kernel integrates to alpha * (1 - alpha) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -48,7 +48,7 @@ import numpy as np
 
 from .ensembles import fit_temperature
 from .errors import DegenerateBasisError, NonFiniteError, UndefinedAngleError
-from .fileio import atomic_write_text
+from .fileio import cell, write_table
 from .tensorstore import Checkpoint, Params, as_params, axpy, combine, dot, to_checkpoint
 from .tinynet import (
     _forward_cached,
@@ -167,10 +167,8 @@ def interpolation_curve(
 
 
 def write_curve_csv(rows: Sequence[Mapping], path: str | Path) -> None:
-    lines = ["alpha,split,loss,top1_error"]
-    for r in rows:
-        lines.append(f"{r['alpha']!r},{r['split']},{r['loss']!r},{r['top1_error']!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = ("alpha", "split", "loss", "top1_error")
+    write_table(path, columns, [[r[c] for c in columns] for r in rows])
 
 
 # ------------------------------------------------------------ 2-D landscape
@@ -261,17 +259,9 @@ def write_plane_csv(
     basis: PlaneBasis, metric: str, path: str | Path,
 ) -> None:
     """Rectangular matrix: header row of x coords, one row per y coord."""
-    lines = [
-        "# metric={} coords0={!r} coords1={!r} coords2={!r}".format(
-            metric, basis.coords0, basis.coords1, basis.coords2
-        ),
-        "y\\x," + ",".join(repr(float(x)) for x in xs),
-    ]
-    for i, y in enumerate(ys):
-        lines.append(
-            repr(float(y)) + "," + ",".join(repr(float(v)) for v in matrix[i])
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    coords = [f"({cell(u)}, {cell(v)})" for u, v in (basis.coords0, basis.coords1, basis.coords2)]
+    comment = "metric={} coords0={} coords1={} coords2={}".format(metric, *coords)
+    write_table(path, ["y\\x", *xs], [[y, *row] for y, row in zip(ys, matrix)], comment)
 
 
 # ------------------------------------------------------ endpoint-pair study
@@ -321,12 +311,8 @@ def grid_endpoint_study(
 
 
 def write_grid_study_csv(cells: Sequence[GridStudyCell], path: str | Path) -> None:
-    lines = ["a,b,pair_accuracy,best_in_range,advantage"]
-    for c in cells:
-        lines.append(
-            f"{c.a},{c.b},{c.pair_accuracy!r},{c.best_in_range!r},{c.advantage!r}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = ("a", "b", "pair_accuracy", "best_in_range", "advantage")
+    write_table(path, header, map(astuple, cells))
 
 
 # ---------------------------------------- soup vs ensemble, second order
@@ -354,8 +340,9 @@ class ApproxRecord:
     variance_term: float
 
 
-def _alpha_second_derivative(loss_at, alpha: float, h: float) -> float:
+def _alpha_second_derivative(loss_at, alpha: float) -> float:
     """d2 loss / d alpha2 by second differences staying inside [0, 1]."""
+    h = ALPHA_FD_STEP
     if alpha - h < 0.0:
         return (loss_at(alpha) - 2.0 * loss_at(alpha + h) + loss_at(alpha + 2.0 * h)) / (h * h)
     if alpha + h > 1.0:
@@ -363,14 +350,12 @@ def _alpha_second_derivative(loss_at, alpha: float, h: float) -> float:
     return (loss_at(alpha - h) - 2.0 * loss_at(alpha) + loss_at(alpha + h)) / (h * h)
 
 
-def _check_approx_args(alphas: Sequence[float], beta_mode: str, h_alpha: float) -> None:
+def _check_approx_args(alphas: Sequence[float], beta_mode: str) -> None:
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha {alpha} outside [0, 1]")
     if beta_mode not in BETA_MODES:
         raise ValueError(f"beta_mode must be one of {BETA_MODES}")
-    if not 0.0 < h_alpha <= 0.5:
-        raise ValueError("h_alpha must lie in (0, 0.5]")
 
 
 def _approx_record(
@@ -384,7 +369,6 @@ def _approx_record(
     beta_mode: str,
     pair_id: str,
     split: str,
-    h_alpha: float,
 ) -> ApproxRecord:
     """One record from the endpoint logits f0, f1, which do not depend on alpha."""
     delta_f = f1 - f0
@@ -400,7 +384,7 @@ def _approx_record(
         f = f_soup if a == alpha else forward(axpy(p0, delta, a), X)
         return loss_ce(f, labels, 0.0, beta)
 
-    second_derivative = _alpha_second_derivative(loss_at, alpha, h_alpha)
+    second_derivative = _alpha_second_derivative(loss_at, alpha)
     variance = float(np.mean(hessian_quadratic_form(beta * f_soup, delta_f)))
     c_alpha = alpha * (1.0 - alpha) / 2.0
     approx = c_alpha * (-second_derivative + beta**2 * variance)
@@ -433,14 +417,13 @@ def soup_vs_ensemble_approx(
     beta_mode: str = "calibrate-soup",
     pair_id: str = "pair",
     split: str = "",
-    h_alpha: float = ALPHA_FD_STEP,
 ) -> ApproxRecord:
     """Second-order estimate of L_soup - L_ens for one (pair, alpha)."""
-    _check_approx_args([alpha], beta_mode, h_alpha)
+    _check_approx_args([alpha], beta_mode)
     p0, p1, delta = _segment(theta0, theta1)
     return _approx_record(
         p0, delta, forward(p0, X), forward(p1, X), alpha, X, np.asarray(labels),
-        beta_mode, pair_id, split, h_alpha,
+        beta_mode, pair_id, split,
     )
 
 
@@ -472,7 +455,6 @@ def integral_oracle(
     alpha: float,
     X: np.ndarray,
     num_nodes: int = SIMPSON_NODES,
-    curvature_step: float = 1e-3,
 ) -> np.ndarray:
     """|Simpson integral - (f_ens - f_soup)| per example and class.
 
@@ -490,9 +472,7 @@ def integral_oracle(
     h = 1.0 / (num_nodes - 1)
     integral = np.zeros((X.shape[0], arch_of(p0).num_classes))
     for j, tau in enumerate(taus):
-        curvature = logit_second_directional(
-            axpy(p0, delta, float(tau)), delta, X, h=curvature_step
-        )
+        curvature = logit_second_directional(axpy(p0, delta, float(tau)), delta, X)
         simpson_w = 1.0 if j in (0, num_nodes - 1) else (4.0 if j % 2 == 1 else 2.0)
         integral += (h / 3.0) * simpson_w * float(interpolation_kernel(tau, alpha)) * curvature
 
@@ -580,7 +560,6 @@ def approx_validation_report(
     alpha_grid: Sequence[float],
     splits: Mapping[str, tuple[np.ndarray, np.ndarray]],
     beta_mode: str = "calibrate-soup",
-    h_alpha: float = ALPHA_FD_STEP,
 ) -> ApproxValidationReport:
     """One record per (pair, split, alpha) plus scatter summaries.
 
@@ -593,7 +572,7 @@ def approx_validation_report(
     if len(set(ids)) != len(ids):
         raise ValueError("pair_id values must be unique")
     alphas = [float(alpha) for alpha in alpha_grid]
-    _check_approx_args(alphas, beta_mode, h_alpha)
+    _check_approx_args(alphas, beta_mode)
     records = []
     for pair in pairs:
         p0, p1, delta = _segment(pair.theta0, pair.theta1)
@@ -603,7 +582,7 @@ def approx_validation_report(
                 records.append(
                     _approx_record(
                         p0, delta, f0, f1, alpha, X, labels,
-                        beta_mode, pair.pair_id, split_name, h_alpha,
+                        beta_mode, pair.pair_id, split_name,
                     )
                 )
     rates = [p.learning_rate for p in pairs if p.learning_rate is not None]
@@ -625,28 +604,15 @@ def approx_validation_report(
 def write_approx_csv(report: ApproxValidationReport, path: str | Path) -> None:
     def fmt(summary: ApproxSummary) -> str:
         return "pearson={} sign_agreement={} count={} degenerate={}".format(
-            "NA" if summary.pearson is None else repr(summary.pearson),
-            "NA" if summary.sign_agreement is None else repr(summary.sign_agreement),
-            summary.count,
-            summary.degenerate,
+            *map(cell, (summary.pearson, summary.sign_agreement, summary.count, summary.degenerate))
         )
 
-    lines = [
-        "# beta_mode={} all: {} excluding_highest_lr: {} excluded_learning_rate={}".format(
-            report.beta_mode,
-            fmt(report.summary_all),
-            fmt(report.summary_excluding_highest_lr),
-            "NA"
-            if report.excluded_learning_rate is None
-            else repr(report.excluded_learning_rate),
-        ),
-        "pair,split,alpha,beta,approx_value,true_loss_diff,true_err_diff,"
-        "second_derivative_term,variance_term",
-    ]
-    for r in report.records:
-        lines.append(
-            f"{r.pair_id},{r.split},{r.alpha!r},{r.beta!r},{r.approx_value!r},"
-            f"{r.true_loss_diff!r},{r.true_err_diff!r},"
-            f"{r.second_derivative_term!r},{r.variance_term!r}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    comment = "beta_mode={} all: {} excluding_highest_lr: {} excluded_learning_rate={}".format(
+        report.beta_mode,
+        fmt(report.summary_all),
+        fmt(report.summary_excluding_highest_lr),
+        cell(report.excluded_learning_rate),
+    )
+    header = ("pair", "split", "alpha", "beta", "approx_value", "true_loss_diff", "true_err_diff",
+              "second_derivative_term", "variance_term")
+    write_table(path, header, map(astuple, report.records), comment)

@@ -25,11 +25,12 @@ Exit codes:
     3  missing input file or directory
     4  training diverged (non-finite loss)
     5  malformed input file (checkpoint, dataset or manifest format)
-    6  shape/geometry mismatch or non-finite result
+    6  shape/geometry mismatch or non-finite result (nothing is written)
 
 Errors print one JSON object to stderr: {"error": category, "type":
 exception class, "message": text}.  All outputs are written atomically
-(temp file + rename), and every command is deterministic: identical
+(temp file + rename), JSON and CSV ones through ``soupkit.fileio``,
+which refuses NaN and infinity.  Every command is deterministic: identical
 inputs produce identical output bytes.  SOUPKIT_THREADS caps sweep
 parallelism.
 """
@@ -58,7 +59,7 @@ from .errors import (
     UndefinedAngleError,
     is_integer,
 )
-from .fileio import atomic_write_text
+from .fileio import read_json, write_json
 from .tensorstore import Checkpoint, load as load_checkpoint, save as save_checkpoint
 from .tinynet import ArchSpec, forward, loss_ce, predictions
 
@@ -94,7 +95,7 @@ def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> dict:
     """Config dict from an optional JSON file plus --set overrides."""
     doc: dict = {}
     if path is not None:
-        doc = _read_json(path, ConfigError)
+        doc = read_json(path, ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")
     for text in overrides:
@@ -235,23 +236,6 @@ def _manifest_models(path: str) -> tuple[trainer.SweepManifest, list[Checkpoint]
     return manifest, models
 
 
-def _read_json(path: str | Path, error: type[SoupkitError]):
-    """Parsed JSON file; text that is not UTF-8 JSON raises ``error``."""
-    text = Path(path).read_bytes()
-    try:
-        return json.loads(text.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
-
-
-def _write_json(path: str, payload: dict) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # a NaN or infinity never reaches the artifact
-        raise NonFiniteError(f"{path}: non-finite value in output: {exc}") from exc
-    atomic_write_text(path, text + "\n")
-
-
 DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
 
 
@@ -329,7 +313,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         "top1_error": err,
         "accuracy": 1.0 - err,
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -355,7 +339,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "calibrated_loss": report.calibrated_loss,
         "ece": report.ece,
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -396,7 +380,7 @@ def cmd_grid_study(args: argparse.Namespace) -> int:
 
 
 def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
-    raw = _read_json(path, ConfigError)
+    raw = read_json(path, ConfigError)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: pair file must be a JSON list")
     specs = []
@@ -464,7 +448,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _read_json_object(path: str) -> dict:
-    doc = _read_json(path, DataFormatError)
+    doc = read_json(path, DataFormatError)
     if not isinstance(doc, dict):
         raise DataFormatError(f"{path}: top level must be a JSON object")
     return doc
@@ -490,7 +474,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             payload[key] = entries
     if not payload:
         raise ConfigError("report needs at least one of --manifest/--soup/--eval-report")
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return EXIT_OK
 
 

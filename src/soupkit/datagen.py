@@ -31,14 +31,13 @@ Magnitude 0 reproduces the base test distribution for every kind.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, require_finite, require_int
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_json, write_json
 from .rng import PortableRng
 
 SHIFT_KINDS = ("mean-shift", "noise-inflation", "rotation")
@@ -217,22 +216,22 @@ def save_csv(ds: Dataset, directory: str | Path) -> None:
     """Write one CSV per split (train/val/test/shift) plus config.json."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    if ds.config is not None:  # field order, not sorted keys: these bytes are pinned
+        write_json(directory / "config.json", ds.config.__dict__, sort_keys=False)
     for name in SPLIT_NAMES:
         atomic_write_text(directory / f"{name}.csv", _format_split(ds.splits[name]))
-    if ds.config is not None:
-        atomic_write_text(
-            directory / "config.json", json.dumps(ds.config.__dict__, indent=2) + "\n"
-        )
 
 
 def load_csv(directory: str | Path) -> Dataset:
+    """The dataset in ``directory``; a malformed split or config.json raises DataFormatError."""
     directory = Path(directory)
     config = None
     config_path = directory / "config.json"
     if config_path.exists():
         try:
-            config = DatasetConfig(**json.loads(config_path.read_text()))
-        except (TypeError, ValueError) as exc:
+            config = DatasetConfig(**read_json(config_path, DataFormatError))
+            config.validate()
+        except (TypeError, ConfigError) as exc:
             raise DataFormatError(f"{config_path}: bad config: {exc}") from exc
     num_classes = config.num_classes if config else None
     splits = {}

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import cell, write_table
 from .tensorstore import Checkpoint, content_digest
 from .tinynet import (
     EvalReport,
@@ -51,28 +51,19 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def logit_ensemble(
     models: Sequence[Checkpoint],
     X: np.ndarray,
-    weights: Sequence[float] | None = None,
     *,
     logits_cache: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Weighted mean of per-model logits, shape [n, num_classes].
+    """Uniform mean of per-model logits, shape [n, num_classes].
 
-    Weights must be nonnegative with a positive sum; they are
-    normalized to sum to one.  Default is the uniform ensemble.
+    Sums ``(1/k) * logits`` left to right over the k models.
     ``logits_cache`` maps a checkpoint's ``content_digest`` to its
     logits on this X: a member found there is not forwarded again, and
     a missing one is added.  Use one cache per X.
     """
     if not models:
         raise ValueError("logit_ensemble needs at least one model")
-    if weights is None:
-        weights = [1.0] * len(models)
-    if len(weights) != len(models):
-        raise ValueError(f"{len(weights)} weights for {len(models)} models")
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0.0) or w.sum() <= 0.0:
-        raise ValueError("weights must be nonnegative with a positive sum")
-    w = w / w.sum()
+    w = 1.0 / len(models)
 
     def logits_of(model: Checkpoint) -> np.ndarray:
         if logits_cache is None or not isinstance(model, Checkpoint):
@@ -82,9 +73,9 @@ def logit_ensemble(
             logits_cache[key] = forward(model, X)
         return logits_cache[key]
 
-    acc = w[0] * logits_of(models[0])
-    for i in range(1, len(models)):
-        acc = acc + w[i] * logits_of(models[i])
+    acc = w * logits_of(models[0])
+    for model in models[1:]:
+        acc = acc + w * logits_of(model)
     return acc
 
 
@@ -109,7 +100,6 @@ def ensemble_accuracy_fn(X: np.ndarray, y: np.ndarray) -> Callable[[Sequence[Che
 def greedy_ensemble(
     models: Sequence[Checkpoint],
     val_accuracy_fn: Callable[[Sequence[Checkpoint]], float],
-    presort: bool = True,
 ) -> list[int]:
     """Greedy member selection; returns indices in acceptance order.
 
@@ -124,8 +114,7 @@ def greedy_ensemble(
     def subset_score(indices: list[int]) -> float:
         return val_accuracy_fn([models[i] for i in indices])
 
-    scores = [val_accuracy_fn([m]) for m in models] if presort else None
-    pool, _ = greedy_select(len(models), subset_score, scores, presort)
+    pool, _ = greedy_select(subset_score, [val_accuracy_fn([m]) for m in models])
     return pool
 
 
@@ -272,22 +261,16 @@ def calibration_report(
 
 def write_calibration_csv(report: CalibrationReport, path: str | Path) -> None:
     """Per-bin reliability table with a one-line comment summary."""
-    lines = [
-        "# beta={!r} degenerate={} nll_before={!r} nll_after={!r} "
-        "ece_before={!r} ece_after={!r}".format(
-            report.beta,
-            report.degenerate,
-            report.nll_before,
-            report.nll_after,
-            report.ece_before,
-            report.ece_after,
-        ),
-        "stage,bin,count,mean_confidence,accuracy",
+    comment = "beta={} degenerate={} nll_before={} nll_after={} ece_before={} ece_after={}".format(
+        *map(cell, (report.beta, report.degenerate, report.nll_before, report.nll_after,
+                    report.ece_before, report.ece_after))
+    )
+    rows = [
+        (stage, i, b.count, b.mean_confidence, b.accuracy)
+        for stage, bins in (("before", report.bins_before), ("after", report.bins_after))
+        for i, b in enumerate(bins)
     ]
-    for stage, bins in (("before", report.bins_before), ("after", report.bins_after)):
-        for i, b in enumerate(bins):
-            lines.append(f"{stage},{i},{b.count},{b.mean_confidence!r},{b.accuracy!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, ("stage", "bin", "count", "mean_confidence", "accuracy"), rows, comment)
 
 
 def evaluate_with_calibration(

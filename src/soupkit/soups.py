@@ -23,7 +23,6 @@ so that plain parameter averaging lands in the same loss basin.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import write_json
 from .tensorstore import (
     Checkpoint,
     Params,
@@ -98,22 +97,16 @@ def uniform_soup(models: Sequence[Checkpoint]) -> SoupResult:
 
 
 def greedy_select(
-    count: int,
     subset_score: Callable[[list[int]], float],
-    candidate_scores: Sequence[float] | None,
-    presort: bool = True,
+    candidate_scores: Sequence[float],
 ) -> tuple[list[int], float]:
     """Shared greedy-growth control flow over model indices.
 
-    Visits candidates (sorted by their individual score when presort is
-    on, ties keeping input order) and keeps each one iff the pooled
-    score does not drop.  Starts from the empty pool at -inf.
+    Visits candidates sorted by their individual score (descending, ties
+    keeping input order) and keeps each one iff the pooled score does
+    not drop.  Starts from the empty pool at -inf.
     """
-    order = list(range(count))
-    if presort:
-        if candidate_scores is None:
-            raise ValueError("presort requires per-candidate scores")
-        order.sort(key=lambda i: -candidate_scores[i])  # stable: ties keep index order
+    order = sorted(range(len(candidate_scores)), key=lambda i: -candidate_scores[i])
     pool: list[int] = []
     best = -math.inf
     for i in order:
@@ -127,7 +120,6 @@ def greedy_select(
 def greedy_soup(
     models: Sequence[Checkpoint],
     val_accuracy_fn: Callable[[Checkpoint], float],
-    presort: bool = True,
 ) -> SoupResult:
     """Greedy ingredient selection with uniform averaging of the pool."""
     if not models:
@@ -138,8 +130,7 @@ def greedy_soup(
         avg = combine([1.0 / size] * size, [models[i] for i in indices])
         return val_accuracy_fn(avg)
 
-    scores = [val_accuracy_fn(m) for m in models] if presort else None
-    pool, _ = greedy_select(len(models), subset_score, scores, presort)
+    pool, _ = greedy_select(subset_score, [val_accuracy_fn(m) for m in models])
     k = len(pool)
     ckpt = combine([1.0 / k] * k, [models[i] for i in pool])
     ckpt.meta.update(
@@ -235,9 +226,10 @@ def learned_soup(
 
 
 def save_soup(result: SoupResult, path: str | Path) -> None:
-    """Persist the merged checkpoint plus a JSON sidecar of the recipe."""
-    path = Path(path)
-    save_checkpoint(result.checkpoint, path)
+    """Persist the merged checkpoint plus a JSON sidecar of the recipe.
+
+    The sidecar goes first, so a non-finite recipe value writes neither file.
+    """
     sidecar = {
         "digest": content_digest(result.checkpoint),
         "ingredient_indices": result.ingredient_indices,
@@ -246,4 +238,5 @@ def save_soup(result: SoupResult, path: str | Path) -> None:
     }
     if result.loss_trace is not None:
         sidecar["loss_trace"] = result.loss_trace
-    atomic_write_text(str(path) + ".soup.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(str(path) + ".soup.json", sidecar)
+    save_checkpoint(result.checkpoint, path)

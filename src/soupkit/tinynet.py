@@ -365,7 +365,6 @@ def evaluate(
     theta: Checkpoint | Mapping[str, np.ndarray],
     X: np.ndarray,
     labels: np.ndarray,
-    inv_temperature: float | None = None,
 ) -> EvalReport:
-    """Loss and top-1 error on a split; calibrated loss when beta given."""
-    return evaluate_logits(forward(theta, X), labels, inv_temperature)
+    """Loss and top-1 error on a split."""
+    return evaluate_logits(forward(theta, X), labels)

@@ -40,7 +40,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .fileio import atomic_write_text
+from .fileio import read_json, write_json
 from .rng import PortableRng, derive_seed
 from .tensorstore import (
     Checkpoint,
@@ -509,26 +509,37 @@ def save_manifest(manifest: SweepManifest, path: str | Path) -> None:
             for e in manifest.entries
         ],
     }
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
+
+
+def _entry_from(raw: dict) -> SweepEntry:
+    """One manifest entry; ConfigError unless its fields have the types save_manifest writes."""
+    entry = SweepEntry(
+        index=raw["index"],
+        config=HyperConfig.from_dict(raw["config"]),
+        path=raw["path"],
+        val_accuracy=raw["val_accuracy"],
+        ema_path=raw.get("ema_path"),
+        ema_val_accuracy=raw.get("ema_val_accuracy"),
+        error=raw.get("error"),
+    )
+    require_int(entry, ("index",))
+    require_finite(entry, (), optional=("val_accuracy", "ema_val_accuracy"))
+    for name in ("path", "ema_path", "error"):
+        if not isinstance(getattr(entry, name), (str, type(None))):
+            raise ConfigError(f"{name} must be a string or null, got {getattr(entry, name)!r}")
+    if entry.error is None and (entry.path is None or entry.val_accuracy is None):
+        raise ConfigError("an entry without error needs a path and a val_accuracy")
+    return entry
 
 
 def load_manifest(path: str | Path) -> SweepManifest:
+    """The manifest at ``path``; a malformed file or entry raises DataFormatError."""
     path = Path(path)
+    raw = read_json(path, DataFormatError)
     try:
-        raw = json.loads(path.read_text())
-        entries = [
-            SweepEntry(
-                index=e["index"],
-                config=HyperConfig.from_dict(e["config"]),
-                path=e["path"],
-                val_accuracy=e["val_accuracy"],
-                ema_path=e.get("ema_path"),
-                ema_val_accuracy=e.get("ema_val_accuracy"),
-                error=e.get("error"),
-            )
-            for e in raw["entries"]
-        ]
+        entries = [_entry_from(e) for e in raw["entries"]]
         theta0_digest = raw.get("theta0_digest", "")
-    except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ConfigError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"{path}: not a sweep manifest: {exc!r}") from exc
     return SweepManifest(entries=entries, theta0_digest=theta0_digest, directory=str(path.parent))

@@ -95,16 +95,15 @@ def ece_equal_mass_oracle(confidences, correct, num_bins):
     return total
 
 
-def greedy_pool_oracle(subset_score, individual_scores, presort=True):
+def greedy_pool_oracle(subset_score, individual_scores):
     """Transliteration of greedy grow-if-not-worse selection.
 
-    ``subset_score`` maps a list of indices (in visit order) to the
-    pooled score.  Returns the accepted indices in acceptance order.
+    Candidates are visited by descending individual score, ties in
+    index order.  ``subset_score`` maps a list of indices (in visit
+    order) to the pooled score.  Returns the accepted indices in
+    acceptance order.
     """
-    count = len(individual_scores)
-    order = list(range(count))
-    if presort:
-        order = sorted(order, key=lambda i: -individual_scores[i])
+    order = sorted(range(len(individual_scores)), key=lambda i: -individual_scores[i])
     pool, best = [], -math.inf
     for i in order:
         candidate = pool + [i]

@@ -403,10 +403,6 @@ def test_approx_validates_arguments(desk_models, desk_dataset):
         analysis.soup_vs_ensemble_approx(
             desk_models[0], desk_models[1], 0.5, val.x, val.y, beta_mode="auto"
         )
-    with pytest.raises(ValueError):
-        analysis.soup_vs_ensemble_approx(
-            desk_models[0], desk_models[1], 0.5, val.x, val.y, h_alpha=0.6
-        )
 
 
 # ------------------------------------------------- exact integral identity

@@ -6,20 +6,29 @@ subcommand against those artifacts and check outputs, determinism, and
 the documented exit codes with their machine-readable stderr lines.
 """
 
+import contextlib
+import io
 import json
+import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soupkit
 from soupkit import cli, datagen, trainer
-from soupkit.tensorstore import load as load_checkpoint
-from soupkit.tinynet import evaluate
+from soupkit.errors import DataFormatError
+from soupkit.rng import PortableRng
+from soupkit.tensorstore import Checkpoint, load as load_checkpoint, save as save_checkpoint
+from soupkit.tinynet import ArchSpec, evaluate, init_checkpoint
 
 SRC_DIR = Path(soupkit.__file__).resolve().parent.parent
 
@@ -366,6 +375,11 @@ def _single_error_line(capsys) -> dict:
                                  "val_accuracy": 0.5}]}),
         '{"entries": [{"index": 0, "config": {"learning_rate": NaN}, "path": "m.ckpt",'
         ' "val_accuracy": 0.5}]}',
+        # entry fields of the wrong type, or not finite
+        json.dumps({"entries": [{"index": 0, "config": {}, "path": 5, "val_accuracy": 0.5}]}),
+        json.dumps({"entries": [{"index": 0, "config": {}, "path": "m.ckpt",
+                                 "val_accuracy": "x"}]}),
+        '{"entries": [{"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": NaN}]}',
     ],
 )
 def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
@@ -374,6 +388,7 @@ def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
     argv = ["soup", "uniform", "--manifest", str(manifest), "--out", str(tmp_path / "s.ckpt")]
     assert cli.main(argv) == cli.EXIT_FORMAT
     assert _single_error_line(capsys)["error"] == "data-format"
+    assert not list(tmp_path.glob("s.ckpt*"))
 
 
 @pytest.mark.parametrize("alphas", ["0,1.5", "-0.1", "0.5,nan"])
@@ -627,6 +642,188 @@ def test_non_finite_dataset_value_exits_format_code(workspace, tmp_path, capsys,
     assert cli.main(argv) == cli.EXIT_FORMAT
     assert _single_error_line(capsys)["error"] == "data-format"
     assert not (tmp_path / "r.json").exists()
+
+
+# ---------------------------------------------- hostile inputs, one property
+
+# Every weight +-3e38 with random signs: finite in float32, but the logits of
+# this arch overflow, so every loss and confidence computed from them is NaN.
+HOSTILE_ARCH = ArchSpec((4, 5, 5, 5, 5, 3))
+
+# argv before --out; {ckpt}, {data} and {manifest} name the inputs
+HOSTILE_COMMANDS = {
+    "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--data", "{data}"],
+    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--ckpt-c", "{ckpt}",
+              "--data", "{data}", "--x-range", "0:1:2", "--y-range", "0:1:2"],
+    "calibrate-ckpt": ["calibrate", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "calibrate-manifest": ["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
+    "ensemble": ["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}"],
+    "soup-uniform": ["soup", "uniform", "--manifest", "{manifest}"],
+    "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
+    "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}"],
+    "report": ["report", "--manifest", "{manifest}"],
+}
+
+
+def _reading(slot: str) -> tuple[str, ...]:
+    return tuple(c for c, argv in HOSTILE_COMMANDS.items() if "{%s}" % slot in argv)
+
+
+# corrupted input kind -> (expected exit code, the commands it must stop)
+HOSTILE_KINDS = {
+    "overflowing-checkpoint": (
+        cli.EXIT_SHAPE, ("eval", "interp", "calibrate-ckpt", "calibrate-manifest", "ensemble")
+    ),
+    "manifest-entry-field": (cli.EXIT_FORMAT, _reading("manifest")),
+    "dataset-config-field": (cli.EXIT_FORMAT, _reading("data")),
+    # report reads the manifest but none of its checkpoints
+    "truncated-checkpoint": (cli.EXIT_FORMAT, tuple(c for c in HOSTILE_COMMANDS if c != "report")),
+    "missing-input": (cli.EXIT_MISSING_INPUT, tuple(HOSTILE_COMMANDS)),
+}
+HOSTILE_PAIRS = [(command, kind) for kind, (_, commands) in HOSTILE_KINDS.items()
+                 for command in commands]
+
+# values a manifest entry field cannot hold (each entry has error null)
+BAD_ENTRY_FIELDS = {
+    "index": ["0", 0.0, True, None, [0]],
+    "path": [5, 1.5, False, None, ["m.ckpt"], {}],
+    "ema_path": [5, True, []],
+    "error": [5, 0.0, True, {}],
+    "val_accuracy": ["x", "0.5", True, None, [0.5], math.nan, math.inf, -math.inf],
+    "ema_val_accuracy": ["x", False, {}, math.nan, -math.inf],
+}
+# values no dataset config field can hold
+BAD_CONFIG_VALUES = ["x", None, True, [], {}, math.nan, math.inf, -math.inf]
+
+
+def _manifest_doc(ckpt: Path) -> dict:
+    entry = {"index": 0, "config": {}, "path": str(ckpt), "val_accuracy": 0.5,
+             "ema_path": None, "ema_val_accuracy": None, "error": None}
+    return {"theta0_digest": "", "entries": [entry, {**entry, "index": 1}]}
+
+
+def _write_manifest(path: Path, ckpt: Path) -> Path:
+    path.write_text(json.dumps(_manifest_doc(ckpt)))
+    return path
+
+
+def _hostile_argv(command: str, inputs: dict, out: Path) -> list[str]:
+    text = {k: str(v) for k, v in inputs.items()}
+    return [arg.format(**text) for arg in HOSTILE_COMMANDS[command]] + ["--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def hostile(tmp_path_factory):
+    """A small dataset for HOSTILE_ARCH, a sane and an overflowing checkpoint,
+    and a two-entry manifest over each (entry paths are absolute)."""
+    root = tmp_path_factory.mktemp("hostile")
+    cfg = datagen.DatasetConfig(input_dim=4, num_classes=3, num_train=24, num_val=24,
+                                num_test=24, num_shift=24)
+    datagen.save_csv(datagen.generate(cfg), root / "data")
+    sane = init_checkpoint(HOSTILE_ARCH, 0)
+    signs = np.where(PortableRng(1).uniforms(sane.vector.size) < 0.5, -1.0, 1.0)
+    overflow = Checkpoint(sane.layout, (3e38 * signs).astype(np.float32), {})
+    save_checkpoint(sane, root / "sane.ckpt")
+    save_checkpoint(overflow, root / "overflow.ckpt")
+    return {
+        "root": root,
+        "data": root / "data",
+        "sane": root / "sane.ckpt",
+        "overflow": root / "overflow.ckpt",
+        "sane-manifest": _write_manifest(root / "sane.json", root / "sane.ckpt"),
+        "overflow-manifest": _write_manifest(root / "overflow.json", root / "overflow.ckpt"),
+    }
+
+
+def _corrupt(kind: str, hostile: dict, tmp: Path, draw) -> dict:
+    """Inputs for one command with one input corrupted as ``kind`` says."""
+    inputs = {"data": hostile["data"], "ckpt": hostile["sane"],
+              "manifest": hostile["sane-manifest"]}
+    if kind == "overflowing-checkpoint":
+        inputs.update(ckpt=hostile["overflow"], manifest=hostile["overflow-manifest"])
+    elif kind == "manifest-entry-field":
+        field = draw(st.sampled_from(sorted(BAD_ENTRY_FIELDS)))
+        doc = _manifest_doc(hostile["sane"])
+        doc["entries"][draw(st.sampled_from([0, 1]))][field] = draw(
+            st.sampled_from(BAD_ENTRY_FIELDS[field]))
+        inputs["manifest"] = tmp / "manifest.json"
+        inputs["manifest"].write_text(json.dumps(doc))
+    elif kind == "dataset-config-field":
+        inputs["data"] = tmp / "data"
+        shutil.copytree(hostile["data"], inputs["data"])
+        path = inputs["data"] / "config.json"
+        config = json.loads(path.read_text())
+        config[draw(st.sampled_from([*config, "unknown_field"]))] = draw(
+            st.sampled_from(BAD_CONFIG_VALUES))
+        path.write_text(json.dumps(config))
+    elif kind == "truncated-checkpoint":
+        blob = hostile["sane"].read_bytes()
+        inputs["ckpt"] = tmp / "cut.ckpt"
+        inputs["ckpt"].write_bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
+    else:  # missing-input
+        inputs = {name: tmp / f"missing-{name}" for name in inputs}
+    return inputs
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=st.sampled_from(HOSTILE_PAIRS), data=st.data())
+def test_hostile_input_exits_documented_code_and_writes_nothing(hostile, pair, data):
+    command, kind = pair
+    expected = HOSTILE_KINDS[kind][0]
+    with tempfile.TemporaryDirectory(dir=hostile["root"]) as name:
+        tmp = Path(name)
+        argv = _hostile_argv(command, _corrupt(kind, hostile, tmp, data.draw), tmp / "out")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code == expected and code in (2, 3, 5, 6), (argv, stderr.getvalue())
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        assert set(json.loads(lines[0])) == {"error", "type", "message"}
+        assert not list(tmp.glob("out*"))
+
+
+def test_every_bad_field_value_is_a_format_error(hostile, tmp_path):
+    # The property above samples these pools; here each value is tried once.
+    manifest = tmp_path / "manifest.json"
+    for field, values in BAD_ENTRY_FIELDS.items():
+        for value in values:
+            doc = _manifest_doc(hostile["sane"])
+            doc["entries"][0][field] = value
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(DataFormatError):
+                trainer.load_manifest(manifest)
+    data = tmp_path / "data"
+    shutil.copytree(hostile["data"], data)
+    config = json.loads((data / "config.json").read_text())
+    for field in [*config, "unknown_field"]:
+        for value in BAD_CONFIG_VALUES:
+            (data / "config.json").write_text(json.dumps({**config, field: value}))
+            with pytest.raises(DataFormatError):
+                datagen.load_csv(data)
+
+
+@pytest.mark.parametrize("command", ["interp", "calibrate-ckpt"])
+def test_overflowing_checkpoint_writes_no_csv(hostile, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    inputs = {"ckpt": hostile["overflow"], "data": hostile["data"]}
+    assert cli.main(_hostile_argv(command, inputs, out)) == cli.EXIT_SHAPE
+    assert _single_error_line(capsys)["error"] == "non-finite"
+    assert not out.exists()
+
+
+def test_malformed_dataset_config_exits_format_code(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    config = json.loads((data / "config.json").read_text())
+    (data / "config.json").write_text(json.dumps({**config, "num_classes": "x"}))
+    out = tmp_path / "r.json"
+    argv = ["eval", "--ckpt", str(workspace["base"]), "--data", str(data), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_FORMAT
+    assert _single_error_line(capsys)["error"] == "data-format"
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- soups

@@ -25,17 +25,13 @@ def test_logit_ensemble_uniform_is_mean_of_forwards(desk_models, desk_dataset):
     np.testing.assert_allclose(out, stacked.mean(axis=0), rtol=0, atol=1e-12)
 
 
-def test_logit_ensemble_weights_are_normalized(desk_models, desk_dataset):
+def test_logit_ensemble_sums_scaled_logits_left_to_right(desk_models, desk_dataset):
     X = desk_dataset.splits["test"].x[:16]
-    two = desk_models[:2]
-    doubled = ensembles.logit_ensemble(two, X, weights=[2.0, 2.0])
-    uniform = ensembles.logit_ensemble(two, X)
-    np.testing.assert_array_equal(doubled, uniform)
-
-    alpha = 0.3
-    mixed = ensembles.logit_ensemble(two, X, weights=[1.0 - alpha, alpha])
-    manual = (1.0 - alpha) * forward(two[0], X) + alpha * forward(two[1], X)
-    np.testing.assert_allclose(mixed, manual, rtol=0, atol=1e-12)
+    three = desk_models[:3]
+    manual = (1.0 / 3) * forward(three[0], X)
+    for model in three[1:]:
+        manual = manual + (1.0 / 3) * forward(model, X)
+    np.testing.assert_array_equal(ensembles.logit_ensemble(three, X), manual)
 
 
 def test_logit_ensemble_of_identical_models_matches_single(desk_models, desk_dataset):
@@ -48,12 +44,6 @@ def test_logit_ensemble_validates_inputs(desk_models, desk_dataset):
     X = desk_dataset.splits["test"].x[:4]
     with pytest.raises(ValueError):
         ensembles.logit_ensemble([], X)
-    with pytest.raises(ValueError):
-        ensembles.logit_ensemble(desk_models[:2], X, weights=[1.0])
-    with pytest.raises(ValueError):
-        ensembles.logit_ensemble(desk_models[:2], X, weights=[1.0, -0.5])
-    with pytest.raises(ValueError):
-        ensembles.logit_ensemble(desk_models[:2], X, weights=[0.0, 0.0])
 
 
 # --------------------------------------------------------- greedy members
@@ -99,19 +89,6 @@ def test_greedy_ensemble_follows_same_recipe_as_greedy_soup():
         lambda idx: table[frozenset(idx)], [0.9, 0.8, 0.8, 0.1]
     )
     assert members == expected
-
-
-def test_greedy_ensemble_presort_flag():
-    table = {
-        frozenset({0}): 0.1,
-        frozenset({1}): 0.9,
-        frozenset({0, 1}): 0.95,
-    }
-    models = _basis_models(2)
-    assert ensembles.greedy_ensemble(models, _subset_scorer_table(table)) == [1, 0]
-    assert ensembles.greedy_ensemble(
-        models, _subset_scorer_table(table), presort=False
-    ) == [0, 1]
 
 
 def test_greedy_ensemble_on_trained_models_beats_best_individual(

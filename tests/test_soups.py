@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from soupkit import soups
+from soupkit.errors import NonFiniteError
 from soupkit.tensorstore import Checkpoint, checkpoints_equal, combine, content_digest, load
 from soupkit.tinynet import as_params, evaluate, forward, loss_ce
 
@@ -78,19 +79,6 @@ def test_greedy_soup_rejects_then_accepts_equal_score():
         lambda idx: table[frozenset(idx)], [0.9, 0.8, 0.8, 0.1]
     )
     assert result.ingredient_indices == expected
-
-
-def test_greedy_soup_presort_controls_visit_order():
-    table = {
-        frozenset({0}): 0.1,
-        frozenset({1}): 0.9,
-        frozenset({0, 1}): 0.95,
-    }
-    models = _basis_models(2)
-    sorted_run = soups.greedy_soup(models, _table_scorer(table), presort=True)
-    unsorted_run = soups.greedy_soup(models, _table_scorer(table), presort=False)
-    assert sorted_run.ingredient_indices == [1, 0]
-    assert unsorted_run.ingredient_indices == [0, 1]
 
 
 def test_greedy_soup_keeps_first_candidate_even_at_zero_accuracy():
@@ -333,6 +321,14 @@ def test_save_soup_sidecar_omits_missing_trace(tmp_path, desk_models):
     sidecar = json.loads((tmp_path / "uniform.ckpt.soup.json").read_text())
     assert "loss_trace" not in sidecar
     assert sidecar["temperature"] == 1.0
+
+
+def test_save_soup_with_a_non_finite_recipe_writes_nothing(tmp_path, desk_models):
+    result = soups.uniform_soup(desk_models)
+    result.loss_trace = [0.5, math.nan]
+    with pytest.raises(NonFiniteError):
+        soups.save_soup(result, tmp_path / "soup.ckpt")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_soup_metadata_records_recipe(desk_models, desk_dataset):

@@ -22,6 +22,7 @@ from soupkit.tinynet import (
     as_params,
     cross_entropy_from_targets,
     evaluate,
+    evaluate_logits,
     _forward_cached,
     forward,
     grad64,
@@ -434,8 +435,8 @@ def test_evaluate_calibrated_loss():
     params = _random_params((4, 5, 3), 2)
     X = PortableRng(6).normals(8).reshape(2, 4)
     labels = np.array([0, 1])
-    report = evaluate(params, X, labels, inv_temperature=2.0)
     logits = forward(params, X)
+    report = evaluate_logits(logits, labels, inv_temperature=2.0)
     assert report.calibrated_loss == pytest.approx(
         loss_ce(logits, labels, inv_temperature=2.0), rel=1e-12
     )

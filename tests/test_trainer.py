@@ -366,6 +366,7 @@ def test_run_sweep_partial_failure(small_data, tmp_path):
         assert (tmp_path / entry.path).exists()
     raw = json.loads((tmp_path / "manifest.json").read_text())
     assert raw["entries"][1]["error"] is not None
+    assert load_manifest(tmp_path / "manifest.json").entries[1].error == manifest.entries[1].error
 
 
 def test_effective_workers_env_cap(monkeypatch):
