@@ -57,6 +57,7 @@ from .errors import (
     ShapeMismatchError,
     SoupkitError,
     UndefinedAngleError,
+    decode,
     is_integer,
 )
 from .fileio import read_json, write_json
@@ -112,48 +113,11 @@ def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> dict:
     return doc
 
 
-def _object(value: object, where: str) -> dict:
-    """A copy of a config object; anything else is a ConfigError."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _build(cls, data: Mapping, where: str):
-    try:
-        obj = cls(**_object(data, where))
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    return obj
-
-
-def dataset_config_from(doc: Mapping) -> datagen.DatasetConfig:
-    cfg = _build(datagen.DatasetConfig, doc.get("dataset", {}), "dataset")
-    cfg.validate()
-    return cfg
-
-
-def arch_from(doc: Mapping) -> ArchSpec:
-    section = _object(doc.get("arch", {}), "arch")
-    widths = section.pop("layer_widths", None)
-    if section:
-        raise ConfigError(f"arch: unknown keys {sorted(section)}")
-    if widths is None:
-        raise ConfigError("arch.layer_widths is required")
-    if not (isinstance(widths, list) and all(is_integer(w) for w in widths)):
-        raise ConfigError(f"arch.layer_widths must be a list of integers, got {widths!r}")
-    try:
-        return ArchSpec(tuple(widths))
-    except ValueError as exc:
-        raise ConfigError(f"arch.layer_widths: {exc}") from exc
-
-
-def pretrain_config_from(doc: Mapping) -> trainer.HyperConfig:
-    return trainer.HyperConfig.from_dict(_object(doc.get("pretrain", {}), "pretrain"))
-
-
 def sweep_configs_from(doc: Mapping) -> list[trainer.HyperConfig]:
-    section = _object(doc.get("sweep", {}), "sweep")
+    section = doc.get("sweep", {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"sweep must be an object, got {section!r}")
+    section = dict(section)
     if "configs" in section:
         explicit = section.pop("configs")
         if section:
@@ -161,8 +125,7 @@ def sweep_configs_from(doc: Mapping) -> list[trainer.HyperConfig]:
         if not isinstance(explicit, list) or not explicit:
             raise ConfigError("sweep.configs must be a nonempty list")
         return [
-            trainer.HyperConfig.from_dict(_object(c, f"sweep.configs[{i}]"))
-            for i, c in enumerate(explicit)
+            decode(trainer.HyperConfig, c, f"sweep.configs[{i}]") for i, c in enumerate(explicit)
         ]
     count = section.pop("count", None)
     master_seed = section.pop("master_seed", None)
@@ -174,11 +137,7 @@ def sweep_configs_from(doc: Mapping) -> list[trainer.HyperConfig]:
     if not (is_integer(count) and count >= 1 and is_integer(master_seed)):
         raise ConfigError(f"sweep: count must be an integer >= 1 and master_seed an integer, "
                           f"got {count!r} and {master_seed!r}")
-    space_doc = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in _object(space_doc, "sweep.space").items()
-    }
-    space = _build(trainer.SearchSpace, space_doc, "sweep.space")
+    space = decode(trainer.SearchSpace, space_doc, "sweep.space")
     return trainer.random_search_configs(count, master_seed, space)
 
 
@@ -244,7 +203,7 @@ DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
 
 def cmd_datagen(args: argparse.Namespace) -> int:
     doc = load_run_config(args.config, args.set)
-    cfg = dataset_config_from(doc)
+    cfg = decode(datagen.DatasetConfig, doc.get("dataset", {}), "dataset")
     ds = datagen.generate(cfg)
     datagen.save_csv(ds, args.out)
     return EXIT_OK
@@ -252,8 +211,8 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
     doc = load_run_config(args.config, args.set)
-    arch = arch_from(doc)
-    hyper = pretrain_config_from(doc)
+    arch = decode(ArchSpec, doc.get("arch", {}), "arch")
+    hyper = decode(trainer.HyperConfig, doc.get("pretrain", {}), "pretrain")
     ds = _load_dataset(args.data)
     if ds.config is not None:
         if arch.input_dim != ds.config.input_dim or arch.num_classes != ds.config.num_classes:
@@ -372,6 +331,8 @@ def cmd_plane(args: argparse.Namespace) -> int:
 
 def cmd_grid_study(args: argparse.Namespace) -> int:
     _, models = _manifest_models(args.manifest)
+    if len(models) < 2:
+        raise ConfigError(f"grid-study needs at least two successful entries, got {len(models)}")
     ds = _load_dataset(args.data)
     X, y = _split_arrays(ds, args.split)
     cells = analysis.grid_endpoint_study(models, X, y)
@@ -492,8 +453,16 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ConfigErrors, so ``main`` prints them
+    as one JSON line; subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soupkit",
         description="Checkpoint sweeps, weight-space soups, ensembles, and analyses.",
     )
@@ -635,9 +604,8 @@ def _emit_error(category: str, exc: BaseException) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Every non-finite result is caught and mapped to exit 4 or 6, so
         # NumPy's floating-point warnings would only break the one-line
         # stderr contract.  run_sweep passes this state to its workers.

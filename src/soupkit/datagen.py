@@ -31,12 +31,12 @@ Magnitude 0 reproduces the base test distribution for every kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, require_finite, require_int
+from .errors import ConfigError, DataFormatError, check_fields, decode
 from .fileio import atomic_write_text, read_json, write_json
 from .rng import PortableRng
 
@@ -59,22 +59,17 @@ class DatasetConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        counts = ("input_dim", "num_classes", "num_train", "num_val", "num_test", "num_shift")
-        require_int(self, (*counts, "seed"))
-        require_finite(self, ("class_center_scale", "within_class_std", "shift_magnitude"))
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        for name in ("num_train", "num_val", "num_test", "num_shift"):
+        check_fields(self)
+        for name in ("input_dim", "num_train", "num_val", "num_test", "num_shift"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.class_center_scale < 0 or self.within_class_std < 0:
-            raise ConfigError("scales must be nonnegative")
+        if self.num_classes < 2:
+            raise ConfigError("num_classes must be >= 2")
+        for name in ("class_center_scale", "within_class_std", "shift_magnitude"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.shift_kind not in SHIFT_KINDS:
             raise ConfigError(f"shift_kind must be one of {SHIFT_KINDS}")
-        if self.shift_magnitude < 0:
-            raise ConfigError("shift_magnitude must be nonnegative")
 
 
 @dataclass
@@ -90,7 +85,6 @@ class Split:
 class Dataset:
     splits: dict[str, Split]
     config: DatasetConfig | None = None
-    centers: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def train(self) -> Split:
@@ -170,7 +164,7 @@ def generate(cfg: DatasetConfig) -> Dataset:
         transform = _givens_product(cfg.input_dim, cfg.shift_magnitude)
     splits["shift"] = _draw_split(rng, cfg.num_shift, centers, std, transform, offset)
 
-    return Dataset(splits=splits, config=cfg, centers=centers)
+    return Dataset(splits=splits, config=cfg)
 
 
 # ------------------------------------------------------------------ CSV I/O
@@ -229,9 +223,8 @@ def load_csv(directory: str | Path) -> Dataset:
     config_path = directory / "config.json"
     if config_path.exists():
         try:
-            config = DatasetConfig(**read_json(config_path, DataFormatError))
-            config.validate()
-        except (TypeError, ConfigError) as exc:
+            config = decode(DatasetConfig, read_json(config_path, DataFormatError), "dataset")
+        except ConfigError as exc:
             raise DataFormatError(f"{config_path}: bad config: {exc}") from exc
     num_classes = config.num_classes if config else None
     splits = {}

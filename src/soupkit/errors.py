@@ -2,15 +2,19 @@
 
 Each failure category gets its own class so callers (and the CLI exit
 code mapping) can tell them apart without parsing messages.
-:func:`require_finite` and :func:`require_int` are the number checks the
-config validators share.
+:func:`decode` builds every config dataclass from parsed JSON, and
+:func:`check_fields` type-checks its fields against their annotations,
+so no validator keeps a list of field names for a type check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import types
+import typing
+from functools import lru_cache
 from numbers import Integral, Real
-from typing import Sequence
 
 
 class SoupkitError(Exception):
@@ -79,27 +83,64 @@ def is_integer(value: object) -> bool:
     return not isinstance(value, bool) and isinstance(value, Integral)
 
 
-def require_finite(config: object, names: Sequence[str], optional: Sequence[str] = ()) -> None:
-    """ConfigError unless each named field of ``config`` is a finite real number.
-
-    Fields in ``optional`` may also be None.  Comparisons such as
-    ``value < 0`` let NaN through, so config validators call this first.
-    """
-    for name in [*names, *optional]:
-        value = getattr(config, name)
-        if value is None and name in optional:
-            continue
-        if not is_finite_number(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+# A config class's field annotations, resolved once per class.
+_field_types = lru_cache(maxsize=None)(typing.get_type_hints)
 
 
-def require_int(config: object, names: Sequence[str]) -> None:
-    """ConfigError unless each named field of ``config`` is an integer (see :func:`is_integer`).
+def _matches(value: object, hint: object) -> bool:
+    """True if ``value`` has type ``hint``; int and float mean the two checks above."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_matches(value, arg) for arg in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1:] == (Ellipsis,):
+            return all(_matches(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_matches, value, args))
+    if hint is int:
+        return is_integer(value)
+    if hint is float:
+        return is_finite_number(value)
+    return isinstance(value, hint)
 
-    ``true`` passes ``epochs < 1`` as 1 and ``1.5`` reaches ``range()``,
-    so config validators call this before their range checks.
-    """
-    for name in names:
-        value = getattr(config, name)
-        if not is_integer(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+def check_fields(obj: object) -> None:
+    """ConfigError unless each field of the dataclass ``obj`` matches its annotation.
+    NaN and ``true`` pass range checks, so validators call this first."""
+    for name, hint in _field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if not _matches(value, hint):
+            shown = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{name} must be {shown}, got {value!r} (floats must be finite, "
+                              "bools are not ints)")
+
+
+def _convert(value: object, hint: object, where: str) -> object:
+    if typing.get_origin(hint) is tuple and isinstance(value, list):
+        return tuple(value)
+    if dataclasses.is_dataclass(hint) and isinstance(value, dict):
+        return decode(hint, value, where)
+    return value
+
+
+def decode(cls: type, raw: object, where: str):
+    """The ``cls`` config from the JSON object ``raw``, checked by its ``validate()``
+    or else :func:`check_fields`; lists become tuples and objects nested configs."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    fields = _field_types(cls)
+    unknown = sorted(set(raw) - set(fields))
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in raw
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+    if unknown or missing:
+        raise ConfigError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    try:
+        obj = cls(**{k: _convert(v, fields[k], f"{where}.{k}") for k, v in raw.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if hasattr(obj, "validate"):
+        obj.validate()
+    else:
+        check_fields(obj)
+    return obj

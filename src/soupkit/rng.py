@@ -81,10 +81,6 @@ class PortableRng:
         self._seed = seed & _MASK64
         self._count = 0  # raw 64-bit outputs consumed so far
 
-    @property
-    def draws_consumed(self) -> int:
-        return self._count
-
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         if n < 0:

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ShapeMismatchError
 from .fileio import write_json
 from .tensorstore import (
     Checkpoint,
@@ -160,6 +161,8 @@ def learned_soup(
     k = len(models)
     params_list = [as_params(m) for m in models]
     layout = params_list[0].layout
+    if any(p.layout != layout for p in params_list[1:]):
+        raise ShapeMismatchError("learned_soup ingredients differ in tensor names or shapes")
     groups = [name.split(".", 1)[0] + "." if by_layer else "all" for name in layout.names]
     group_keys = list(dict.fromkeys(groups))
     members = [[n for n, g in zip(layout.names, groups) if g == key] for key in group_keys]

@@ -223,13 +223,6 @@ def load(path) -> Checkpoint:
         return deserialize(handle.read())
 
 
-def checkpoints_equal(a: Checkpoint, b: Checkpoint, check_meta: bool = True) -> bool:
-    """Bitwise equality: same names in order, shapes, payload bytes, meta."""
-    if a.layout != b.layout or a.vector.tobytes() != b.vector.tobytes():
-        return False
-    return a.meta == b.meta if check_meta else True
-
-
 def content_digest(ckpt: Checkpoint) -> str:
     """Short hex digest over tensor names, shapes, and payload bytes."""
     h = hashlib.sha256()

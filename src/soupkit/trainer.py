@@ -35,10 +35,8 @@ from .errors import (
     DataFormatError,
     DivergenceError,
     SoupkitError,
-    is_finite_number,
-    is_integer,
-    require_finite,
-    require_int,
+    check_fields,
+    decode,
 )
 from .fileio import read_json, write_json
 from .rng import PortableRng, derive_seed
@@ -86,26 +84,15 @@ class HyperConfig:
     sam_rho: float | None = None
 
     def validate(self) -> None:
-        require_int(self, ("epochs", "batch_size", "seed"))
-        require_finite(
-            self,
-            ("learning_rate", "weight_decay", "label_smoothing", "mixup_alpha", "input_noise_std"),
-            optional=("ema_decay", "sam_rho"),
-        )
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be nonnegative")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_fields(self)
+        for name in ("learning_rate", "weight_decay", "mixup_alpha", "input_noise_std"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError("label_smoothing must lie in [0, 1)")
-        if self.mixup_alpha < 0:
-            raise ConfigError("mixup_alpha must be nonnegative")
-        if self.input_noise_std < 0:
-            raise ConfigError("input_noise_std must be nonnegative")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.schedule not in SCHEDULES:
@@ -116,21 +103,10 @@ class HyperConfig:
             raise ConfigError("sam_rho must be nonnegative; zero disables the ascent step")
 
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:12]
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "HyperConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown hyperparameter keys: {sorted(unknown)}")
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:
@@ -330,21 +306,15 @@ class SearchSpace:
 
     def validate(self) -> None:
         """ConfigError unless every candidate drawn from this space is a valid HyperConfig."""
+        check_fields(self)
         for name in ("lr_exponent_range", "wd_exponent_range", "epochs_range"):
-            pair = getattr(self, name)
-            if not (
-                isinstance(pair, tuple)
-                and len(pair) == 2
-                and all(is_finite_number(v) for v in pair)
-                and pair[0] <= pair[1]
-            ):
-                raise ConfigError(f"{name} must be an ordered pair of finite numbers: {pair!r}")
-        if not all(is_integer(v) and v >= 1 for v in self.epochs_range):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ConfigError(f"{name} must be an ordered pair, got {(lo, hi)!r}")
+        if self.epochs_range[0] < 1:
             raise ConfigError(f"epochs_range must hold integers >= 1, got {self.epochs_range!r}")
-        unit = ("smoothing_max", "smoothing_off_probability", "mixup_off_probability",
-                "noise_off_probability")
-        require_finite(self, (*unit, "mixup_max", "noise_std_max"))
-        for name in unit:
+        for name in ("smoothing_max", "smoothing_off_probability", "mixup_off_probability",
+                     "noise_off_probability"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.mixup_max < 0 or self.noise_std_max < 0:
@@ -406,6 +376,11 @@ class SweepEntry:
     ema_path: str | None = None
     ema_val_accuracy: float | None = None
     error: str | None = None
+
+    def validate(self) -> None:
+        check_fields(self)
+        if self.error is None and (self.path is None or self.val_accuracy is None):
+            raise ConfigError("an entry without error needs a path and a val_accuracy")
 
 
 @dataclass
@@ -512,33 +487,12 @@ def save_manifest(manifest: SweepManifest, path: str | Path) -> None:
     write_json(path, doc)
 
 
-def _entry_from(raw: dict) -> SweepEntry:
-    """One manifest entry; ConfigError unless its fields have the types save_manifest writes."""
-    entry = SweepEntry(
-        index=raw["index"],
-        config=HyperConfig.from_dict(raw["config"]),
-        path=raw["path"],
-        val_accuracy=raw["val_accuracy"],
-        ema_path=raw.get("ema_path"),
-        ema_val_accuracy=raw.get("ema_val_accuracy"),
-        error=raw.get("error"),
-    )
-    require_int(entry, ("index",))
-    require_finite(entry, (), optional=("val_accuracy", "ema_val_accuracy"))
-    for name in ("path", "ema_path", "error"):
-        if not isinstance(getattr(entry, name), (str, type(None))):
-            raise ConfigError(f"{name} must be a string or null, got {getattr(entry, name)!r}")
-    if entry.error is None and (entry.path is None or entry.val_accuracy is None):
-        raise ConfigError("an entry without error needs a path and a val_accuracy")
-    return entry
-
-
 def load_manifest(path: str | Path) -> SweepManifest:
     """The manifest at ``path``; a malformed file or entry raises DataFormatError."""
     path = Path(path)
     raw = read_json(path, DataFormatError)
     try:
-        entries = [_entry_from(e) for e in raw["entries"]]
+        entries = [decode(SweepEntry, e, f"entries[{i}]") for i, e in enumerate(raw["entries"])]
         theta0_digest = raw.get("theta0_digest", "")
     except (ConfigError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"{path}: not a sweep manifest: {exc!r}") from exc

@@ -14,6 +14,13 @@ import numpy as np
 from soupkit import tinynet
 
 
+def checkpoints_equal(a, b, check_meta=True):
+    """Bitwise equality: same names in order, shapes, payload bytes and (optionally) meta."""
+    if a.layout != b.layout or a.vector.tobytes() != b.vector.tobytes():
+        return False
+    return a.meta == b.meta if check_meta else True
+
+
 def fd_gradient(params, X, targets, inv_temperature=1.0, h=1e-3):
     """Central-difference gradient of the mean loss, coordinate by coordinate."""
 

@@ -350,10 +350,22 @@ def test_help_and_bad_subcommand_use_argparse_exits(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
-    with pytest.raises(SystemExit) as info:
-        cli.main(["frobnicate"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: soupkit") and out.err == ""
+    # A usage error is a config error: exit 2 and one JSON line, no usage text.
+    for argv in (
+        ["eval", "--ckpt", "c", "--data", "d", "--bins", "x", "--out", "o"],
+        ["sweep", "--data", "d", "--base", "b", "--out", "o", "--workers", "two"],
+        ["frobnicate"],
+        ["soup"],
+        ["eval", "--ckpt", "c", "--data", "d"],
+    ):
+        assert cli.main(argv) == cli.EXIT_CONFIG, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        lines = out.err.splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert json.loads(lines[0])["error"] == "config"
 
 
 def _single_error_line(capsys) -> dict:
@@ -380,6 +392,9 @@ def _single_error_line(capsys) -> dict:
         json.dumps({"entries": [{"index": 0, "config": {}, "path": "m.ckpt",
                                  "val_accuracy": "x"}]}),
         '{"entries": [{"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": NaN}]}',
+        # a key save_manifest does not write
+        json.dumps({"entries": [{"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": 0.5,
+                                 "note": "x"}]}),
     ],
 )
 def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
@@ -814,6 +829,26 @@ def test_overflowing_checkpoint_writes_no_csv(hostile, tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["uniform", "greedy", "learned"])
+def test_soup_over_checkpoints_of_different_shapes_exits_shape_code(
+    hostile, tmp_path, capsys, kind
+):
+    entries = []
+    for index, arch in enumerate([ArchSpec((4, 5, 3)), ArchSpec((4, 6, 3))]):
+        save_checkpoint(init_checkpoint(arch, index), tmp_path / f"m{index}.ckpt")
+        entries.append({"index": index, "config": {}, "path": f"m{index}.ckpt",
+                        "val_accuracy": 0.5})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"theta0_digest": "", "entries": entries}))
+    out = tmp_path / "soup.ckpt"
+    argv = ["soup", kind, "--manifest", str(manifest), "--out", str(out)]
+    if kind != "uniform":
+        argv += ["--data", str(hostile["data"])]
+    assert cli.main(argv) == cli.EXIT_SHAPE
+    assert _single_error_line(capsys)["error"] == "shape-mismatch"
+    assert not list(tmp_path.glob("soup.ckpt*"))
+
+
 def test_malformed_dataset_config_exits_format_code(workspace, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(workspace["data"], data)
@@ -1114,6 +1149,20 @@ def test_grid_study_emits_all_ordered_pairs(workspace, tmp_path):
     diagonal = [l for l in lines[1:] if l.split(",")[0] == l.split(",")[1]]
     assert len(diagonal) == 4
     assert all(float(l.split(",")[4]) == 0.0 for l in diagonal)
+
+
+def test_grid_study_on_one_successful_entry_exits_config_code(workspace, tmp_path, capsys):
+    sweep = workspace["manifest"].parent
+    doc = json.loads(workspace["manifest"].read_text())
+    entry = {**doc["entries"][0], "path": str(sweep / doc["entries"][0]["path"])}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({**doc, "entries": [entry]}))
+    out = tmp_path / "grid.csv"
+    argv = ["grid-study", "--manifest", str(manifest), "--data", str(workspace["data"]),
+            "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+    assert not out.exists()
 
 
 def test_approx_command_writes_records_and_summary(workspace, tmp_path):

@@ -95,7 +95,7 @@ def test_uniform_range_and_determinism():
 def test_normals_consume_whole_pairs():
     a = PortableRng(9)
     a.normals(3)  # consumes two pairs = 4 raw draws
-    assert a.draws_consumed == 4
+    assert a.raw(1).tolist() == PortableRng(9).raw(5)[4:].tolist()
 
 
 def test_normals_moments_are_sane():

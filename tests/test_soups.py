@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import checkpoints_equal
 from soupkit import soups
 from soupkit.errors import NonFiniteError
-from soupkit.tensorstore import Checkpoint, checkpoints_equal, combine, content_digest, load
+from soupkit.tensorstore import Checkpoint, combine, content_digest, load
 from soupkit.tinynet import as_params, evaluate, forward, loss_ce
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from oracles import checkpoints_equal
 
 from soupkit.analysis import ANGLE_EXCLUDED_SUFFIXES, pair_angle
 from soupkit.errors import (
@@ -31,7 +32,6 @@ from soupkit.tensorstore import (
     Params,
     as_params,
     axpy,
-    checkpoints_equal,
     combine,
     content_digest,
     deserialize,

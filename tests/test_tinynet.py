@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from oracles import checkpoints_equal
 from soupkit import tinynet
 from soupkit.errors import ShapeMismatchError
 from soupkit.rng import PortableRng
-from soupkit.tensorstore import Checkpoint, checkpoints_equal
+from soupkit.tensorstore import Checkpoint
 from soupkit.tinynet import (
     ArchSpec,
     EvalReport,
