@@ -8,9 +8,8 @@
 set -euo pipefail
 
 OUT="${1:-runs/pipeline}"
-# SOUPKIT_THREADS caps the sweep's worker count and a cap below 1 counts
-# as 1, so the default 0 runs the sweep serially; no --workers is passed
-# below either.
+# Sweeps always run serially and SOUPKIT_THREADS changes nothing in them
+# (README, "Determinism and threading"); perfbench/run.py pins the same 0.
 export SOUPKIT_THREADS="${SOUPKIT_THREADS:-0}"
 mkdir -p "$OUT"
 

@@ -484,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--base", required=True, help="shared initialization checkpoint")
     p.add_argument("--out", required=True, help="output sweep directory")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: configs train one after another")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("soup", help="merge sweep checkpoints in weight space")
@@ -608,7 +609,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         # Every non-finite result is caught and mapped to exit 4 or 6, so
         # NumPy's floating-point warnings would only break the one-line
-        # stderr contract.  run_sweep passes this state to its workers.
+        # stderr contract.
         with np.errstate(all="ignore"):
             return args.func(args)
     except Exception as exc:  # mapped to documented exit codes below

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -400,7 +399,11 @@ class SweepManifest:
 
 
 def effective_workers(requested: int | None) -> int:
-    """Worker count for sweep execution, capped by SOUPKIT_THREADS; a cap below 1 is serial."""
+    """Worker count requested of a sweep, capped by SOUPKIT_THREADS; a cap below 1 counts as 1.
+
+    run_sweep trains serially whatever this returns; the count is kept for
+    callers that record the requested parallelism.
+    """
     cap = os.environ.get("SOUPKIT_THREADS")
     workers = requested if requested is not None else 1
     if cap is not None:
@@ -418,23 +421,26 @@ def run_sweep(
     out_dir: str | Path,
     max_workers: int | None = None,
 ) -> SweepManifest:
-    """Fine-tune every config, saving checkpoints and a manifest.
+    """Fine-tune every config in order, saving checkpoints and a manifest.
 
     Failures are recorded per entry (error string, no path); the other
-    entries still complete.  Entry order always follows config order, so
-    the manifest is identical regardless of worker count.
+    entries still complete.  Configs train one after another on the
+    calling thread; ``max_workers`` is accepted and has no effect, because
+    a thread pool measured slower than this loop (README, "Determinism and
+    threading").
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_one(index: int) -> SweepEntry:
-        h = configs[index]
+    entries = []
+    for index, h in enumerate(configs):
         entry = SweepEntry(index=index, config=h)
+        entries.append(entry)
         try:
             result = finetune(theta0, h, dataset)
         except SoupkitError as exc:
             entry.error = f"{type(exc).__name__}: {exc}"
-            return entry
+            continue
         name = f"model_{index:03d}.ckpt"
         save_checkpoint(result.checkpoint, out_dir / name)
         entry.path = name
@@ -444,22 +450,6 @@ def run_sweep(
             save_checkpoint(result.ema, out_dir / ema_name)
             entry.ema_path = ema_name
             entry.ema_val_accuracy = float(result.ema.meta["val_accuracy"])
-        return entry
-
-    workers = effective_workers(max_workers)
-    if workers == 1:
-        entries = [run_one(i) for i in range(len(configs))]
-    else:
-        # A new thread starts from NumPy's default floating-point error
-        # state, so each worker runs under the caller's.
-        errstate = np.geterr()
-
-        def run_in_caller_errstate(index: int) -> SweepEntry:
-            with np.errstate(**errstate):
-                return run_one(index)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(run_in_caller_errstate, range(len(configs))))
 
     manifest = SweepManifest(
         entries=entries, theta0_digest=content_digest(theta0), directory=str(out_dir)
@@ -494,6 +484,8 @@ def load_manifest(path: str | Path) -> SweepManifest:
     try:
         entries = [decode(SweepEntry, e, f"entries[{i}]") for i, e in enumerate(raw["entries"])]
         theta0_digest = raw.get("theta0_digest", "")
+        if not isinstance(theta0_digest, str):
+            raise ConfigError(f"theta0_digest must be str, got {theta0_digest!r}")
     except (ConfigError, KeyError, TypeError, AttributeError) as exc:
         raise DataFormatError(f"{path}: not a sweep manifest: {exc!r}") from exc
     return SweepManifest(entries=entries, theta0_digest=theta0_digest, directory=str(path.parent))

@@ -7,6 +7,7 @@ the documented exit codes with their machine-readable stderr lines.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -395,6 +396,10 @@ def _single_error_line(capsys) -> dict:
         # a key save_manifest does not write
         json.dumps({"entries": [{"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": 0.5,
                                  "note": "x"}]}),
+        # a theta0_digest that is not a string, even with no entries to check
+        '{"theta0_digest": NaN, "entries": []}',
+        json.dumps({"theta0_digest": [1], "entries": []}),
+        json.dumps({"theta0_digest": 5, "entries": []}),
     ],
 )
 def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
@@ -818,6 +823,157 @@ def test_every_bad_field_value_is_a_format_error(hostile, tmp_path):
             (data / "config.json").write_text(json.dumps({**config, field: value}))
             with pytest.raises(DataFormatError):
                 datagen.load_csv(data)
+
+
+# ------------------------------------ valid but degenerate inputs, one property
+
+# argv per command; {out} is the artifact path without its suffix
+DEGENERATE_COMMANDS = {
+    "datagen": ["datagen", "--set", "dataset.input_dim=4", "--set", "dataset.num_classes=3",
+                "--set", "dataset.num_train=24", "--set", "dataset.num_val=24",
+                "--set", "dataset.num_test=24", "--set", "dataset.num_shift=24",
+                "--set", "{dataset_set}", "--out", "{out}"],
+    "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}", "--out", "{out}.json"],
+    "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--data", "{data}",
+               "--alphas", "0,0.5,1", "--out", "{out}.csv"],
+    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--ckpt-c", "{ckpt_c}",
+              "--data", "{data}", "--x-range", "0:1:2", "--y-range", "0:1:2",
+              "--out", "{out}.csv"],
+    "approx": ["approx", "--pairs", "{pairs}", "--data", "{data}", "--alphas", "0,0.5,1",
+               "--out", "{out}.csv"],
+    "calibrate-ckpt": ["calibrate", "--ckpt", "{ckpt}", "--data", "{data}",
+                       "--out", "{out}.csv"],
+    "calibrate-manifest": ["calibrate", "--manifest", "{manifest}", "--data", "{data}",
+                           "--out", "{out}.csv"],
+    "ensemble-uniform": ["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}",
+                         "--out", "{out}.json"],
+    "ensemble-greedy": ["ensemble", "greedy", "--manifest", "{manifest}", "--data", "{data}",
+                        "--out", "{out}.json"],
+    "soup-uniform": ["soup", "uniform", "--manifest", "{manifest}", "--out", "{out}.ckpt"],
+    "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}",
+                    "--out", "{out}.ckpt"],
+    "soup-learned": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}",
+                     "--out", "{out}.ckpt"],
+    "soup-learned-by-layer": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}",
+                              "--by-layer", "--out", "{out}.ckpt"],
+    "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}",
+                   "--out", "{out}.csv"],
+    "report": ["report", "--manifest", "{manifest}", "--out", "{out}.json"],
+}
+_MANIFEST_COMMANDS = tuple(c for c, argv in DEGENERATE_COMMANDS.items() if "{manifest}" in argv)
+
+# (command, degenerate kind) -> exit code
+DEGENERATE_CASES = {
+    **{(c, "all-failed-manifest"): cli.EXIT_CONFIG for c in _MANIFEST_COMMANDS if c != "report"},
+    ("report", "all-failed-manifest"): cli.EXIT_OK,
+    **{(c, "one-entry-manifest"): cli.EXIT_OK for c in _MANIFEST_COMMANDS if c != "grid-study"},
+    ("grid-study", "one-entry-manifest"): cli.EXIT_CONFIG,
+    ("plane", "equal-endpoints"): cli.EXIT_SHAPE,
+    ("interp", "equal-endpoints"): cli.EXIT_OK,
+    ("approx", "equal-endpoints"): cli.EXIT_OK,
+    **{(c, "one-row-test-split"): cli.EXIT_OK
+       for c in ("datagen", "eval", "interp", "calibrate-ckpt", "calibrate-manifest",
+                 "ensemble-uniform", "approx")},
+    ("datagen", "zero-row-val-split"): cli.EXIT_CONFIG,
+    ("datagen", "one-class"): cli.EXIT_CONFIG,
+}
+# what datagen is asked for under each kind
+DEGENERATE_DATASETS = {"one-row-test-split": "dataset.num_test=1",
+                       "zero-row-val-split": "dataset.num_val=0", "one-class": "dataset.num_classes=1"}
+
+
+@pytest.fixture(scope="module")
+def degenerate(hostile):
+    """The hostile fixture's sane inputs plus a second and third checkpoint, an
+    all-failed and a one-entry manifest, and a dataset with one test row."""
+    root = hostile["root"]
+    for seed in (1, 2):
+        save_checkpoint(init_checkpoint(HOSTILE_ARCH, seed), root / f"init{seed}.ckpt")
+    cfg = datagen.DatasetConfig(input_dim=4, num_classes=3, num_train=24, num_val=24,
+                                num_test=1, num_shift=24)
+    datagen.save_csv(datagen.generate(cfg), root / "one-test-row")
+    failed = {"index": 0, "config": {}, "path": None, "val_accuracy": None,
+              "error": "DivergenceError: non-finite training loss at step 0"}
+    doc = _manifest_doc(hostile["sane"])
+    (root / "all-failed.json").write_text(json.dumps(
+        {**doc, "entries": [failed, {**failed, "index": 1}]}))
+    (root / "one-entry.json").write_text(json.dumps({**doc, "entries": doc["entries"][:1]}))
+    return {**hostile, "init1": root / "init1.ckpt", "init2": root / "init2.ckpt",
+            "one-test-row": root / "one-test-row", "all-failed": root / "all-failed.json",
+            "one-entry": root / "one-entry.json"}
+
+
+def _pairs_file(path: Path, endpoints: list[tuple[Path, Path]]) -> Path:
+    path.write_text(json.dumps([{"id": f"p{i}", "theta0": str(a), "theta1": str(b)}
+                                for i, (a, b) in enumerate(endpoints)]))
+    return path
+
+
+def _degenerate_argv(command: str, kind: str, fx: dict, tmp: Path) -> list[str]:
+    inputs = {"ckpt": fx["sane"], "ckpt_b": fx["init1"], "ckpt_c": fx["init2"],
+              "data": fx["data"], "manifest": fx["sane-manifest"],
+              "dataset_set": DEGENERATE_DATASETS.get(kind, ""), "out": tmp / "out"}
+    distinct = [(fx["sane"], fx["init1"]), (fx["init1"], fx["init2"])]
+    if kind == "equal-endpoints":
+        inputs["ckpt_b"] = fx["sane"]
+        inputs["pairs"] = _pairs_file(tmp / "pairs.json", [(a, a) for a, _ in distinct])
+    else:
+        inputs["pairs"] = _pairs_file(tmp / "pairs.json", distinct)
+    if kind in ("all-failed-manifest", "one-entry-manifest"):
+        inputs["manifest"] = fx[kind.removesuffix("-manifest")]
+    elif kind == "one-row-test-split":
+        inputs["data"] = fx["one-test-row"]
+    text = {k: str(v) for k, v in inputs.items()}
+    return [arg.format(**text) for arg in DEGENERATE_COMMANDS[command]]
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise AssertionError(f"non-finite JSON value {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _assert_parses_finite(path: Path) -> None:
+    """The artifact at ``path`` reads back, and every number in it is finite."""
+    if path.is_dir():
+        ds = datagen.load_csv(path)
+        assert all(np.isfinite(split.x).all() for split in ds.splits.values())
+    elif path.suffix == ".ckpt":
+        assert np.isfinite(load_checkpoint(path).vector).all()
+    elif path.suffix == ".json":
+        _strict_json(path.read_text())
+    else:
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert len(rows) >= 2, rows
+        for cell in (c for row in rows[1:] for c in row):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a label or NA
+            assert math.isfinite(value), (path, cell)
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CASES), ids="-".join)
+def test_degenerate_input_exits_documented_code(degenerate, case):
+    command, kind = case
+    with tempfile.TemporaryDirectory(dir=degenerate["root"]) as name:
+        tmp = Path(name)
+        argv = _degenerate_argv(command, kind, degenerate, tmp)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code == DEGENERATE_CASES[case] and code in (0, 2, 6), (argv, stderr.getvalue())
+        artifacts = sorted(tmp.glob("out*"))
+        if code == cli.EXIT_OK:
+            assert stderr.getvalue() == ""
+            assert artifacts
+            for path in artifacts:
+                _assert_parses_finite(path)
+        else:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1, lines
+            assert set(json.loads(lines[0])) == {"error", "type", "message"}
+            assert not artifacts
 
 
 @pytest.mark.parametrize("command", ["interp", "calibrate-ckpt"])

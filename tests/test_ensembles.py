@@ -190,6 +190,34 @@ def test_fit_temperature_pinned_values(case, want):
     assert (repr(fit.beta), repr(fit.nll), fit.degenerate) == want
 
 
+@st.composite
+def _fit_cases(draw):
+    """(logits, labels): seeded normal logits, some cells set to ties, signed
+    zeros or subnormals, so the max shift is both generic and degenerate."""
+    rows = draw(st.integers(min_value=1, max_value=40))
+    classes = draw(st.integers(min_value=2, max_value=9))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    logits = scale * rng.standard_normal((rows, classes))
+    specials = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-310, -1e-310])
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, classes - 1), specials)
+    for row, col, value in draw(st.lists(cells, max_size=2 * rows)):
+        logits[row, col] = value
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
+    return logits, np.array(labels)
+
+
+@given(_fit_cases())
+@settings(max_examples=150, deadline=None)
+def test_fit_temperature_nll_bitwise_matches_product_sum_oracle(case):
+    # The oracle takes the C-order max of beta * logits and sums one-hot
+    # products; the fit gathers the label log-probabilities.
+    logits, labels = case
+    fit = ensembles.fit_temperature(logits, labels)
+    want = oracles.cross_entropy_product_sum(logits, labels, 0.0, fit.beta)
+    assert np.float64(fit.nll).tobytes() == np.float64(want).tobytes(), (fit, want)
+
+
 @pytest.mark.parametrize(
     "labels",
     [np.array([0, -1, 2]), np.array([0, 3, 1]), np.array([[0, 1, 2]]), np.array([0, 1])],

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from oracles import checkpoints_equal
+from soupkit import trainer
 from soupkit.datagen import DatasetConfig, generate
 from soupkit.errors import ConfigError, DivergenceError, decode
 from soupkit.rng import PortableRng
@@ -355,6 +357,24 @@ def test_run_sweep_parallel_matches_sequential(small_data, tmp_path):
         assert (tmp_path / "seq" / a.path).read_bytes() == (tmp_path / "par" / b.path).read_bytes()
 
 
+def test_run_sweep_trains_one_config_at_a_time_on_the_calling_thread(
+    small_data, tmp_path, monkeypatch
+):
+    theta0 = pretrain(ARCH, small_data, _fast())
+    callers = set()
+    real_grad64 = trainer.grad64
+
+    def recording_grad64(*args, **kwargs):
+        callers.add(threading.get_ident())
+        return real_grad64(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "grad64", recording_grad64)
+    configs = [_fast(seed=s) for s in range(1, 5)]
+    manifest = run_sweep(theta0, configs, small_data, tmp_path, max_workers=4)
+    assert all(e.error is None for e in manifest.entries)
+    assert callers == {threading.get_ident()}
+
+
 def test_run_sweep_partial_failure(small_data, tmp_path):
     theta0 = pretrain(ARCH, small_data, _fast())
     bomb = _fast(optimizer="sgd", learning_rate=1e8, weight_decay=0.1, epochs=12)
@@ -368,6 +388,12 @@ def test_run_sweep_partial_failure(small_data, tmp_path):
     raw = json.loads((tmp_path / "manifest.json").read_text())
     assert raw["entries"][1]["error"] is not None
     assert load_manifest(tmp_path / "manifest.json").entries[1].error == manifest.entries[1].error
+
+
+def test_load_manifest_theta0_digest_defaults_to_empty(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": []}))
+    assert load_manifest(path).theta0_digest == ""
 
 
 def test_effective_workers_env_cap(monkeypatch):
