@@ -31,8 +31,12 @@ Errors print one JSON object to stderr: {"error": category, "type":
 exception class, "message": text}.  All outputs are written atomically
 (temp file + rename), JSON and CSV ones through ``soupkit.fileio``,
 which refuses NaN and infinity.  Every command is deterministic: identical
-inputs produce identical output bytes.  SOUPKIT_THREADS caps sweep
-parallelism.
+inputs produce identical output bytes.  Sweeps train their configs one
+after another.
+
+Start-up is most of a short command's time, so this module imports only
+the standard library, NumPy, ``errors`` and ``fileio``; each command
+imports the library modules it runs.
 """
 
 from __future__ import annotations
@@ -42,11 +46,10 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from . import analysis, datagen, ensembles, soups, trainer
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -61,8 +64,12 @@ from .errors import (
     is_integer,
 )
 from .fileio import read_json, write_json
-from .tensorstore import Checkpoint, load as load_checkpoint, save as save_checkpoint
-from .tinynet import ArchSpec, forward, loss_ce, predictions
+
+if TYPE_CHECKING:
+    from .analysis import PairSpec
+    from .datagen import Dataset
+    from .tensorstore import Checkpoint
+    from .trainer import HyperConfig, SweepManifest
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -113,7 +120,9 @@ def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> dict:
     return doc
 
 
-def sweep_configs_from(doc: Mapping) -> list[trainer.HyperConfig]:
+def sweep_configs_from(doc: Mapping) -> list[HyperConfig]:
+    from . import trainer
+
     section = doc.get("sweep", {})
     if not isinstance(section, dict):
         raise ConfigError(f"sweep must be an object, got {section!r}")
@@ -144,16 +153,20 @@ def sweep_configs_from(doc: Mapping) -> list[trainer.HyperConfig]:
 # --------------------------------------------------------------- shared bits
 
 
-def _load_dataset(directory: str) -> datagen.Dataset:
+def _load_dataset(directory: str) -> Dataset:
+    from .datagen import load_csv
+
     path = Path(directory)
     if not path.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {directory}")
-    return datagen.load_csv(path)
+    return load_csv(path)
 
 
-def _split_arrays(ds: datagen.Dataset, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _split_arrays(ds: Dataset, name: str) -> tuple[np.ndarray, np.ndarray]:
     if name not in ds.splits:
-        raise ConfigError(f"unknown split {name!r}; expected one of {datagen.SPLIT_NAMES}")
+        from .datagen import SPLIT_NAMES
+
+        raise ConfigError(f"unknown split {name!r}; expected one of {SPLIT_NAMES}")
     split = ds.splits[name]
     return split.x, split.y
 
@@ -187,8 +200,10 @@ def _parse_range(text: str, flag: str) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
-def _manifest_models(path: str) -> tuple[trainer.SweepManifest, list[Checkpoint]]:
-    manifest = trainer.load_manifest(path)
+def _manifest_models(path: str) -> tuple[SweepManifest, list[Checkpoint]]:
+    from .trainer import load_manifest
+
+    manifest = load_manifest(path)
     models = manifest.load_checkpoints()
     if not models:
         raise ConfigError(f"manifest {path} has no successful entries")
@@ -202,6 +217,8 @@ DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
 
 
 def cmd_datagen(args: argparse.Namespace) -> int:
+    from . import datagen
+
     doc = load_run_config(args.config, args.set)
     cfg = decode(datagen.DatasetConfig, doc.get("dataset", {}), "dataset")
     ds = datagen.generate(cfg)
@@ -210,6 +227,10 @@ def cmd_datagen(args: argparse.Namespace) -> int:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
+    from . import trainer
+    from .tensorstore import save as save_checkpoint
+    from .tinynet import ArchSpec
+
     doc = load_run_config(args.config, args.set)
     arch = decode(ArchSpec, doc.get("arch", {}), "arch")
     hyper = decode(trainer.HyperConfig, doc.get("pretrain", {}), "pretrain")
@@ -226,15 +247,20 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .tensorstore import load as load_checkpoint
+    from .trainer import run_sweep
+
     doc = load_run_config(args.config, args.set)
     configs = sweep_configs_from(doc)
     ds = _load_dataset(args.data)
     theta0 = load_checkpoint(args.base)
-    trainer.run_sweep(theta0, configs, ds, args.out, max_workers=args.workers)
+    run_sweep(theta0, configs, ds, args.out, max_workers=args.workers)
     return EXIT_OK
 
 
 def cmd_soup(args: argparse.Namespace) -> int:
+    from . import soups
+
     _, models = _manifest_models(args.manifest)
     if args.kind == "uniform":
         result = soups.uniform_soup(models)
@@ -251,6 +277,9 @@ def cmd_soup(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    from . import ensembles
+    from .tinynet import loss_ce, predictions
+
     _, models = _manifest_models(args.manifest)
     ds = _load_dataset(args.data)
     if args.kind == "greedy":
@@ -281,10 +310,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"--beta must be finite and > 0, got {args.beta}")
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    from .ensembles import evaluate_with_calibration
+    from .tensorstore import load as load_checkpoint
+
     ckpt = load_checkpoint(args.ckpt)
     ds = _load_dataset(args.data)
     X, y = _split_arrays(ds, args.split)
-    report = ensembles.evaluate_with_calibration(
+    report = evaluate_with_calibration(
         ckpt, X, y, beta=args.beta, num_bins=args.bins
     )
     payload = {
@@ -303,6 +335,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_interp(args: argparse.Namespace) -> int:
+    from . import analysis
+    from .tensorstore import load as load_checkpoint
+
     alphas = _parse_alphas(args.alphas)
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
@@ -315,6 +350,9 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 
 def cmd_plane(args: argparse.Namespace) -> int:
+    from . import analysis
+    from .tensorstore import load as load_checkpoint
+
     xs = _parse_range(args.x_range, "--x-range")
     ys = _parse_range(args.y_range, "--y-range")
     theta0 = load_checkpoint(args.ckpt_a)
@@ -330,6 +368,8 @@ def cmd_plane(args: argparse.Namespace) -> int:
 
 
 def cmd_grid_study(args: argparse.Namespace) -> int:
+    from . import analysis
+
     _, models = _manifest_models(args.manifest)
     if len(models) < 2:
         raise ConfigError(f"grid-study needs at least two successful entries, got {len(models)}")
@@ -340,7 +380,10 @@ def cmd_grid_study(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
+def _pairs_from_file(path: str) -> list[PairSpec]:
+    from .analysis import PairSpec
+    from .tensorstore import load as load_checkpoint
+
     raw = read_json(path, ConfigError)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: pair file must be a JSON list")
@@ -369,12 +412,14 @@ def _pairs_from_file(path: str) -> list[analysis.PairSpec]:
         raise ConfigError(f"{path}: need at least two pairs with distinct ids, got {ids}")
     base = Path(path).parent
     return [
-        analysis.PairSpec(pair_id, load_checkpoint(base / t0), load_checkpoint(base / t1), lr)
+        PairSpec(pair_id, load_checkpoint(base / t0), load_checkpoint(base / t1), lr)
         for pair_id, t0, t1, lr in specs
     ]
 
 
 def cmd_approx(args: argparse.Namespace) -> int:
+    from . import analysis
+
     alphas = _parse_alphas(args.alphas)
     pairs = _pairs_from_file(args.pairs)
     ds = _load_dataset(args.data)
@@ -390,6 +435,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    from . import ensembles
+
     ds = _load_dataset(args.data)
     fit_x, fit_y = _split_arrays(ds, args.fit_split)
     eval_x, eval_y = _split_arrays(ds, args.eval_split)
@@ -398,6 +445,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         fit_logits = ensembles.logit_ensemble(models, fit_x)
         eval_logits = ensembles.logit_ensemble(models, eval_x)
     else:
+        from .tensorstore import load as load_checkpoint
+        from .tinynet import forward
+
         ckpt = load_checkpoint(args.ckpt)
         fit_logits = forward(ckpt, fit_x)
         eval_logits = forward(ckpt, eval_x)
@@ -418,7 +468,9 @@ def _read_json_object(path: str) -> dict:
 def cmd_report(args: argparse.Namespace) -> int:
     payload: dict = {}
     if args.manifest is not None:
-        manifest = trainer.load_manifest(args.manifest)
+        from .trainer import load_manifest
+
+        manifest = load_manifest(args.manifest)
         ok = manifest.successful()
         accs = [e.val_accuracy for e in ok]
         payload["sweep"] = {
@@ -537,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt-c", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="val")
-    p.add_argument("--metric", choices=analysis.PLANE_METRICS, default="loss")
+    p.add_argument("--metric", choices=("loss", "error"), default="loss")
     p.add_argument("--x-range", required=True, metavar="LO:HI:COUNT")
     p.add_argument("--y-range", required=True, metavar="LO:HI:COUNT")
     p.add_argument("--out", required=True)
@@ -557,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--splits", default="val,test")
     p.add_argument("--alphas", default=DEFAULT_ALPHAS)
-    p.add_argument("--beta-mode", choices=analysis.BETA_MODES, default="calibrate-soup")
+    p.add_argument("--beta-mode", choices=("fixed-1", "calibrate-soup"), default="calibrate-soup")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_approx)
 

@@ -39,7 +39,6 @@ from .tinynet import (
     onehot_nll,
     softmax,
 )
-from .soups import greedy_select
 
 BETA_GRID_LO = 0.05
 BETA_GRID_HI = 20.0
@@ -108,6 +107,9 @@ def greedy_ensemble(
     greedy soups: descending presort with stable ties, empty pool at
     -inf so the best single model always enters.
     """
+    # Imported here, so that loading ensembles loads neither soups nor trainer.
+    from .soups import greedy_select
+
     if not models:
         raise ValueError("greedy_ensemble needs at least one model")
 

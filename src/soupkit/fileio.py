@@ -44,11 +44,19 @@ def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def read_json(path: str | os.PathLike[str], error: type[SoupkitError]):
-    """Parsed JSON file; text that is not UTF-8 JSON raises ``error``."""
+    """Parsed JSON file; text that is not UTF-8 JSON raises ``error``.
+
+    Python's parser accepts the tokens NaN, Infinity and -Infinity, which
+    JSON does not have; a file holding one is malformed too.
+    """
     text = Path(path).read_bytes()
     try:
-        return json.loads(text.decode("utf-8"))
+        return json.loads(text.decode("utf-8"), parse_constant=_reject_constant)
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 

@@ -51,7 +51,6 @@ from .tinynet import (
     smoothed_targets,
     softmax,
 )
-from .trainer import AdamState, adamw_step
 
 LEARNED_SOUP_LR = 0.1
 LEARNED_SOUP_EPOCHS = 3
@@ -156,6 +155,9 @@ def learned_soup(
     by_layer: bool = False,
 ) -> SoupResult:
     """Optimize mixing weights and a logit scale on a held-out split."""
+    # Imported here, so that only this recipe loads the trainer.
+    from .trainer import AdamState, adamw_step
+
     if not models:
         raise ValueError("learned_soup needs at least one model")
     k = len(models)

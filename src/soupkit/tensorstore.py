@@ -43,7 +43,6 @@ rounds differently.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 from itertools import accumulate
@@ -225,6 +224,8 @@ def load(path) -> Checkpoint:
 
 def content_digest(ckpt: Checkpoint) -> str:
     """Short hex digest over tensor names, shapes, and payload bytes."""
+    import hashlib  # on first use: loading OpenSSL costs start-up, and most commands never hash
+
     h = hashlib.sha256()
     stored = ckpt.vector.astype("<f4", copy=False)
     for name, (sl, shape) in zip(ckpt.layout.names, ckpt.layout.spans):

@@ -18,7 +18,6 @@ re-evaluating reproduces the manifest value exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -102,6 +101,8 @@ class HyperConfig:
             raise ConfigError("sam_rho must be nonnegative; zero disables the ascent step")
 
     def digest(self) -> str:
+        import hashlib  # see tensorstore.content_digest
+
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:12]
 
     def to_json(self) -> str:

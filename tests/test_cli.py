@@ -6,6 +6,7 @@ subcommand against those artifacts and check outputs, determinism, and
 the documented exit codes with their machine-readable stderr lines.
 """
 
+import argparse
 import contextlib
 import csv
 import io
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soupkit
-from soupkit import cli, datagen, trainer
+from soupkit import analysis, cli, datagen, trainer
 from soupkit.errors import DataFormatError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint, load as load_checkpoint, save as save_checkpoint
@@ -369,6 +370,38 @@ def test_help_and_bad_subcommand_use_argparse_exits(capsys):
         assert json.loads(lines[0])["error"] == "config"
 
 
+def test_parser_choices_are_the_library_choices():
+    # The parser spells the choices out, so that building it imports no analysis.
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(command, flag):
+        return next(a.choices for a in sub.choices[command]._actions if flag in a.option_strings)
+
+    assert tuple(choices("plane", "--metric")) == analysis.PLANE_METRICS
+    assert tuple(choices("approx", "--beta-mode")) == analysis.BETA_MODES
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        ("cli", ("analysis", "ensembles", "soups", "trainer", "datagen")),
+        ("soups", ("trainer",)),
+        ("ensembles", ("soups", "trainer")),
+    ],
+)
+def test_import_loads_no_module_that_only_some_commands_run(module, absent):
+    # Start-up is most of a short command's time: each command imports the
+    # library modules it runs, so a fresh interpreter must not load these.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    code = f"import json, sys, soupkit.{module}; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert f"soupkit.{module}" in loaded
+    assert sorted(loaded & {f"soupkit.{name}" for name in absent}) == []
+
+
 def _single_error_line(capsys) -> dict:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
@@ -534,8 +567,8 @@ def test_overflow_in_a_subprocess_prints_one_json_line(workspace, tmp_path):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_overflowing_sweep_workers_print_nothing(workspace, tmp_path, workers):
-    # Input noise of 1e308 overflows outside the guarded gradient step, in the
-    # sweep's own worker threads when workers > 1; both entries then diverge.
+    # Input noise of 1e308 overflows outside the guarded gradient step, at any
+    # --workers value; both entries then diverge.
     configs = [{"input_noise_std": 1e308, "epochs": 1, "seed": s} for s in (1, 2)]
     out = tmp_path / "sweep"
     proc = _run_cli_process(["sweep", "--config", str(workspace["config"]),
@@ -637,7 +670,9 @@ def test_non_finite_hyper_config_exits_config_code(workspace, tmp_path, capsys, 
 
 @pytest.mark.parametrize("flag", ["--soup", "--eval-report"])
 @pytest.mark.parametrize(
-    "raw", [b"not json", b"\xff\xfe{}", b"[1, 2]"], ids=["not-json", "not-utf8", "not-object"]
+    "raw",
+    [b"not json", b"\xff\xfe{}", b"[1, 2]", b'{"x": NaN}', b'{"x": Infinity}'],
+    ids=["not-json", "not-utf8", "not-object", "nan", "infinity"],
 )
 def test_malformed_report_input_exits_format_code(tmp_path, capsys, flag, raw):
     source = tmp_path / "input.json"

@@ -57,7 +57,11 @@ def test_write_json_with_a_non_finite_value_writes_nothing(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize(
+    "raw",
+    [b"{not json", b"\xff\xfe{}", b'{"x": NaN}', b"[Infinity]", b"[-Infinity]"],
+    ids=["not-json", "not-utf8", "nan", "infinity", "minus-infinity"],
+)
 def test_read_json_raises_the_given_error(tmp_path, raw):
     path = tmp_path / "d.json"
     path.write_bytes(raw)
