@@ -25,7 +25,8 @@ Exit codes:
     3  missing input file or directory
     4  training diverged (non-finite loss)
     5  malformed input file (checkpoint, dataset or manifest format)
-    6  shape/geometry mismatch or non-finite result (nothing is written)
+    6  shape/geometry mismatch, such as a checkpoint whose widths do not fit
+       the dataset, or a non-finite result (nothing is written)
 
 Errors print one JSON object to stderr: {"error": category, "type":
 exception class, "message": text}.  All outputs are written atomically
@@ -162,6 +163,14 @@ def _load_dataset(directory: str) -> Dataset:
     return load_csv(path)
 
 
+def _check_fit(ds: Dataset, models: Sequence[Checkpoint]) -> None:
+    """ShapeMismatchError unless every model fits the dataset's features and classes."""
+    from .tinynet import check_fits_data
+
+    for model in models:
+        check_fits_data(model, ds)
+
+
 def _split_arrays(ds: Dataset, name: str) -> tuple[np.ndarray, np.ndarray]:
     if name not in ds.splits:
         from .datagen import SPLIT_NAMES
@@ -266,10 +275,12 @@ def cmd_soup(args: argparse.Namespace) -> int:
         result = soups.uniform_soup(models)
     elif args.kind == "greedy":
         ds = _load_dataset(args.data)
+        _check_fit(ds, models)
         X, y = _split_arrays(ds, args.split)
         result = soups.greedy_soup(models, soups.accuracy_fn(X, y))
     else:  # learned
         ds = _load_dataset(args.data)
+        _check_fit(ds, models)
         X, y = _split_arrays(ds, args.split)
         result = soups.learned_soup(models, X, y, by_layer=args.by_layer)
     soups.save_soup(result, args.out)
@@ -282,6 +293,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
     _, models = _manifest_models(args.manifest)
     ds = _load_dataset(args.data)
+    _check_fit(ds, models)
     if args.kind == "greedy":
         sel_x, sel_y = _split_arrays(ds, args.split)
         members = ensembles.greedy_ensemble(
@@ -315,6 +327,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     ckpt = load_checkpoint(args.ckpt)
     ds = _load_dataset(args.data)
+    _check_fit(ds, [ckpt])
     X, y = _split_arrays(ds, args.split)
     report = evaluate_with_calibration(
         ckpt, X, y, beta=args.beta, num_bins=args.bins
@@ -342,6 +355,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
     ds = _load_dataset(args.data)
+    _check_fit(ds, [theta0, theta1])
     split_names = [s for s in args.splits.split(",") if s]
     split_map = {name: _split_arrays(ds, name) for name in split_names}
     rows = analysis.interpolation_curve(theta0, theta1, alphas, split_map)
@@ -359,6 +373,7 @@ def cmd_plane(args: argparse.Namespace) -> int:
     theta1 = load_checkpoint(args.ckpt_b)
     theta2 = load_checkpoint(args.ckpt_c)
     ds = _load_dataset(args.data)
+    _check_fit(ds, [theta0, theta1, theta2])
     X, y = _split_arrays(ds, args.split)
     matrix, basis = analysis.plane_landscape(
         theta0, theta1, theta2, xs, ys, X, y, metric=args.metric
@@ -374,6 +389,7 @@ def cmd_grid_study(args: argparse.Namespace) -> int:
     if len(models) < 2:
         raise ConfigError(f"grid-study needs at least two successful entries, got {len(models)}")
     ds = _load_dataset(args.data)
+    _check_fit(ds, models)
     X, y = _split_arrays(ds, args.split)
     cells = analysis.grid_endpoint_study(models, X, y)
     analysis.write_grid_study_csv(cells, args.out)
@@ -423,6 +439,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
     alphas = _parse_alphas(args.alphas)
     pairs = _pairs_from_file(args.pairs)
     ds = _load_dataset(args.data)
+    _check_fit(ds, [theta for pair in pairs for theta in (pair.theta0, pair.theta1)])
     split_names = [s for s in args.splits.split(",") if s]
     split_map = {name: _split_arrays(ds, name) for name in split_names}
     report = analysis.approx_validation_report(
@@ -442,6 +459,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     eval_x, eval_y = _split_arrays(ds, args.eval_split)
     if args.manifest is not None:
         _, models = _manifest_models(args.manifest)
+        _check_fit(ds, models)
         fit_logits = ensembles.logit_ensemble(models, fit_x)
         eval_logits = ensembles.logit_ensemble(models, eval_x)
     else:
@@ -449,6 +467,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         from .tinynet import forward
 
         ckpt = load_checkpoint(args.ckpt)
+        _check_fit(ds, [ckpt])
         fit_logits = forward(ckpt, fit_x)
         eval_logits = forward(ckpt, eval_x)
     report = ensembles.calibration_report(

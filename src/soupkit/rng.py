@@ -45,6 +45,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_M1 = 0xBF58476D1CE4E5B9
 _MIX_M2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+_SCALAR_DRAWS = 4  # raw() computes up to this many outputs on Python integers
+# Below this many keys a stable argsort costs no more than checking a
+# faster sort's result for ties.
+_STABLE_SORT_MAX = 1024
 
 
 def mix64(value: int) -> int:
@@ -68,10 +72,18 @@ def derive_seed(seed: int, *parts: int) -> int:
     return s
 
 
+_U64_GOLDEN, _U64_M1, _U64_M2 = np.uint64(_GOLDEN), np.uint64(_MIX_M1), np.uint64(_MIX_M2)
+_U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_M2)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer applied to a uint64 array in place; returns it."""
+    z ^= z >> _U64_30
+    z *= _U64_M1
+    z ^= z >> _U64_27
+    z *= _U64_M2
+    z ^= z >> _U64_31
+    return z
 
 
 class PortableRng:
@@ -85,8 +97,15 @@ class PortableRng:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         if n < 0:
             raise ValueError("draw count must be nonnegative")
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        states = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)
+        if n <= _SCALAR_DRAWS:
+            # Python integers beat a dozen NumPy calls on a tiny array;
+            # the modular arithmetic, and so every output, is the same.
+            first = self._seed + (self._count + 1) * _GOLDEN
+            self._count += n
+            return np.array([mix64(first + k * _GOLDEN) for k in range(n)], dtype=np.uint64)
+        states = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        states *= _U64_GOLDEN
+        states += np.uint64(self._seed)
         self._count += n
         return _mix64_vec(states)
 
@@ -115,14 +134,24 @@ class PortableRng:
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) keyed by n raw draws."""
         keys = self.raw(n)
-        return np.argsort(keys, kind="stable")
+        if n < _STABLE_SORT_MAX:
+            return np.argsort(keys, kind="stable")
+        # Distinct keys have one sorted order, so any sort finds it; only
+        # ties need the stable sort's index order.
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            return np.argsort(keys, kind="stable")
+        return order
 
     def beta(self, a: float, b: float) -> float:
         """One Beta(a, b) draw by Johnk's rejection method."""
         if a <= 0 or b <= 0:
             raise ValueError("beta shape parameters must be positive")
         while True:
-            u, v = self.uniforms(2)
+            # Python floats: the same IEEE arithmetic and libm pow as
+            # NumPy scalars, without their per-operation overhead.
+            u, v = self.uniforms(2).tolist()
             x = u ** (1.0 / a)
             y = v ** (1.0 / b)
             s = x + y

@@ -24,13 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import PortableRng, derive_seed
 from .tensorstore import Checkpoint, Params, as_params, axpy
+
+if TYPE_CHECKING:
+    from .datagen import Dataset
 
 _INIT_STREAM_TAG = 0x494E4954  # distinct substream for weight init draws
 
@@ -81,6 +84,31 @@ def arch_of(theta: Checkpoint | Mapping[str, np.ndarray]) -> ArchSpec:
     widths = [params["layer0.weight"].shape[0]]
     widths += [params[weight].shape[1] for weight, _, _ in _layer_names(params.layout.names)]
     return ArchSpec(tuple(widths))
+
+
+def check_fits_data(theta: Checkpoint | Mapping[str, np.ndarray], dataset: Dataset) -> int:
+    """The model's class count, after checking that it fits the dataset's features and classes.
+
+    The class count must equal the dataset config's; a dataset without a
+    config only bounds it from below by its labels.  Anything else raises
+    ShapeMismatchError.
+    """
+    layers = _layer_names(tuple(theta))
+    input_dim, num_classes = theta[layers[0][0]].shape[0], theta[layers[-1][0]].shape[1]
+    splits = dataset.splits.values()
+    widths = sorted({split.x.shape[1] for split in splits})
+    if dataset.config is not None:
+        classes = dataset.config.num_classes
+        fits = num_classes == classes
+    else:
+        classes = max((int(split.y.max()) + 1 for split in splits if split.y.size), default=0)
+        fits = num_classes >= classes
+    if widths != [input_dim] or not fits:
+        raise ShapeMismatchError(
+            f"model of {input_dim} inputs and {num_classes} classes does not fit the data "
+            f"({'/'.join(map(str, widths))} features, {classes} classes)"
+        )
+    return num_classes
 
 
 def init_checkpoint(arch: ArchSpec, seed: int) -> Checkpoint:
@@ -256,16 +284,23 @@ def grad64(
     X: np.ndarray,
     targets: np.ndarray,
     inv_temperature: float = 1.0,
+    out: Params | None = None,
 ) -> tuple[float, Params]:
     """Loss and its gradient w.r.t. every parameter, all float64.
 
     Loss is the batch mean of the target-distribution cross-entropy of
     ``inv_temperature * logits``; the gradient shares the params' layout.
+    With ``out``, a Params of that layout, the gradient overwrites every
+    element of ``out`` and ``out`` is returned; otherwise it is new.
     """
     if inv_temperature <= 0.0:
         raise ValueError("inv_temperature must be positive")
     if not isinstance(params, Params):
         params = as_params(params)
+    if out is None:
+        out = Params(params.layout, np.empty_like(params.vector))
+    elif not isinstance(out, Params) or out.layout != params.layout:
+        raise ShapeMismatchError("out must be a Params of the same layout as params")
     cache, logits = _forward_cached(params, X)
     n = logits.shape[0]
     # One max-shift and exp pass serves both softmax and log-softmax.  The
@@ -274,8 +309,8 @@ def grad64(
     shifted -= _class_max(shifted)
     exp = np.exp(shifted)
     total = np.add.reduce(exp, axis=-1, keepdims=True)
-    loss = float(-np.mean(np.add.reduce(targets * (shifted - np.log(total)), axis=1)))
-    grads = Params(params.layout, np.empty_like(params.vector))
+    # np.mean of a float64 vector is this sum divided by its length.
+    loss = float(-(np.add.reduce(np.add.reduce(targets * (shifted - np.log(total)), axis=1)) / n))
     upstream = inv_temperature * (exp / total - targets) / n  # d loss / d logits
     layers = _layer_names(params.layout.names)
     for i in range(len(layers) - 1, -1, -1):
@@ -284,13 +319,13 @@ def grad64(
         d_z = upstream
         if gain is not None:
             d_u = upstream * (u > 0.0)
-            np.add.reduce(d_u * z, axis=0, out=grads[gain])
+            np.add.reduce(d_u * z, axis=0, out=out[gain])
             d_z = d_u * params[gain]
-        np.matmul(layer_in.T, d_z, out=grads[weight])
-        np.add.reduce(d_z, axis=0, out=grads[bias])
+        np.matmul(layer_in.T, d_z, out=out[weight])
+        np.add.reduce(d_z, axis=0, out=out[bias])
         if i > 0:
             upstream = d_z @ params[weight].T
-    return loss, grads
+    return loss, out
 
 
 def hessian_quadratic_form(logits: np.ndarray, v: np.ndarray) -> np.ndarray | float:

@@ -50,6 +50,7 @@ from .tensorstore import (
 )
 from .tinynet import (
     ArchSpec,
+    check_fits_data,
     evaluate,
     forward,
     grad64,
@@ -64,6 +65,10 @@ SCHEDULES = ("constant", "cosine")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Johnk's Beta sampler accepts a draw pair with probability
+# Gamma(a+1)**2 / Gamma(2a+1): about 1.4% at this mixup alpha, 1.7e-9 at 16.
+MIXUP_ALPHA_MAX = 4.0
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,8 @@ class HyperConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError("label_smoothing must lie in [0, 1)")
+        if self.mixup_alpha > MIXUP_ALPHA_MAX:
+            raise ConfigError(f"mixup_alpha must be at most {MIXUP_ALPHA_MAX}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.schedule not in SCHEDULES:
@@ -179,14 +186,16 @@ class TrainResult:
 
 def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Params, Params | None, float, float]:
     train = dataset.train
-    num_classes = int(train.y.max()) + 1
-    if dataset.config is not None:
-        num_classes = dataset.config.num_classes
+    num_classes = check_fits_data(params0, dataset)
     X_all = train.x.astype(np.float64)
     base_targets = smoothed_targets(train.y, num_classes, h.label_smoothing)
+    # Each epoch gathers its order into these once; a batch is then a slice.
+    X_epoch = np.empty_like(X_all)
+    T_epoch = np.empty_like(base_targets)
 
     params = params0.copy()
     w = params.vector
+    grads = Params(params.layout, np.empty_like(w))  # every grad64 call overwrites it
     ema = params0.copy() if h.ema_decay is not None else None
     adam = AdamState.zeros_like(w) if h.optimizer == "adamw" else None
 
@@ -199,10 +208,11 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
     for epoch in range(h.epochs):
         rng = PortableRng(derive_seed(h.seed, epoch))
         order = rng.permutation(n)
+        np.take(X_all, order, axis=0, out=X_epoch)
+        np.take(base_targets, order, axis=0, out=T_epoch)
         for start in range(0, n, h.batch_size):
-            batch_idx = order[start : start + h.batch_size]
-            xb = X_all[batch_idx]
-            tb = base_targets[batch_idx]
+            xb = X_epoch[start : start + h.batch_size]
+            tb = T_epoch[start : start + h.batch_size]
             if h.input_noise_std > 0.0:
                 noise = rng.normals(xb.size).reshape(xb.shape)
                 xb = xb + h.input_noise_std * noise
@@ -213,14 +223,14 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
             # Divergence is detected explicitly below, so let overflow
             # reach the isfinite check instead of warning.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = grad64(params, xb, tb)
+                loss, _ = grad64(params, xb, tb, out=grads)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at step {step}")
             if h.sam_rho:
                 norm = math.sqrt(dot(grads, grads))
                 if norm > 0.0:
                     ascended = Params(params.layout, w + h.sam_rho * grads.vector / norm)
-                    loss, grads = grad64(ascended, xb, tb)
+                    loss, _ = grad64(ascended, xb, tb, out=grads)
                     if not math.isfinite(loss):
                         raise DivergenceError(f"non-finite perturbed loss at step {step}")
             if h.optimizer == "sgd":
@@ -259,7 +269,10 @@ def pretrain(arch: ArchSpec, dataset: Dataset, cfg: HyperConfig) -> Checkpoint:
 
 
 def finetune(theta0: Checkpoint, h: HyperConfig, dataset: Dataset) -> TrainResult:
-    """Fine-tune from a shared base; deterministic in (theta0, h, dataset)."""
+    """Fine-tune from a shared base; deterministic in (theta0, h, dataset).
+
+    A base that does not fit the dataset raises ShapeMismatchError.
+    """
     h.validate()
     base_digest = content_digest(theta0)
     params, ema, loss_init, loss_final = _train_loop(as_params(theta0), h, dataset)
@@ -319,6 +332,8 @@ class SearchSpace:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.mixup_max < 0 or self.noise_std_max < 0:
             raise ConfigError("mixup_max and noise_std_max must be nonnegative")
+        if self.mixup_max > MIXUP_ALPHA_MAX:
+            raise ConfigError(f"mixup_max must be at most {MIXUP_ALPHA_MAX}")
         # Fields every candidate copies as they are.
         fixed = HyperConfig(batch_size=self.batch_size, optimizer=self.optimizer, schedule=self.schedule)
         fixed.validate()
@@ -425,11 +440,14 @@ def run_sweep(
     """Fine-tune every config in order, saving checkpoints and a manifest.
 
     Failures are recorded per entry (error string, no path); the other
-    entries still complete.  Configs train one after another on the
-    calling thread; ``max_workers`` is accepted and has no effect, because
-    a thread pool measured slower than this loop (README, "Determinism and
-    threading").
+    entries still complete, except that a base that does not fit the
+    dataset raises ShapeMismatchError before anything is written, since it
+    would fail every config the same way.  Configs train one after another
+    on the calling thread; ``max_workers`` is accepted and has no effect,
+    because a thread pool measured slower than this loop (README,
+    "Determinism and threading").
     """
+    check_fits_data(theta0, dataset)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -603,6 +603,8 @@ def test_overflowing_sweep_workers_print_nothing(workspace, tmp_path, workers):
         ("sweep", "sweep.space.smoothing_off_probability=1.5"),
         ("sweep", "sweep.space.smoothing_max=2"),
         ("sweep", "sweep.space.mixup_max=-0.1"),
+        ("sweep", "sweep.space.mixup_max=4.5"),
+        ("sweep", 'sweep={"configs": [{"mixup_alpha": 20}]}'),
         ("sweep", "sweep.space.optimizer=lbfgs"),
         ("sweep", "sweep.count=1.5"),
         ("sweep", "sweep.count=0"),
@@ -718,6 +720,8 @@ HOSTILE_COMMANDS = {
     "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
     "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}"],
     "report": ["report", "--manifest", "{manifest}"],
+    "sweep": ["sweep", "--set", 'sweep.configs=[{{"epochs": 1}}]', "--data", "{data}",
+              "--base", "{ckpt}"],
 }
 
 
@@ -734,6 +738,10 @@ HOSTILE_KINDS = {
     "dataset-config-field": (cli.EXIT_FORMAT, _reading("data")),
     # report reads the manifest but none of its checkpoints
     "truncated-checkpoint": (cli.EXIT_FORMAT, tuple(c for c in HOSTILE_COMMANDS if c != "report")),
+    # every command that runs a checkpoint on the data
+    "misfit-checkpoint": (
+        cli.EXIT_SHAPE, tuple(c for c in HOSTILE_COMMANDS if c not in ("soup-uniform", "report"))
+    ),
     "missing-input": (cli.EXIT_MISSING_INPUT, tuple(HOSTILE_COMMANDS)),
 }
 HOSTILE_PAIRS = [(command, kind) for kind, (_, commands) in HOSTILE_KINDS.items()
@@ -748,6 +756,9 @@ BAD_ENTRY_FIELDS = {
     "val_accuracy": ["x", "0.5", True, None, [0.5], math.nan, math.inf, -math.inf],
     "ema_val_accuracy": ["x", False, {}, math.nan, -math.inf],
 }
+# widths that do not fit the hostile data (4 features, 3 classes): another
+# input width, fewer classes than the labels, more than the config
+MISFIT_ARCHES = [ArchSpec((5, 6, 3)), ArchSpec((4, 6, 2)), ArchSpec((4, 6, 4))]
 # values no dataset config field can hold
 BAD_CONFIG_VALUES = ["x", None, True, [], {}, math.nan, math.inf, -math.inf]
 
@@ -816,6 +827,10 @@ def _corrupt(kind: str, hostile: dict, tmp: Path, draw) -> dict:
         blob = hostile["sane"].read_bytes()
         inputs["ckpt"] = tmp / "cut.ckpt"
         inputs["ckpt"].write_bytes(blob[: draw(st.integers(0, len(blob) - 1))])
+        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
+    elif kind == "misfit-checkpoint":
+        inputs["ckpt"] = tmp / "misfit.ckpt"
+        save_checkpoint(init_checkpoint(draw(st.sampled_from(MISFIT_ARCHES)), 0), inputs["ckpt"])
         inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
     else:  # missing-input
         inputs = {name: tmp / f"missing-{name}" for name in inputs}
@@ -1017,6 +1032,28 @@ def test_overflowing_checkpoint_writes_no_csv(hostile, tmp_path, capsys, command
     inputs = {"ckpt": hostile["overflow"], "data": hostile["data"]}
     assert cli.main(_hostile_argv(command, inputs, out)) == cli.EXIT_SHAPE
     assert _single_error_line(capsys)["error"] == "non-finite"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "widths, with_config",
+    [(arch.layer_widths, True) for arch in MISFIT_ARCHES]
+    + [((5, 6, 3), False), ((4, 6, 2), False)],
+)
+def test_sweep_from_a_base_that_does_not_fit_exits_shape_code(
+    hostile, tmp_path, capsys, widths, with_config
+):
+    data = tmp_path / "data"
+    shutil.copytree(hostile["data"], data)
+    if not with_config:  # the labels alone then bound the class count
+        (data / "config.json").unlink()
+    base = tmp_path / "base.ckpt"
+    save_checkpoint(init_checkpoint(ArchSpec(widths), 0), base)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--set", 'sweep.configs=[{"epochs": 1}, {"epochs": 1, "seed": 1}]',
+            "--data", str(data), "--base", str(base), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_SHAPE
+    assert _single_error_line(capsys)["type"] == "ShapeMismatchError"
     assert not out.exists()
 
 

@@ -68,10 +68,18 @@ def test_frozen_normals_seed_42():
     assert got[1] == pytest.approx(1.388473285287707, abs=0, rel=1e-15)
 
 
-@given(st.integers(min_value=0, max_value=_M), st.integers(min_value=1, max_value=64))
-@settings(max_examples=50)
-def test_vectorized_equals_scalar(seed, n):
-    assert PortableRng(seed).raw(n).tolist() == _scalar_raw(seed, n)
+# Counts on both sides of the small-draw path of PortableRng.raw.
+_DRAW_COUNTS = st.one_of(st.integers(0, 4), st.integers(5, 64))
+
+
+@given(st.integers(min_value=0, max_value=_M), _DRAW_COUNTS, _DRAW_COUNTS)
+@settings(max_examples=100)
+def test_vectorized_equals_scalar(seed, prefix, n):
+    rng = PortableRng(seed)
+    rng.raw(prefix)
+    got = rng.raw(n)
+    assert got.dtype == np.uint64 and got.shape == (n,)
+    assert got.tolist() == _scalar_raw(seed, prefix + n)[prefix:]
 
 
 @given(st.integers(min_value=0, max_value=_M))
@@ -111,11 +119,20 @@ def test_permutation_is_a_permutation(seed, n):
     assert sorted(p.tolist()) == list(range(n))
 
 
-def test_permutation_frozen_seed_42():
-    # Order that stably sorts the first 8 raw outputs of seed 42.
-    keys = _scalar_raw(42, 8)
-    expected = sorted(range(8), key=lambda i: keys[i])
-    assert PortableRng(42).permutation(8).tolist() == expected
+@pytest.mark.parametrize("n", [8, 4096])  # below and above the stable-sort size
+def test_permutation_frozen_seed_42(n):
+    # Order that stably sorts the first n raw outputs of seed 42.
+    keys = _scalar_raw(42, n)
+    expected = sorted(range(n), key=lambda i: keys[i])
+    assert PortableRng(42).permutation(n).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [8, 2048])
+def test_permutation_breaks_tied_keys_by_index(monkeypatch, n):
+    keys = np.tile(np.array([5, 3, 9, 3], dtype=np.uint64), n // 4)
+    monkeypatch.setattr(PortableRng, "raw", lambda self, count: keys[:count].copy())
+    expected = sorted(range(n), key=lambda i: (int(keys[i]), i))
+    assert PortableRng(0).permutation(n).tolist() == expected
 
 
 def test_below_bounds():
@@ -130,6 +147,29 @@ def test_below_bounds():
 def test_beta_in_unit_interval(alpha, seed):
     x = PortableRng(seed).beta(alpha, alpha)
     assert 0.0 <= x <= 1.0
+
+
+def _numpy_scalar_beta(rng: PortableRng, a: float, b: float) -> float:
+    """Johnk's method on the NumPy float64 scalars that uniforms() yields."""
+    while True:
+        u, v = rng.uniforms(2)
+        x = u ** (1.0 / a)
+        y = v ** (1.0 / b)
+        s = x + y
+        if 0.0 < s <= 1.0:
+            return x / s
+
+
+_SHAPES = st.floats(min_value=0.05, max_value=4.0)
+
+
+@given(st.integers(min_value=0, max_value=_M), _SHAPES, _SHAPES)
+@settings(max_examples=100, deadline=None)
+def test_beta_equals_numpy_scalar_formula(seed, a, b):
+    got, want = PortableRng(seed), PortableRng(seed)
+    for _ in range(3):
+        assert got.beta(a, b).hex() == float(_numpy_scalar_beta(want, a, b)).hex()
+    assert got.raw(1).tolist() == want.raw(1).tolist()  # the same draws were consumed
 
 
 def test_beta_symmetric_mean():

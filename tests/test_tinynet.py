@@ -15,7 +15,7 @@ from oracles import checkpoints_equal
 from soupkit import tinynet
 from soupkit.errors import ShapeMismatchError
 from soupkit.rng import PortableRng
-from soupkit.tensorstore import Checkpoint
+from soupkit.tensorstore import Checkpoint, Params
 from soupkit.tinynet import (
     ArchSpec,
     EvalReport,
@@ -347,6 +347,35 @@ def test_grad64_loss_matches_loss_ce():
     targets = smoothed_targets(labels, 3, 0.1)
     loss, _ = grad64(params, X, targets, 1.3)
     assert loss == pytest.approx(loss_ce(forward(params, X), labels, 0.1, 1.3), rel=1e-12)
+
+
+@pytest.mark.parametrize("targets_kind", ["onehot", "smoothed", "mixup"])
+def test_grad64_into_a_nan_buffer_equals_a_fresh_gradient(targets_kind):
+    params = as_params(_random_params((4, 6, 5, 3), 5))
+    rng = PortableRng(11)
+    X = rng.normals(8 * 4).reshape(8, 4)
+    labels = np.array([rng.below(3) for _ in range(8)])
+    targets = smoothed_targets(labels, 3, 0.1 if targets_kind == "smoothed" else 0.0)
+    if targets_kind == "mixup":  # rows blended as the trainer's mixup does
+        lam, perm = rng.beta(0.4, 0.4), rng.permutation(8)
+        X, targets = lam * X + (1 - lam) * X[perm], lam * targets + (1 - lam) * targets[perm]
+    want_loss, want = grad64(params, X, targets, 1.3)
+    buffer = Params(params.layout, np.full_like(params.vector, np.nan))
+    loss, got = grad64(params, X, targets, 1.3, out=buffer)
+    assert got is buffer
+    assert _same_bits(loss, want_loss)
+    assert buffer.vector.tobytes() == want.vector.tobytes()
+
+
+def test_grad64_rejects_a_buffer_of_another_layout():
+    params = as_params(_random_params((4, 6, 3), 6))
+    other = as_params(_random_params((4, 7, 3), 6))
+    X = PortableRng(12).normals(12).reshape(3, 4)
+    targets = smoothed_targets(np.array([0, 1, 2]), 3, 0.0)
+    float32 = Checkpoint(params.layout, params.vector.astype(np.float32), {})
+    for out in (other.copy(), params.vector.copy(), float32):
+        with pytest.raises(ShapeMismatchError):
+            grad64(params, X, targets, out=out)
 
 
 # ------------------------------------------------------------- curvature

@@ -11,8 +11,8 @@ import pytest
 
 from oracles import checkpoints_equal
 from soupkit import trainer
-from soupkit.datagen import DatasetConfig, generate
-from soupkit.errors import ConfigError, DivergenceError, decode
+from soupkit.datagen import Dataset, DatasetConfig, generate
+from soupkit.errors import ConfigError, DivergenceError, ShapeMismatchError, decode
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import content_digest, load, serialize
 from soupkit.tinynet import ArchSpec, evaluate, init_checkpoint
@@ -279,6 +279,15 @@ def test_hyperconfig_validation():
         HyperConfig(sam_rho=-0.1).validate()
 
 
+def test_mixup_alpha_is_capped_where_the_beta_sampler_still_returns():
+    HyperConfig(mixup_alpha=trainer.MIXUP_ALPHA_MAX).validate()
+    SearchSpace(mixup_max=trainer.MIXUP_ALPHA_MAX).validate()
+    with pytest.raises(ConfigError, match="mixup_alpha"):
+        HyperConfig(mixup_alpha=20.0).validate()
+    with pytest.raises(ConfigError, match="mixup_max"):
+        SearchSpace(mixup_max=4.5).validate()
+
+
 def test_decode_rejects_unknown_hyperparameter_keys():
     with pytest.raises(ConfigError, match="unknown"):
         decode(HyperConfig, {"learning_rate": 0.1, "momentum": 0.9}, "pretrain")
@@ -388,6 +397,25 @@ def test_run_sweep_partial_failure(small_data, tmp_path):
     raw = json.loads((tmp_path / "manifest.json").read_text())
     assert raw["entries"][1]["error"] is not None
     assert load_manifest(tmp_path / "manifest.json").entries[1].error == manifest.entries[1].error
+
+
+# another input width, fewer classes than the labels, more than the config
+@pytest.mark.parametrize("widths", [(7, 10, 3), (6, 10, 2), (6, 10, 4)])
+def test_base_that_does_not_fit_the_data_raises_before_writing(small_data, tmp_path, widths):
+    theta0 = init_checkpoint(ArchSpec(widths), 0)
+    with pytest.raises(ShapeMismatchError, match="does not fit"):
+        finetune(theta0, _fast(), small_data)
+    with pytest.raises(ShapeMismatchError, match="does not fit"):
+        run_sweep(theta0, [_fast(seed=1), _fast(seed=2)], small_data, tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_dataset_without_config_bounds_the_class_count_by_its_labels(small_data):
+    bare = Dataset(splits=small_data.splits)  # labels 0..2
+    result = finetune(init_checkpoint(ArchSpec((6, 10, 4)), 0), _fast(), bare)
+    assert result.checkpoint["layer1.weight"].shape == (10, 4)
+    with pytest.raises(ShapeMismatchError):
+        finetune(init_checkpoint(ArchSpec((6, 10, 2)), 0), _fast(), bare)
 
 
 def test_load_manifest_theta0_digest_defaults_to_empty(tmp_path):
