@@ -46,9 +46,6 @@ _MIX_M1 = 0xBF58476D1CE4E5B9
 _MIX_M2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _SCALAR_DRAWS = 4  # raw() computes up to this many outputs on Python integers
-# Below this many keys a stable argsort costs no more than checking a
-# faster sort's result for ties.
-_STABLE_SORT_MAX = 1024
 
 
 def mix64(value: int) -> int:
@@ -134,8 +131,6 @@ class PortableRng:
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) keyed by n raw draws."""
         keys = self.raw(n)
-        if n < _STABLE_SORT_MAX:
-            return np.argsort(keys, kind="stable")
         # Distinct keys have one sorted order, so any sort finds it; only
         # ties need the stable sort's index order.
         order = np.argsort(keys)

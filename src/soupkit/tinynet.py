@@ -78,12 +78,15 @@ def _layer_names(names: tuple[str, ...]) -> tuple[tuple[str, str, str | None], .
     return layers
 
 
+def _widths(theta: Mapping[str, np.ndarray]) -> tuple[int, ...]:
+    """The width chain read from the weight shapes, without copying a tensor."""
+    layers = _layer_names(tuple(theta))
+    return (theta[layers[0][0]].shape[0], *(theta[weight].shape[1] for weight, _, _ in layers))
+
+
 def arch_of(theta: Checkpoint | Mapping[str, np.ndarray]) -> ArchSpec:
     """Recover the width chain from parameter shapes."""
-    params = as_params(theta)
-    widths = [params["layer0.weight"].shape[0]]
-    widths += [params[weight].shape[1] for weight, _, _ in _layer_names(params.layout.names)]
-    return ArchSpec(tuple(widths))
+    return ArchSpec(_widths(as_params(theta)))
 
 
 def check_fits_data(theta: Checkpoint | Mapping[str, np.ndarray], dataset: Dataset) -> int:
@@ -93,20 +96,20 @@ def check_fits_data(theta: Checkpoint | Mapping[str, np.ndarray], dataset: Datas
     config only bounds it from below by its labels.  Anything else raises
     ShapeMismatchError.
     """
-    layers = _layer_names(tuple(theta))
-    input_dim, num_classes = theta[layers[0][0]].shape[0], theta[layers[-1][0]].shape[1]
+    widths = _widths(theta)
+    input_dim, num_classes = widths[0], widths[-1]
     splits = dataset.splits.values()
-    widths = sorted({split.x.shape[1] for split in splits})
+    features = sorted({split.x.shape[1] for split in splits})
     if dataset.config is not None:
         classes = dataset.config.num_classes
         fits = num_classes == classes
     else:
         classes = max((int(split.y.max()) + 1 for split in splits if split.y.size), default=0)
         fits = num_classes >= classes
-    if widths != [input_dim] or not fits:
+    if features != [input_dim] or not fits:
         raise ShapeMismatchError(
             f"model of {input_dim} inputs and {num_classes} classes does not fit the data "
-            f"({'/'.join(map(str, widths))} features, {classes} classes)"
+            f"({'/'.join(map(str, features))} features, {classes} classes)"
         )
     return num_classes
 

@@ -208,8 +208,10 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
     for epoch in range(h.epochs):
         rng = PortableRng(derive_seed(h.seed, epoch))
         order = rng.permutation(n)
-        np.take(X_all, order, axis=0, out=X_epoch)
-        np.take(base_targets, order, axis=0, out=T_epoch)
+        # order is a permutation, so clipping changes no index; unlike the
+        # default mode="raise", it lets take write into out unbuffered.
+        np.take(X_all, order, axis=0, out=X_epoch, mode="clip")
+        np.take(base_targets, order, axis=0, out=T_epoch, mode="clip")
         for start in range(0, n, h.batch_size):
             xb = X_epoch[start : start + h.batch_size]
             tb = T_epoch[start : start + h.batch_size]

@@ -119,7 +119,7 @@ def test_permutation_is_a_permutation(seed, n):
     assert sorted(p.tolist()) == list(range(n))
 
 
-@pytest.mark.parametrize("n", [8, 4096])  # below and above the stable-sort size
+@pytest.mark.parametrize("n", [8, 4096])
 def test_permutation_frozen_seed_42(n):
     # Order that stably sorts the first n raw outputs of seed 42.
     keys = _scalar_raw(42, n)
