@@ -152,3 +152,13 @@ class PortableRng:
             s = x + y
             if 0.0 < s <= 1.0:
                 return x / s
+            if s == 0.0 and u > 0.0 and v > 0.0:
+                # Both powers underflowed, as they nearly always do at a
+                # tiny shape: finish this pair in log space instead of
+                # rejecting it.  A zero uniform still rejects the pair.
+                lx = math.log(u) / a
+                ly = math.log(v) / b
+                hi, lo = max(lx, ly), min(lx, ly)
+                lse = hi + math.log1p(math.exp(lo - hi))
+                if lse <= 0.0:
+                    return math.exp(lx - lse)

@@ -9,6 +9,7 @@ the documented exit codes with their machine-readable stderr lines.
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -701,6 +702,75 @@ def test_non_finite_dataset_value_exits_format_code(workspace, tmp_path, capsys,
     assert not (tmp_path / "r.json").exists()
 
 
+# ------------------------------------------------- the process entry point
+
+
+@pytest.fixture
+def freezes(monkeypatch):
+    """Record ``gc.freeze`` calls instead of freezing the test process."""
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", "--ckpt", "{base}", "--data", "{data}"], cli.EXIT_OK),
+        (["frobnicate"], cli.EXIT_CONFIG),
+        (["eval", "--ckpt", "{missing}", "--data", "{data}"], cli.EXIT_MISSING_INPUT),
+    ],
+)
+def test_run_returns_the_exit_code_of_main(
+    workspace, tmp_path, monkeypatch, capsys, freezes, argv, code
+):
+    paths = {"base": workspace["base"], "data": workspace["data"], "missing": tmp_path / "x.ckpt"}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "e.json")]
+    monkeypatch.setattr(sys, "argv", ["soupkit", *argv])
+    assert cli.run() == code
+    assert freezes == ["freeze"]
+    assert (tmp_path / "e.json").exists() == (code == cli.EXIT_OK)
+    assert len(capsys.readouterr().err.splitlines()) == (code != cli.EXIT_OK)
+
+
+def test_run_freezes_only_after_main_returns(monkeypatch, freezes):
+    monkeypatch.setattr(cli, "main", lambda: freezes.append("main") or 7)
+    assert cli.run() == 7
+    assert freezes == ["main", "freeze"]
+
+
+def test_main_leaves_the_collector_as_it_found_it(workspace, tmp_path, capsys):
+    state = gc.isenabled(), gc.get_freeze_count()
+    run_ok(["eval", "--ckpt", str(workspace["base"]), "--data", str(workspace["data"]),
+            "--out", str(tmp_path / "e.json")])
+    assert cli.main(["frobnicate"]) == cli.EXIT_CONFIG
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+def test_console_script_is_the_process_entry_point():
+    pyproject = (SRC_DIR.parent / "pyproject.toml").read_text()
+    assert 'soupkit = "soupkit.cli:run"' in pyproject.splitlines()
+
+
+def test_module_entry_point_writes_stdout_stderr_and_artifacts(workspace, tmp_path):
+    proc = _run_cli_process(["--help"])
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: soupkit")
+    assert proc.stderr == ""
+
+    def eval_argv(ckpt, out):
+        return ["eval", "--ckpt", str(ckpt), "--data", str(workspace["data"]), "--out", str(out)]
+
+    proc = _run_cli_process(eval_argv(workspace["base"], tmp_path / "e.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    run_ok(eval_argv(workspace["base"], tmp_path / "in-process.json"))
+    assert (tmp_path / "e.json").read_bytes() == (tmp_path / "in-process.json").read_bytes()
+    proc = _run_cli_process(eval_argv(tmp_path / "x.ckpt", tmp_path / "m.json"))
+    assert proc.returncode == cli.EXIT_MISSING_INPUT
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "missing-input"
+    assert not (tmp_path / "m.json").exists()
+
+
 # ---------------------------------------------- hostile inputs, one property
 
 # Every weight +-3e38 with random signs: finite in float32, but the logits of
@@ -853,6 +923,24 @@ def test_hostile_input_exits_documented_code_and_writes_nothing(hostile, pair, d
         assert len(lines) == 1, lines
         assert set(json.loads(lines[0])) == {"error", "type", "message"}
         assert not list(tmp.glob("out*"))
+
+
+# Requested sizes past any address space (over 700 PiB), so that NumPy fails
+# at once under every overcommit policy, before it writes any of the array.
+OVERSIZED = {
+    "datagen": ["datagen", "--set", f"dataset.num_train={10**17}"],
+    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--ckpt-c", "{ckpt}",
+              "--data", "{data}", f"--x-range=0:1:{10**17}", "--y-range", "0:1:2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERSIZED))
+def test_size_too_large_to_allocate_exits_config_code(hostile, tmp_path, capsys, command):
+    argv = [arg.format(ckpt=hostile["sane"], data=hostile["data"]) for arg in OVERSIZED[command]]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    line = _single_error_line(capsys)
+    assert (line["error"], line["type"]) == ("too-large", "MemoryError")
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_every_bad_field_value_is_a_format_error(hostile, tmp_path):

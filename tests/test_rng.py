@@ -163,6 +163,8 @@ def _numpy_scalar_beta(rng: PortableRng, a: float, b: float) -> float:
 _SHAPES = st.floats(min_value=0.05, max_value=4.0)
 
 
+# Over these shapes no pair has both powers underflow to zero, so the log-space
+# finish never runs and every draw keeps the plain formula's bits.
 @given(st.integers(min_value=0, max_value=_M), _SHAPES, _SHAPES)
 @settings(max_examples=100, deadline=None)
 def test_beta_equals_numpy_scalar_formula(seed, a, b):
@@ -170,6 +172,28 @@ def test_beta_equals_numpy_scalar_formula(seed, a, b):
     for _ in range(3):
         assert got.beta(a, b).hex() == float(_numpy_scalar_beta(want, a, b)).hex()
     assert got.raw(1).tolist() == want.raw(1).tolist()  # the same draws were consumed
+
+
+@pytest.mark.parametrize("shape", [1e-7, 1e-12, 1e-300])
+@pytest.mark.parametrize("seed", range(8))
+def test_tiny_beta_shape_returns_after_one_pair(seed, shape):
+    # Johnk's powers both underflow here, which used to reject almost every
+    # pair (thousands per draw at 1e-7, growing as 1/shape).
+    got, want = PortableRng(seed), PortableRng(seed)
+    x = got.beta(shape, shape)
+    u, v = want.uniforms(2).tolist()
+    assert got.raw(1).tolist() == want.raw(1).tolist()  # exactly one pair consumed
+    assert 0.0 <= x <= 1.0
+    # x / (x + y) with x = u**(1/a), y = v**(1/a), as a logistic in the log ratio
+    assert x == pytest.approx(1.0 / (1.0 + math.exp(min(math.log(v / u) / shape, 700.0))),
+                              abs=1e-12)
+
+
+def test_tiny_beta_shape_splits_mass_between_the_ends():
+    r = PortableRng(4)
+    xs = np.array([r.beta(1e-9, 1e-9) for _ in range(2000)])
+    assert ((xs < 1e-6) | (xs > 1 - 1e-6)).all()
+    assert abs(float(xs.mean()) - 0.5) < 0.05
 
 
 def test_beta_symmetric_mean():

@@ -288,6 +288,15 @@ def test_mixup_alpha_is_capped_where_the_beta_sampler_still_returns():
         SearchSpace(mixup_max=4.5).validate()
 
 
+def test_sweep_with_a_tiny_mixup_alpha_finishes(small_data, tmp_path):
+    # Each mixup batch draws one Beta(alpha, alpha); at 1e-10 Johnk's powers
+    # underflow on nearly every pair, which once stalled each draw for minutes.
+    theta0 = pretrain(ARCH, small_data, _fast())
+    manifest = run_sweep(theta0, [_fast(seed=4, mixup_alpha=1e-10)], small_data, tmp_path)
+    (entry,) = manifest.entries
+    assert entry.error is None and entry.val_accuracy is not None
+
+
 def test_decode_rejects_unknown_hyperparameter_keys():
     with pytest.raises(ConfigError, match="unknown"):
         decode(HyperConfig, {"learning_rate": 0.1, "momentum": 0.9}, "pretrain")
