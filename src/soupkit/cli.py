@@ -21,9 +21,11 @@ Exit codes:
 
     0  success
     1  unexpected error
-    2  configuration problem (bad value, unknown key, bad flag, or a size
-       too large to allocate)
-    3  missing input file or directory
+    2  configuration problem (bad value, unknown key, bad flag, an empty
+       --splits, a size too large to allocate, or an --out that exists as
+       the wrong kind: a directory where a file is written or the reverse;
+       it is checked before any work, so nothing is written)
+    3  missing input file or directory, or a directory given as an input file
     4  training diverged (non-finite loss)
     5  malformed input file (checkpoint, dataset or manifest format)
     6  shape/geometry mismatch, such as a checkpoint whose widths do not fit
@@ -50,6 +52,7 @@ import gc
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -158,21 +161,18 @@ def sweep_configs_from(doc: Mapping) -> list[HyperConfig]:
 # --------------------------------------------------------------- shared bits
 
 
-def _load_dataset(directory: str) -> Dataset:
+def _load_dataset(directory: str, models: Sequence[Checkpoint] = ()) -> Dataset:
+    """The dataset in ``directory``; ShapeMismatchError unless each of ``models`` fits it."""
     from .datagen import load_csv
+    from .tinynet import check_fits_data
 
     path = Path(directory)
     if not path.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {directory}")
-    return load_csv(path)
-
-
-def _check_fit(ds: Dataset, models: Sequence[Checkpoint]) -> None:
-    """ShapeMismatchError unless every model fits the dataset's features and classes."""
-    from .tinynet import check_fits_data
-
+    ds = load_csv(path)
     for model in models:
         check_fits_data(model, ds)
+    return ds
 
 
 def _split_arrays(ds: Dataset, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -182,6 +182,14 @@ def _split_arrays(ds: Dataset, name: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(f"unknown split {name!r}; expected one of {SPLIT_NAMES}")
     split = ds.splits[name]
     return split.x, split.y
+
+
+def _split_map(ds: Dataset, names: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The comma-separated split ``names`` mapped to their arrays; at least one is needed."""
+    split_map = {name: _split_arrays(ds, name) for name in names.split(",") if name}
+    if not split_map:
+        raise ConfigError("--splits: no split names given")
+    return split_map
 
 
 def _parse_alphas(text: str) -> list[float]:
@@ -277,16 +285,12 @@ def cmd_soup(args: argparse.Namespace) -> int:
     _, models = _manifest_models(args.manifest)
     if args.kind == "uniform":
         result = soups.uniform_soup(models)
-    elif args.kind == "greedy":
-        ds = _load_dataset(args.data)
-        _check_fit(ds, models)
-        X, y = _split_arrays(ds, args.split)
-        result = soups.greedy_soup(models, soups.accuracy_fn(X, y))
-    else:  # learned
-        ds = _load_dataset(args.data)
-        _check_fit(ds, models)
-        X, y = _split_arrays(ds, args.split)
-        result = soups.learned_soup(models, X, y, by_layer=args.by_layer)
+    else:
+        X, y = _split_arrays(_load_dataset(args.data, models), args.split)
+        if args.kind == "greedy":
+            result = soups.greedy_soup(models, soups.accuracy_fn(X, y))
+        else:
+            result = soups.learned_soup(models, X, y, by_layer=args.by_layer)
     soups.save_soup(result, args.out)
     return EXIT_OK
 
@@ -296,8 +300,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     from .tinynet import loss_ce, predictions
 
     _, models = _manifest_models(args.manifest)
-    ds = _load_dataset(args.data)
-    _check_fit(ds, models)
+    ds = _load_dataset(args.data, models)
     if args.kind == "greedy":
         sel_x, sel_y = _split_arrays(ds, args.split)
         members = ensembles.greedy_ensemble(
@@ -330,24 +333,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .tensorstore import load as load_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
-    ds = _load_dataset(args.data)
-    _check_fit(ds, [ckpt])
-    X, y = _split_arrays(ds, args.split)
-    report = evaluate_with_calibration(
-        ckpt, X, y, beta=args.beta, num_bins=args.bins
-    )
-    payload = {
-        "ckpt": str(args.ckpt),
-        "split": args.split,
-        "beta": args.beta,
-        "count": report.count,
-        "loss": report.loss,
-        "top1_error": report.top1_error,
-        "accuracy": report.accuracy,
-        "calibrated_loss": report.calibrated_loss,
-        "ece": report.ece,
-    }
-    write_json(args.out, payload)
+    X, y = _split_arrays(_load_dataset(args.data, [ckpt]), args.split)
+    report = evaluate_with_calibration(ckpt, X, y, beta=args.beta, num_bins=args.bins)
+    write_json(args.out, {**asdict(report), "accuracy": report.accuracy, "ckpt": str(args.ckpt),
+                          "split": args.split, "beta": args.beta})
     return EXIT_OK
 
 
@@ -358,10 +347,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
     alphas = _parse_alphas(args.alphas)
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
-    ds = _load_dataset(args.data)
-    _check_fit(ds, [theta0, theta1])
-    split_names = [s for s in args.splits.split(",") if s]
-    split_map = {name: _split_arrays(ds, name) for name in split_names}
+    split_map = _split_map(_load_dataset(args.data, [theta0, theta1]), args.splits)
     rows = analysis.interpolation_curve(theta0, theta1, alphas, split_map)
     analysis.write_curve_csv(rows, args.out)
     return EXIT_OK
@@ -376,9 +362,7 @@ def cmd_plane(args: argparse.Namespace) -> int:
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
     theta2 = load_checkpoint(args.ckpt_c)
-    ds = _load_dataset(args.data)
-    _check_fit(ds, [theta0, theta1, theta2])
-    X, y = _split_arrays(ds, args.split)
+    X, y = _split_arrays(_load_dataset(args.data, [theta0, theta1, theta2]), args.split)
     matrix, basis = analysis.plane_landscape(
         theta0, theta1, theta2, xs, ys, X, y, metric=args.metric
     )
@@ -392,12 +376,20 @@ def cmd_grid_study(args: argparse.Namespace) -> int:
     _, models = _manifest_models(args.manifest)
     if len(models) < 2:
         raise ConfigError(f"grid-study needs at least two successful entries, got {len(models)}")
-    ds = _load_dataset(args.data)
-    _check_fit(ds, models)
-    X, y = _split_arrays(ds, args.split)
+    X, y = _split_arrays(_load_dataset(args.data, models), args.split)
     cells = analysis.grid_endpoint_study(models, X, y)
     analysis.write_grid_study_csv(cells, args.out)
     return EXIT_OK
+
+
+@dataclass(frozen=True)
+class _PairEntry:
+    """One entry of an ``approx --pairs`` file; checkpoint paths are relative to the file."""
+
+    id: str
+    theta0: str
+    theta1: str
+    learning_rate: float | None = None
 
 
 def _pairs_from_file(path: str) -> list[PairSpec]:
@@ -407,33 +399,15 @@ def _pairs_from_file(path: str) -> list[PairSpec]:
     raw = read_json(path, ConfigError)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: pair file must be a JSON list")
-    specs = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise ConfigError(f"{path}: pair {i} must be a JSON object")
-        try:
-            pair_id = str(item.pop("id"))
-            theta0 = item.pop("theta0")
-            theta1 = item.pop("theta1")
-        except KeyError as exc:
-            raise ConfigError(f"{path}: pair {i} missing key {exc}") from exc
-        lr = item.pop("learning_rate", None)
-        if item:
-            raise ConfigError(f"{path}: pair {i} has unknown keys {sorted(item)}")
-        if not isinstance(theta0, str) or not isinstance(theta1, str):
-            raise ConfigError(f"{path}: pair {i} theta0 and theta1 must be path strings")
-        if lr is not None and (
-            isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr)
-        ):
-            raise ConfigError(f"{path}: pair {i} learning_rate must be a finite number")
-        specs.append((pair_id, theta0, theta1, None if lr is None else float(lr)))
-    ids = [spec[0] for spec in specs]
+    entries = [decode(_PairEntry, item, f"{path}: pair {i}") for i, item in enumerate(raw)]
+    ids = [e.id for e in entries]
     if len(ids) < 2 or len(set(ids)) != len(ids):
         raise ConfigError(f"{path}: need at least two pairs with distinct ids, got {ids}")
     base = Path(path).parent
-    return [
-        PairSpec(pair_id, load_checkpoint(base / t0), load_checkpoint(base / t1), lr)
-        for pair_id, t0, t1, lr in specs
+    return [  # an integer rate is written to the CSV as a float
+        PairSpec(e.id, load_checkpoint(base / e.theta0), load_checkpoint(base / e.theta1),
+                 None if e.learning_rate is None else float(e.learning_rate))
+        for e in entries
     ]
 
 
@@ -442,10 +416,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
     alphas = _parse_alphas(args.alphas)
     pairs = _pairs_from_file(args.pairs)
-    ds = _load_dataset(args.data)
-    _check_fit(ds, [theta for pair in pairs for theta in (pair.theta0, pair.theta1)])
-    split_names = [s for s in args.splits.split(",") if s]
-    split_map = {name: _split_arrays(ds, name) for name in split_names}
+    ds = _load_dataset(args.data, [theta for pair in pairs for theta in (pair.theta0, pair.theta1)])
+    split_map = _split_map(ds, args.splits)
     report = analysis.approx_validation_report(
         pairs, alphas, split_map, beta_mode=args.beta_mode
     )
@@ -457,25 +429,23 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     from . import ensembles
+    from .tinynet import check_fits_data
 
     ds = _load_dataset(args.data)
     fit_x, fit_y = _split_arrays(ds, args.fit_split)
     eval_x, eval_y = _split_arrays(ds, args.eval_split)
     if args.manifest is not None:
         _, models = _manifest_models(args.manifest)
-        _check_fit(ds, models)
-        fit_logits = ensembles.logit_ensemble(models, fit_x)
-        eval_logits = ensembles.logit_ensemble(models, eval_x)
     else:
         from .tensorstore import load as load_checkpoint
-        from .tinynet import forward
 
-        ckpt = load_checkpoint(args.ckpt)
-        _check_fit(ds, [ckpt])
-        fit_logits = forward(ckpt, fit_x)
-        eval_logits = forward(ckpt, eval_x)
+        models = [load_checkpoint(args.ckpt)]
+    for model in models:
+        check_fits_data(model, ds)
+    # The mean of one model's logits is its logits, bit for bit (1.0 * z == z).
     report = ensembles.calibration_report(
-        fit_logits, fit_y, eval_logits, eval_y, num_bins=args.bins
+        ensembles.logit_ensemble(models, fit_x), fit_y,
+        ensembles.logit_ensemble(models, eval_x), eval_y, num_bins=args.bins,
     )
     ensembles.write_calibration_csv(report, args.out)
     return EXIT_OK
@@ -663,6 +633,8 @@ _ERROR_EXITS: list[tuple[type[BaseException], str, int]] = [
     # writes any of the array.
     (MemoryError, "too-large", EXIT_CONFIG),
     (FileNotFoundError, "missing-input", EXIT_MISSING_INPUT),
+    # A directory given as an input file; ``_check_out`` rejects a directory --out earlier.
+    (IsADirectoryError, "missing-input", EXIT_MISSING_INPUT),
     (DivergenceError, "divergence", EXIT_DIVERGED),
     (CheckpointFormatError, "checkpoint-format", EXIT_FORMAT),
     (DataFormatError, "data-format", EXIT_FORMAT),
@@ -682,9 +654,20 @@ def _emit_error(category: str, exc: BaseException) -> None:
     print(line, file=sys.stderr)
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """ConfigError, before any work, if an output or a parent of it exists as the wrong kind."""
+    outs = [args.out, args.out + ".soup.json"] if args.func is cmd_soup else [args.out]
+    for out in map(Path, outs):
+        found = next(p for p in (out, *out.parents) if p.exists())  # '.' or '/' at the latest
+        kind = "directory" if found != out or args.func in (cmd_datagen, cmd_sweep) else "file"
+        if found.is_dir() != (kind == "directory"):
+            raise ConfigError(f"--out {args.out}: {found} exists and is not a {kind}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args)
         # Every non-finite result is caught and mapped to exit 4 or 6, so
         # NumPy's floating-point warnings would only break the one-line
         # stderr contract.

@@ -139,8 +139,11 @@ def decode(cls: type, raw: object, where: str):
         obj = cls(**{k: _convert(v, fields[k], f"{where}.{k}") for k, v in raw.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    if hasattr(obj, "validate"):
-        obj.validate()
-    else:
-        check_fields(obj)
+    try:
+        if hasattr(obj, "validate"):
+            obj.validate()
+        else:
+            check_fields(obj)
+    except ConfigError as exc:  # the checks do not know where the object came from
+        raise ConfigError(f"{where}: {exc}") from exc
     return obj

@@ -480,22 +480,8 @@ def run_sweep(
 
 
 def save_manifest(manifest: SweepManifest, path: str | Path) -> None:
-    doc = {
-        "theta0_digest": manifest.theta0_digest,
-        "entries": [
-            {
-                "index": e.index,
-                "config": asdict(e.config),
-                "path": e.path,
-                "val_accuracy": e.val_accuracy,
-                "ema_path": e.ema_path,
-                "ema_val_accuracy": e.ema_val_accuracy,
-                "error": e.error,
-            }
-            for e in manifest.entries
-        ],
-    }
-    write_json(path, doc)
+    entries = [asdict(e) for e in manifest.entries]
+    write_json(path, {"theta0_digest": manifest.theta0_digest, "entries": entries})
 
 
 def load_manifest(path: str | Path) -> SweepManifest:

@@ -349,6 +349,79 @@ def test_unknown_split_exits_config_code(workspace, tmp_path, capsys):
     )
 
 
+# argv per command with {dir} where an input file is expected
+DIRECTORY_AS_INPUT = {
+    "eval-ckpt": ["eval", "--ckpt", "{dir}", "--data", "{data}"],
+    "soup-manifest": ["soup", "uniform", "--manifest", "{dir}"],
+    "pretrain-config": ["pretrain", "--config", "{dir}", "--data", "{data}"],
+    "approx-pairs": ["approx", "--pairs", "{dir}", "--data", "{data}"],
+    "report-soup": ["report", "--soup", "{dir}"],
+    "report-eval-report": ["report", "--eval-report", "{dir}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTORY_AS_INPUT))
+def test_directory_given_as_input_file_exits_missing_input(workspace, tmp_path, capsys, case):
+    inputs = {"dir": str(tmp_path / "a-directory"), "data": str(workspace["data"])}
+    (tmp_path / "a-directory").mkdir()
+    argv = [arg.format(**inputs) for arg in DIRECTORY_AS_INPUT[case]]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_MISSING_INPUT
+    assert _single_error_line(capsys)["error"] == "missing-input"
+    assert not list(tmp_path.glob("out*"))
+
+
+# (argv, the --out path, the path that exists beforehand and its kind; paths in tmp_path)
+OUT_OF_THE_WRONG_KIND = {
+    "soup-into-directory": (["soup", "uniform", "--manifest", "{manifest}"], "out", "out", "dir"),
+    "soup-sidecar-directory": (["soup", "uniform", "--manifest", "{manifest}"], "out",
+                               "out.soup.json", "dir"),
+    "eval-into-directory": (["eval", "--ckpt", "{base}", "--data", "{data}"], "out", "out",
+                            "dir"),
+    "sweep-into-file": (["sweep", "--config", "{config}", "--data", "{data}",
+                         "--base", "{base}"], "out", "out", "file"),
+    "datagen-into-file": (["datagen", "--config", "{config}"], "out", "out", "file"),
+    "eval-under-file": (["eval", "--ckpt", "{base}", "--data", "{data}"], "out/e.json", "out",
+                        "file"),
+    "datagen-under-file": (["datagen", "--config", "{config}"], "out/data", "out", "file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_THE_WRONG_KIND))
+def test_out_of_the_wrong_kind_exits_config_code_and_writes_nothing(
+    workspace, tmp_path, capsys, case
+):
+    command, out, existing, kind = OUT_OF_THE_WRONG_KIND[case]
+    if kind == "dir":
+        (tmp_path / existing).mkdir()
+    else:
+        (tmp_path / existing).write_text("kept")
+    argv = [arg.format(**{k: str(v) for k, v in workspace.items()}) for arg in command]
+    assert cli.main([*argv, "--out", str(tmp_path / out)]) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+    assert [p.name for p in tmp_path.iterdir()] == [existing]
+    if kind == "dir":
+        assert not list((tmp_path / existing).iterdir())
+    else:
+        assert (tmp_path / existing).read_text() == "kept"
+
+
+@pytest.mark.parametrize("splits", [",", "", ",,"])
+@pytest.mark.parametrize("command", ["interp", "approx"])
+def test_no_split_name_exits_config_code(workspace, tmp_path, capsys, command, splits):
+    if command == "interp":
+        inputs = ["--ckpt-a", str(workspace["base"]), "--ckpt-b", str(workspace["base"])]
+    else:
+        sweep = workspace["manifest"].parent
+        endpoints = [(workspace["base"], sweep / f"model_00{i}.ckpt") for i in (0, 1)]
+        inputs = ["--pairs", str(_pairs_file(tmp_path / "pairs.json", endpoints))]
+    out = tmp_path / "out.csv"
+    argv = [command, *inputs, "--data", str(workspace["data"]), "--splits", splits,
+            "--alphas", "0,1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert _single_error_line(capsys)["error"] == "config"
+    assert not out.exists()
+
+
 def test_help_and_bad_subcommand_use_argparse_exits(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
@@ -490,9 +563,12 @@ def test_malformed_config_file_exits_config_code(tmp_path, capsys, raw):
         b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"}]',
         b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"},'
         b' {"id": "p", "theta0": "a.ckpt", "theta1": "c.ckpt"}]',
+        b'[{"id": 1, "theta0": "a.ckpt", "theta1": "b.ckpt"},'
+        b' {"id": 2, "theta0": "a.ckpt", "theta1": "c.ckpt"}]',
     ],
     ids=["not-json", "not-utf8", "entry-not-object", "entry-pair-list", "not-list",
-         "path-not-string", "rate-not-number", "rate-not-finite", "one-pair", "duplicate-id"],
+         "path-not-string", "rate-not-number", "rate-not-finite", "one-pair", "duplicate-id",
+         "id-not-string"],
 )
 def test_malformed_pairs_file_exits_config_code(workspace, tmp_path, capsys, raw):
     pairs = tmp_path / "pairs.json"
@@ -500,7 +576,9 @@ def test_malformed_pairs_file_exits_config_code(workspace, tmp_path, capsys, raw
     argv = ["approx", "--pairs", str(pairs), "--data", str(workspace["data"]),
             "--out", str(tmp_path / "a.csv")]
     assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
+    line = _single_error_line(capsys)
+    assert line["error"] == "config"
+    assert str(pairs) in line["message"]
 
 
 @pytest.mark.parametrize(
