@@ -237,17 +237,16 @@ DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
 # ------------------------------------------------------------------ commands
 
 
-def cmd_datagen(args: argparse.Namespace) -> int:
+def cmd_datagen(args: argparse.Namespace) -> None:
     from . import datagen
 
     doc = load_run_config(args.config, args.set)
     cfg = decode(datagen.DatasetConfig, doc.get("dataset", {}), "dataset")
     ds = datagen.generate(cfg)
     datagen.save_csv(ds, args.out)
-    return EXIT_OK
 
 
-def cmd_pretrain(args: argparse.Namespace) -> int:
+def cmd_pretrain(args: argparse.Namespace) -> None:
     from . import trainer
     from .tensorstore import save as save_checkpoint
     from .tinynet import ArchSpec
@@ -264,10 +263,9 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
             )
     ckpt = trainer.pretrain(arch, ds, hyper)
     save_checkpoint(ckpt, args.out)
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     from .tensorstore import load as load_checkpoint
     from .trainer import run_sweep
 
@@ -276,10 +274,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds = _load_dataset(args.data)
     theta0 = load_checkpoint(args.base)
     run_sweep(theta0, configs, ds, args.out, max_workers=args.workers)
-    return EXIT_OK
 
 
-def cmd_soup(args: argparse.Namespace) -> int:
+def cmd_soup(args: argparse.Namespace) -> None:
     from . import soups
 
     _, models = _manifest_models(args.manifest)
@@ -292,12 +289,11 @@ def cmd_soup(args: argparse.Namespace) -> int:
         else:
             result = soups.learned_soup(models, X, y, by_layer=args.by_layer)
     soups.save_soup(result, args.out)
-    return EXIT_OK
 
 
-def cmd_ensemble(args: argparse.Namespace) -> int:
+def cmd_ensemble(args: argparse.Namespace) -> None:
     from . import ensembles
-    from .tinynet import loss_ce, predictions
+    from .tinynet import evaluate_logits
 
     _, models = _manifest_models(args.manifest)
     ds = _load_dataset(args.data, models)
@@ -309,22 +305,20 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
     else:
         members = list(range(len(models)))
     X, y = _split_arrays(ds, args.eval_split)
-    logits = ensembles.logit_ensemble([models[i] for i in members], X)
-    err = float(np.mean(predictions(logits) != y))
+    report = evaluate_logits(ensembles.logit_ensemble([models[i] for i in members], X), y)
     payload = {
         "kind": args.kind,
         "members": members,
         "split": args.eval_split,
-        "count": int(len(y)),
-        "loss": loss_ce(logits, y),
-        "top1_error": err,
-        "accuracy": 1.0 - err,
+        "count": report.count,
+        "loss": report.loss,
+        "top1_error": report.top1_error,
+        "accuracy": report.accuracy,
     }
     write_json(args.out, payload)
-    return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     if args.beta is not None and not 0.0 < args.beta < math.inf:
         raise ConfigError(f"--beta must be finite and > 0, got {args.beta}")
     if args.bins < 1:
@@ -337,10 +331,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate_with_calibration(ckpt, X, y, beta=args.beta, num_bins=args.bins)
     write_json(args.out, {**asdict(report), "accuracy": report.accuracy, "ckpt": str(args.ckpt),
                           "split": args.split, "beta": args.beta})
-    return EXIT_OK
 
 
-def cmd_interp(args: argparse.Namespace) -> int:
+def cmd_interp(args: argparse.Namespace) -> None:
     from . import analysis
     from .tensorstore import load as load_checkpoint
 
@@ -350,10 +343,9 @@ def cmd_interp(args: argparse.Namespace) -> int:
     split_map = _split_map(_load_dataset(args.data, [theta0, theta1]), args.splits)
     rows = analysis.interpolation_curve(theta0, theta1, alphas, split_map)
     analysis.write_curve_csv(rows, args.out)
-    return EXIT_OK
 
 
-def cmd_plane(args: argparse.Namespace) -> int:
+def cmd_plane(args: argparse.Namespace) -> None:
     from . import analysis
     from .tensorstore import load as load_checkpoint
 
@@ -367,10 +359,9 @@ def cmd_plane(args: argparse.Namespace) -> int:
         theta0, theta1, theta2, xs, ys, X, y, metric=args.metric
     )
     analysis.write_plane_csv(matrix, xs, ys, basis, args.metric, args.out)
-    return EXIT_OK
 
 
-def cmd_grid_study(args: argparse.Namespace) -> int:
+def cmd_grid_study(args: argparse.Namespace) -> None:
     from . import analysis
 
     _, models = _manifest_models(args.manifest)
@@ -379,7 +370,6 @@ def cmd_grid_study(args: argparse.Namespace) -> int:
     X, y = _split_arrays(_load_dataset(args.data, models), args.split)
     cells = analysis.grid_endpoint_study(models, X, y)
     analysis.write_grid_study_csv(cells, args.out)
-    return EXIT_OK
 
 
 @dataclass(frozen=True)
@@ -411,7 +401,7 @@ def _pairs_from_file(path: str) -> list[PairSpec]:
     ]
 
 
-def cmd_approx(args: argparse.Namespace) -> int:
+def cmd_approx(args: argparse.Namespace) -> None:
     from . import analysis
 
     alphas = _parse_alphas(args.alphas)
@@ -422,33 +412,28 @@ def cmd_approx(args: argparse.Namespace) -> int:
         pairs, alphas, split_map, beta_mode=args.beta_mode
     )
     analysis.write_approx_csv(report, args.out)
-    return EXIT_OK
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
+def cmd_calibrate(args: argparse.Namespace) -> None:
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     from . import ensembles
-    from .tinynet import check_fits_data
 
-    ds = _load_dataset(args.data)
-    fit_x, fit_y = _split_arrays(ds, args.fit_split)
-    eval_x, eval_y = _split_arrays(ds, args.eval_split)
     if args.manifest is not None:
         _, models = _manifest_models(args.manifest)
     else:
         from .tensorstore import load as load_checkpoint
 
         models = [load_checkpoint(args.ckpt)]
-    for model in models:
-        check_fits_data(model, ds)
+    ds = _load_dataset(args.data, models)
+    fit_x, fit_y = _split_arrays(ds, args.fit_split)
+    eval_x, eval_y = _split_arrays(ds, args.eval_split)
     # The mean of one model's logits is its logits, bit for bit (1.0 * z == z).
     report = ensembles.calibration_report(
         ensembles.logit_ensemble(models, fit_x), fit_y,
         ensembles.logit_ensemble(models, eval_x), eval_y, num_bins=args.bins,
     )
     ensembles.write_calibration_csv(report, args.out)
-    return EXIT_OK
 
 
 def _read_json_object(path: str) -> dict:
@@ -458,7 +443,7 @@ def _read_json_object(path: str) -> dict:
     return doc
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> None:
     payload: dict = {}
     if args.manifest is not None:
         from .trainer import load_manifest
@@ -481,7 +466,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not payload:
         raise ConfigError("report needs at least one of --manifest/--soup/--eval-report")
     write_json(args.out, payload)
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------- parser
@@ -672,7 +656,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # NumPy's floating-point warnings would only break the one-line
         # stderr contract.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            args.func(args)
+        return EXIT_OK
     except Exception as exc:  # mapped to documented exit codes below
         for kind, category, code in _ERROR_EXITS:
             if isinstance(exc, kind):

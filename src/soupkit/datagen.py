@@ -177,11 +177,15 @@ def _format_split(split: Split) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_split(text: str, path: str, num_classes: int | None) -> Split:
+def _parse_split(text: str, path: str, config: DatasetConfig | None) -> Split:
     lines = text.strip("\n").split("\n")
-    if not lines or not lines[0].startswith("label,"):
+    if not lines[0].startswith("label,"):
         raise DataFormatError(f"{path}: missing 'label,f0,...' header")
     width = len(lines[0].split(",")) - 1
+    if len(lines) == 1:
+        raise DataFormatError(f"{path}: no rows after the header")
+    if config is not None and width != config.input_dim:
+        raise DataFormatError(f"{path}: {width} features, config input_dim {config.input_dim}")
     xs = np.empty((len(lines) - 1, width), dtype=np.float64)
     ys = np.empty(len(lines) - 1, dtype=np.int64)
     for i, line in enumerate(lines[1:]):
@@ -193,7 +197,7 @@ def _parse_split(text: str, path: str, num_classes: int | None) -> Split:
             values = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {i + 1} is not numeric: {exc}") from exc
-        if label < 0 or (num_classes is not None and label >= num_classes):
+        if label < 0 or (config is not None and label >= config.num_classes):
             raise DataFormatError(f"{path}: row {i + 1} label {label} out of range")
         ys[i] = label
         xs[i] = values
@@ -217,7 +221,8 @@ def save_csv(ds: Dataset, directory: str | Path) -> None:
 
 
 def load_csv(directory: str | Path) -> Dataset:
-    """The dataset in ``directory``; a malformed split or config.json raises DataFormatError."""
+    """The dataset in ``directory``; DataFormatError on a malformed config.json or split,
+    a split without rows, or one whose width is not config.json's ``input_dim``."""
     directory = Path(directory)
     config = None
     config_path = directory / "config.json"
@@ -226,11 +231,10 @@ def load_csv(directory: str | Path) -> Dataset:
             config = decode(DatasetConfig, read_json(config_path, DataFormatError), "dataset")
         except ConfigError as exc:
             raise DataFormatError(f"{config_path}: bad config: {exc}") from exc
-    num_classes = config.num_classes if config else None
     splits = {}
     for name in SPLIT_NAMES:
         path = directory / f"{name}.csv"
         if not path.exists():
             raise DataFormatError(f"missing split file {path}")
-        splits[name] = _parse_split(path.read_text(), str(path), num_classes)
+        splits[name] = _parse_split(path.read_text(), str(path), config)
     return Dataset(splits=splits, config=config)

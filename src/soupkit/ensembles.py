@@ -2,8 +2,8 @@
 
 A logit ensemble averages per-model logits before the softmax, so it
 pays k forward passes at prediction time where a weight-space soup pays
-one.  Greedy member selection reuses the same grow-if-not-worse control
-flow as greedy soups, scoring the uniform ensemble of the pool.
+one.  Greedy member selection is the greedy soup's recipe,
+``soups.greedy_select``, scoring the uniform ensemble of the pool.
 
 Calibration fits a single logit scale beta (an inverse temperature) by
 minimizing mean NLL of beta * logits on a held-out split, searching
@@ -103,21 +103,13 @@ def greedy_ensemble(
     """Greedy member selection; returns indices in acceptance order.
 
     ``val_accuracy_fn`` scores a list of member checkpoints (the
-    uniform ensemble of the pool).  Same accept-iff-not-worse rule as
-    greedy soups: descending presort with stable ties, empty pool at
-    -inf so the best single model always enters.
+    uniform ensemble of the pool).  The recipe is the greedy soup's,
+    ``soups.greedy_select``.
     """
     # Imported here, so that loading ensembles loads neither soups nor trainer.
     from .soups import greedy_select
 
-    if not models:
-        raise ValueError("greedy_ensemble needs at least one model")
-
-    def subset_score(indices: list[int]) -> float:
-        return val_accuracy_fn([models[i] for i in indices])
-
-    pool, _ = greedy_select(subset_score, [val_accuracy_fn([m]) for m in models])
-    return pool
+    return greedy_select(models, val_accuracy_fn)
 
 
 @dataclass(frozen=True)

@@ -97,24 +97,26 @@ def uniform_soup(models: Sequence[Checkpoint]) -> SoupResult:
 
 
 def greedy_select(
-    subset_score: Callable[[list[int]], float],
-    candidate_scores: Sequence[float],
-) -> tuple[list[int], float]:
-    """Shared greedy-growth control flow over model indices.
+    models: Sequence[Checkpoint], pool_score: Callable[[list[Checkpoint]], float]
+) -> list[int]:
+    """The greedy recipe; returns the indices it kept, in acceptance order.
 
-    Visits candidates sorted by their individual score (descending, ties
-    keeping input order) and keeps each one iff the pooled score does
-    not drop.  Starts from the empty pool at -inf.
+    Scores each model alone as ``pool_score([m])``, visits the models best
+    first (ties keep input order) and keeps each one iff the score of the
+    pool plus it does not drop.  The empty pool scores -inf, so the best
+    single model always enters.
     """
-    order = sorted(range(len(candidate_scores)), key=lambda i: -candidate_scores[i])
-    pool: list[int] = []
+    if not models:
+        raise ValueError("greedy selection needs at least one model")
+    alone = [pool_score([m]) for m in models]
+    kept: list[int] = []
     best = -math.inf
-    for i in order:
-        score = subset_score(pool + [i])
+    for i in sorted(range(len(models)), key=lambda i: -alone[i]):
+        score = pool_score([models[j] for j in kept] + [models[i]])
         if score >= best:
-            pool = pool + [i]
+            kept.append(i)
             best = score
-    return pool, best
+    return kept
 
 
 def greedy_soup(
@@ -122,30 +124,19 @@ def greedy_soup(
     val_accuracy_fn: Callable[[Checkpoint], float],
 ) -> SoupResult:
     """Greedy ingredient selection with uniform averaging of the pool."""
-    if not models:
-        raise ValueError("greedy_soup needs at least one model")
 
-    def subset_score(indices: list[int]) -> float:
-        size = len(indices)
-        avg = combine([1.0 / size] * size, [models[i] for i in indices])
-        return val_accuracy_fn(avg)
+    def pool_score(pool: list[Checkpoint]) -> float:
+        # A pool of one is its model: combine([1.0], [m]) is m bit for bit.
+        k = len(pool)
+        return val_accuracy_fn(pool[0] if k == 1 else combine([1.0 / k] * k, pool))
 
-    pool, _ = greedy_select(subset_score, [val_accuracy_fn(m) for m in models])
-    k = len(pool)
-    ckpt = combine([1.0 / k] * k, [models[i] for i in pool])
-    ckpt.meta.update(
-        {
-            "role": "soup",
-            "soup.kind": "greedy",
-            "soup.size": str(k),
-            "soup.ingredients": ",".join(str(i) for i in pool),
-        }
+    kept = greedy_select(models, pool_score)
+    result = uniform_soup([models[i] for i in kept])
+    result.checkpoint.meta.update(
+        {"soup.kind": "greedy", "soup.ingredients": ",".join(str(i) for i in kept)}
     )
-    return SoupResult(
-        checkpoint=ckpt,
-        ingredient_indices=pool,
-        coefficients={"all": [1.0 / k] * k},
-    )
+    result.ingredient_indices = kept
+    return result
 
 
 def learned_soup(

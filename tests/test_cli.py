@@ -280,6 +280,41 @@ def test_corrupt_dataset_exits_format_code(workspace, tmp_path, capsys):
     )
 
 
+def _header_only(path: Path) -> None:
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _config_one_wider(data: Path) -> None:
+    config = json.loads((data / "config.json").read_text())
+    (data / "config.json").write_text(json.dumps({**config, "input_dim": config["input_dim"] + 1}))
+
+
+# A header and no rows, or every split one feature narrower than config.json
+# says: each loaded before (pretrain, sweep and eval exited 0, 1 or 2).
+DATASET_DEFECTS = {"train-without-rows": lambda data: _header_only(data / "train.csv"),
+                   "test-without-rows": lambda data: _header_only(data / "test.csv"),
+                   "width-not-config": _config_one_wider}
+
+
+@pytest.mark.parametrize("defect", sorted(DATASET_DEFECTS))
+@pytest.mark.parametrize("command", ["pretrain", "sweep", "eval"])
+def test_split_without_rows_or_of_another_width_exits_format_code(
+    workspace, tmp_path, capsys, command, defect
+):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    DATASET_DEFECTS[defect](data)
+    out = tmp_path / "out"
+    argv = {
+        "pretrain": ["pretrain", "--config", str(workspace["config"])],
+        "sweep": ["sweep", "--config", str(workspace["config"]), "--base", str(workspace["base"])],
+        "eval": ["eval", "--ckpt", str(workspace["base"])],
+    }[command]
+    assert cli.main([*argv, "--data", str(data), "--out", str(out)]) == cli.EXIT_FORMAT
+    assert _single_error_line(capsys)["error"] == "data-format"
+    assert not out.exists()
+
+
 def test_divergent_training_exits_divergence_code(workspace, tmp_path, capsys):
     run_fail(
         [
@@ -1666,6 +1701,20 @@ def test_calibrate_manifest_ensemble(workspace, tmp_path):
         ]
     )
     assert out.read_text().startswith("# beta=")
+
+
+def test_calibrate_loads_models_then_the_dataset_then_its_splits(workspace, tmp_path, capsys):
+    # The order of soup, ensemble and grid-study: with an unknown --fit-split
+    # too, a missing or misfit model is the error reported.
+    misfit = tmp_path / "misfit.ckpt"
+    save_checkpoint(init_checkpoint(ArchSpec((5, 6, 3)), 0), misfit)
+    out = tmp_path / "cal.csv"
+    argv = ["calibrate", "--data", str(workspace["data"]), "--fit-split", "nope", "--out", str(out)]
+    run_fail([*argv, "--manifest", str(tmp_path / "missing.json")], cli.EXIT_MISSING_INPUT,
+             "missing-input", capsys)
+    run_fail([*argv, "--ckpt", str(misfit)], cli.EXIT_SHAPE, "shape-mismatch", capsys)
+    run_fail([*argv, "--ckpt", str(workspace["base"])], cli.EXIT_CONFIG, "config", capsys)
+    assert not out.exists()
 
 
 def test_report_merges_manifest_soup_and_eval(workspace, tmp_path):

@@ -10,9 +10,9 @@ import pytest
 
 import oracles
 from oracles import checkpoints_equal
-from soupkit import soups
+from soupkit import ensembles, soups
 from soupkit.errors import NonFiniteError
-from soupkit.tensorstore import Checkpoint, combine, content_digest, load
+from soupkit.tensorstore import Checkpoint, combine, content_digest, load, serialize
 from soupkit.tinynet import as_params, evaluate, forward, loss_ce
 
 
@@ -130,6 +130,49 @@ def test_greedy_soup_is_deterministic(desk_models, desk_dataset):
     b = soups.greedy_soup(desk_models, scorer)
     assert a.ingredient_indices == b.ingredient_indices
     assert checkpoints_equal(a.checkpoint, b.checkpoint)
+
+
+def test_greedy_soup_combines_once_per_pooled_score_and_once_for_the_soup(
+    desk_models, desk_dataset, monkeypatch
+):
+    combines, scores = [], []
+    original = soups.combine
+
+    def counted(coeffs, ckpts):
+        combines.append(len(ckpts))
+        return original(coeffs, ckpts)
+
+    val = desk_dataset.splits["val"]
+    accuracy = soups.accuracy_fn(val.x, val.y)
+
+    def score(ckpt):
+        scores.append(ckpt)
+        return accuracy(ckpt)
+
+    monkeypatch.setattr(soups, "combine", counted)
+    result = soups.greedy_soup(desk_models, score)
+    monkeypatch.undo()
+    k = len(desk_models)
+    # Each model alone and the first visited pool are scored as the model
+    # itself; the other k - 1 pools and the soup each take one combine.
+    assert len(scores) == 2 * k
+    assert len(combines) == k and combines[-1] == len(result.ingredient_indices)
+
+    kept = result.ingredient_indices
+    uniform = soups.uniform_soup([desk_models[i] for i in kept]).checkpoint
+    expected_meta = {**uniform.meta, "soup.kind": "greedy",
+                     "soup.ingredients": ",".join(str(i) for i in kept)}
+    assert list(result.checkpoint.meta.items()) == list(expected_meta.items())
+    uniform.meta = expected_meta
+    assert serialize(result.checkpoint) == serialize(uniform)
+    assert result.coefficients == {"all": [1.0 / len(kept)] * len(kept)}
+
+
+@pytest.mark.parametrize("select", [lambda: soups.greedy_soup([], lambda ckpt: 0.0),
+                                    lambda: ensembles.greedy_ensemble([], lambda pool: 0.0)])
+def test_greedy_selection_rejects_an_empty_list(select):
+    with pytest.raises(ValueError):
+        select()
 
 
 # ---------------------------------------------------------------- learned
