@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ensembles import fit_temperature
-from .errors import DegenerateBasisError, NonFiniteError, UndefinedAngleError
+from .errors import DegenerateBasisError, NonFiniteError
 from .fileio import cell, write_table
 from .tensorstore import Checkpoint, Params, as_params, axpy, combine, dot, to_checkpoint
 from .tinynet import (
@@ -132,7 +132,7 @@ def pair_angle(theta0: Checkpoint, theta1: Checkpoint, theta2: Checkpoint) -> fl
     names = [n for n in p0.layout.names if not n.endswith(ANGLE_EXCLUDED_SUFFIXES)]
     n1, n2 = math.sqrt(dot(d1, d1, names)), math.sqrt(dot(d2, d2, names))
     if n1 == 0.0 or n2 == 0.0:
-        raise UndefinedAngleError("angle against a zero-norm delta is undefined")
+        raise DegenerateBasisError("angle against a zero-norm delta is undefined")
     cosine = dot(d1, d2, names) / (n1 * n2)
     return math.degrees(math.acos(min(1.0, max(-1.0, cosine))))
 
@@ -497,7 +497,7 @@ def relu_flip_count(
     changed = None
     for tau in np.linspace(0.0, 1.0, num_nodes):
         cache, _ = _forward_cached(axpy(p0, delta, float(tau)), X)
-        states = [u > 0.0 for _, _, u in cache[:-1]]
+        states = [u > 0.0 for *_, u in cache[:-1]]
         if baseline is None:
             baseline = states
             changed = [np.zeros_like(s) for s in states]

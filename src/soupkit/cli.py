@@ -67,7 +67,6 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     SoupkitError,
-    UndefinedAngleError,
     decode,
     is_integer,
 )
@@ -624,7 +623,6 @@ _ERROR_EXITS: list[tuple[type[BaseException], str, int]] = [
     (DataFormatError, "data-format", EXIT_FORMAT),
     (ShapeMismatchError, "shape-mismatch", EXIT_SHAPE),
     (NonFiniteError, "non-finite", EXIT_SHAPE),
-    (UndefinedAngleError, "degenerate-geometry", EXIT_SHAPE),
     (DegenerateBasisError, "degenerate-geometry", EXIT_SHAPE),
     (SoupkitError, "library", EXIT_UNEXPECTED),
     (Exception, "unexpected", EXIT_UNEXPECTED),

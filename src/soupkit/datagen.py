@@ -221,8 +221,9 @@ def save_csv(ds: Dataset, directory: str | Path) -> None:
 
 
 def load_csv(directory: str | Path) -> Dataset:
-    """The dataset in ``directory``; DataFormatError on a malformed config.json or split,
-    a split without rows, or one whose width is not config.json's ``input_dim``."""
+    """The dataset in ``directory``; DataFormatError on a malformed config.json or split
+    (one that is not UTF-8 included), a split without rows, or one whose width is not
+    config.json's ``input_dim``."""
     directory = Path(directory)
     config = None
     config_path = directory / "config.json"
@@ -236,5 +237,9 @@ def load_csv(directory: str | Path) -> Dataset:
         path = directory / f"{name}.csv"
         if not path.exists():
             raise DataFormatError(f"missing split file {path}")
-        splits[name] = _parse_split(path.read_text(), str(path), config)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from exc
+        splits[name] = _parse_split(text, str(path), config)
     return Dataset(splits=splits, config=config)

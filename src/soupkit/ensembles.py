@@ -282,6 +282,7 @@ def evaluate_with_calibration(
     scale = 1.0 if beta is None else beta
     logits = forward(theta, X)
     conf, corr = confidences_and_correct(logits, labels, scale)
-    report = evaluate_logits(logits, labels, scale)
+    report = evaluate_logits(logits, labels)
+    report.calibrated_loss = loss_ce(logits, labels, inv_temperature=scale)
     report.ece = ece_equal_mass(conf, corr, num_bins)
     return report

@@ -1,7 +1,7 @@
 """Exception kinds raised across the package.
 
-Each failure category gets its own class so callers (and the CLI exit
-code mapping) can tell them apart without parsing messages.
+There is one class per failure category, and the CLI maps each category
+to its exit code; the message says which case of the category it is.
 :func:`decode` builds every config dataclass from parsed JSON, and
 :func:`check_fields` type-checks its fields against their annotations,
 so no validator keeps a list of field names for a type check.
@@ -26,27 +26,8 @@ class ConfigError(SoupkitError):
 
 
 class CheckpointFormatError(SoupkitError):
-    """Checkpoint file format violation, such as a stored NaN; base of the kinds below."""
-
-
-class BadMagicError(CheckpointFormatError):
-    """File does not start with the checkpoint magic bytes."""
-
-
-class FormatVersionError(CheckpointFormatError):
-    """Checkpoint format version is not supported."""
-
-
-class TruncatedFileError(CheckpointFormatError):
-    """File ends before a declared region (header or tensor payload)."""
-
-
-class DuplicateTensorError(CheckpointFormatError):
-    """Header declares the same tensor name twice."""
-
-
-class HeaderError(CheckpointFormatError):
-    """Header is not parseable or declares inconsistent sizes."""
+    """Malformed checkpoint file: bad magic or version, a truncated file, an
+    unreadable or inconsistent header, a duplicate tensor name, or a stored NaN."""
 
 
 class DataFormatError(SoupkitError):
@@ -54,19 +35,15 @@ class DataFormatError(SoupkitError):
 
 
 class ShapeMismatchError(SoupkitError):
-    """Operands do not share tensor names/shapes, or lengths disagree."""
+    """Tensors that do not form the network or do not match each other, or lengths disagree."""
 
 
 class NonFiniteError(SoupkitError):
     """A produced tensor contains NaN or infinity."""
 
 
-class UndefinedAngleError(SoupkitError):
-    """Angle requested against a zero-norm direction."""
-
-
 class DegenerateBasisError(SoupkitError):
-    """Plane directions are zero or parallel; no 2-D basis exists."""
+    """A zero-norm direction (for an angle or a plane) or parallel plane directions."""
 
 
 class DivergenceError(SoupkitError):

@@ -44,22 +44,14 @@ rounds differently.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    CheckpointFormatError,
-    DuplicateTensorError,
-    FormatVersionError,
-    HeaderError,
-    NonFiniteError,
-    ShapeMismatchError,
-    TruncatedFileError,
-)
+from .errors import CheckpointFormatError, NonFiniteError, ShapeMismatchError
 from .fileio import atomic_write_bytes
 
 MAGIC = b"SOUPCKPT"
@@ -168,24 +160,24 @@ def serialize(ckpt: Checkpoint) -> bytes:
 
 def deserialize(blob: bytes) -> Checkpoint:
     if len(blob) < 8:
-        raise TruncatedFileError("file shorter than the 8-byte magic")
+        raise CheckpointFormatError("file shorter than the 8-byte magic")
     if blob[0:8] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[0:8]!r}")
+        raise CheckpointFormatError(f"bad magic {blob[0:8]!r}")
     if len(blob) < 16:
-        raise TruncatedFileError("file ends inside the fixed header")
+        raise CheckpointFormatError("file ends inside the fixed header")
     version, header_len = struct.unpack_from("<II", blob, 8)
     if version != FORMAT_VERSION:
-        raise FormatVersionError(f"unsupported format version {version}")
+        raise CheckpointFormatError(f"unsupported format version {version}")
     if len(blob) < 16 + header_len:
-        raise TruncatedFileError("file ends inside the JSON header")
+        raise CheckpointFormatError("file ends inside the JSON header")
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
         entries = header["tensors"]
         meta = header["meta"]
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise HeaderError(f"unreadable header: {exc}") from exc
+        raise CheckpointFormatError(f"unreadable header: {exc}") from exc
     if not isinstance(entries, list) or not isinstance(meta, dict):
-        raise HeaderError("header fields have wrong types")
+        raise CheckpointFormatError("header fields have wrong types")
     payload_base = _aligned(16 + header_len)
     arrays: dict[str, np.ndarray] = {}
     for entry in entries:
@@ -194,19 +186,24 @@ def deserialize(blob: bytes) -> Checkpoint:
             shape = tuple(int(s) for s in entry["shape"])
             offset = int(entry["offset"])
             nbytes = int(entry["nbytes"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise HeaderError(f"malformed tensor entry {entry!r}") from exc
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:  # int(1e400) overflows
+            raise CheckpointFormatError(f"malformed tensor entry {entry!r}") from exc
         if not isinstance(name, str):
-            raise HeaderError(f"tensor name {name!r} is not a string")
+            raise CheckpointFormatError(f"tensor name {name!r} is not a string")
         if name in arrays:
-            raise DuplicateTensorError(f"tensor {name!r} declared twice")
-        if nbytes != int(np.prod(shape, dtype=np.int64)) * 4 or min(shape, default=1) < 0:
-            raise HeaderError(f"tensor {name!r}: shape {shape} does not match {nbytes} bytes")
+            raise CheckpointFormatError(f"tensor {name!r} declared twice")
+        if nbytes != math.prod(shape) * 4 or min(shape, default=1) < 0:
+            raise CheckpointFormatError(f"tensor {name!r}: shape {shape} does not match {nbytes} bytes")
+        if offset < 0:
+            raise CheckpointFormatError(f"tensor {name!r}: negative offset {offset}")
         start = payload_base + offset
         if start + nbytes > len(blob):
-            raise TruncatedFileError(f"tensor {name!r} payload extends past end of file")
+            raise CheckpointFormatError(f"tensor {name!r} payload extends past end of file")
         data = np.frombuffer(blob, dtype="<f4", count=nbytes // 4, offset=start)
-        arrays[name] = data.reshape(shape)
+        try:  # a shape NumPy cannot build, such as [0, 10**30] or more than 64 axes
+            arrays[name] = data.reshape(shape)
+        except ValueError as exc:
+            raise CheckpointFormatError(f"tensor {name!r}: shape {shape}: {exc}") from exc
     try:
         return Checkpoint.from_arrays(arrays, {str(k): str(v) for k, v in meta.items()})
     except NonFiniteError as exc:  # a stored NaN or inf is a malformed file, not a result

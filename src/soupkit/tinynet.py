@@ -64,8 +64,14 @@ class ArchSpec:
 
 
 @lru_cache(maxsize=64)
-def _layer_names(names: tuple[str, ...]) -> tuple[tuple[str, str, str | None], ...]:
-    """(weight, bias, gain) names per layer, no gain for the head; cached, so validated once."""
+def _network(names: tuple[str, ...], shapes: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """(weight, bias, gain) names per layer, no gain for the head, and the width chain.
+
+    ShapeMismatchError unless the tensors form a network with at least one
+    hidden layer: 2-D weights whose widths chain, and a bias and gain of
+    each layer's width.  Cached on names and shapes (a Layout's slices are
+    unhashable before Python 3.12), so each layout is checked once.
+    """
     count = sum(name.endswith(".weight") for name in names)
     layers = tuple(
         (f"layer{i}.weight", f"layer{i}.bias", f"layer{i}.gain" if i < count - 1 else None)
@@ -75,28 +81,37 @@ def _layer_names(names: tuple[str, ...]) -> tuple[tuple[str, str, str | None], .
     missing, unexpected = sorted(expected - set(names)), sorted(set(names) - expected)
     if missing or unexpected:
         raise ShapeMismatchError(f"parameter names: missing {missing}, unexpected {unexpected}")
-    return layers
+    shape = dict(zip(names, shapes))
+    weights = [shape[weight] for weight, _, _ in layers]
+    two_d = weights and all(len(w) == 2 for w in weights)
+    widths = (weights[0][0], *(w[1] for w in weights)) if two_d else ()
+    if len(widths) < 3 or min(widths) < 1 or not all(
+        w == (fan_in, width) and shape[bias] == (width,) and shape.get(gain, (width,)) == (width,)
+        for (_, bias, gain), w, fan_in, width in zip(layers, weights, widths, widths[1:])
+    ):
+        raise ShapeMismatchError(f"tensor shapes {shape} do not form a network with a hidden layer")
+    return layers, widths
 
 
-def _widths(theta: Mapping[str, np.ndarray]) -> tuple[int, ...]:
-    """The width chain read from the weight shapes, without copying a tensor."""
-    layers = _layer_names(tuple(theta))
-    return (theta[layers[0][0]].shape[0], *(theta[weight].shape[1] for weight, _, _ in layers))
+def _network_of(weights: Checkpoint | Params) -> tuple[tuple, tuple]:
+    """:func:`_network` of the weights' layout."""
+    layout = weights.layout
+    return _network(layout.names, tuple(shape for _, shape in layout.spans))
 
 
 def arch_of(theta: Checkpoint | Mapping[str, np.ndarray]) -> ArchSpec:
     """Recover the width chain from parameter shapes."""
-    return ArchSpec(_widths(as_params(theta)))
+    return ArchSpec(_network_of(as_params(theta))[1])
 
 
-def check_fits_data(theta: Checkpoint | Mapping[str, np.ndarray], dataset: Dataset) -> int:
+def check_fits_data(theta: Checkpoint | Params, dataset: Dataset) -> int:
     """The model's class count, after checking that it fits the dataset's features and classes.
 
     The class count must equal the dataset config's; a dataset without a
     config only bounds it from below by its labels.  Anything else raises
     ShapeMismatchError.
     """
-    widths = _widths(theta)
+    widths = _network_of(theta)[1]
     input_dim, num_classes = widths[0], widths[-1]
     splits = dataset.splits.values()
     features = sorted({split.x.shape[1] for split in splits})
@@ -141,25 +156,26 @@ def init_checkpoint(arch: ArchSpec, seed: int) -> Checkpoint:
 
 def _layers_and_input(params: Params, X: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Per-layer parameter names and X as float64, after the input-width check."""
+    layers, widths = _network_of(params)
     x = np.asarray(X, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params["layer0.weight"].shape[0]:
+    if x.ndim != 2 or x.shape[1] != widths[0]:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match layer0.weight {params['layer0.weight'].shape}"
         )
-    return _layer_names(params.layout.names), x
+    return layers, x
 
 
 def _forward_cached(params: Params, X: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """Logits plus (input, preactivation, gained preactivation) per layer, for gradients."""
+    """Logits plus (names, input, preactivation, gained preactivation) per layer, for gradients."""
     layers, x = _layers_and_input(params, X)
     cache: list[tuple] = []
     for weight, bias, gain in layers[:-1]:
         z = x @ params[weight] + params[bias]
         u = params[gain] * z
-        cache.append((x, z, u))
+        cache.append(((weight, bias, gain), x, z, u))
         x = np.maximum(u, 0.0)
     weight, bias, _ = layers[-1]
-    cache.append((x, None, None))
+    cache.append((layers[-1], x, None, None))
     return cache, x @ params[weight] + params[bias]
 
 
@@ -255,30 +271,21 @@ def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float) -> 
     return targets
 
 
-def cross_entropy_from_targets(
-    logits: np.ndarray, targets: np.ndarray, inv_temperature: float = 1.0
-) -> float:
-    """Mean of -sum_c targets[c] * log softmax(beta * logits)[c]."""
-    if inv_temperature <= 0.0:
-        raise ValueError("inv_temperature must be positive")
-    ls = log_softmax(inv_temperature * np.asarray(logits, dtype=np.float64))
-    return float(-np.mean(np.sum(targets * ls, axis=1)))
-
-
 def loss_ce(
     logits: np.ndarray,
     labels: np.ndarray,
     smoothing: float = 0.0,
     inv_temperature: float = 1.0,
 ) -> float:
-    """Mean label-smoothed cross-entropy of beta * logits."""
+    """Mean label-smoothed cross-entropy of beta * logits: the mean over rows of
+    -sum_c targets[c] * log softmax(beta * logits)[c]."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    if smoothing != 0.0:
-        targets = smoothed_targets(labels, logits.shape[1], smoothing)
-        return cross_entropy_from_targets(logits, targets, inv_temperature)
-    labels = check_labels(labels, logits.shape[1])
     if inv_temperature <= 0.0:
         raise ValueError("inv_temperature must be positive")
+    if smoothing != 0.0:
+        targets = smoothed_targets(labels, logits.shape[1], smoothing)
+        return float(-np.mean(np.sum(targets * log_softmax(inv_temperature * logits), axis=1)))
+    labels = check_labels(labels, logits.shape[1])
     return onehot_nll(log_softmax(inv_temperature * logits), labels)
 
 
@@ -315,10 +322,8 @@ def grad64(
     # np.mean of a float64 vector is this sum divided by its length.
     loss = float(-(np.add.reduce(np.add.reduce(targets * (shifted - np.log(total)), axis=1)) / n))
     upstream = inv_temperature * (exp / total - targets) / n  # d loss / d logits
-    layers = _layer_names(params.layout.names)
-    for i in range(len(layers) - 1, -1, -1):
-        weight, bias, gain = layers[i]
-        layer_in, z, u = cache[i]
+    for i in range(len(cache) - 1, -1, -1):
+        (weight, bias, gain), layer_in, z, u = cache[i]
         d_z = upstream
         if gain is not None:
             d_u = upstream * (u > 0.0)
@@ -386,17 +391,12 @@ def predictions(logits: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(logits), axis=-1)
 
 
-def evaluate_logits(
-    logits: np.ndarray, labels: np.ndarray, inv_temperature: float | None = None
-) -> EvalReport:
-    """Loss and top-1 error of known logits; calibrated loss when beta given."""
+def evaluate_logits(logits: np.ndarray, labels: np.ndarray) -> EvalReport:
+    """Loss and top-1 error of known logits."""
     labels = np.asarray(labels)
     loss = loss_ce(logits, labels)
     err = float(np.mean(predictions(logits) != labels))
-    calibrated = None
-    if inv_temperature is not None:
-        calibrated = loss_ce(logits, labels, inv_temperature=inv_temperature)
-    return EvalReport(count=len(labels), loss=loss, top1_error=err, calibrated_loss=calibrated)
+    return EvalReport(count=len(labels), loss=loss, top1_error=err)
 
 
 def evaluate(

@@ -180,8 +180,6 @@ def adamw_step(
 class TrainResult:
     checkpoint: Checkpoint
     ema: Checkpoint | None
-    train_loss_initial: float
-    train_loss_final: float
 
 
 def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Params, Params | None, float, float]:
@@ -288,9 +286,7 @@ def finetune(theta0: Checkpoint, h: HyperConfig, dataset: Dataset) -> TrainResul
     }
     ckpt = _finalize(params, meta, dataset)
     ema_ckpt = None if ema is None else _finalize(ema, {**meta, "role": "finetune-ema"}, dataset)
-    return TrainResult(
-        checkpoint=ckpt, ema=ema_ckpt, train_loss_initial=loss_init, train_loss_final=loss_final
-    )
+    return TrainResult(checkpoint=ckpt, ema=ema_ckpt)
 
 
 # ------------------------------------------------------------- random search

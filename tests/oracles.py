@@ -22,11 +22,21 @@ def checkpoints_equal(a, b, check_meta=True):
 
 
 def fd_gradient(params, X, targets, inv_temperature=1.0, h=1e-3):
-    """Central-difference gradient of the mean loss, coordinate by coordinate."""
+    """Central-difference gradient of the mean loss, coordinate by coordinate.
+
+    The loss is the mean over rows of -sum_c targets[c] * log softmax(beta *
+    logits)[c], each row's log-sum-exp taken with plain math as in
+    :func:`per_example_eval`.
+    """
 
     def loss_at(p):
-        logits = tinynet.forward(p, X)
-        return tinynet.cross_entropy_from_targets(logits, targets, inv_temperature)
+        total = 0.0
+        for row, target in zip(tinynet.forward(p, X), targets):
+            row = [inv_temperature * float(v) for v in row]
+            m = max(row)
+            lse = m + math.log(sum(math.exp(v - m) for v in row))
+            total += sum(float(t) * (lse - v) for t, v in zip(target, row))
+        return total / len(targets)
 
     grads = {}
     for name, value in params.items():

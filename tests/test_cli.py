@@ -232,15 +232,28 @@ def test_missing_dataset_exits_missing_input(workspace, tmp_path, capsys):
     )
 
 
+def _one_tensor_checkpoint(**entry) -> bytes:
+    """A checkpoint file declaring one tensor ``w`` at offset 0, ``entry`` overriding."""
+    header = json.dumps({"tensors": [{"name": "w", "offset": 0, **entry}], "meta": {}}).encode()
+    return b"SOUPCKPT" + struct.pack("<II", 1, len(header)) + header + bytes(64)
+
+
 def test_corrupt_checkpoint_exits_format_code(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     # A stored NaN is a malformed file (5), not a non-finite result (6);
     # the file's last four bytes are the last value of its last tensor.
     nan_payload = workspace["base"].read_bytes()[:-4] + np.array(np.nan, "<f4").tobytes()
-    header = json.dumps({"tensors": [{"name": 5, "shape": [1], "offset": 0, "nbytes": 4}],
-                         "meta": {}}).encode()
-    name_not_string = b"SOUPCKPT" + struct.pack("<II", 1, len(header)) + header + bytes(64)
-    for blob in (b"not a checkpoint at all", nan_payload, name_not_string):
+    name_not_string = _one_tensor_checkpoint(name=5, shape=[1], nbytes=4)
+    # Shapes NumPy cannot build, an infinite size and a negative offset: each
+    # exited 1 before (the first wrapped an int64 element count to 0, the
+    # infinite size overflowed int(), the others raised in NumPy).
+    unbuildable = [_one_tensor_checkpoint(shape=[2**32, 2**32], nbytes=0),
+                   _one_tensor_checkpoint(shape=[10**30], nbytes=4),
+                   _one_tensor_checkpoint(shape=[0, 10**30], nbytes=0),
+                   _one_tensor_checkpoint(shape=[1] * 65, nbytes=4),
+                   _one_tensor_checkpoint(shape=[float("inf")], nbytes=4),
+                   _one_tensor_checkpoint(shape=[1], nbytes=4, offset=-10**6)]
+    for blob in (b"not a checkpoint at all", nan_payload, name_not_string, *unbuildable):
         bad.write_bytes(blob)
         run_fail(
             [
@@ -262,22 +275,59 @@ def test_corrupt_dataset_exits_format_code(workspace, tmp_path, capsys):
     broken = tmp_path / "broken"
     broken.mkdir()
     (broken / "config.json").write_text((workspace["data"] / "config.json").read_text())
-    for name in datagen.SPLIT_NAMES:
-        (broken / f"{name}.csv").write_text("x0,x1\nnot,numbers\n")
-    run_fail(
-        [
-            "eval",
-            "--ckpt",
-            str(workspace["base"]),
-            "--data",
-            str(broken),
-            "--out",
-            str(tmp_path / "r.json"),
-        ],
-        cli.EXIT_FORMAT,
-        "data-format",
-        capsys,
-    )
+    # unparsable rows, and bytes that are not UTF-8 (which exited 1 before)
+    for split in (b"x0,x1\nnot,numbers\n", b"\xff\xfex0,x1\n"):
+        for name in datagen.SPLIT_NAMES:
+            (broken / f"{name}.csv").write_bytes(split)
+        run_fail(
+            [
+                "eval",
+                "--ckpt",
+                str(workspace["base"]),
+                "--data",
+                str(broken),
+                "--out",
+                str(tmp_path / "r.json"),
+            ],
+            cli.EXIT_FORMAT,
+            "data-format",
+            capsys,
+        )
+
+
+# Tensors that do not form the network, made from a model with two or more
+# layers and 3 classes. On the (6, 12, 3) base, each but no-hidden-layer
+# exited 1 on eval before (ValueError or IndexError); no-hidden-layer passed
+# eval, and soup learned exited 1 on it.
+NETWORK_DEFECTS = {
+    "bias-shorter-than-layer": lambda t: {**t, "layer0.bias": t["layer0.bias"][:-1]},
+    "gain-shorter-than-layer": lambda t: {**t, "layer0.gain": t["layer0.gain"][:-1]},
+    "rows-do-not-chain": lambda t: {**t, "layer1.weight": np.vstack([t["layer1.weight"]] * 2)},
+    "weight-1d": lambda t: {**t, "layer0.weight": t["layer0.weight"].ravel()},
+    "weight-3d": lambda t: {**t, "layer0.weight": t["layer0.weight"][..., None]},
+    "no-tensors": lambda t: {},
+    "no-hidden-layer": lambda t: {"layer0.weight": t["layer0.weight"][:, :3],
+                                  "layer0.bias": t["layer0.bias"][:3]},
+}
+
+
+@pytest.mark.parametrize("defect", sorted(NETWORK_DEFECTS))
+@pytest.mark.parametrize("command", ["eval", "soup-learned"])
+def test_checkpoint_not_forming_the_network_exits_shape_code(
+    workspace, tmp_path, capsys, command, defect
+):
+    ckpt = tmp_path / "bad.ckpt"
+    tensors = NETWORK_DEFECTS[defect](dict(load_checkpoint(workspace["base"])))
+    save_checkpoint(Checkpoint.from_arrays(tensors), ckpt)
+    argv = {
+        "eval": ["eval", "--ckpt", str(ckpt)],
+        "soup-learned": ["soup", "learned", "--manifest",
+                         str(_write_manifest(tmp_path / "manifest.json", ckpt))],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--data", str(workspace["data"]), "--out", str(out)]) == cli.EXIT_SHAPE
+    assert _single_error_line(capsys)["error"] == "shape-mismatch"
+    assert not list(tmp_path.glob("out*"))
 
 
 def _header_only(path: Path) -> None:
@@ -925,6 +975,10 @@ HOSTILE_KINDS = {
     "misfit-checkpoint": (
         cli.EXIT_SHAPE, tuple(c for c in HOSTILE_COMMANDS if c not in ("soup-uniform", "report"))
     ),
+    # soup uniform averages the tensors without running them
+    "network-defect": (
+        cli.EXIT_SHAPE, tuple(c for c in HOSTILE_COMMANDS if c not in ("soup-uniform", "report"))
+    ),
     "missing-input": (cli.EXIT_MISSING_INPUT, tuple(HOSTILE_COMMANDS)),
 }
 HOSTILE_PAIRS = [(command, kind) for kind, (_, commands) in HOSTILE_KINDS.items()
@@ -1014,6 +1068,12 @@ def _corrupt(kind: str, hostile: dict, tmp: Path, draw) -> dict:
     elif kind == "misfit-checkpoint":
         inputs["ckpt"] = tmp / "misfit.ckpt"
         save_checkpoint(init_checkpoint(draw(st.sampled_from(MISFIT_ARCHES)), 0), inputs["ckpt"])
+        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
+    elif kind == "network-defect":
+        defect = NETWORK_DEFECTS[draw(st.sampled_from(sorted(NETWORK_DEFECTS)))]
+        tensors = defect(dict(load_checkpoint(hostile["sane"])))
+        inputs["ckpt"] = tmp / "defect.ckpt"
+        save_checkpoint(Checkpoint.from_arrays(tensors), inputs["ckpt"])
         inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
     else:  # missing-input
         inputs = {name: tmp / f"missing-{name}" for name in inputs}

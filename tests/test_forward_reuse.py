@@ -100,7 +100,8 @@ def test_evaluate_with_calibration_forwards_once(desk_models, desk_dataset, coun
     test = desk_dataset.splits["test"]
     report = ensembles.evaluate_with_calibration(desk_models[0], test.x, test.y, beta=1.5)
     assert len(count_forwards) == 1
-    base = tinynet.evaluate_logits(tinynet.forward(desk_models[0], test.x), test.y, 1.5)
+    logits = tinynet.forward(desk_models[0], test.x)
+    base = tinynet.evaluate_logits(logits, test.y)
     assert (report.loss, report.top1_error, report.calibrated_loss) == (
-        base.loss, base.top1_error, base.calibrated_loss
+        base.loss, base.top1_error, tinynet.loss_ce(logits, test.y, inv_temperature=1.5)
     )

@@ -216,7 +216,8 @@ def test_sam_positive_rho_changes_and_reproduces(small_data):
 def test_sgd_training_runs(small_data):
     theta0 = pretrain(ARCH, small_data, _fast())
     result = finetune(theta0, _fast(optimizer="sgd", learning_rate=0.05), small_data)
-    assert result.train_loss_final < result.train_loss_initial
+    meta = result.checkpoint.meta
+    assert float(meta["train_loss_final"]) < float(meta["train_loss_initial"])
 
 
 def test_partial_final_batch(small_data):
