@@ -10,8 +10,10 @@ Submodules
   float64-accumulated weight-space arithmetic
 - :mod:`soupkit.tinynet` — a small ReLU MLP: forward, loss, analytic
   gradients, logit-space Hessian forms
+- :mod:`soupkit.schema` — every record read from a file: run configs,
+  sweep manifests, checkpoint headers and pair files
 - :mod:`soupkit.trainer` — SGD/AdamW pretraining and fine-tuning,
-  random-search sweeps, sweep manifests
+  random-search sweeps
 - :mod:`soupkit.soups` — uniform, greedy, and learned weight averaging
 - :mod:`soupkit.ensembles` — logit ensembles, temperature scaling,
   equal-mass-bin calibration error
@@ -30,6 +32,7 @@ __all__ = [
     "errors",
     "fileio",
     "rng",
+    "schema",
     "soups",
     "tensorstore",
     "tinynet",

@@ -5,17 +5,10 @@ configuration read a JSON file via ``--config`` and apply ``--set``
 overrides (repeatable ``section.key=value``, values parsed as JSON with
 a plain-string fallback).
 
-Config schema (all sections optional unless a command requires them;
-unknown sections or keys are rejected):
-
-    {
-      "dataset":  { DatasetConfig fields },
-      "arch":     { "layer_widths": [input, hidden..., classes] },
-      "pretrain": { HyperConfig fields },
-      "sweep":    { "count": int, "master_seed": int,
-                    "space": { SearchSpace fields } }
-                  -- or -- { "configs": [ { HyperConfig fields }, ... ] }
-    }
+The config is a :class:`soupkit.schema.RunConfig`: sections ``dataset``,
+``arch``, ``pretrain`` and ``sweep``, each optional until a command needs
+it.  Every command that reads one checks all four sections, and rejects
+unknown sections or keys.
 
 Exit codes:
 
@@ -52,9 +45,9 @@ import gc
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -68,15 +61,14 @@ from .errors import (
     ShapeMismatchError,
     SoupkitError,
     decode,
-    is_integer,
 )
 from .fileio import read_json, write_json
 
 if TYPE_CHECKING:
     from .analysis import PairSpec
     from .datagen import Dataset
+    from .schema import RunConfig
     from .tensorstore import Checkpoint
-    from .trainer import HyperConfig, SweepManifest
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -85,8 +77,6 @@ EXIT_MISSING_INPUT = 3
 EXIT_DIVERGED = 4
 EXIT_FORMAT = 5
 EXIT_SHAPE = 6
-
-_KNOWN_SECTIONS = ("dataset", "arch", "pretrain", "sweep")
 
 
 # ------------------------------------------------------------ config plumbing
@@ -106,13 +96,13 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     return keys, value
 
 
-def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> dict:
-    """Config dict from an optional JSON file plus --set overrides."""
-    doc: dict = {}
-    if path is not None:
-        doc = read_json(path, ConfigError)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> RunConfig:
+    """The run config of an optional JSON file plus --set overrides."""
+    from .schema import RunConfig
+
+    doc = {} if path is None else read_json(path, ConfigError)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be an object")
     for text in overrides:
         keys, value = _parse_override(text)
         node = doc
@@ -121,40 +111,7 @@ def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set path {'.'.join(keys)!r} crosses a non-object")
         node[keys[-1]] = value
-    unknown = set(doc) - set(_KNOWN_SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    return doc
-
-
-def sweep_configs_from(doc: Mapping) -> list[HyperConfig]:
-    from . import trainer
-
-    section = doc.get("sweep", {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"sweep must be an object, got {section!r}")
-    section = dict(section)
-    if "configs" in section:
-        explicit = section.pop("configs")
-        if section:
-            raise ConfigError(f"sweep: unknown keys next to configs: {sorted(section)}")
-        if not isinstance(explicit, list) or not explicit:
-            raise ConfigError("sweep.configs must be a nonempty list")
-        return [
-            decode(trainer.HyperConfig, c, f"sweep.configs[{i}]") for i, c in enumerate(explicit)
-        ]
-    count = section.pop("count", None)
-    master_seed = section.pop("master_seed", None)
-    space_doc = section.pop("space", {})
-    if section:
-        raise ConfigError(f"sweep: unknown keys {sorted(section)}")
-    if count is None or master_seed is None:
-        raise ConfigError("sweep needs count and master_seed (or explicit configs)")
-    if not (is_integer(count) and count >= 1 and is_integer(master_seed)):
-        raise ConfigError(f"sweep: count must be an integer >= 1 and master_seed an integer, "
-                          f"got {count!r} and {master_seed!r}")
-    space = decode(trainer.SearchSpace, space_doc, "sweep.space")
-    return trainer.random_search_configs(count, master_seed, space)
+    return decode(RunConfig, doc, "config")
 
 
 # --------------------------------------------------------------- shared bits
@@ -220,14 +177,17 @@ def _parse_range(text: str, flag: str) -> list[float]:
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
-def _manifest_models(path: str) -> tuple[SweepManifest, list[Checkpoint]]:
-    from .trainer import load_manifest
+def _manifest_models(path: str) -> list[Checkpoint]:
+    """The manifest's successful checkpoints; ShapeMismatchError unless each forms the network."""
+    from .schema import load_manifest
+    from .tinynet import arch_of
 
-    manifest = load_manifest(path)
-    models = manifest.load_checkpoints()
+    models = load_manifest(path).load_checkpoints()
     if not models:
         raise ConfigError(f"manifest {path} has no successful entries")
-    return manifest, models
+    for model in models:
+        arch_of(model)
+    return models
 
 
 DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
@@ -239,8 +199,7 @@ DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
 def cmd_datagen(args: argparse.Namespace) -> None:
     from . import datagen
 
-    doc = load_run_config(args.config, args.set)
-    cfg = decode(datagen.DatasetConfig, doc.get("dataset", {}), "dataset")
+    cfg = load_run_config(args.config, args.set).dataset
     ds = datagen.generate(cfg)
     datagen.save_csv(ds, args.out)
 
@@ -248,11 +207,11 @@ def cmd_datagen(args: argparse.Namespace) -> None:
 def cmd_pretrain(args: argparse.Namespace) -> None:
     from . import trainer
     from .tensorstore import save as save_checkpoint
-    from .tinynet import ArchSpec
 
-    doc = load_run_config(args.config, args.set)
-    arch = decode(ArchSpec, doc.get("arch", {}), "arch")
-    hyper = decode(trainer.HyperConfig, doc.get("pretrain", {}), "pretrain")
+    cfg = load_run_config(args.config, args.set)
+    arch = cfg.arch
+    if arch is None:
+        raise ConfigError("config: pretrain needs an arch section")
     ds = _load_dataset(args.data)
     if ds.config is not None:
         if arch.input_dim != ds.config.input_dim or arch.num_classes != ds.config.num_classes:
@@ -260,16 +219,20 @@ def cmd_pretrain(args: argparse.Namespace) -> None:
                 f"arch {arch.layer_widths} does not match dataset "
                 f"({ds.config.input_dim} features, {ds.config.num_classes} classes)"
             )
-    ckpt = trainer.pretrain(arch, ds, hyper)
+    ckpt = trainer.pretrain(arch, ds, cfg.pretrain)
     save_checkpoint(ckpt, args.out)
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
+    from .schema import SearchSpace
     from .tensorstore import load as load_checkpoint
-    from .trainer import run_sweep
+    from .trainer import random_search_configs, run_sweep
 
-    doc = load_run_config(args.config, args.set)
-    configs = sweep_configs_from(doc)
+    sweep = load_run_config(args.config, args.set).sweep
+    if sweep is None:
+        raise ConfigError("config: sweep needs a sweep section")
+    configs = sweep.configs or random_search_configs(
+        sweep.count, sweep.master_seed, sweep.space or SearchSpace())
     ds = _load_dataset(args.data)
     theta0 = load_checkpoint(args.base)
     run_sweep(theta0, configs, ds, args.out, max_workers=args.workers)
@@ -278,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 def cmd_soup(args: argparse.Namespace) -> None:
     from . import soups
 
-    _, models = _manifest_models(args.manifest)
+    models = _manifest_models(args.manifest)
     if args.kind == "uniform":
         result = soups.uniform_soup(models)
     else:
@@ -294,7 +257,7 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
     from . import ensembles
     from .tinynet import evaluate_logits
 
-    _, models = _manifest_models(args.manifest)
+    models = _manifest_models(args.manifest)
     ds = _load_dataset(args.data, models)
     if args.kind == "greedy":
         sel_x, sel_y = _split_arrays(ds, args.split)
@@ -363,7 +326,7 @@ def cmd_plane(args: argparse.Namespace) -> None:
 def cmd_grid_study(args: argparse.Namespace) -> None:
     from . import analysis
 
-    _, models = _manifest_models(args.manifest)
+    models = _manifest_models(args.manifest)
     if len(models) < 2:
         raise ConfigError(f"grid-study needs at least two successful entries, got {len(models)}")
     X, y = _split_arrays(_load_dataset(args.data, models), args.split)
@@ -371,24 +334,15 @@ def cmd_grid_study(args: argparse.Namespace) -> None:
     analysis.write_grid_study_csv(cells, args.out)
 
 
-@dataclass(frozen=True)
-class _PairEntry:
-    """One entry of an ``approx --pairs`` file; checkpoint paths are relative to the file."""
-
-    id: str
-    theta0: str
-    theta1: str
-    learning_rate: float | None = None
-
-
 def _pairs_from_file(path: str) -> list[PairSpec]:
     from .analysis import PairSpec
+    from .schema import PairEntry
     from .tensorstore import load as load_checkpoint
 
     raw = read_json(path, ConfigError)
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: pair file must be a JSON list")
-    entries = [decode(_PairEntry, item, f"{path}: pair {i}") for i, item in enumerate(raw)]
+    entries = [decode(PairEntry, item, f"{path}: pair {i}") for i, item in enumerate(raw)]
     ids = [e.id for e in entries]
     if len(ids) < 2 or len(set(ids)) != len(ids):
         raise ConfigError(f"{path}: need at least two pairs with distinct ids, got {ids}")
@@ -419,7 +373,7 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
     from . import ensembles
 
     if args.manifest is not None:
-        _, models = _manifest_models(args.manifest)
+        models = _manifest_models(args.manifest)
     else:
         from .tensorstore import load as load_checkpoint
 
@@ -445,7 +399,7 @@ def _read_json_object(path: str) -> dict:
 def cmd_report(args: argparse.Namespace) -> None:
     payload: dict = {}
     if args.manifest is not None:
-        from .trainer import load_manifest
+        from .schema import load_manifest
 
         manifest = load_manifest(args.manifest)
         ok = manifest.successful()

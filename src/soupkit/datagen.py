@@ -36,40 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, check_fields, decode
+from .errors import DataFormatError, decode
 from .fileio import atomic_write_text, read_json, write_json
 from .rng import PortableRng
+from .schema import DatasetConfig
 
-SHIFT_KINDS = ("mean-shift", "noise-inflation", "rotation")
 SPLIT_NAMES = ("train", "val", "test", "shift")
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    input_dim: int = 16
-    num_classes: int = 8
-    num_train: int = 4096
-    num_val: int = 512
-    num_test: int = 2048
-    num_shift: int = 2048
-    class_center_scale: float = 1.0
-    within_class_std: float = 1.0
-    shift_kind: str = "mean-shift"
-    shift_magnitude: float = 1.5
-    seed: int = 0
-
-    def validate(self) -> None:
-        check_fields(self)
-        for name in ("input_dim", "num_train", "num_val", "num_test", "num_shift"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        for name in ("class_center_scale", "within_class_std", "shift_magnitude"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if self.shift_kind not in SHIFT_KINDS:
-            raise ConfigError(f"shift_kind must be one of {SHIFT_KINDS}")
 
 
 @dataclass
@@ -228,10 +200,8 @@ def load_csv(directory: str | Path) -> Dataset:
     config = None
     config_path = directory / "config.json"
     if config_path.exists():
-        try:
-            config = decode(DatasetConfig, read_json(config_path, DataFormatError), "dataset")
-        except ConfigError as exc:
-            raise DataFormatError(f"{config_path}: bad config: {exc}") from exc
+        config = decode(DatasetConfig, read_json(config_path, DataFormatError), str(config_path),
+                        DataFormatError)
     splits = {}
     for name in SPLIT_NAMES:
         path = directory / f"{name}.csv"

@@ -2,9 +2,9 @@
 
 There is one class per failure category, and the CLI maps each category
 to its exit code; the message says which case of the category it is.
-:func:`decode` builds every config dataclass from parsed JSON, and
-:func:`check_fields` type-checks its fields against their annotations,
-so no validator keeps a list of field names for a type check.
+:func:`decode` builds every record of :mod:`soupkit.schema` from parsed
+JSON, and :func:`check_fields` type-checks its fields against their
+annotations, so no validator keeps a list of field names for a type check.
 """
 
 from __future__ import annotations
@@ -50,22 +50,13 @@ class DivergenceError(SoupkitError):
     """Training loss became non-finite; message names the failing step."""
 
 
-def is_finite_number(value: object) -> bool:
-    """True for a real number that is neither NaN nor infinite; a bool is not a number here."""
-    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
-
-
-def is_integer(value: object) -> bool:
-    """True for an int (or NumPy integer); bool and integral floats such as 8.0 are not."""
-    return not isinstance(value, bool) and isinstance(value, Integral)
-
-
-# A config class's field annotations, resolved once per class.
+# A record class's field annotations, resolved once per class.
 _field_types = lru_cache(maxsize=None)(typing.get_type_hints)
 
 
 def _matches(value: object, hint: object) -> bool:
-    """True if ``value`` has type ``hint``; int and float mean the two checks above."""
+    """True if ``value`` has type ``hint``.  A bool is neither an int nor a float here, an
+    int is any Integral (8.0 is not), and a float any finite Real."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_matches(value, arg) for arg in args)
@@ -75,10 +66,12 @@ def _matches(value: object, hint: object) -> bool:
         if args[-1:] == (Ellipsis,):
             return all(_matches(item, args[0]) for item in value)
         return len(value) == len(args) and all(map(_matches, value, args))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
     if hint is int:
-        return is_integer(value)
+        return isinstance(value, Integral)
     if hint is float:
-        return is_finite_number(value)
+        return isinstance(value, Real) and math.isfinite(value)
     return isinstance(value, hint)
 
 
@@ -93,34 +86,42 @@ def check_fields(obj: object) -> None:
                               "bools are not ints)")
 
 
-def _convert(value: object, hint: object, where: str) -> object:
-    if typing.get_origin(hint) is tuple and isinstance(value, list):
+def _convert(value: object, hint: object, where: str, error: type[SoupkitError]) -> object:
+    """Parsed JSON ``value`` as a ``hint``: objects become records, lists tuples."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _convert(value, args[0], where, error)
+    if dataclasses.is_dataclass(hint):
+        return decode(hint, value, where, error)
+    if origin is tuple and isinstance(value, list):
+        if args[-1:] == (Ellipsis,):
+            return tuple(_convert(item, args[0], f"{where}[{i}]", error)
+                         for i, item in enumerate(value))
         return tuple(value)
-    if dataclasses.is_dataclass(hint) and isinstance(value, dict):
-        return decode(hint, value, where)
     return value
 
 
-def decode(cls: type, raw: object, where: str):
-    """The ``cls`` config from the JSON object ``raw``, checked by its ``validate()``
-    or else :func:`check_fields`; lists become tuples and objects nested configs."""
+def decode(cls: type, raw: object, where: str, error: type[SoupkitError] = ConfigError):
+    """The ``cls`` record from the JSON object ``raw``, checked by its ``validate()``
+    or else :func:`check_fields`; lists become tuples and objects nested records.
+    A bad ``raw`` raises ``error``, the category of the file it was read from."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object, got {raw!r}")
+        raise error(f"{where} must be an object, got {raw!r}")
     fields = _field_types(cls)
     unknown = sorted(set(raw) - set(fields))
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in raw
                and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if unknown or missing:
-        raise ConfigError(f"{where}: unknown keys {unknown}, missing keys {missing}")
+        raise error(f"{where}: unknown keys {unknown}, missing keys {missing}")
     try:
-        obj = cls(**{k: _convert(v, fields[k], f"{where}.{k}") for k, v in raw.items()})
+        obj = cls(**{k: _convert(v, fields[k], f"{where}.{k}", error) for k, v in raw.items()})
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise error(f"{where}: {exc}") from exc
     try:
         if hasattr(obj, "validate"):
             obj.validate()
         else:
             check_fields(obj)
     except ConfigError as exc:  # the checks do not know where the object came from
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise error(f"{where}: {exc}") from exc
     return obj

@@ -52,12 +52,13 @@ def read_json(path: str | os.PathLike[str], error: type[SoupkitError]):
     """Parsed JSON file; text that is not UTF-8 JSON raises ``error``.
 
     Python's parser accepts the tokens NaN, Infinity and -Infinity, which
-    JSON does not have; a file holding one is malformed too.
+    JSON does not have; a file holding one is malformed too, as is one
+    nested too deeply for the parser.
     """
     text = Path(path).read_bytes()
-    try:
+    try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         return json.loads(text.decode("utf-8"), parse_constant=_reject_constant)
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
 
 

@@ -23,9 +23,8 @@ File format (version 1)
     bytes 0..7    magic b"SOUPCKPT"
     bytes 8..11   format version, little-endian uint32
     bytes 12..15  header byte length, little-endian uint32
-    bytes 16..    UTF-8 JSON header:
-                  {"tensors": [{"name", "shape", "offset", "nbytes"}...],
-                   "meta": {...}}
+    bytes 16..    UTF-8 JSON header, a schema.CheckpointHeader:
+                  {"tensors": [{"name", "shape", "offset", "nbytes"}...], "meta": {...}}
     payload       raw little-endian float32 tensor data, in header order
 
 Tensor ``offset`` is relative to the payload base, which is the first
@@ -44,15 +43,16 @@ rounds differently.
 from __future__ import annotations
 
 import json
-import math
 import struct
+from dataclasses import asdict, astuple
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CheckpointFormatError, NonFiniteError, ShapeMismatchError
+from .errors import CheckpointFormatError, NonFiniteError, ShapeMismatchError, decode
 from .fileio import atomic_write_bytes
+from .schema import CheckpointHeader, TensorEntry
 
 MAGIC = b"SOUPCKPT"
 FORMAT_VERSION = 1
@@ -137,24 +137,21 @@ def serialize(ckpt: Checkpoint) -> bytes:
     entries = []
     offset = 0
     for name, (sl, shape) in zip(ckpt.layout.names, ckpt.layout.spans):
-        nbytes = (sl.stop - sl.start) * 4
-        entries.append({"name": name, "shape": list(shape), "offset": offset, "nbytes": nbytes})
-        offset = _aligned(offset + nbytes)
+        entries.append(TensorEntry(name, shape, offset, (sl.stop - sl.start) * 4))
+        offset = _aligned(offset + entries[-1].nbytes)
     header = json.dumps(
-        {"tensors": entries, "meta": dict(ckpt.meta)}, separators=(",", ":"), ensure_ascii=False
+        {"tensors": [asdict(e) for e in entries], "meta": dict(ckpt.meta)},
+        separators=(",", ":"), ensure_ascii=False,
     ).encode("utf-8")
     payload_base = _aligned(16 + len(header))
-    total = payload_base
-    if entries:
-        total = payload_base + entries[-1]["offset"] + entries[-1]["nbytes"]
-    buf = bytearray(total)
+    buf = bytearray(payload_base + (entries[-1].offset + entries[-1].nbytes if entries else 0))
     buf[0:8] = MAGIC
     struct.pack_into("<II", buf, 8, FORMAT_VERSION, len(header))
     buf[16 : 16 + len(header)] = header
     stored = ckpt.vector.astype("<f4", copy=False)
     for entry, (sl, _) in zip(entries, ckpt.layout.spans):
-        start = payload_base + entry["offset"]
-        buf[start : start + entry["nbytes"]] = stored[sl].tobytes()
+        start = payload_base + entry.offset
+        buf[start : start + entry.nbytes] = stored[sl].tobytes()
     return bytes(buf)
 
 
@@ -170,32 +167,16 @@ def deserialize(blob: bytes) -> Checkpoint:
         raise CheckpointFormatError(f"unsupported format version {version}")
     if len(blob) < 16 + header_len:
         raise CheckpointFormatError("file ends inside the JSON header")
-    try:
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-        entries = header["tensors"]
-        meta = header["meta"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    try:  # as in fileio.read_json
+        raw = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise CheckpointFormatError(f"unreadable header: {exc}") from exc
-    if not isinstance(entries, list) or not isinstance(meta, dict):
-        raise CheckpointFormatError("header fields have wrong types")
+    header = decode(CheckpointHeader, raw, "header", CheckpointFormatError)
     payload_base = _aligned(16 + header_len)
     arrays: dict[str, np.ndarray] = {}
-    for entry in entries:
-        try:
-            name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:  # int(1e400) overflows
-            raise CheckpointFormatError(f"malformed tensor entry {entry!r}") from exc
-        if not isinstance(name, str):
-            raise CheckpointFormatError(f"tensor name {name!r} is not a string")
+    for name, shape, offset, nbytes in map(astuple, header.tensors):
         if name in arrays:
             raise CheckpointFormatError(f"tensor {name!r} declared twice")
-        if nbytes != math.prod(shape) * 4 or min(shape, default=1) < 0:
-            raise CheckpointFormatError(f"tensor {name!r}: shape {shape} does not match {nbytes} bytes")
-        if offset < 0:
-            raise CheckpointFormatError(f"tensor {name!r}: negative offset {offset}")
         start = payload_base + offset
         if start + nbytes > len(blob):
             raise CheckpointFormatError(f"tensor {name!r} payload extends past end of file")
@@ -205,7 +186,7 @@ def deserialize(blob: bytes) -> Checkpoint:
         except ValueError as exc:
             raise CheckpointFormatError(f"tensor {name!r}: shape {shape}: {exc}") from exc
     try:
-        return Checkpoint.from_arrays(arrays, {str(k): str(v) for k, v in meta.items()})
+        return Checkpoint.from_arrays(arrays, {str(k): str(v) for k, v in header.meta.items()})
     except NonFiniteError as exc:  # a stored NaN or inf is a malformed file, not a result
         raise CheckpointFormatError(str(exc)) from exc
 

@@ -30,37 +30,13 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .rng import PortableRng, derive_seed
+from .schema import ArchSpec
 from .tensorstore import Checkpoint, Params, as_params, axpy
 
 if TYPE_CHECKING:
     from .datagen import Dataset
 
 _INIT_STREAM_TAG = 0x494E4954  # distinct substream for weight init draws
-
-
-@dataclass(frozen=True)
-class ArchSpec:
-    """Full width chain, input through hidden layers to class count."""
-
-    layer_widths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.layer_widths) < 3:
-            raise ValueError("need at least one hidden layer: (in, hidden..., classes)")
-        if any(w < 1 for w in self.layer_widths):
-            raise ValueError("layer widths must be positive")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_widths[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.layer_widths[-1]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_widths) - 1
 
 
 @lru_cache(maxsize=64)

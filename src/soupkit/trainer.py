@@ -18,38 +18,29 @@ re-evaluating reproduces the manifest value exactly.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .datagen import Dataset
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DivergenceError,
-    SoupkitError,
-    check_fields,
-    decode,
-)
-from .fileio import read_json, write_json
+from .errors import ConfigError, DivergenceError, SoupkitError
 from .rng import PortableRng, derive_seed
+from .schema import MIXUP_ALPHA_MAX, load_manifest  # noqa: F401  (re-exported)
+from .schema import ArchSpec, HyperConfig, SearchSpace, SweepEntry, SweepManifest, save_manifest
 from .tensorstore import (
     Checkpoint,
     Params,
     as_params,
     content_digest,
     dot,
-    load as load_checkpoint,
     save as save_checkpoint,
     to_checkpoint,
 )
 from .tinynet import (
-    ArchSpec,
     check_fits_data,
     evaluate,
     forward,
@@ -59,61 +50,9 @@ from .tinynet import (
     smoothed_targets,
 )
 
-OPTIMIZERS = ("sgd", "adamw")
-SCHEDULES = ("constant", "cosine")
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Johnk's Beta sampler accepts a draw pair with probability
-# Gamma(a+1)**2 / Gamma(2a+1): about 1.4% at this mixup alpha, 1.7e-9 at 16.
-MIXUP_ALPHA_MAX = 4.0
-
-
-@dataclass(frozen=True)
-class HyperConfig:
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-4
-    epochs: int = 8
-    batch_size: int = 64
-    seed: int = 0
-    label_smoothing: float = 0.0
-    mixup_alpha: float = 0.0
-    input_noise_std: float = 0.0
-    optimizer: str = "adamw"
-    schedule: str = "cosine"
-    ema_decay: float | None = None
-    sam_rho: float | None = None
-
-    def validate(self) -> None:
-        check_fields(self)
-        for name in ("learning_rate", "weight_decay", "mixup_alpha", "input_noise_std"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError("label_smoothing must lie in [0, 1)")
-        if self.mixup_alpha > MIXUP_ALPHA_MAX:
-            raise ConfigError(f"mixup_alpha must be at most {MIXUP_ALPHA_MAX}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"schedule must be one of {SCHEDULES}")
-        if self.ema_decay is not None and not 0.0 <= self.ema_decay <= 1.0:
-            raise ConfigError("ema_decay must lie in [0, 1]")
-        if self.sam_rho is not None and self.sam_rho < 0.0:
-            raise ConfigError("sam_rho must be nonnegative; zero disables the ascent step")
-
-    def digest(self) -> str:
-        import hashlib  # see tensorstore.content_digest
-
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:12]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:
@@ -292,51 +231,6 @@ def finetune(theta0: Checkpoint, h: HyperConfig, dataset: Dataset) -> TrainResul
 # ------------------------------------------------------------- random search
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Sampling ranges for random hyperparameter search.
-
-    Draw order per candidate, from PortableRng(derive_seed(master, i)):
-    lr exponent, wd exponent, smoothing coin + value, epochs, mixup coin
-    + value, noise coin + value (only when a noise range is configured),
-    then one raw draw whose top 53 bits become the training seed.
-    """
-
-    lr_exponent_range: tuple[float, float] = (1.5, 4.0)
-    wd_exponent_range: tuple[float, float] = (0.2, 4.0)
-    smoothing_max: float = 0.25
-    smoothing_off_probability: float = 0.5
-    epochs_range: tuple[int, int] = (4, 16)
-    mixup_max: float = 0.9
-    mixup_off_probability: float = 0.5
-    noise_std_max: float = 0.0
-    noise_off_probability: float = 0.5
-    batch_size: int = 64
-    optimizer: str = "adamw"
-    schedule: str = "cosine"
-
-    def validate(self) -> None:
-        """ConfigError unless every candidate drawn from this space is a valid HyperConfig."""
-        check_fields(self)
-        for name in ("lr_exponent_range", "wd_exponent_range", "epochs_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigError(f"{name} must be an ordered pair, got {(lo, hi)!r}")
-        if self.epochs_range[0] < 1:
-            raise ConfigError(f"epochs_range must hold integers >= 1, got {self.epochs_range!r}")
-        for name in ("smoothing_max", "smoothing_off_probability", "mixup_off_probability",
-                     "noise_off_probability"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.mixup_max < 0 or self.noise_std_max < 0:
-            raise ConfigError("mixup_max and noise_std_max must be nonnegative")
-        if self.mixup_max > MIXUP_ALPHA_MAX:
-            raise ConfigError(f"mixup_max must be at most {MIXUP_ALPHA_MAX}")
-        # Fields every candidate copies as they are.
-        fixed = HyperConfig(batch_size=self.batch_size, optimizer=self.optimizer, schedule=self.schedule)
-        fixed.validate()
-
-
 def random_search_configs(
     count: int, master_seed: int, space: SearchSpace = SearchSpace()
 ) -> list[HyperConfig]:
@@ -378,38 +272,6 @@ def random_search_configs(
 
 
 # ------------------------------------------------------------- sweeps
-
-
-@dataclass
-class SweepEntry:
-    index: int
-    config: HyperConfig
-    path: str | None = None
-    val_accuracy: float | None = None
-    ema_path: str | None = None
-    ema_val_accuracy: float | None = None
-    error: str | None = None
-
-    def validate(self) -> None:
-        check_fields(self)
-        if self.error is None and (self.path is None or self.val_accuracy is None):
-            raise ConfigError("an entry without error needs a path and a val_accuracy")
-
-
-@dataclass
-class SweepManifest:
-    entries: list[SweepEntry]
-    theta0_digest: str = ""
-    directory: str = ""
-
-    def successful(self) -> list[SweepEntry]:
-        return [e for e in self.entries if e.error is None]
-
-    def checkpoint_path(self, entry: SweepEntry) -> Path:
-        return Path(self.directory) / entry.path
-
-    def load_checkpoints(self) -> list[Checkpoint]:
-        return [load_checkpoint(self.checkpoint_path(e)) for e in self.successful()]
 
 
 def effective_workers(requested: int | None) -> int:
@@ -468,27 +330,7 @@ def run_sweep(
             entry.ema_path = ema_name
             entry.ema_val_accuracy = float(result.ema.meta["val_accuracy"])
 
-    manifest = SweepManifest(
-        entries=entries, theta0_digest=content_digest(theta0), directory=str(out_dir)
-    )
+    manifest = SweepManifest(entries=tuple(entries), theta0_digest=content_digest(theta0))
+    manifest.directory = str(out_dir)
     save_manifest(manifest, out_dir / "manifest.json")
     return manifest
-
-
-def save_manifest(manifest: SweepManifest, path: str | Path) -> None:
-    entries = [asdict(e) for e in manifest.entries]
-    write_json(path, {"theta0_digest": manifest.theta0_digest, "entries": entries})
-
-
-def load_manifest(path: str | Path) -> SweepManifest:
-    """The manifest at ``path``; a malformed file or entry raises DataFormatError."""
-    path = Path(path)
-    raw = read_json(path, DataFormatError)
-    try:
-        entries = [decode(SweepEntry, e, f"entries[{i}]") for i, e in enumerate(raw["entries"])]
-        theta0_digest = raw.get("theta0_digest", "")
-        if not isinstance(theta0_digest, str):
-            raise ConfigError(f"theta0_digest must be str, got {theta0_digest!r}")
-    except (ConfigError, KeyError, TypeError, AttributeError) as exc:
-        raise DataFormatError(f"{path}: not a sweep manifest: {exc!r}") from exc
-    return SweepManifest(entries=entries, theta0_digest=theta0_digest, directory=str(path.parent))

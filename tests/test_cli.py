@@ -9,6 +9,7 @@ the documented exit codes with their machine-readable stderr lines.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -28,9 +29,15 @@ from hypothesis import strategies as st
 
 import soupkit
 from soupkit import analysis, cli, datagen, trainer
-from soupkit.errors import DataFormatError
+from soupkit.errors import CheckpointFormatError, ConfigError, DataFormatError
 from soupkit.rng import PortableRng
-from soupkit.tensorstore import Checkpoint, load as load_checkpoint, save as save_checkpoint
+from soupkit.tensorstore import (
+    Checkpoint,
+    content_digest,
+    deserialize,
+    load as load_checkpoint,
+    save as save_checkpoint,
+)
 from soupkit.tinynet import ArchSpec, evaluate, init_checkpoint
 
 SRC_DIR = Path(soupkit.__file__).resolve().parent.parent
@@ -69,6 +76,10 @@ RUN_CONFIG = {
         ]
     },
 }
+
+
+# JSON nested past what the parser's recursion limit allows
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 
 
 def run_ok(argv):
@@ -253,7 +264,15 @@ def test_corrupt_checkpoint_exits_format_code(workspace, tmp_path, capsys):
                    _one_tensor_checkpoint(shape=[1] * 65, nbytes=4),
                    _one_tensor_checkpoint(shape=[float("inf")], nbytes=4),
                    _one_tensor_checkpoint(shape=[1], nbytes=4, offset=-10**6)]
-    for blob in (b"not a checkpoint at all", nan_payload, name_not_string, *unbuildable):
+    # A shape that is not a list of integers: each loaded before, "12" as (1, 2).
+    not_int_lists = [_one_tensor_checkpoint(shape=shape, nbytes=8)
+                     for shape in ("12", [2.5], [True, 2], ["2"])]
+    # A header that is not a JSON object, or too deeply nested to parse: each
+    # exited 1 before (TypeError, RecursionError).
+    not_objects = [b"SOUPCKPT" + struct.pack("<II", 1, len(h)) + h
+                   for h in (b"[1]", b'"tensors"', DEEPLY_NESTED.encode())]
+    for blob in (b"not a checkpoint at all", nan_payload, name_not_string, *unbuildable,
+                 *not_int_lists, *not_objects):
         bad.write_bytes(blob)
         run_fail(
             [
@@ -298,7 +317,8 @@ def test_corrupt_dataset_exits_format_code(workspace, tmp_path, capsys):
 # Tensors that do not form the network, made from a model with two or more
 # layers and 3 classes. On the (6, 12, 3) base, each but no-hidden-layer
 # exited 1 on eval before (ValueError or IndexError); no-hidden-layer passed
-# eval, and soup learned exited 1 on it.
+# eval, and soup learned exited 1 on it. Soup uniform, which averages tensors
+# without running them, exited 0 on each.
 NETWORK_DEFECTS = {
     "bias-shorter-than-layer": lambda t: {**t, "layer0.bias": t["layer0.bias"][:-1]},
     "gain-shorter-than-layer": lambda t: {**t, "layer0.gain": t["layer0.gain"][:-1]},
@@ -312,20 +332,21 @@ NETWORK_DEFECTS = {
 
 
 @pytest.mark.parametrize("defect", sorted(NETWORK_DEFECTS))
-@pytest.mark.parametrize("command", ["eval", "soup-learned"])
+@pytest.mark.parametrize("command", ["eval", "soup-uniform", "soup-learned"])
 def test_checkpoint_not_forming_the_network_exits_shape_code(
     workspace, tmp_path, capsys, command, defect
 ):
     ckpt = tmp_path / "bad.ckpt"
     tensors = NETWORK_DEFECTS[defect](dict(load_checkpoint(workspace["base"])))
     save_checkpoint(Checkpoint.from_arrays(tensors), ckpt)
+    manifest = ["--manifest", str(_write_manifest(tmp_path / "manifest.json", ckpt))]
     argv = {
-        "eval": ["eval", "--ckpt", str(ckpt)],
-        "soup-learned": ["soup", "learned", "--manifest",
-                         str(_write_manifest(tmp_path / "manifest.json", ckpt))],
+        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(workspace["data"])],
+        "soup-uniform": ["soup", "uniform", *manifest],
+        "soup-learned": ["soup", "learned", *manifest, "--data", str(workspace["data"])],
     }[command]
     out = tmp_path / "out"
-    assert cli.main([*argv, "--data", str(workspace["data"]), "--out", str(out)]) == cli.EXIT_SHAPE
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_SHAPE
     assert _single_error_line(capsys)["error"] == "shape-mismatch"
     assert not list(tmp_path.glob("out*"))
 
@@ -561,6 +582,47 @@ def test_import_loads_no_module_that_only_some_commands_run(module, absent):
     assert sorted(loaded & {f"soupkit.{name}" for name in absent}) == []
 
 
+# A command's own process: (argv before --out, library modules it must not
+# load, modules it must load). The manifest commands read their manifest through
+# soupkit.schema, so none loads the training code; soup learned steps
+# trainer.adamw_step, which shows that a load made during a command is seen.
+COMMAND_IMPORTS = {
+    "soup-uniform": (["soup", "uniform", "--manifest", "{manifest}"], ("trainer",),
+                     ("schema", "tensorstore", "soups")),
+    "soup-greedy": (["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
+                    ("trainer",), ("soups", "datagen")),
+    "soup-learned": (["soup", "learned", "--manifest", "{manifest}", "--data", "{data}"], (),
+                     ("trainer",)),
+    "ensemble-uniform": (["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}"],
+                         ("trainer",), ("ensembles",)),
+    "ensemble-greedy": (["ensemble", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
+                        ("trainer",), ("ensembles",)),
+    "grid-study": (["grid-study", "--manifest", "{manifest}", "--data", "{data}"], ("trainer",),
+                   ("analysis",)),
+    "calibrate-manifest": (["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
+                           ("trainer",), ("ensembles",)),
+    "report-manifest": (["report", "--manifest", "{manifest}"],
+                        ("trainer", "datagen", "tensorstore", "tinynet"), ("schema",)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_IMPORTS))
+def test_command_loads_only_the_modules_it_runs(workspace, tmp_path, command):
+    template, absent, present = COMMAND_IMPORTS[command]
+    paths = {"manifest": workspace["manifest"], "data": workspace["data"]}
+    argv = [arg.format(**paths) for arg in template] + ["--out", str(tmp_path / "out")]
+    code = ("import json, sys; from soupkit import cli; "
+            "print(json.dumps([cli.main(sys.argv[1:]), sorted(sys.modules)]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    exit_code, loaded = json.loads(proc.stdout)
+    assert exit_code == cli.EXIT_OK, proc.stderr
+    assert sorted(set(loaded) & {f"soupkit.{name}" for name in absent}) == []
+    assert {f"soupkit.{name}" for name in present} <= set(loaded)
+
+
 def _single_error_line(capsys) -> dict:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
@@ -592,6 +654,10 @@ def _single_error_line(capsys) -> dict:
         '{"theta0_digest": NaN, "entries": []}',
         json.dumps({"theta0_digest": [1], "entries": []}),
         json.dumps({"theta0_digest": 5, "entries": []}),
+        # keys the writer does not write, at the top level too
+        json.dumps({"theta0_digest": "", "entries": [], "note": "x"}),
+        json.dumps({"theta0_digest": "", "entries": [], "directory": "."}),
+        DEEPLY_NESTED,
     ],
 )
 def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
@@ -623,7 +689,8 @@ def test_alphas_outside_unit_interval_exit_config_code(
 
 
 @pytest.mark.parametrize(
-    "raw", [b"\xff\xfe{}", b"not json", b"[1, 2]"], ids=["not-utf8", "not-json", "not-object"]
+    "raw", [b"\xff\xfe{}", b"not json", b"[1, 2]", DEEPLY_NESTED.encode()],
+    ids=["not-utf8", "not-json", "not-object", "nested-too-deeply"],
 )
 def test_malformed_config_file_exits_config_code(tmp_path, capsys, raw):
     config = tmp_path / "run.json"
@@ -779,6 +846,12 @@ def test_overflowing_sweep_workers_print_nothing(workspace, tmp_path, workers):
         ("pretrain", "pretrain=5"),
         ("pretrain", "arch=5"),
         ("datagen", "dataset=5"),
+        # every command checks every section, not only those it runs
+        ("datagen", "pretrain.bogus_key=1"),
+        ("datagen", 'sweep.count="x"'),
+        ("datagen", "arch.layer_widths=[4,0,3]"),
+        ("pretrain", "sweep.configs=[]"),
+        ("sweep", "dataset.num_train=0"),
     ],
 )
 def test_bad_config_field_exits_config_code(
@@ -940,8 +1013,10 @@ def test_module_entry_point_writes_stdout_stderr_and_artifacts(workspace, tmp_pa
 # this arch overflow, so every loss and confidence computed from them is NaN.
 HOSTILE_ARCH = ArchSpec((4, 5, 5, 5, 5, 3))
 
-# argv before --out; {ckpt}, {data} and {manifest} name the inputs
+# argv before --out; {config}, {ckpt}, {data} and {manifest} name the inputs
 HOSTILE_COMMANDS = {
+    "datagen": ["datagen", "--config", "{config}"],
+    "pretrain": ["pretrain", "--config", "{config}", "--data", "{data}"],
     "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}"],
     "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--data", "{data}"],
     "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--ckpt-c", "{ckpt}",
@@ -953,13 +1028,17 @@ HOSTILE_COMMANDS = {
     "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
     "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}"],
     "report": ["report", "--manifest", "{manifest}"],
-    "sweep": ["sweep", "--set", 'sweep.configs=[{{"epochs": 1}}]', "--data", "{data}",
-              "--base", "{ckpt}"],
+    "sweep": ["sweep", "--config", "{config}", "--data", "{data}", "--base", "{ckpt}"],
 }
 
 
-def _reading(slot: str) -> tuple[str, ...]:
-    return tuple(c for c, argv in HOSTILE_COMMANDS.items() if "{%s}" % slot in argv)
+def _reading(*slots: str) -> tuple[str, ...]:
+    return tuple(c for c, argv in HOSTILE_COMMANDS.items()
+                 if any("{%s}" % slot in argv for slot in slots))
+
+
+# report reads the manifest but none of its checkpoints
+CHECKPOINT_READERS = tuple(c for c in _reading("ckpt", "manifest") if c != "report")
 
 
 # corrupted input kind -> (expected exit code, the commands it must stop)
@@ -969,16 +1048,14 @@ HOSTILE_KINDS = {
     ),
     "manifest-entry-field": (cli.EXIT_FORMAT, _reading("manifest")),
     "dataset-config-field": (cli.EXIT_FORMAT, _reading("data")),
-    # report reads the manifest but none of its checkpoints
-    "truncated-checkpoint": (cli.EXIT_FORMAT, tuple(c for c in HOSTILE_COMMANDS if c != "report")),
+    "config-section": (cli.EXIT_CONFIG, _reading("config")),
+    "truncated-checkpoint": (cli.EXIT_FORMAT, CHECKPOINT_READERS),
+    "header-field": (cli.EXIT_FORMAT, CHECKPOINT_READERS),
     # every command that runs a checkpoint on the data
     "misfit-checkpoint": (
-        cli.EXIT_SHAPE, tuple(c for c in HOSTILE_COMMANDS if c not in ("soup-uniform", "report"))
+        cli.EXIT_SHAPE, tuple(c for c in CHECKPOINT_READERS if c != "soup-uniform")
     ),
-    # soup uniform averages the tensors without running them
-    "network-defect": (
-        cli.EXIT_SHAPE, tuple(c for c in HOSTILE_COMMANDS if c not in ("soup-uniform", "report"))
-    ),
+    "network-defect": (cli.EXIT_SHAPE, CHECKPOINT_READERS),
     "missing-input": (cli.EXIT_MISSING_INPUT, tuple(HOSTILE_COMMANDS)),
 }
 HOSTILE_PAIRS = [(command, kind) for kind, (_, commands) in HOSTILE_KINDS.items()
@@ -998,6 +1075,28 @@ BAD_ENTRY_FIELDS = {
 MISFIT_ARCHES = [ArchSpec((5, 6, 3)), ArchSpec((4, 6, 2)), ArchSpec((4, 6, 4))]
 # values no dataset config field can hold
 BAD_CONFIG_VALUES = ["x", None, True, [], {}, math.nan, math.inf, -math.inf]
+# run config sections that no command may accept, whichever sections it runs
+BAD_CONFIG_SECTIONS = {
+    "dataset": [5, [], {"bogus_key": 1}, {"num_train": "x"}, {"input_dim": 0}],
+    "arch": [5, {}, {"layer_widths": "x"}, {"layer_widths": [4, 0, 3]},
+             {"layer_widths": [4, 5, 3], "bogus_key": 1}],
+    "pretrain": [5, None, {"bogus_key": 1}, {"epochs": "x"}, {"optimizer": "lbfgs"}],
+    "sweep": [5, {}, {"bogus_key": 1}, {"count": 2}, {"count": "x", "master_seed": 0},
+              {"count": 0, "master_seed": 0}, {"count": 2, "master_seed": 0, "space": 5},
+              {"count": 2, "master_seed": 0, "space": {"bogus_key": 1}}, {"configs": []},
+              {"configs": [5]}, {"configs": [{"epochs": "x"}]}, {"configs": [{}], "count": 2}],
+    "datasets": [{}],
+}
+# values a checkpoint header's tensor entry field cannot hold; the entry is the
+# first one, layer0.weight of shape (4, 5), which "45", [4.7, 5] and [true, 20]
+# were once read as
+BAD_HEADER_FIELDS = {
+    "name": [5, None, ["layer0.weight"]],
+    "shape": ["45", [4.7, 5], [True, 20], [4, "5"], [-4, -5], None, 20],
+    "offset": ["0", 0.0, True, None, -64],
+    "nbytes": ["80", 80.0, True, None],
+    "dtype": ["<f4"],  # a key the writer does not write
+}
 
 
 def _manifest_doc(ckpt: Path) -> dict:
@@ -1009,6 +1108,17 @@ def _manifest_doc(ckpt: Path) -> dict:
 def _write_manifest(path: Path, ckpt: Path) -> Path:
     path.write_text(json.dumps(_manifest_doc(ckpt)))
     return path
+
+
+def _with_header_entry(blob: bytes, **fields) -> bytes:
+    """The checkpoint ``blob`` with ``fields`` set in its first tensor entry; the
+    payload moves with the header, so only the entry changes."""
+    (length,) = struct.unpack_from("<I", blob, 12)
+    header = json.loads(blob[16 : 16 + length])
+    payload = blob[(16 + length + 63) // 64 * 64 :]
+    header["tensors"][0].update(fields)
+    text = json.dumps(header).encode()
+    return blob[:12] + struct.pack("<I", len(text)) + text + bytes(-(16 + len(text)) % 64) + payload
 
 
 def _hostile_argv(command: str, inputs: dict, out: Path) -> list[str]:
@@ -1024,6 +1134,10 @@ def hostile(tmp_path_factory):
     cfg = datagen.DatasetConfig(input_dim=4, num_classes=3, num_train=24, num_val=24,
                                 num_test=24, num_shift=24)
     datagen.save_csv(datagen.generate(cfg), root / "data")
+    run_config = {"dataset": dataclasses.asdict(cfg),
+                  "arch": {"layer_widths": list(HOSTILE_ARCH.layer_widths)},
+                  "pretrain": {"epochs": 1}, "sweep": {"configs": [{"epochs": 1}]}}
+    (root / "config.json").write_text(json.dumps(run_config))
     sane = init_checkpoint(HOSTILE_ARCH, 0)
     signs = np.where(PortableRng(1).uniforms(sane.vector.size) < 0.5, -1.0, 1.0)
     overflow = Checkpoint(sane.layout, (3e38 * signs).astype(np.float32), {})
@@ -1031,6 +1145,7 @@ def hostile(tmp_path_factory):
     save_checkpoint(overflow, root / "overflow.ckpt")
     return {
         "root": root,
+        "config": root / "config.json",
         "data": root / "data",
         "sane": root / "sane.ckpt",
         "overflow": root / "overflow.ckpt",
@@ -1041,7 +1156,7 @@ def hostile(tmp_path_factory):
 
 def _corrupt(kind: str, hostile: dict, tmp: Path, draw) -> dict:
     """Inputs for one command with one input corrupted as ``kind`` says."""
-    inputs = {"data": hostile["data"], "ckpt": hostile["sane"],
+    inputs = {"config": hostile["config"], "data": hostile["data"], "ckpt": hostile["sane"],
               "manifest": hostile["sane-manifest"]}
     if kind == "overflowing-checkpoint":
         inputs.update(ckpt=hostile["overflow"], manifest=hostile["overflow-manifest"])
@@ -1060,6 +1175,19 @@ def _corrupt(kind: str, hostile: dict, tmp: Path, draw) -> dict:
         config[draw(st.sampled_from([*config, "unknown_field"]))] = draw(
             st.sampled_from(BAD_CONFIG_VALUES))
         path.write_text(json.dumps(config))
+    elif kind == "config-section":
+        section = draw(st.sampled_from(sorted(BAD_CONFIG_SECTIONS)))
+        doc = json.loads(hostile["config"].read_text())
+        doc[section] = draw(st.sampled_from(BAD_CONFIG_SECTIONS[section]))
+        inputs["config"] = tmp / "config.json"
+        inputs["config"].write_text(json.dumps(doc))
+    elif kind == "header-field":
+        field = draw(st.sampled_from(sorted(BAD_HEADER_FIELDS)))
+        blob = _with_header_entry(hostile["sane"].read_bytes(),
+                                  **{field: draw(st.sampled_from(BAD_HEADER_FIELDS[field]))})
+        inputs["ckpt"] = tmp / "header.ckpt"
+        inputs["ckpt"].write_bytes(blob)
+        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
     elif kind == "truncated-checkpoint":
         blob = hostile["sane"].read_bytes()
         inputs["ckpt"] = tmp / "cut.ckpt"
@@ -1134,6 +1262,23 @@ def test_every_bad_field_value_is_a_format_error(hostile, tmp_path):
             (data / "config.json").write_text(json.dumps({**config, field: value}))
             with pytest.raises(DataFormatError):
                 datagen.load_csv(data)
+
+
+def test_every_bad_header_field_and_config_section_is_rejected(hostile):
+    # The property above samples these pools too; here each value is tried once.
+    blob = hostile["sane"].read_bytes()
+    sane = load_checkpoint(hostile["sane"])
+    assert content_digest(deserialize(_with_header_entry(blob))) == content_digest(sane)
+    for field, values in BAD_HEADER_FIELDS.items():
+        for value in values:
+            with pytest.raises(CheckpointFormatError):
+                deserialize(_with_header_entry(blob, **{field: value}))
+    config = str(hostile["config"])
+    assert cli.load_run_config(config).arch == HOSTILE_ARCH
+    for section, values in BAD_CONFIG_SECTIONS.items():
+        for value in values:
+            with pytest.raises(ConfigError):
+                cli.load_run_config(config, [f"{section}={json.dumps(value)}"])
 
 
 # ------------------------------------ valid but degenerate inputs, one property

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from soupkit import analysis, soups, tensorstore, tinynet
+import pytest
+
+from soupkit import analysis, datagen, schema, soups, tensorstore, tinynet, trainer
 from soupkit.tinynet import ArchSpec, init_checkpoint
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -52,3 +58,27 @@ def test_flop_attributes_read_weight_shapes_from_checkpoints_and_params(tmp_path
     loaded = tensorstore.load(path)
     weight_sizes = _tracing()._weight_sizes
     assert weight_sizes(loaded) == weight_sizes(tinynet.as_params(loaded)) == [4 * 6, 6 * 5, 5 * 3]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(trainer, name) for name in ("HyperConfig", "SearchSpace", "SweepEntry", "SweepManifest",
+                                  "save_manifest", "load_manifest", "MIXUP_ALPHA_MAX")]
+    + [(datagen, "DatasetConfig"), (tinynet, "ArchSpec")],
+)
+def test_records_moved_to_schema_stay_where_perfbench_finds_them(module, name):
+    assert getattr(module, name) is getattr(schema, name)
+
+
+def test_schema_loads_no_numpy():
+    # Reading a config, manifest or header needs only the standard library.
+    src = str(Path(schema.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import json, sys, soupkit.schema; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+    assert {m for m in loaded if m.startswith("soupkit")} == {
+        "soupkit", "soupkit.schema", "soupkit.errors", "soupkit.fileio"}

@@ -173,7 +173,7 @@ def test_non_string_tensor_name_is_a_header_error():
     blob[0:8] = b"SOUPCKPT"
     struct.pack_into("<II", blob, 8, 1, len(header))
     blob[16 : 16 + len(header)] = header
-    with pytest.raises(CheckpointFormatError, match="not a string"):
+    with pytest.raises(CheckpointFormatError, match="name must be str, got 5"):
         deserialize(bytes(blob))
 
 
