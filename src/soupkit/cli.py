@@ -32,10 +32,11 @@ inputs produce identical output bytes.  Sweeps train their configs one
 after another.
 
 Start-up is most of a short command's time, so this module imports only
-the standard library, NumPy, ``errors`` and ``fileio``; each command
-imports the library modules it runs.  ``run`` is the process entry point
-(``python -m soupkit.cli`` and the ``soupkit`` script); ``main`` is for
-in-process callers.
+the standard library, ``errors`` and ``fileio``.  A command checks its
+flags and config, then imports the library modules it runs, and NumPy
+with them; so ``--help``, ``report`` and those checks load no NumPy.
+``run`` is the process entry point (``python -m soupkit.cli`` and the
+``soupkit`` script); ``main`` is for in-process callers.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ import gc
 import json
 import math
 import sys
-from dataclasses import asdict
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from .errors import (
     CheckpointFormatError,
@@ -65,6 +64,8 @@ from .errors import (
 from .fileio import read_json, write_json
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .analysis import PairSpec
     from .datagen import Dataset
     from .schema import RunConfig
@@ -162,7 +163,8 @@ def _parse_alphas(text: str) -> list[float]:
     return alphas
 
 
-def _parse_range(text: str, flag: str) -> list[float]:
+def _parse_range(text: str, flag: str) -> tuple[float, float, int]:
+    """``lo:hi:count`` with finite ends and a positive count, the arguments of ``np.linspace``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{flag} must be lo:hi:count, got {text!r}")
@@ -174,7 +176,7 @@ def _parse_range(text: str, flag: str) -> list[float]:
         raise ConfigError(f"{flag}: count must be >= 1")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"{flag}: endpoints must be finite, got {text!r}")
-    return [float(v) for v in np.linspace(lo, hi, count)]
+    return lo, hi, count
 
 
 def _manifest_models(path: str) -> list[Checkpoint]:
@@ -197,21 +199,21 @@ DEFAULT_ALPHAS = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
 
 
 def cmd_datagen(args: argparse.Namespace) -> None:
+    cfg = load_run_config(args.config, args.set).dataset
     from . import datagen
 
-    cfg = load_run_config(args.config, args.set).dataset
     ds = datagen.generate(cfg)
     datagen.save_csv(ds, args.out)
 
 
 def cmd_pretrain(args: argparse.Namespace) -> None:
-    from . import trainer
-    from .tensorstore import save as save_checkpoint
-
     cfg = load_run_config(args.config, args.set)
     arch = cfg.arch
     if arch is None:
         raise ConfigError("config: pretrain needs an arch section")
+    from . import trainer
+    from .tensorstore import save as save_checkpoint
+
     ds = _load_dataset(args.data)
     if ds.config is not None:
         if arch.input_dim != ds.config.input_dim or arch.num_classes != ds.config.num_classes:
@@ -224,13 +226,13 @@ def cmd_pretrain(args: argparse.Namespace) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
+    sweep = load_run_config(args.config, args.set).sweep
+    if sweep is None:
+        raise ConfigError("config: sweep needs a sweep section")
     from .schema import SearchSpace
     from .tensorstore import load as load_checkpoint
     from .trainer import random_search_configs, run_sweep
 
-    sweep = load_run_config(args.config, args.set).sweep
-    if sweep is None:
-        raise ConfigError("config: sweep needs a sweep section")
     configs = sweep.configs or random_search_configs(
         sweep.count, sweep.master_seed, sweep.space or SearchSpace())
     ds = _load_dataset(args.data)
@@ -291,15 +293,15 @@ def cmd_eval(args: argparse.Namespace) -> None:
     ckpt = load_checkpoint(args.ckpt)
     X, y = _split_arrays(_load_dataset(args.data, [ckpt]), args.split)
     report = evaluate_with_calibration(ckpt, X, y, beta=args.beta, num_bins=args.bins)
-    write_json(args.out, {**asdict(report), "accuracy": report.accuracy, "ckpt": str(args.ckpt),
+    write_json(args.out, {**vars(report), "accuracy": report.accuracy, "ckpt": str(args.ckpt),
                           "split": args.split, "beta": args.beta})
 
 
 def cmd_interp(args: argparse.Namespace) -> None:
+    alphas = _parse_alphas(args.alphas)
     from . import analysis
     from .tensorstore import load as load_checkpoint
 
-    alphas = _parse_alphas(args.alphas)
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
     split_map = _split_map(_load_dataset(args.data, [theta0, theta1]), args.splits)
@@ -308,11 +310,13 @@ def cmd_interp(args: argparse.Namespace) -> None:
 
 
 def cmd_plane(args: argparse.Namespace) -> None:
+    ranges = _parse_range(args.x_range, "--x-range"), _parse_range(args.y_range, "--y-range")
+    import numpy as np
+
     from . import analysis
     from .tensorstore import load as load_checkpoint
 
-    xs = _parse_range(args.x_range, "--x-range")
-    ys = _parse_range(args.y_range, "--y-range")
+    xs, ys = ([float(v) for v in np.linspace(*r)] for r in ranges)
     theta0 = load_checkpoint(args.ckpt_a)
     theta1 = load_checkpoint(args.ckpt_b)
     theta2 = load_checkpoint(args.ckpt_c)
@@ -335,9 +339,7 @@ def cmd_grid_study(args: argparse.Namespace) -> None:
 
 
 def _pairs_from_file(path: str) -> list[PairSpec]:
-    from .analysis import PairSpec
     from .schema import PairEntry
-    from .tensorstore import load as load_checkpoint
 
     raw = read_json(path, ConfigError)
     if not isinstance(raw, list):
@@ -346,6 +348,9 @@ def _pairs_from_file(path: str) -> list[PairSpec]:
     ids = [e.id for e in entries]
     if len(ids) < 2 or len(set(ids)) != len(ids):
         raise ConfigError(f"{path}: need at least two pairs with distinct ids, got {ids}")
+    from .analysis import PairSpec
+    from .tensorstore import load as load_checkpoint
+
     base = Path(path).parent
     return [  # an integer rate is written to the CSV as a float
         PairSpec(e.id, load_checkpoint(base / e.theta0), load_checkpoint(base / e.theta1),
@@ -355,10 +360,10 @@ def _pairs_from_file(path: str) -> list[PairSpec]:
 
 
 def cmd_approx(args: argparse.Namespace) -> None:
-    from . import analysis
-
     alphas = _parse_alphas(args.alphas)
     pairs = _pairs_from_file(args.pairs)
+    from . import analysis
+
     ds = _load_dataset(args.data, [theta for pair in pairs for theta in (pair.theta0, pair.theta1)])
     split_map = _split_map(ds, args.splits)
     report = analysis.approx_validation_report(
@@ -604,10 +609,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_out(args)
-        # Every non-finite result is caught and mapped to exit 4 or 6, so
-        # NumPy's floating-point warnings would only break the one-line
-        # stderr contract.
-        with np.errstate(all="ignore"):
+        # Every non-finite result is caught and mapped to exit 4 or 6, so NumPy's
+        # floating-point warnings (RuntimeWarnings, filtered here without importing
+        # NumPy) would only break the one-line stderr contract.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             args.func(args)
         return EXIT_OK
     except Exception as exc:  # mapped to documented exit codes below

@@ -9,7 +9,6 @@ annotations, so no validator keeps a list of field names for a type check.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import types
 import typing
@@ -88,6 +87,8 @@ def check_fields(obj: object) -> None:
 
 def _convert(value: object, hint: object, where: str, error: type[SoupkitError]) -> object:
     """Parsed JSON ``value`` as a ``hint``: objects become records, lists tuples."""
+    import dataclasses  # see decode
+
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):  # X | None
         return None if value is None else _convert(value, args[0], where, error)
@@ -105,6 +106,8 @@ def decode(cls: type, raw: object, where: str, error: type[SoupkitError] = Confi
     """The ``cls`` record from the JSON object ``raw``, checked by its ``validate()``
     or else :func:`check_fields`; lists become tuples and objects nested records.
     A bad ``raw`` raises ``error``, the category of the file it was read from."""
+    import dataclasses  # on first use: it loads inspect, and `soupkit --help` decodes nothing
+
     if not isinstance(raw, dict):
         raise error(f"{where} must be an object, got {raw!r}")
     fields = _field_types(cls)

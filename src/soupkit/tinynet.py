@@ -75,9 +75,10 @@ def _network_of(weights: Checkpoint | Params) -> tuple[tuple, tuple]:
     return _network(layout.names, tuple(shape for _, shape in layout.spans))
 
 
-def arch_of(theta: Checkpoint | Mapping[str, np.ndarray]) -> ArchSpec:
-    """Recover the width chain from parameter shapes."""
-    return ArchSpec(_network_of(as_params(theta))[1])
+def arch_of(theta: Checkpoint | Params | Mapping[str, np.ndarray]) -> ArchSpec:
+    """Recover the width chain from parameter shapes; only a plain mapping is widened."""
+    weights = theta if isinstance(theta, (Checkpoint, Params)) else as_params(theta)
+    return ArchSpec(_network_of(weights)[1])
 
 
 def check_fits_data(theta: Checkpoint | Params, dataset: Dataset) -> int:

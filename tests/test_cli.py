@@ -561,10 +561,16 @@ def test_parser_choices_are_the_library_choices():
     assert tuple(choices("approx", "--beta-mode")) == analysis.BETA_MODES
 
 
+def _modules(names) -> set[str]:
+    """Module names: a soupkit submodule by its short name, any other module by its own."""
+    return {f"soupkit.{name}" if name in soupkit.__all__ else name for name in names}
+
+
 @pytest.mark.parametrize(
     "module, absent",
     [
-        ("cli", ("analysis", "ensembles", "soups", "trainer", "datagen")),
+        ("cli", ("analysis", "ensembles", "soups", "trainer", "datagen", "numpy", "dataclasses",
+                 "inspect")),
         ("soups", ("trainer",)),
         ("ensembles", ("soups", "trainer")),
     ],
@@ -579,7 +585,7 @@ def test_import_loads_no_module_that_only_some_commands_run(module, absent):
                           env=env, timeout=60, check=True)
     loaded = set(json.loads(proc.stdout))
     assert f"soupkit.{module}" in loaded
-    assert sorted(loaded & {f"soupkit.{name}" for name in absent}) == []
+    assert sorted(loaded & _modules(absent)) == []
 
 
 # A command's own process: (argv before --out, library modules it must not
@@ -602,7 +608,7 @@ COMMAND_IMPORTS = {
     "calibrate-manifest": (["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
                            ("trainer",), ("ensembles",)),
     "report-manifest": (["report", "--manifest", "{manifest}"],
-                        ("trainer", "datagen", "tensorstore", "tinynet"), ("schema",)),
+                        ("trainer", "datagen", "tensorstore", "tinynet", "numpy"), ("schema",)),
 }
 
 
@@ -619,8 +625,48 @@ def test_command_loads_only_the_modules_it_runs(workspace, tmp_path, command):
                           env=env, timeout=120, check=True)
     exit_code, loaded = json.loads(proc.stdout)
     assert exit_code == cli.EXIT_OK, proc.stderr
-    assert sorted(set(loaded) & {f"soupkit.{name}" for name in absent}) == []
-    assert {f"soupkit.{name}" for name in present} <= set(loaded)
+    assert sorted(set(loaded) & _modules(absent)) == []
+    assert _modules(present) <= set(loaded)
+
+
+# Runs that import no NumPy: (argv, documented exit code). A computing
+# command checks its flags and config before it imports the library.
+NUMPY_FREE_RUNS = {
+    "help": (["--help"], cli.EXIT_OK),
+    "unknown-flag": (["report", "--bogus", "--out", "{out}"], cli.EXIT_CONFIG),
+    "report-manifest": (["report", "--manifest", "{manifest}", "--out", "{out}"], cli.EXIT_OK),
+    "missing-config": (["datagen", "--config", "{missing}", "--out", "{out}"],
+                       cli.EXIT_MISSING_INPUT),
+    "bad-set": (["pretrain", "--config", "{config}", "--set", "pretrain.epochs=1.5",
+                 "--data", "{data}", "--out", "{out}"], cli.EXIT_CONFIG),
+    "out-of-the-wrong-kind": (["eval", "--ckpt", "{base}", "--data", "{data}", "--out", "{dir}"],
+                              cli.EXIT_CONFIG),
+    "bad-alphas": (["interp", "--ckpt-a", "{base}", "--ckpt-b", "{base}", "--data", "{data}",
+                    "--alphas", "0,2", "--out", "{out}"], cli.EXIT_CONFIG),
+    "bad-second-range": (["plane", "--ckpt-a", "{base}", "--ckpt-b", "{base}", "--ckpt-c",
+                          "{base}", "--data", "{data}", "--x-range=0:1:3", "--y-range=0:1:0",
+                          "--out", "{out}"], cli.EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_FREE_RUNS))
+def test_front_end_runs_where_numpy_cannot_be_imported(workspace, tmp_path, case):
+    template, expected = NUMPY_FREE_RUNS[case]
+    out = tmp_path / "out"
+    paths = {**workspace, "missing": tmp_path / "missing.json", "out": out, "dir": tmp_path}
+    argv = [arg.format(**paths) for arg in template]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    runs = []
+    for block in ("", "sys.modules['numpy'] = None; "):  # None makes `import numpy` fail
+        code = f"import sys; {block}from soupkit import cli; sys.exit(cli.run())"
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        runs.append((proc.returncode, proc.stdout, proc.stderr,
+                     out.read_bytes() if out.is_file() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0][0] == expected, runs[0]
+    assert runs[1] == runs[0]
 
 
 def _single_error_line(capsys) -> dict:

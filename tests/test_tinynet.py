@@ -89,6 +89,23 @@ def test_structure_validation():
         forward(_random_params((4, 5, 3), 0), np.zeros((2, 9)))  # wrong input width
 
 
+def test_arch_of_reads_a_layout_without_widening_it():
+    # A manifest command checks every model with arch_of; only a plain
+    # mapping needs as_params to get a layout.
+    arrays = _random_params((4, 5, 3), 0)
+    short_bias = {**arrays, "layer0.bias": arrays["layer0.bias"][:-1]}
+    with mock.patch.object(tinynet, "as_params", wraps=as_params) as spy:
+        ckpt = Checkpoint.from_arrays(arrays)
+        assert arch_of(ckpt) == arch_of(as_params(ckpt)) == ArchSpec((4, 5, 3))
+        assert spy.call_count == 0
+        for weights in (Checkpoint.from_arrays(short_bias), as_params(short_bias)):
+            with pytest.raises(ShapeMismatchError):
+                arch_of(weights)
+        assert spy.call_count == 0
+        assert arch_of(arrays) == ArchSpec((4, 5, 3))
+        assert spy.call_count == 1
+
+
 # ------------------------------------------------------------- forward
 
 
