@@ -165,7 +165,10 @@ class BinStat:
 def equal_mass_bins(
     confidences: np.ndarray, correct: np.ndarray, num_bins: int = 15
 ) -> list[BinStat]:
-    """Contiguous confidence-sorted bins with sizes differing by <= 1."""
+    """Contiguous confidence-sorted bins with sizes differing by <= 1.
+
+    More bins than predictions give one prediction per bin.
+    """
     confidences = np.asarray(confidences, dtype=np.float64)
     correct = np.asarray(correct, dtype=np.float64)
     if confidences.ndim != 1 or confidences.shape != correct.shape:
@@ -174,7 +177,9 @@ def equal_mass_bins(
         raise ValueError("num_bins must be >= 1")
     order = np.argsort(confidences, kind="stable")
     bins = []
-    for chunk in np.array_split(order, num_bins):
+    # array_split's cost grows with the section count, and sections past the
+    # prediction count are empty chunks that are skipped anyway.
+    for chunk in np.array_split(order, max(1, min(num_bins, order.size))):
         if chunk.size == 0:
             continue
         bins.append(

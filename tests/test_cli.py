@@ -2,30 +2,32 @@
 
 A module-scoped workspace runs the real pipeline once (datagen ->
 pretrain -> sweep of four configs); individual tests drive each
-subcommand against those artifacts and check outputs, determinism, and
-the documented exit codes with their machine-readable stderr lines.
+subcommand against those artifacts and check outputs and determinism.
+The documented exit codes are one contract table: every input defect runs
+over every command that reads that input.
 """
 
 import argparse
 import contextlib
-import csv
 import dataclasses
+import functools
 import gc
 import io
+import itertools
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import soupkit
 from soupkit import analysis, cli, datagen, trainer
@@ -76,10 +78,6 @@ RUN_CONFIG = {
         ]
     },
 }
-
-
-# JSON nested past what the parser's recursion limit allows
-DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 
 
 def run_ok(argv):
@@ -165,367 +163,7 @@ def test_set_override_without_config_file(tmp_path):
     assert ds.config.input_dim == datagen.DatasetConfig().input_dim
 
 
-def test_unknown_config_section_exits_config_code(tmp_path, capsys):
-    config = tmp_path / "bad.json"
-    config.write_text(json.dumps({"datasets": {}}))
-    run_fail(
-        ["datagen", "--config", str(config), "--out", str(tmp_path / "d")],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )
-
-
-def test_unknown_hyper_key_exits_config_code(workspace, tmp_path, capsys):
-    run_fail(
-        [
-            "pretrain",
-            "--config",
-            str(workspace["config"]),
-            "--set",
-            "pretrain.bogus=1",
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(tmp_path / "x.ckpt"),
-        ],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )
-
-
-def test_malformed_set_flag_exits_config_code(tmp_path, capsys):
-    run_fail(
-        ["datagen", "--set", "no-equals-sign", "--out", str(tmp_path / "d")],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )
-
-
-def test_arch_dataset_mismatch_exits_config_code(workspace, tmp_path, capsys):
-    run_fail(
-        [
-            "pretrain",
-            "--config",
-            str(workspace["config"]),
-            "--set",
-            "arch.layer_widths=[4, 8, 3]",
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(tmp_path / "x.ckpt"),
-        ],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )
-
-
-# -------------------------------------------------------------- exit codes
-
-
-def test_missing_dataset_exits_missing_input(workspace, tmp_path, capsys):
-    run_fail(
-        [
-            "eval",
-            "--ckpt",
-            str(workspace["base"]),
-            "--data",
-            str(tmp_path / "nope"),
-            "--out",
-            str(tmp_path / "r.json"),
-        ],
-        cli.EXIT_MISSING_INPUT,
-        "missing-input",
-        capsys,
-    )
-
-
-def _one_tensor_checkpoint(**entry) -> bytes:
-    """A checkpoint file declaring one tensor ``w`` at offset 0, ``entry`` overriding."""
-    header = json.dumps({"tensors": [{"name": "w", "offset": 0, **entry}], "meta": {}}).encode()
-    return b"SOUPCKPT" + struct.pack("<II", 1, len(header)) + header + bytes(64)
-
-
-def test_corrupt_checkpoint_exits_format_code(workspace, tmp_path, capsys):
-    bad = tmp_path / "bad.ckpt"
-    # A stored NaN is a malformed file (5), not a non-finite result (6);
-    # the file's last four bytes are the last value of its last tensor.
-    nan_payload = workspace["base"].read_bytes()[:-4] + np.array(np.nan, "<f4").tobytes()
-    name_not_string = _one_tensor_checkpoint(name=5, shape=[1], nbytes=4)
-    # Shapes NumPy cannot build, an infinite size and a negative offset: each
-    # exited 1 before (the first wrapped an int64 element count to 0, the
-    # infinite size overflowed int(), the others raised in NumPy).
-    unbuildable = [_one_tensor_checkpoint(shape=[2**32, 2**32], nbytes=0),
-                   _one_tensor_checkpoint(shape=[10**30], nbytes=4),
-                   _one_tensor_checkpoint(shape=[0, 10**30], nbytes=0),
-                   _one_tensor_checkpoint(shape=[1] * 65, nbytes=4),
-                   _one_tensor_checkpoint(shape=[float("inf")], nbytes=4),
-                   _one_tensor_checkpoint(shape=[1], nbytes=4, offset=-10**6)]
-    # A shape that is not a list of integers: each loaded before, "12" as (1, 2).
-    not_int_lists = [_one_tensor_checkpoint(shape=shape, nbytes=8)
-                     for shape in ("12", [2.5], [True, 2], ["2"])]
-    # A header that is not a JSON object, or too deeply nested to parse: each
-    # exited 1 before (TypeError, RecursionError).
-    not_objects = [b"SOUPCKPT" + struct.pack("<II", 1, len(h)) + h
-                   for h in (b"[1]", b'"tensors"', DEEPLY_NESTED.encode())]
-    for blob in (b"not a checkpoint at all", nan_payload, name_not_string, *unbuildable,
-                 *not_int_lists, *not_objects):
-        bad.write_bytes(blob)
-        run_fail(
-            [
-                "eval",
-                "--ckpt",
-                str(bad),
-                "--data",
-                str(workspace["data"]),
-                "--out",
-                str(tmp_path / "r.json"),
-            ],
-            cli.EXIT_FORMAT,
-            "checkpoint-format",
-            capsys,
-        )
-
-
-def test_corrupt_dataset_exits_format_code(workspace, tmp_path, capsys):
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    (broken / "config.json").write_text((workspace["data"] / "config.json").read_text())
-    # unparsable rows, and bytes that are not UTF-8 (which exited 1 before)
-    for split in (b"x0,x1\nnot,numbers\n", b"\xff\xfex0,x1\n"):
-        for name in datagen.SPLIT_NAMES:
-            (broken / f"{name}.csv").write_bytes(split)
-        run_fail(
-            [
-                "eval",
-                "--ckpt",
-                str(workspace["base"]),
-                "--data",
-                str(broken),
-                "--out",
-                str(tmp_path / "r.json"),
-            ],
-            cli.EXIT_FORMAT,
-            "data-format",
-            capsys,
-        )
-
-
-# Tensors that do not form the network, made from a model with two or more
-# layers and 3 classes. On the (6, 12, 3) base, each but no-hidden-layer
-# exited 1 on eval before (ValueError or IndexError); no-hidden-layer passed
-# eval, and soup learned exited 1 on it. Soup uniform, which averages tensors
-# without running them, exited 0 on each.
-NETWORK_DEFECTS = {
-    "bias-shorter-than-layer": lambda t: {**t, "layer0.bias": t["layer0.bias"][:-1]},
-    "gain-shorter-than-layer": lambda t: {**t, "layer0.gain": t["layer0.gain"][:-1]},
-    "rows-do-not-chain": lambda t: {**t, "layer1.weight": np.vstack([t["layer1.weight"]] * 2)},
-    "weight-1d": lambda t: {**t, "layer0.weight": t["layer0.weight"].ravel()},
-    "weight-3d": lambda t: {**t, "layer0.weight": t["layer0.weight"][..., None]},
-    "no-tensors": lambda t: {},
-    "no-hidden-layer": lambda t: {"layer0.weight": t["layer0.weight"][:, :3],
-                                  "layer0.bias": t["layer0.bias"][:3]},
-}
-
-
-@pytest.mark.parametrize("defect", sorted(NETWORK_DEFECTS))
-@pytest.mark.parametrize("command", ["eval", "soup-uniform", "soup-learned"])
-def test_checkpoint_not_forming_the_network_exits_shape_code(
-    workspace, tmp_path, capsys, command, defect
-):
-    ckpt = tmp_path / "bad.ckpt"
-    tensors = NETWORK_DEFECTS[defect](dict(load_checkpoint(workspace["base"])))
-    save_checkpoint(Checkpoint.from_arrays(tensors), ckpt)
-    manifest = ["--manifest", str(_write_manifest(tmp_path / "manifest.json", ckpt))]
-    argv = {
-        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(workspace["data"])],
-        "soup-uniform": ["soup", "uniform", *manifest],
-        "soup-learned": ["soup", "learned", *manifest, "--data", str(workspace["data"])],
-    }[command]
-    out = tmp_path / "out"
-    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_SHAPE
-    assert _single_error_line(capsys)["error"] == "shape-mismatch"
-    assert not list(tmp_path.glob("out*"))
-
-
-def _header_only(path: Path) -> None:
-    path.write_text(path.read_text().splitlines()[0] + "\n")
-
-
-def _config_one_wider(data: Path) -> None:
-    config = json.loads((data / "config.json").read_text())
-    (data / "config.json").write_text(json.dumps({**config, "input_dim": config["input_dim"] + 1}))
-
-
-# A header and no rows, or every split one feature narrower than config.json
-# says: each loaded before (pretrain, sweep and eval exited 0, 1 or 2).
-DATASET_DEFECTS = {"train-without-rows": lambda data: _header_only(data / "train.csv"),
-                   "test-without-rows": lambda data: _header_only(data / "test.csv"),
-                   "width-not-config": _config_one_wider}
-
-
-@pytest.mark.parametrize("defect", sorted(DATASET_DEFECTS))
-@pytest.mark.parametrize("command", ["pretrain", "sweep", "eval"])
-def test_split_without_rows_or_of_another_width_exits_format_code(
-    workspace, tmp_path, capsys, command, defect
-):
-    data = tmp_path / "data"
-    shutil.copytree(workspace["data"], data)
-    DATASET_DEFECTS[defect](data)
-    out = tmp_path / "out"
-    argv = {
-        "pretrain": ["pretrain", "--config", str(workspace["config"])],
-        "sweep": ["sweep", "--config", str(workspace["config"]), "--base", str(workspace["base"])],
-        "eval": ["eval", "--ckpt", str(workspace["base"])],
-    }[command]
-    assert cli.main([*argv, "--data", str(data), "--out", str(out)]) == cli.EXIT_FORMAT
-    assert _single_error_line(capsys)["error"] == "data-format"
-    assert not out.exists()
-
-
-def test_divergent_training_exits_divergence_code(workspace, tmp_path, capsys):
-    run_fail(
-        [
-            "pretrain",
-            "--config",
-            str(workspace["config"]),
-            "--set",
-            "pretrain.optimizer=sgd",
-            "--set",
-            "pretrain.learning_rate=1e8",
-            "--set",
-            "pretrain.weight_decay=0.1",
-            "--set",
-            "pretrain.epochs=12",
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(tmp_path / "x.ckpt"),
-        ],
-        cli.EXIT_DIVERGED,
-        "divergence",
-        capsys,
-    )
-
-
-def test_degenerate_plane_exits_shape_code(workspace, tmp_path, capsys):
-    run_fail(
-        [
-            "plane",
-            "--ckpt-a",
-            str(workspace["base"]),
-            "--ckpt-b",
-            str(workspace["base"]),
-            "--ckpt-c",
-            str(workspace["base"]),
-            "--data",
-            str(workspace["data"]),
-            "--x-range",
-            "0:1:3",
-            "--y-range",
-            "0:1:3",
-            "--out",
-            str(tmp_path / "p.csv"),
-        ],
-        cli.EXIT_SHAPE,
-        "degenerate-geometry",
-        capsys,
-    )
-
-
-def test_unknown_split_exits_config_code(workspace, tmp_path, capsys):
-    run_fail(
-        [
-            "eval",
-            "--ckpt",
-            str(workspace["base"]),
-            "--data",
-            str(workspace["data"]),
-            "--split",
-            "holdout",
-            "--out",
-            str(tmp_path / "r.json"),
-        ],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )
-
-
-# argv per command with {dir} where an input file is expected
-DIRECTORY_AS_INPUT = {
-    "eval-ckpt": ["eval", "--ckpt", "{dir}", "--data", "{data}"],
-    "soup-manifest": ["soup", "uniform", "--manifest", "{dir}"],
-    "pretrain-config": ["pretrain", "--config", "{dir}", "--data", "{data}"],
-    "approx-pairs": ["approx", "--pairs", "{dir}", "--data", "{data}"],
-    "report-soup": ["report", "--soup", "{dir}"],
-    "report-eval-report": ["report", "--eval-report", "{dir}"],
-}
-
-
-@pytest.mark.parametrize("case", sorted(DIRECTORY_AS_INPUT))
-def test_directory_given_as_input_file_exits_missing_input(workspace, tmp_path, capsys, case):
-    inputs = {"dir": str(tmp_path / "a-directory"), "data": str(workspace["data"])}
-    (tmp_path / "a-directory").mkdir()
-    argv = [arg.format(**inputs) for arg in DIRECTORY_AS_INPUT[case]]
-    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_MISSING_INPUT
-    assert _single_error_line(capsys)["error"] == "missing-input"
-    assert not list(tmp_path.glob("out*"))
-
-
-# (argv, the --out path, the path that exists beforehand and its kind; paths in tmp_path)
-OUT_OF_THE_WRONG_KIND = {
-    "soup-into-directory": (["soup", "uniform", "--manifest", "{manifest}"], "out", "out", "dir"),
-    "soup-sidecar-directory": (["soup", "uniform", "--manifest", "{manifest}"], "out",
-                               "out.soup.json", "dir"),
-    "eval-into-directory": (["eval", "--ckpt", "{base}", "--data", "{data}"], "out", "out",
-                            "dir"),
-    "sweep-into-file": (["sweep", "--config", "{config}", "--data", "{data}",
-                         "--base", "{base}"], "out", "out", "file"),
-    "datagen-into-file": (["datagen", "--config", "{config}"], "out", "out", "file"),
-    "eval-under-file": (["eval", "--ckpt", "{base}", "--data", "{data}"], "out/e.json", "out",
-                        "file"),
-    "datagen-under-file": (["datagen", "--config", "{config}"], "out/data", "out", "file"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(OUT_OF_THE_WRONG_KIND))
-def test_out_of_the_wrong_kind_exits_config_code_and_writes_nothing(
-    workspace, tmp_path, capsys, case
-):
-    command, out, existing, kind = OUT_OF_THE_WRONG_KIND[case]
-    if kind == "dir":
-        (tmp_path / existing).mkdir()
-    else:
-        (tmp_path / existing).write_text("kept")
-    argv = [arg.format(**{k: str(v) for k, v in workspace.items()}) for arg in command]
-    assert cli.main([*argv, "--out", str(tmp_path / out)]) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert [p.name for p in tmp_path.iterdir()] == [existing]
-    if kind == "dir":
-        assert not list((tmp_path / existing).iterdir())
-    else:
-        assert (tmp_path / existing).read_text() == "kept"
-
-
-@pytest.mark.parametrize("splits", [",", "", ",,"])
-@pytest.mark.parametrize("command", ["interp", "approx"])
-def test_no_split_name_exits_config_code(workspace, tmp_path, capsys, command, splits):
-    if command == "interp":
-        inputs = ["--ckpt-a", str(workspace["base"]), "--ckpt-b", str(workspace["base"])]
-    else:
-        sweep = workspace["manifest"].parent
-        endpoints = [(workspace["base"], sweep / f"model_00{i}.ckpt") for i in (0, 1)]
-        inputs = ["--pairs", str(_pairs_file(tmp_path / "pairs.json", endpoints))]
-    out = tmp_path / "out.csv"
-    argv = [command, *inputs, "--data", str(workspace["data"]), "--splits", splits,
-            "--alphas", "0,1", "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert not out.exists()
+# ------------------------------------------- usage, imports, entry points
 
 
 def test_help_and_bad_subcommand_use_argparse_exits(capsys):
@@ -541,6 +179,7 @@ def test_help_and_bad_subcommand_use_argparse_exits(capsys):
         ["frobnicate"],
         ["soup"],
         ["eval", "--ckpt", "c", "--data", "d"],
+        ["report", "--out", "o"],
     ):
         assert cli.main(argv) == cli.EXIT_CONFIG, argv
         out = capsys.readouterr()
@@ -675,151 +314,6 @@ def _single_error_line(capsys) -> dict:
     return json.loads(lines[0])
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{not json",
-        json.dumps({"theta0_digest": ""}),
-        json.dumps({"entries": [{"config": {}, "path": "m.ckpt", "val_accuracy": 0.5}]}),
-        json.dumps({"entries": [{"index": 0, "path": "m.ckpt", "val_accuracy": 0.5}]}),
-        json.dumps(["entries"]),
-        # A config the manifest's own writer could not have produced.
-        json.dumps({"entries": [{"index": 0, "config": {"epochs": True}, "path": "m.ckpt",
-                                 "val_accuracy": 0.5}]}),
-        '{"entries": [{"index": 0, "config": {"learning_rate": NaN}, "path": "m.ckpt",'
-        ' "val_accuracy": 0.5}]}',
-        # entry fields of the wrong type, or not finite
-        json.dumps({"entries": [{"index": 0, "config": {}, "path": 5, "val_accuracy": 0.5}]}),
-        json.dumps({"entries": [{"index": 0, "config": {}, "path": "m.ckpt",
-                                 "val_accuracy": "x"}]}),
-        '{"entries": [{"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": NaN}]}',
-        # a key save_manifest does not write
-        json.dumps({"entries": [{"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": 0.5,
-                                 "note": "x"}]}),
-        # a theta0_digest that is not a string, even with no entries to check
-        '{"theta0_digest": NaN, "entries": []}',
-        json.dumps({"theta0_digest": [1], "entries": []}),
-        json.dumps({"theta0_digest": 5, "entries": []}),
-        # keys the writer does not write, at the top level too
-        json.dumps({"theta0_digest": "", "entries": [], "note": "x"}),
-        json.dumps({"theta0_digest": "", "entries": [], "directory": "."}),
-        DEEPLY_NESTED,
-    ],
-)
-def test_malformed_manifest_exits_format_code(tmp_path, capsys, text):
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(text)
-    argv = ["soup", "uniform", "--manifest", str(manifest), "--out", str(tmp_path / "s.ckpt")]
-    assert cli.main(argv) == cli.EXIT_FORMAT
-    assert _single_error_line(capsys)["error"] == "data-format"
-    assert not list(tmp_path.glob("s.ckpt*"))
-
-
-@pytest.mark.parametrize("alphas", ["0,1.5", "-0.1", "0.5,nan"])
-@pytest.mark.parametrize("command", ["interp", "approx"])
-def test_alphas_outside_unit_interval_exit_config_code(
-    workspace, tmp_path, capsys, command, alphas
-):
-    if command == "interp":
-        inputs = ["--ckpt-a", str(workspace["base"]), "--ckpt-b", str(workspace["base"])]
-    else:
-        pairs = tmp_path / "pairs.json"
-        base = str(workspace["base"])
-        pairs.write_text(json.dumps([{"id": "p", "theta0": base, "theta1": base}]))
-        inputs = ["--pairs", str(pairs)]
-    argv = [command, *inputs, "--data", str(workspace["data"]), "--alphas", alphas,
-            "--out", str(tmp_path / "out.csv")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "raw", [b"\xff\xfe{}", b"not json", b"[1, 2]", DEEPLY_NESTED.encode()],
-    ids=["not-utf8", "not-json", "not-object", "nested-too-deeply"],
-)
-def test_malformed_config_file_exits_config_code(tmp_path, capsys, raw):
-    config = tmp_path / "run.json"
-    config.write_bytes(raw)
-    argv = ["datagen", "--config", str(config), "--out", str(tmp_path / "d")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-
-
-@pytest.mark.parametrize(
-    "raw",
-    [
-        b"not json",
-        b"\xff\xfe[]",
-        b"[1, 2]",
-        b'[["id", "p"]]',
-        b'{"id": "p"}',
-        # Checkpoint paths that do not exist: the pair is rejected before any load.
-        b'[{"id": "p", "theta0": 5, "theta1": "b.ckpt"}]',
-        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": "fast"}]',
-        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": NaN}]',
-        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"}]',
-        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"},'
-        b' {"id": "p", "theta0": "a.ckpt", "theta1": "c.ckpt"}]',
-        b'[{"id": 1, "theta0": "a.ckpt", "theta1": "b.ckpt"},'
-        b' {"id": 2, "theta0": "a.ckpt", "theta1": "c.ckpt"}]',
-    ],
-    ids=["not-json", "not-utf8", "entry-not-object", "entry-pair-list", "not-list",
-         "path-not-string", "rate-not-number", "rate-not-finite", "one-pair", "duplicate-id",
-         "id-not-string"],
-)
-def test_malformed_pairs_file_exits_config_code(workspace, tmp_path, capsys, raw):
-    pairs = tmp_path / "pairs.json"
-    pairs.write_bytes(raw)
-    argv = ["approx", "--pairs", str(pairs), "--data", str(workspace["data"]),
-            "--out", str(tmp_path / "a.csv")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    line = _single_error_line(capsys)
-    assert line["error"] == "config"
-    assert str(pairs) in line["message"]
-
-
-@pytest.mark.parametrize(
-    "command, flags",
-    [
-        ("eval", ["--beta", "0"]),
-        ("eval", ["--beta", "-1"]),
-        ("eval", ["--beta", "nan"]),
-        ("eval", ["--beta", "inf"]),
-        ("eval", ["--bins", "0"]),
-        ("calibrate", ["--bins", "0"]),
-        ("plane", ["--x-range=nan:1:3"]),
-        ("plane", ["--y-range=0:inf:3"]),
-    ],
-    ids=["beta-zero", "beta-negative", "beta-nan", "beta-inf", "eval-bins-zero",
-         "calibrate-bins-zero", "range-nan", "range-inf"],
-)
-def test_bad_numeric_flag_exits_config_code(tmp_path, capsys, command, flags):
-    # Inputs that do not exist: a read before the check would exit 3.
-    missing = str(tmp_path / "missing")
-    inputs = {
-        "eval": ["--ckpt", missing],
-        "calibrate": ["--ckpt", missing],
-        "plane": ["--ckpt-a", missing, "--ckpt-b", missing, "--ckpt-c", missing,
-                  "--x-range", "0:1:3", "--y-range", "0:1:3"],
-    }[command]
-    out = tmp_path / "out"
-    argv = [command, *inputs, "--data", missing, *flags, "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert not out.exists()
-
-
-def test_non_finite_json_metric_exits_non_finite_code(workspace, tmp_path, capsys):
-    # A finite but huge --beta overflows the scaled logits; NaN must not reach the JSON.
-    out = tmp_path / "e.json"
-    argv = ["eval", "--ckpt", str(workspace["base"]), "--data", str(workspace["data"]),
-            "--beta", "1e308", "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_SHAPE
-    assert _single_error_line(capsys)["error"] == "non-finite"
-    assert not out.exists()
-
-
 def _run_cli_process(argv, env_updates=()):
     """Run the CLI in a fresh interpreter, where NumPy warnings reach stderr unfiltered."""
     env = {k: v for k, v in os.environ.items() if k != "SOUPKIT_THREADS"}
@@ -856,132 +350,6 @@ def test_overflowing_sweep_workers_print_nothing(workspace, tmp_path, workers):
     assert proc.stderr == ""
     entries = json.loads((out / "manifest.json").read_text())["entries"]
     assert all(e["error"].startswith("DivergenceError") for e in entries)
-
-
-@pytest.mark.parametrize(
-    "command, override",
-    [
-        ("datagen", "dataset.num_train=1.5"),
-        ("datagen", "dataset.input_dim=true"),
-        ("datagen", 'dataset.seed="7"'),
-        ("pretrain", "pretrain.epochs=NaN"),
-        ("pretrain", "pretrain.epochs=true"),
-        ("pretrain", "pretrain.batch_size=2.5"),
-        ("pretrain", "arch.layer_widths=[6.5,12,3]"),
-        ("pretrain", "arch.layer_widths=[6,true,3]"),
-        ("sweep", "sweep.space.batch_size=0"),
-        ("sweep", "sweep.space.batch_size=false"),
-        ("sweep", "sweep.space.epochs_range=[1.5,3]"),
-        ("sweep", "sweep.space.epochs_range=[0,3]"),
-        ("sweep", "sweep.space.lr_exponent_range=[4,1]"),
-        ("sweep", "sweep.space.wd_exponent_range=[1,Infinity]"),
-        ("sweep", "sweep.space.lr_exponent_range=[1,2,3]"),
-        ("sweep", "sweep.space.mixup_off_probability=NaN"),
-        ("sweep", "sweep.space.smoothing_off_probability=1.5"),
-        ("sweep", "sweep.space.smoothing_max=2"),
-        ("sweep", "sweep.space.mixup_max=-0.1"),
-        ("sweep", "sweep.space.mixup_max=4.5"),
-        ("sweep", 'sweep={"configs": [{"mixup_alpha": 20}]}'),
-        ("sweep", "sweep.space.optimizer=lbfgs"),
-        ("sweep", "sweep.count=1.5"),
-        ("sweep", "sweep.count=0"),
-        ("sweep", "sweep.master_seed=true"),
-        ("sweep", "sweep.space=[1]"),
-        ("sweep", "sweep=[1]"),
-        ("sweep", "sweep.configs=[5]"),
-        ("pretrain", "pretrain=5"),
-        ("pretrain", "arch=5"),
-        ("datagen", "dataset=5"),
-        # every command checks every section, not only those it runs
-        ("datagen", "pretrain.bogus_key=1"),
-        ("datagen", 'sweep.count="x"'),
-        ("datagen", "arch.layer_widths=[4,0,3]"),
-        ("pretrain", "sweep.configs=[]"),
-        ("sweep", "dataset.num_train=0"),
-    ],
-)
-def test_bad_config_field_exits_config_code(
-    workspace, tmp_path, capsys, command, override
-):
-    config = tmp_path / "run.json"
-    doc = {k: v for k, v in RUN_CONFIG.items() if k != "sweep"}
-    config.write_text(json.dumps({**doc, "sweep": {"count": 2, "master_seed": 0}}))
-    out = tmp_path / "out"
-    inputs = {
-        "datagen": [],
-        "pretrain": ["--data", str(workspace["data"])],
-        "sweep": ["--data", str(workspace["data"]), "--base", str(workspace["base"])],
-    }[command]
-    argv = [command, "--config", str(config), "--set", override, *inputs, "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("metric", ["loss", "error"])
-def test_overflowing_plane_range_exits_non_finite_code(workspace, tmp_path, capsys, metric):
-    # Finite but huge plane coordinates overflow the logits; no nan cell may be written.
-    manifest = trainer.load_manifest(workspace["manifest"])
-    paths = [manifest.checkpoint_path(e) for e in manifest.entries[:2]]
-    out = tmp_path / "plane.csv"
-    argv = ["plane", "--ckpt-a", str(workspace["base"]), "--ckpt-b", str(paths[0]),
-            "--ckpt-c", str(paths[1]), "--data", str(workspace["data"]), "--metric", metric,
-            "--x-range=-1e300:1e300:3", "--y-range=0:1:2", "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_SHAPE
-    assert _single_error_line(capsys)["error"] == "non-finite"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-def test_non_finite_dataset_config_exits_config_code(workspace, tmp_path, capsys, value):
-    out = tmp_path / "data"
-    argv = ["datagen", "--config", str(workspace["config"]),
-            "--set", f"dataset.class_center_scale={value}", "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["mixup_alpha", "learning_rate", "sam_rho"])
-@pytest.mark.parametrize("value", ["NaN", "Infinity"])
-def test_non_finite_hyper_config_exits_config_code(workspace, tmp_path, capsys, key, value):
-    out = tmp_path / "theta0.ckpt"
-    argv = ["pretrain", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
-            "--set", f"pretrain.{key}={value}", "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag", ["--soup", "--eval-report"])
-@pytest.mark.parametrize(
-    "raw",
-    [b"not json", b"\xff\xfe{}", b"[1, 2]", b'{"x": NaN}', b'{"x": Infinity}'],
-    ids=["not-json", "not-utf8", "not-object", "nan", "infinity"],
-)
-def test_malformed_report_input_exits_format_code(tmp_path, capsys, flag, raw):
-    source = tmp_path / "input.json"
-    source.write_bytes(raw)
-    argv = ["report", flag, str(source), "--out", str(tmp_path / "r.json")]
-    assert cli.main(argv) == cli.EXIT_FORMAT
-    assert _single_error_line(capsys)["error"] == "data-format"
-    assert not (tmp_path / "r.json").exists()
-
-
-@pytest.mark.parametrize("value", ["nan", "1e39"])
-def test_non_finite_dataset_value_exits_format_code(workspace, tmp_path, capsys, value):
-    data = tmp_path / "data"
-    data.mkdir()
-    for source in workspace["data"].iterdir():
-        (data / source.name).write_bytes(source.read_bytes())
-    lines = (data / "test.csv").read_text().splitlines()
-    lines[2] = ",".join(lines[2].split(",")[:-1] + [value])
-    (data / "test.csv").write_text("\n".join(lines) + "\n")
-    argv = ["eval", "--ckpt", str(workspace["base"]), "--data", str(data),
-            "--out", str(tmp_path / "r.json")]
-    assert cli.main(argv) == cli.EXIT_FORMAT
-    assert _single_error_line(capsys)["error"] == "data-format"
-    assert not (tmp_path / "r.json").exists()
 
 
 # ------------------------------------------------- the process entry point
@@ -1053,107 +421,131 @@ def test_module_entry_point_writes_stdout_stderr_and_artifacts(workspace, tmp_pa
     assert not (tmp_path / "m.json").exists()
 
 
-# ---------------------------------------------- hostile inputs, one property
+# ------------------------------------------ the exit-code contract, one table
+#
+# COMMANDS holds every command form the parser accepts, its inputs written as
+# {slot} placeholders. DEFECTS gives each input defect the slot it corrupts,
+# its exit code and its stderr category. test_exit_code_contract runs every
+# defect over every command that reads its slot, and checks the contract each
+# run shares: the exit code; on failure one JSON line on stderr naming the
+# category, and nothing new under --out; on success an empty stderr and
+# artifacts that hold only finite numbers.
 
-# Every weight +-3e38 with random signs: finite in float32, but the logits of
+# Every weight +-3e38 with random signs is finite in float32, but the logits of
 # this arch overflow, so every loss and confidence computed from them is NaN.
-HOSTILE_ARCH = ArchSpec((4, 5, 5, 5, 5, 3))
+ARCH = ArchSpec((4, 5, 5, 5, 5, 3))
+ROWS = 24  # rows in each split of the table's dataset
 
-# argv before --out; {config}, {ckpt}, {data} and {manifest} name the inputs
-HOSTILE_COMMANDS = {
+# argv before a defect's flags and --out. {ckpt_b} and {ckpt_c} are two more
+# checkpoints; {pairs} pairs {ckpt} with {ckpt_b} and {ckpt_b} with {ckpt_c}.
+COMMANDS = {
     "datagen": ["datagen", "--config", "{config}"],
     "pretrain": ["pretrain", "--config", "{config}", "--data", "{data}"],
-    "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}"],
-    "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--data", "{data}"],
-    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--ckpt-c", "{ckpt}",
-              "--data", "{data}", "--x-range", "0:1:2", "--y-range", "0:1:2"],
-    "calibrate-ckpt": ["calibrate", "--ckpt", "{ckpt}", "--data", "{data}"],
-    "calibrate-manifest": ["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
-    "ensemble": ["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}"],
+    "sweep": ["sweep", "--config", "{config}", "--data", "{data}", "--base", "{ckpt}"],
     "soup-uniform": ["soup", "uniform", "--manifest", "{manifest}"],
     "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
+    "soup-learned": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}"],
+    "soup-learned-by-layer": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}",
+                              "--by-layer"],
+    "ensemble-uniform": ["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}"],
+    "ensemble-greedy": ["ensemble", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
+    "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--data", "{data}",
+               "--alphas", "0,0.5,1"],
+    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--ckpt-c", "{ckpt_c}",
+              "--data", "{data}", "--x-range", "0:1:2", "--y-range", "0:1:2"],
     "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}"],
-    "report": ["report", "--manifest", "{manifest}"],
-    "sweep": ["sweep", "--config", "{config}", "--data", "{data}", "--base", "{ckpt}"],
+    "approx": ["approx", "--pairs", "{pairs}", "--data", "{data}", "--alphas", "0,0.5,1"],
+    "calibrate-ckpt": ["calibrate", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "calibrate-manifest": ["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
+    "report": ["report", "--manifest", "{manifest}", "--soup", "{soup}",
+               "--eval-report", "{eval_report}"],
 }
+INPUT_SLOTS = ("config", "data", "ckpt", "ckpt_b", "ckpt_c", "manifest", "pairs", "soup",
+               "eval_report")
+WRITES_DIRECTORY = ("datagen", "sweep")
 
 
-def _reading(*slots: str) -> tuple[str, ...]:
-    return tuple(c for c, argv in HOSTILE_COMMANDS.items()
-                 if any("{%s}" % slot in argv for slot in slots))
+def _subcommands(parser: argparse.ArgumentParser) -> dict | None:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), None)
 
 
-# report reads the manifest but none of its checkpoints
-CHECKPOINT_READERS = tuple(c for c in _reading("ckpt", "manifest") if c != "report")
+def _words(argv: list[str]) -> tuple[str, ...]:
+    """The command words of ``argv``, e.g. ("soup", "learned")."""
+    return tuple(itertools.takewhile(lambda arg: not arg.startswith("-"), argv))
 
 
-# corrupted input kind -> (expected exit code, the commands it must stop)
-HOSTILE_KINDS = {
-    "overflowing-checkpoint": (
-        cli.EXIT_SHAPE, ("eval", "interp", "calibrate-ckpt", "calibrate-manifest", "ensemble")
-    ),
-    "manifest-entry-field": (cli.EXIT_FORMAT, _reading("manifest")),
-    "dataset-config-field": (cli.EXIT_FORMAT, _reading("data")),
-    "config-section": (cli.EXIT_CONFIG, _reading("config")),
-    "truncated-checkpoint": (cli.EXIT_FORMAT, CHECKPOINT_READERS),
-    "header-field": (cli.EXIT_FORMAT, CHECKPOINT_READERS),
-    # every command that runs a checkpoint on the data
-    "misfit-checkpoint": (
-        cli.EXIT_SHAPE, tuple(c for c in CHECKPOINT_READERS if c != "soup-uniform")
-    ),
-    "network-defect": (cli.EXIT_SHAPE, CHECKPOINT_READERS),
-    "missing-input": (cli.EXIT_MISSING_INPUT, tuple(HOSTILE_COMMANDS)),
-}
-HOSTILE_PAIRS = [(command, kind) for kind, (_, commands) in HOSTILE_KINDS.items()
-                 for command in commands]
-
-# values a manifest entry field cannot hold (each entry has error null)
-BAD_ENTRY_FIELDS = {
-    "index": ["0", 0.0, True, None, [0]],
-    "path": [5, 1.5, False, None, ["m.ckpt"], {}],
-    "ema_path": [5, True, []],
-    "error": [5, 0.0, True, {}],
-    "val_accuracy": ["x", "0.5", True, None, [0.5], math.nan, math.inf, -math.inf],
-    "ema_val_accuracy": ["x", False, {}, math.nan, -math.inf],
-}
-# widths that do not fit the hostile data (4 features, 3 classes): another
-# input width, fewer classes than the labels, more than the config
-MISFIT_ARCHES = [ArchSpec((5, 6, 3)), ArchSpec((4, 6, 2)), ArchSpec((4, 6, 4))]
-# values no dataset config field can hold
-BAD_CONFIG_VALUES = ["x", None, True, [], {}, math.nan, math.inf, -math.inf]
-# run config sections that no command may accept, whichever sections it runs
-BAD_CONFIG_SECTIONS = {
-    "dataset": [5, [], {"bogus_key": 1}, {"num_train": "x"}, {"input_dim": 0}],
-    "arch": [5, {}, {"layer_widths": "x"}, {"layer_widths": [4, 0, 3]},
-             {"layer_widths": [4, 5, 3], "bogus_key": 1}],
-    "pretrain": [5, None, {"bogus_key": 1}, {"epochs": "x"}, {"optimizer": "lbfgs"}],
-    "sweep": [5, {}, {"bogus_key": 1}, {"count": 2}, {"count": "x", "master_seed": 0},
-              {"count": 0, "master_seed": 0}, {"count": 2, "master_seed": 0, "space": 5},
-              {"count": 2, "master_seed": 0, "space": {"bogus_key": 1}}, {"configs": []},
-              {"configs": [5]}, {"configs": [{"epochs": "x"}]}, {"configs": [{}], "count": 2}],
-    "datasets": [{}],
-}
-# values a checkpoint header's tensor entry field cannot hold; the entry is the
-# first one, layer0.weight of shape (4, 5), which "45", [4.7, 5] and [true, 20]
-# were once read as
-BAD_HEADER_FIELDS = {
-    "name": [5, None, ["layer0.weight"]],
-    "shape": ["45", [4.7, 5], [True, 20], [4, "5"], [-4, -5], None, 20],
-    "offset": ["0", 0.0, True, None, -64],
-    "nbytes": ["80", 80.0, True, None],
-    "dtype": ["<f4"],  # a key the writer does not write
-}
+@functools.cache
+def _options(command: str) -> frozenset[str]:
+    """The flags the parser accepts for ``command``'s form."""
+    parser = cli.build_parser()
+    for word in _words(COMMANDS[command]):
+        parser = _subcommands(parser)[word]
+    return frozenset(s for action in parser._actions for s in action.option_strings)
 
 
-def _manifest_doc(ckpt: Path) -> dict:
-    entry = {"index": 0, "config": {}, "path": str(ckpt), "val_accuracy": 0.5,
+def _reads(command: str, slot: str) -> bool:
+    """Whether ``command`` reads ``slot``: a {placeholder} in its argv, a flag
+    its parser accepts, or one of the derived slots below."""
+    argv = COMMANDS[command]
+    if slot.startswith("--"):
+        return slot in _options(command)
+    names = {s for s in INPUT_SLOTS if "{%s}" % s in argv}
+    derived = {
+        "inputs": True,  # all of its inputs at once
+        # the checkpoints it loads, named directly or in a manifest or pairs file
+        "model": command != "report" and bool(names & {"ckpt", "manifest", "pairs"}),
+        # two or more checkpoints it reads together
+        "models": command != "report" and bool(names & {"ckpt_b", "manifest", "pairs"}),
+        # the ends of a line or a plane in weight space
+        "endpoints": bool(names & {"ckpt_b", "pairs"}),
+        "out": True,
+        "file-out": command not in WRITES_DIRECTORY,
+        "directory-out": command in WRITES_DIRECTORY,
+        "sidecar": argv[0] == "soup",
+    }
+    return derived[slot] if slot in derived else slot in names
+
+
+class Defect(NamedTuple):
+    """One input defect. ``make(inputs, value)`` corrupts the sane ``inputs``
+    in place with a ``value`` from ``pool``. The pool is shared out over the
+    readers of ``slot``, so each value runs on some reader on every run."""
+
+    slot: str
+    code: int
+    category: str | None  # the stderr "error"; None for a success
+    make: Callable[[dict, object], None]
+    pool: tuple = (None,)
+    # command -> (code, category), for a reader documented to differ
+    exits: dict = {}
+    # on success, the artifact holds the bytes of a run with these flags instead
+    same_as: tuple = ()
+
+
+def _manifest_doc(*ckpts: Path) -> dict:
+    entry = {"index": 0, "config": {}, "path": "", "val_accuracy": 0.5,
              "ema_path": None, "ema_val_accuracy": None, "error": None}
-    return {"theta0_digest": "", "entries": [entry, {**entry, "index": 1}]}
+    entries = [{**entry, "index": i, "path": str(ckpt)} for i, ckpt in enumerate(ckpts)]
+    return {"theta0_digest": "", "entries": entries}
 
 
-def _write_manifest(path: Path, ckpt: Path) -> Path:
-    path.write_text(json.dumps(_manifest_doc(ckpt)))
+def _write_manifest(path: Path, *ckpts: Path) -> Path:
+    path.write_text(json.dumps(_manifest_doc(*ckpts)))
     return path
+
+
+def _pairs_file(path: Path, endpoints: list[tuple[Path, Path]]) -> Path:
+    path.write_text(json.dumps([{"id": f"p{i}", "theta0": str(a), "theta1": str(b)}
+                                for i, (a, b) in enumerate(endpoints)]))
+    return path
+
+
+def _one_tensor_checkpoint(**entry) -> bytes:
+    """A checkpoint file declaring one tensor ``w`` at offset 0, ``entry`` overriding."""
+    header = json.dumps({"tensors": [{"name": "w", "offset": 0, **entry}], "meta": {}}).encode()
+    return b"SOUPCKPT" + struct.pack("<II", 1, len(header)) + header + bytes(64)
 
 
 def _with_header_entry(blob: bytes, **fields) -> bytes:
@@ -1167,266 +559,543 @@ def _with_header_entry(blob: bytes, **fields) -> bytes:
     return blob[:12] + struct.pack("<I", len(text)) + text + bytes(-(16 + len(text)) % 64) + payload
 
 
-def _hostile_argv(command: str, inputs: dict, out: Path) -> list[str]:
-    text = {k: str(v) for k, v in inputs.items()}
-    return [arg.format(**text) for arg in HOSTILE_COMMANDS[command]] + ["--out", str(out)]
+# ---- makes: each corrupts the sane inputs in place
 
 
-@pytest.fixture(scope="module")
-def hostile(tmp_path_factory):
-    """A small dataset for HOSTILE_ARCH, a sane and an overflowing checkpoint,
-    and a two-entry manifest over each (entry paths are absolute)."""
-    root = tmp_path_factory.mktemp("hostile")
-    cfg = datagen.DatasetConfig(input_dim=4, num_classes=3, num_train=24, num_val=24,
-                                num_test=24, num_shift=24)
-    datagen.save_csv(datagen.generate(cfg), root / "data")
-    run_config = {"dataset": dataclasses.asdict(cfg),
-                  "arch": {"layer_widths": list(HOSTILE_ARCH.layer_widths)},
-                  "pretrain": {"epochs": 1}, "sweep": {"configs": [{"epochs": 1}]}}
-    (root / "config.json").write_text(json.dumps(run_config))
-    sane = init_checkpoint(HOSTILE_ARCH, 0)
-    signs = np.where(PortableRng(1).uniforms(sane.vector.size) < 0.5, -1.0, 1.0)
-    overflow = Checkpoint(sane.layout, (3e38 * signs).astype(np.float32), {})
-    save_checkpoint(sane, root / "sane.ckpt")
-    save_checkpoint(overflow, root / "overflow.ckpt")
-    return {
-        "root": root,
-        "config": root / "config.json",
-        "data": root / "data",
-        "sane": root / "sane.ckpt",
-        "overflow": root / "overflow.ckpt",
-        "sane-manifest": _write_manifest(root / "sane.json", root / "sane.ckpt"),
-        "overflow-manifest": _write_manifest(root / "overflow.json", root / "overflow.ckpt"),
-    }
+def _flags(inputs: dict, flags) -> None:
+    inputs["flags"] += flags
 
 
-def _corrupt(kind: str, hostile: dict, tmp: Path, draw) -> dict:
-    """Inputs for one command with one input corrupted as ``kind`` says."""
-    inputs = {"config": hostile["config"], "data": hostile["data"], "ckpt": hostile["sane"],
-              "manifest": hostile["sane-manifest"]}
-    if kind == "overflowing-checkpoint":
-        inputs.update(ckpt=hostile["overflow"], manifest=hostile["overflow-manifest"])
-    elif kind == "manifest-entry-field":
-        field = draw(st.sampled_from(sorted(BAD_ENTRY_FIELDS)))
-        doc = _manifest_doc(hostile["sane"])
-        doc["entries"][draw(st.sampled_from([0, 1]))][field] = draw(
-            st.sampled_from(BAD_ENTRY_FIELDS[field]))
-        inputs["manifest"] = tmp / "manifest.json"
-        inputs["manifest"].write_text(json.dumps(doc))
-    elif kind == "dataset-config-field":
-        inputs["data"] = tmp / "data"
-        shutil.copytree(hostile["data"], inputs["data"])
-        path = inputs["data"] / "config.json"
-        config = json.loads(path.read_text())
-        config[draw(st.sampled_from([*config, "unknown_field"]))] = draw(
-            st.sampled_from(BAD_CONFIG_VALUES))
-        path.write_text(json.dumps(config))
-    elif kind == "config-section":
-        section = draw(st.sampled_from(sorted(BAD_CONFIG_SECTIONS)))
-        doc = json.loads(hostile["config"].read_text())
-        doc[section] = draw(st.sampled_from(BAD_CONFIG_SECTIONS[section]))
-        inputs["config"] = tmp / "config.json"
-        inputs["config"].write_text(json.dumps(doc))
-    elif kind == "header-field":
-        field = draw(st.sampled_from(sorted(BAD_HEADER_FIELDS)))
-        blob = _with_header_entry(hostile["sane"].read_bytes(),
-                                  **{field: draw(st.sampled_from(BAD_HEADER_FIELDS[field]))})
-        inputs["ckpt"] = tmp / "header.ckpt"
-        inputs["ckpt"].write_bytes(blob)
-        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
-    elif kind == "truncated-checkpoint":
-        blob = hostile["sane"].read_bytes()
-        inputs["ckpt"] = tmp / "cut.ckpt"
-        inputs["ckpt"].write_bytes(blob[: draw(st.integers(0, len(blob) - 1))])
-        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
-    elif kind == "misfit-checkpoint":
-        inputs["ckpt"] = tmp / "misfit.ckpt"
-        save_checkpoint(init_checkpoint(draw(st.sampled_from(MISFIT_ARCHES)), 0), inputs["ckpt"])
-        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
-    elif kind == "network-defect":
-        defect = NETWORK_DEFECTS[draw(st.sampled_from(sorted(NETWORK_DEFECTS)))]
-        tensors = defect(dict(load_checkpoint(hostile["sane"])))
-        inputs["ckpt"] = tmp / "defect.ckpt"
-        save_checkpoint(Checkpoint.from_arrays(tensors), inputs["ckpt"])
-        inputs["manifest"] = _write_manifest(tmp / "manifest.json", inputs["ckpt"])
-    else:  # missing-input
-        inputs = {name: tmp / f"missing-{name}" for name in inputs}
-    return inputs
+def _every_input_missing(inputs: dict, _=None) -> None:
+    for slot in INPUT_SLOTS:
+        inputs[slot] = inputs["tmp"] / f"missing-{slot}"
 
 
-@settings(max_examples=100, deadline=None)
-@given(pair=st.sampled_from(HOSTILE_PAIRS), data=st.data())
-def test_hostile_input_exits_documented_code_and_writes_nothing(hostile, pair, data):
-    command, kind = pair
-    expected = HOSTILE_KINDS[kind][0]
-    with tempfile.TemporaryDirectory(dir=hostile["root"]) as name:
-        tmp = Path(name)
-        argv = _hostile_argv(command, _corrupt(kind, hostile, tmp, data.draw), tmp / "out")
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        assert code == expected and code in (2, 3, 5, 6), (argv, stderr.getvalue())
-        lines = stderr.getvalue().splitlines()
-        assert len(lines) == 1, lines
-        assert set(json.loads(lines[0])) == {"error", "type", "message"}
-        assert not list(tmp.glob("out*"))
+def _flags_before_any_read(inputs: dict, flags) -> None:
+    """The flags with every input missing: a read before the flag check exits 3."""
+    _every_input_missing(inputs)
+    _flags(inputs, flags)
 
 
-# Requested sizes past any address space (over 700 PiB), so that NumPy fails
-# at once under every overcommit policy, before it writes any of the array.
-OVERSIZED = {
-    "datagen": ["datagen", "--set", f"dataset.num_train={10**17}"],
-    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt}", "--ckpt-c", "{ckpt}",
-              "--data", "{data}", f"--x-range=0:1:{10**17}", "--y-range", "0:1:2"],
-}
+def _file(slot: str):
+    """A make that gives ``slot`` a file holding the value's bytes."""
+    def make(inputs: dict, raw: bytes) -> None:
+        inputs[slot] = inputs["tmp"] / f"{slot}.input"
+        inputs[slot].write_bytes(raw)
+    return make
 
 
-@pytest.mark.parametrize("command", sorted(OVERSIZED))
-def test_size_too_large_to_allocate_exits_config_code(hostile, tmp_path, capsys, command):
-    argv = [arg.format(ckpt=hostile["sane"], data=hostile["data"]) for arg in OVERSIZED[command]]
-    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-    line = _single_error_line(capsys)
-    assert (line["error"], line["type"]) == ("too-large", "MemoryError")
-    assert not list(tmp_path.glob("out*"))
+def _missing(slot: str):
+    return lambda inputs, _: inputs.update({slot: inputs["tmp"] / f"missing-{slot}"})
 
 
-def test_every_bad_field_value_is_a_format_error(hostile, tmp_path):
-    # The property above samples these pools; here each value is tried once.
-    manifest = tmp_path / "manifest.json"
-    for field, values in BAD_ENTRY_FIELDS.items():
-        for value in values:
-            doc = _manifest_doc(hostile["sane"])
-            doc["entries"][0][field] = value
-            manifest.write_text(json.dumps(doc))
-            with pytest.raises(DataFormatError):
-                trainer.load_manifest(manifest)
-    data = tmp_path / "data"
-    shutil.copytree(hostile["data"], data)
+def _directory(slot: str):
+    def make(inputs: dict, _) -> None:
+        inputs[slot] = inputs["tmp"] / f"{slot}-directory"
+        inputs[slot].mkdir()
+    return make
+
+
+def _config_section(inputs: dict, section_value) -> None:
+    section, value = section_value
+    doc = json.loads(inputs["config"].read_text())
+    doc[section] = value
+    _file("config")(inputs, json.dumps(doc).encode())
+
+
+def _use_model(inputs: dict, path: Path) -> None:
+    """Make ``path`` the checkpoint every reader loads: --ckpt, --base, --ckpt-a,
+    both manifest entries and the first pair's theta0."""
+    tmp = inputs["tmp"]
+    inputs["ckpt"] = path
+    inputs["manifest"] = _write_manifest(tmp / "manifest.json", path, path)
+    inputs["pairs"] = _pairs_file(tmp / "pairs.json", [(path, inputs["ckpt_b"]),
+                                                       (inputs["ckpt_b"], inputs["ckpt_c"])])
+
+
+def _model_bytes(inputs: dict, blob: bytes) -> None:
+    _use_model(inputs, inputs["tmp"] / "model.ckpt")
+    inputs["ckpt"].write_bytes(blob)
+
+
+def _sane_model_bytes(edit):
+    """A make that writes the sane checkpoint's bytes after ``edit(blob, value)``."""
+    return lambda inputs, value: _model_bytes(inputs, edit(inputs["ckpt"].read_bytes(), value))
+
+
+def _network_defect(inputs: dict, defect) -> None:
+    tensors = defect(dict(load_checkpoint(inputs["ckpt"])))
+    _use_model(inputs, inputs["tmp"] / "model.ckpt")
+    save_checkpoint(Checkpoint.from_arrays(tensors), inputs["ckpt"])
+
+
+def _misfit(inputs: dict, widths) -> None:
+    _use_model(inputs, inputs["tmp"] / "misfit.ckpt")
+    save_checkpoint(init_checkpoint(ArchSpec(widths), 0), inputs["ckpt"])
+
+
+def _misfit_without_data_config(inputs: dict, widths) -> None:
+    _data(lambda data, _: (data / "config.json").unlink())(inputs, None)
+    _misfit(inputs, widths)
+
+
+def _model_directory(inputs: dict, _) -> None:
+    _use_model(inputs, inputs["tmp"] / "model.ckpt")
+    inputs["ckpt"].mkdir()
+
+
+def _models_of_two_shapes(inputs: dict, _) -> None:
+    a, b = inputs["tmp"] / "m0.ckpt", inputs["tmp"] / "m1.ckpt"
+    save_checkpoint(init_checkpoint(ArchSpec((4, 5, 3)), 0), a)
+    save_checkpoint(init_checkpoint(ArchSpec((4, 6, 3)), 1), b)
+    inputs.update(ckpt=a, ckpt_b=b, ckpt_c=b)
+    inputs["manifest"] = _write_manifest(inputs["tmp"] / "manifest.json", a, b)
+    inputs["pairs"] = _pairs_file(inputs["tmp"] / "pairs.json", [(a, b), (b, a)])
+
+
+def _data(edit):
+    """A make that edits a copy of the dataset with ``edit(directory, value)``."""
+    def make(inputs: dict, value) -> None:
+        data = inputs["tmp"] / "data"
+        shutil.copytree(inputs["data"], data)
+        edit(data, value)
+        inputs["data"] = data
+    return make
+
+
+def _every_split(data: Path, raw: bytes) -> None:
+    for name in datagen.SPLIT_NAMES:
+        (data / f"{name}.csv").write_bytes(raw)
+
+
+def _header_only(data: Path, split: str) -> None:
+    path = data / f"{split}.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
+def _config_field(data: Path, field_value) -> None:
+    field, value = field_value
     config = json.loads((data / "config.json").read_text())
-    for field in [*config, "unknown_field"]:
-        for value in BAD_CONFIG_VALUES:
-            (data / "config.json").write_text(json.dumps({**config, field: value}))
-            with pytest.raises(DataFormatError):
-                datagen.load_csv(data)
+    (data / "config.json").write_text(json.dumps({**config, field: value}))
 
 
-def test_every_bad_header_field_and_config_section_is_rejected(hostile):
-    # The property above samples these pools too; here each value is tried once.
-    blob = hostile["sane"].read_bytes()
-    sane = load_checkpoint(hostile["sane"])
-    assert content_digest(deserialize(_with_header_entry(blob))) == content_digest(sane)
-    for field, values in BAD_HEADER_FIELDS.items():
-        for value in values:
-            with pytest.raises(CheckpointFormatError):
-                deserialize(_with_header_entry(blob, **{field: value}))
-    config = str(hostile["config"])
-    assert cli.load_run_config(config).arch == HOSTILE_ARCH
-    for section, values in BAD_CONFIG_SECTIONS.items():
-        for value in values:
-            with pytest.raises(ConfigError):
-                cli.load_run_config(config, [f"{section}={json.dumps(value)}"])
+def _test_value(data: Path, value: str) -> None:
+    lines = (data / "test.csv").read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-1] + [value])
+    (data / "test.csv").write_text("\n".join(lines) + "\n")
 
 
-# ------------------------------------ valid but degenerate inputs, one property
+def _out_a_directory(inputs: dict, _) -> None:
+    inputs["out"].mkdir()
 
-# argv per command; {out} is the artifact path without its suffix
-DEGENERATE_COMMANDS = {
-    "datagen": ["datagen", "--set", "dataset.input_dim=4", "--set", "dataset.num_classes=3",
-                "--set", "dataset.num_train=24", "--set", "dataset.num_val=24",
-                "--set", "dataset.num_test=24", "--set", "dataset.num_shift=24",
-                "--set", "{dataset_set}", "--out", "{out}"],
-    "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}", "--out", "{out}.json"],
-    "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--data", "{data}",
-               "--alphas", "0,0.5,1", "--out", "{out}.csv"],
-    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--ckpt-c", "{ckpt_c}",
-              "--data", "{data}", "--x-range", "0:1:2", "--y-range", "0:1:2",
-              "--out", "{out}.csv"],
-    "approx": ["approx", "--pairs", "{pairs}", "--data", "{data}", "--alphas", "0,0.5,1",
-               "--out", "{out}.csv"],
-    "calibrate-ckpt": ["calibrate", "--ckpt", "{ckpt}", "--data", "{data}",
-                       "--out", "{out}.csv"],
-    "calibrate-manifest": ["calibrate", "--manifest", "{manifest}", "--data", "{data}",
-                           "--out", "{out}.csv"],
-    "ensemble-uniform": ["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}",
-                         "--out", "{out}.json"],
-    "ensemble-greedy": ["ensemble", "greedy", "--manifest", "{manifest}", "--data", "{data}",
-                        "--out", "{out}.json"],
-    "soup-uniform": ["soup", "uniform", "--manifest", "{manifest}", "--out", "{out}.ckpt"],
-    "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}",
-                    "--out", "{out}.ckpt"],
-    "soup-learned": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}",
-                     "--out", "{out}.ckpt"],
-    "soup-learned-by-layer": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}",
-                              "--by-layer", "--out", "{out}.ckpt"],
-    "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}",
-                   "--out", "{out}.csv"],
-    "report": ["report", "--manifest", "{manifest}", "--out", "{out}.json"],
+
+def _out_a_file(inputs: dict, _) -> None:
+    inputs["out"].write_text("kept")
+
+
+def _out_under_a_file(inputs: dict, _) -> None:
+    _out_a_file(inputs, None)
+    inputs["out"] = inputs["out"] / "out"
+
+
+def _sidecar_directory(inputs: dict, _) -> None:
+    (inputs["tmp"] / "out.soup.json").mkdir()
+
+
+def _equal_endpoints(inputs: dict, _) -> None:
+    inputs["ckpt_b"] = inputs["ckpt"]
+    inputs["pairs"] = _pairs_file(inputs["tmp"] / "pairs.json",
+                                  [(inputs["ckpt"],) * 2, (inputs["ckpt_c"],) * 2])
+
+
+def _entry_field(inputs: dict, index_field_value) -> None:
+    index, field, value = index_field_value
+    doc = _manifest_doc(inputs["ckpt"], inputs["ckpt"])
+    doc["entries"][index][field] = value
+    _file("manifest")(inputs, json.dumps(doc).encode())
+
+
+def _use(**slots: str):
+    """A make that points each slot at a fixture file, by fixture key."""
+    return lambda inputs, _: inputs.update({s: inputs[key] for s, key in slots.items()})
+
+
+# ---- defect pools
+
+
+# JSON nested past what the parser's recursion limit allows
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+
+# run config files that are not a JSON object
+CONFIG_FILES = {"not-utf8": b"\xff\xfe{}", "not-json": b"not json", "not-object": b"[1, 2]",
+                "nested-too-deeply": DEEPLY_NESTED.encode()}
+# run config sections that no command may accept, whichever sections it runs
+BAD_CONFIG_SECTIONS = {
+    "dataset": [5, [], {"bogus_key": 1}, {"num_train": "x"}, {"input_dim": 0}],
+    "arch": [5, {}, {"layer_widths": "x"}, {"layer_widths": [4, 0, 3]},
+             {"layer_widths": [4, 5, 3], "bogus_key": 1}],
+    "pretrain": [5, None, {"bogus_key": 1}, {"epochs": "x"}, {"optimizer": "lbfgs"}],
+    "sweep": [5, {}, {"bogus_key": 1}, {"count": 2}, {"count": "x", "master_seed": 0},
+              {"count": 0, "master_seed": 0}, {"count": 2, "master_seed": 0, "space": 5},
+              {"count": 2, "master_seed": 0, "space": {"bogus_key": 1}}, {"configs": []},
+              {"configs": [5]}, {"configs": [{"epochs": "x"}]}, {"configs": [{}], "count": 2}],
+    "datasets": [{}],
 }
-_MANIFEST_COMMANDS = tuple(c for c, argv in DEGENERATE_COMMANDS.items() if "{manifest}" in argv)
-
-# (command, degenerate kind) -> exit code
-DEGENERATE_CASES = {
-    **{(c, "all-failed-manifest"): cli.EXIT_CONFIG for c in _MANIFEST_COMMANDS if c != "report"},
-    ("report", "all-failed-manifest"): cli.EXIT_OK,
-    **{(c, "one-entry-manifest"): cli.EXIT_OK for c in _MANIFEST_COMMANDS if c != "grid-study"},
-    ("grid-study", "one-entry-manifest"): cli.EXIT_CONFIG,
-    ("plane", "equal-endpoints"): cli.EXIT_SHAPE,
-    ("interp", "equal-endpoints"): cli.EXIT_OK,
-    ("approx", "equal-endpoints"): cli.EXIT_OK,
-    **{(c, "one-row-test-split"): cli.EXIT_OK
-       for c in ("datagen", "eval", "interp", "calibrate-ckpt", "calibrate-manifest",
-                 "ensemble-uniform", "approx")},
-    ("datagen", "zero-row-val-split"): cli.EXIT_CONFIG,
-    ("datagen", "one-class"): cli.EXIT_CONFIG,
+# --set values no command may accept, each after a sweep section that draws
+# its configs from a search space; every command checks every section
+BAD_SET_VALUES = [
+    "dataset.num_train=1.5", "dataset.input_dim=true", 'dataset.seed="7"',
+    "pretrain.epochs=NaN", "pretrain.epochs=true", "pretrain.batch_size=2.5",
+    "arch.layer_widths=[6.5,12,3]", "arch.layer_widths=[6,true,3]",
+    "sweep.space.batch_size=0", "sweep.space.batch_size=false",
+    "sweep.space.epochs_range=[1.5,3]", "sweep.space.epochs_range=[0,3]",
+    "sweep.space.lr_exponent_range=[4,1]", "sweep.space.wd_exponent_range=[1,Infinity]",
+    "sweep.space.lr_exponent_range=[1,2,3]", "sweep.space.mixup_off_probability=NaN",
+    "sweep.space.smoothing_off_probability=1.5", "sweep.space.smoothing_max=2",
+    "sweep.space.mixup_max=-0.1", "sweep.space.mixup_max=4.5",
+    'sweep={"configs": [{"mixup_alpha": 20}]}', "sweep.space.optimizer=lbfgs",
+    "sweep.count=1.5", "sweep.count=0", "sweep.master_seed=true", "sweep.space=[1]",
+    "sweep=[1]", "sweep.configs=[5]", "pretrain=5", "arch=5", "dataset=5",
+    "pretrain.bogus_key=1", 'sweep.count="x"', "arch.layer_widths=[4,0,3]",
+    "sweep.configs=[]", "dataset.num_train=0", "pretrain.bogus=1", "no-equals-sign",
+    "dataset.num_val=0", "dataset.num_classes=1",
+    *(f"dataset.class_center_scale={v}" for v in ("NaN", "Infinity", "-Infinity")),
+    *(f"pretrain.{key}={v}" for key in ("mixup_alpha", "learning_rate", "sam_rho")
+      for v in ("NaN", "Infinity")),
+]
+SPACE_SWEEP = 'sweep={"count": 2, "master_seed": 0}'
+# checkpoint files that do not load
+UNREADABLE_CHECKPOINTS = {
+    "not-a-checkpoint": b"not a checkpoint at all",
+    "name-not-string": _one_tensor_checkpoint(name=5, shape=[1], nbytes=4),
+    # Shapes NumPy cannot build, an infinite size and a negative offset: each
+    # exited 1 once (the first wrapped an int64 element count to 0, the
+    # infinite size overflowed int(), the others raised in NumPy).
+    "shape-2**64": _one_tensor_checkpoint(shape=[2**32, 2**32], nbytes=0),
+    "shape-10**30": _one_tensor_checkpoint(shape=[10**30], nbytes=4),
+    "shape-0x10**30": _one_tensor_checkpoint(shape=[0, 10**30], nbytes=0),
+    "shape-65-axes": _one_tensor_checkpoint(shape=[1] * 65, nbytes=4),
+    "shape-infinite": _one_tensor_checkpoint(shape=[float("inf")], nbytes=4),
+    "negative-offset": _one_tensor_checkpoint(shape=[1], nbytes=4, offset=-10**6),
+    # A shape that is not a list of integers: each loaded once, "12" as (1, 2).
+    **{f"shape-{name}": _one_tensor_checkpoint(shape=shape, nbytes=8) for name, shape in
+       [("string", "12"), ("float", [2.5]), ("bool", [True, 2]), ("string-item", ["2"])]},
+    # A header that is not a JSON object, or too deeply nested to parse: each
+    # exited 1 once (TypeError, RecursionError).
+    **{f"header-{name}": b"SOUPCKPT" + struct.pack("<II", 1, len(h)) + h for name, h in
+       [("list", b"[1]"), ("string", b'"tensors"'), ("nested-too-deeply", DEEPLY_NESTED.encode())]},
 }
-# what datagen is asked for under each kind
-DEGENERATE_DATASETS = {"one-row-test-split": "dataset.num_test=1",
-                       "zero-row-val-split": "dataset.num_val=0", "one-class": "dataset.num_classes=1"}
+# values a checkpoint header's tensor entry field cannot hold; the entry is the
+# first one, layer0.weight of shape (4, 5), which "45", [4.7, 5] and [true, 20]
+# were once read as
+BAD_HEADER_FIELDS = {
+    "name": [5, None, ["layer0.weight"]],
+    "shape": ["45", [4.7, 5], [True, 20], [4, "5"], [-4, -5], None, 20],
+    "offset": ["0", 0.0, True, None, -64],
+    "nbytes": ["80", 80.0, True, None],
+    "dtype": ["<f4"],  # a key the writer does not write
+}
+# Tensors that do not form the network, made from a model with two or more
+# layers and 3 classes. Each but no-hidden-layer exited 1 on eval once; soup
+# uniform, which averages tensors without running them, exited 0 on each.
+NETWORK_DEFECTS = {
+    "bias-shorter-than-layer": lambda t: {**t, "layer0.bias": t["layer0.bias"][:-1]},
+    "gain-shorter-than-layer": lambda t: {**t, "layer0.gain": t["layer0.gain"][:-1]},
+    "rows-do-not-chain": lambda t: {**t, "layer1.weight": np.vstack([t["layer1.weight"]] * 2)},
+    "weight-1d": lambda t: {**t, "layer0.weight": t["layer0.weight"].ravel()},
+    "weight-3d": lambda t: {**t, "layer0.weight": t["layer0.weight"][..., None]},
+    "no-tensors": lambda t: {},
+    "no-hidden-layer": lambda t: {"layer0.weight": t["layer0.weight"][:, :3],
+                                  "layer0.bias": t["layer0.bias"][:3]},
+}
+# widths that do not fit the table's data (4 features, 3 classes): another
+# input width, fewer classes than the labels, more than the config
+MISFIT_ARCHES = [(5, 6, 3), (4, 6, 2), (4, 6, 4)]
+# where a byte cut ends the sane checkpoint: inside the magic, the version,
+# the header length, the header, the padding and the payload
+CHECKPOINT_CUTS = [0, 5, 8, 14, 16, 40, 200, -200, -1]
+# values no dataset config field can hold
+BAD_CONFIG_VALUES = ["x", None, True, [], {}, math.nan, math.inf, -math.inf]
+DATASET_CONFIG_FIELDS = [*(f.name for f in dataclasses.fields(datagen.DatasetConfig)),
+                         "unknown_field"]
+# values a manifest entry field cannot hold (each entry has error null)
+BAD_ENTRY_FIELDS = {
+    "index": ["0", 0.0, True, None, [0]],
+    "path": [5, 1.5, False, None, ["m.ckpt"], {}],
+    "ema_path": [5, True, []],
+    "error": [5, 0.0, True, {}],
+    "val_accuracy": ["x", "0.5", True, None, [0.5], math.nan, math.inf, -math.inf],
+    "ema_val_accuracy": ["x", False, {}, math.nan, -math.inf],
+}
+# manifests that are not one save_manifest could write
+MANIFEST_TEXTS = {
+    "not-json": "{not json",
+    "no-entries": json.dumps({"theta0_digest": ""}),
+    "entry-without-index": json.dumps(
+        {"entries": [{"config": {}, "path": "m.ckpt", "val_accuracy": 0.5}]}),
+    "entry-without-config": json.dumps(
+        {"entries": [{"index": 0, "path": "m.ckpt", "val_accuracy": 0.5}]}),
+    "not-object": json.dumps(["entries"]),
+    # a config the manifest's own writer could not have produced
+    "config-epochs-bool": json.dumps({"entries": [{"index": 0, "config": {"epochs": True},
+                                                   "path": "m.ckpt", "val_accuracy": 0.5}]}),
+    "config-rate-nan": '{"entries": [{"index": 0, "config": {"learning_rate": NaN},'
+                       ' "path": "m.ckpt", "val_accuracy": 0.5}]}',
+    # entry fields of the wrong type, or not finite
+    "path-not-string": json.dumps(
+        {"entries": [{"index": 0, "config": {}, "path": 5, "val_accuracy": 0.5}]}),
+    "accuracy-not-number": json.dumps(
+        {"entries": [{"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": "x"}]}),
+    "accuracy-nan": '{"entries": [{"index": 0, "config": {}, "path": "m.ckpt",'
+                    ' "val_accuracy": NaN}]}',
+    # a key save_manifest does not write
+    "entry-unknown-key": json.dumps({"entries": [{"index": 0, "config": {}, "path": "m.ckpt",
+                                                  "val_accuracy": 0.5, "note": "x"}]}),
+    # a theta0_digest that is not a string, even with no entries to check
+    "digest-nan": '{"theta0_digest": NaN, "entries": []}',
+    "digest-list": json.dumps({"theta0_digest": [1], "entries": []}),
+    "digest-number": json.dumps({"theta0_digest": 5, "entries": []}),
+    # keys the writer does not write, at the top level too
+    "unknown-key": json.dumps({"theta0_digest": "", "entries": [], "note": "x"}),
+    "directory-key": json.dumps({"theta0_digest": "", "entries": [], "directory": "."}),
+    "nested-too-deeply": DEEPLY_NESTED,
+}
+# pairs files approx rejects before it loads a checkpoint (the paths do not exist)
+PAIRS_FILES = {
+    "not-json": b"not json",
+    "not-utf8": b"\xff\xfe[]",
+    "entry-not-object": b"[1, 2]",
+    "entry-pair-list": b'[["id", "p"]]',
+    "not-list": b'{"id": "p"}',
+    "path-not-string": b'[{"id": "p", "theta0": 5, "theta1": "b.ckpt"}]',
+    "rate-not-number":
+        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": "fast"}]',
+    "rate-not-finite":
+        b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt", "learning_rate": NaN}]',
+    "one-pair": b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"}]',
+    "duplicate-id": b'[{"id": "p", "theta0": "a.ckpt", "theta1": "b.ckpt"},'
+                    b' {"id": "p", "theta0": "a.ckpt", "theta1": "c.ckpt"}]',
+    "id-not-string": b'[{"id": 1, "theta0": "a.ckpt", "theta1": "b.ckpt"},'
+                     b' {"id": 2, "theta0": "a.ckpt", "theta1": "c.ckpt"}]',
+    "unknown-key": b'[{"id": "x", "theta0": "a", "theta1": "b", "note": "?"}]',
+}
+# soup sidecars and eval reports report cannot merge
+REPORT_INPUTS = {"not-json": b"not json", "not-utf8": b"\xff\xfe{}", "not-object": b"[1, 2]",
+                 "nan": b'{"x": NaN}', "infinity": b'{"x": Infinity}'}
+
+NAN_F4 = np.array(np.nan, "<f4").tobytes()
+OK, CONFIG, MISSING, DIVERGED, FORMAT, SHAPE = (
+    cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_MISSING_INPUT, cli.EXIT_DIVERGED, cli.EXIT_FORMAT,
+    cli.EXIT_SHAPE)
+SUCCESS = (OK, None)
+
+DEFECTS = {
+    # ---- the run config: datagen, pretrain, sweep
+    "config-not-an-object": Defect("config", CONFIG, "config", _file("config"),
+                                   tuple(CONFIG_FILES.values())),
+    "config-section": Defect("config", CONFIG, "config", _config_section,
+                             tuple((s, v) for s, values in BAD_CONFIG_SECTIONS.items()
+                                   for v in values)),
+    "set-bad-value": Defect("--set", CONFIG, "config", _flags,
+                            tuple(("--set", SPACE_SWEEP, "--set", text) for text in BAD_SET_VALUES)),
+    # a section is run only by its command
+    "set-arch-not-the-data": Defect(
+        "--set", CONFIG, "config", _flags, (("--set", "arch.layer_widths=[5, 8, 3]"),),
+        exits={"datagen": SUCCESS, "sweep": SUCCESS}),
+    "set-diverging-pretrain": Defect(
+        "--set", DIVERGED, "divergence", _flags,
+        (("--set", "pretrain.optimizer=sgd", "--set", "pretrain.learning_rate=1e8",
+          "--set", "pretrain.weight_decay=0.1", "--set", "pretrain.epochs=12"),),
+        exits={"datagen": SUCCESS, "sweep": SUCCESS}),
+    # a request past any address space (over 700 PiB): NumPy fails at once
+    # under every overcommit policy, before it writes any of the array
+    "set-too-large-to-allocate": Defect(
+        "--set", CONFIG, "too-large", _flags, (("--set", f"dataset.num_train={10**17}"),),
+        exits={"pretrain": SUCCESS, "sweep": SUCCESS}),
+    "set-one-row-test-split": Defect("--set", OK, None, _flags,
+                                     (("--set", "dataset.num_test=1"),)),
+    # ---- the dataset
+    "data-split-not-numbers": Defect("data", FORMAT, "data-format", _data(_every_split),
+                                     (b"x0,x1\nnot,numbers\n",)),
+    "data-split-not-utf8": Defect("data", FORMAT, "data-format", _data(_every_split),
+                                  (b"\xff\xfex0,x1\n",)),
+    **{f"data-{split}-without-rows": Defect("data", FORMAT, "data-format", _data(_header_only),
+                                            (split,)) for split in ("train", "test")},
+    "data-width-not-config": Defect("data", FORMAT, "data-format", _data(_config_field),
+                                    (("input_dim", 5),)),
+    **{f"data-test-value-{v}": Defect("data", FORMAT, "data-format", _data(_test_value), (v,))
+       for v in ("nan", "1e39")},
+    "data-config-field": Defect("data", FORMAT, "data-format", _data(_config_field),
+                                tuple(itertools.product(DATASET_CONFIG_FIELDS, BAD_CONFIG_VALUES))),
+    "data-one-test-row": Defect("data", OK, None, _use(data="one-test-row")),
+    "data-missing": Defect("data", MISSING, "missing-input", _missing("data")),
+    "data-is-a-file": Defect("data", MISSING, "missing-input", _file("data"), (b"",)),
+    # ---- the checkpoints: --ckpt, --base, --ckpt-a, a manifest's, a pair's
+    "model-unreadable": Defect("model", FORMAT, "checkpoint-format", _model_bytes,
+                               tuple(UNREADABLE_CHECKPOINTS.values())),
+    # A stored NaN is a malformed file (5), not a non-finite result (6); the
+    # file's last four bytes are the last value of its last tensor.
+    "model-nan-stored": Defect("model", FORMAT, "checkpoint-format",
+                               _sane_model_bytes(lambda blob, _: blob[:-4] + NAN_F4)),
+    "model-truncated": Defect("model", FORMAT, "checkpoint-format",
+                              _sane_model_bytes(lambda blob, cut: blob[:cut]),
+                              tuple(CHECKPOINT_CUTS)),
+    "model-header-field": Defect(
+        "model", FORMAT, "checkpoint-format",
+        _sane_model_bytes(lambda blob, fv: _with_header_entry(blob, **dict([fv]))),
+        tuple((f, v) for f, values in BAD_HEADER_FIELDS.items() for v in values)),
+    **{f"model-{name}": Defect("model", SHAPE, "shape-mismatch", _network_defect, (defect,))
+       for name, defect in NETWORK_DEFECTS.items()},
+    # soup uniform runs no model on the data
+    "model-misfit": Defect("model", SHAPE, "shape-mismatch", _misfit, tuple(MISFIT_ARCHES),
+                           exits={"soup-uniform": SUCCESS}),
+    # without config.json, the labels alone bound the class count
+    "model-misfit-without-data-config": Defect(
+        "model", SHAPE, "shape-mismatch", _misfit_without_data_config, ((5, 6, 3), (4, 6, 2)),
+        exits={"soup-uniform": SUCCESS}),
+    # A sweep records each fine-tune that diverges and goes on; soup uniform runs
+    # no model; soup greedy and grid-study score by accuracy alone, and argmax
+    # takes the first NaN logit; the plane's axes overflow.
+    "model-overflowing": Defect(
+        "model", SHAPE, "non-finite", lambda inputs, _: _use_model(inputs, inputs["overflow"]),
+        exits={**dict.fromkeys(("sweep", "soup-uniform", "soup-greedy", "grid-study"), SUCCESS),
+               "plane": (SHAPE, "degenerate-geometry")}),
+    "model-missing": Defect("model", MISSING, "missing-input",
+                            lambda inputs, _: _use_model(inputs, inputs["tmp"] / "missing.ckpt")),
+    "model-is-a-directory": Defect("model", MISSING, "missing-input", _model_directory),
+    # a logit ensemble needs no shared shape
+    "models-of-two-shapes": Defect(
+        "models", SHAPE, "shape-mismatch", _models_of_two_shapes,
+        exits=dict.fromkeys(("ensemble-uniform", "ensemble-greedy", "calibrate-manifest"),
+                            SUCCESS)),
+    "endpoints-equal": Defect("endpoints", OK, None, _equal_endpoints,
+                              exits={"plane": (SHAPE, "degenerate-geometry")}),
+    "plane-endpoints-all-equal": Defect("ckpt_c", SHAPE, "degenerate-geometry",
+                                        _use(ckpt_b="ckpt", ckpt_c="ckpt")),
+    # ---- the sweep manifest
+    "manifest-malformed": Defect("manifest", FORMAT, "data-format", _file("manifest"),
+                                 tuple(text.encode() for text in MANIFEST_TEXTS.values())),
+    "manifest-entry-field": Defect(
+        "manifest", FORMAT, "data-format", _entry_field,
+        tuple((i % 2, f, v) for f, values in BAD_ENTRY_FIELDS.items()
+              for i, v in enumerate(values))),
+    # report reads no checkpoint
+    "manifest-all-failed": Defect("manifest", CONFIG, "config", _use(manifest="all-failed"),
+                                  exits={"report": SUCCESS}),
+    "manifest-one-entry": Defect("manifest", OK, None, _use(manifest="one-entry"),
+                                 exits={"grid-study": (CONFIG, "config")}),
+    # ---- approx's pairs file, report's soup sidecars and eval reports
+    "pairs-malformed": Defect("pairs", CONFIG, "config", _file("pairs"), tuple(PAIRS_FILES.values())),
+    **{f"{slot}-malformed": Defect(slot, FORMAT, "data-format", _file(slot),
+                                   tuple(REPORT_INPUTS.values())) for slot in ("soup", "eval_report")},
+    # ---- every input file
+    **{f"{slot}-missing": Defect(slot, MISSING, "missing-input", _missing(slot))
+       for slot in ("config", "manifest", "pairs", "soup", "eval_report")},
+    **{f"{slot}-is-a-directory": Defect(slot, MISSING, "missing-input", _directory(slot))
+       for slot in ("config", "manifest", "pairs", "soup", "eval_report")},
+    "inputs-all-missing": Defect("inputs", MISSING, "missing-input", _every_input_missing),
+    # ---- flags; those checked before any read run with every input missing
+    **{f"beta-{v}": Defect("--beta", CONFIG, "config", _flags_before_any_read, (("--beta", v),))
+       for v in ("0", "-1", "nan", "inf")},
+    # a finite but huge --beta overflows the scaled logits
+    "beta-overflowing": Defect("--beta", SHAPE, "non-finite", _flags, (("--beta", "1e308"),)),
+    "bins-0": Defect("--bins", CONFIG, "config", _flags_before_any_read, (("--bins", "0"),)),
+    # more bins than rows: one prediction per bin, whatever the count
+    "bins-past-the-row-count": Defect("--bins", OK, None, _flags, (("--bins", str(10**10)),),
+                                      same_as=("--bins", str(ROWS))),
+    "x-range-nan": Defect("--x-range", CONFIG, "config", _flags_before_any_read,
+                          (("--x-range=nan:1:3",),)),
+    "y-range-inf": Defect("--y-range", CONFIG, "config", _flags_before_any_read,
+                          (("--y-range=0:inf:3",),)),
+    "x-range-two-fields": Defect("--x-range", CONFIG, "config", _flags, (("--x-range", "0:1"),)),
+    # finite but huge plane coordinates overflow the logits
+    "x-range-overflowing": Defect(
+        "--x-range", SHAPE, "non-finite", _flags,
+        tuple(("--metric", m, "--x-range=-1e300:1e300:3", "--y-range=0:1:2")
+              for m in ("loss", "error"))),
+    "x-range-too-large-to-allocate": Defect("--x-range", CONFIG, "too-large", _flags,
+                                            ((f"--x-range=0:1:{10**17}",),)),
+    **{f"alphas-{v}": Defect("--alphas", CONFIG, "config", _flags, (("--alphas", v),))
+       for v in ("0,1.5", "-0.1", "0.5,nan")},
+    **{f"splits-{name}": Defect("--splits", CONFIG, "config", _flags, (("--splits", v),))
+       for name, v in (("comma", ","), ("empty", ""), ("two-commas", ",,"))},
+    **{f"unknown-{flag[2:]}": Defect(flag, CONFIG, "config", _flags, ((flag, "holdout"),))
+       for flag in ("--split", "--eval-split", "--fit-split")},
+    # ---- --out: an existing path of the wrong kind is left as it was
+    "out-is-a-directory": Defect("file-out", CONFIG, "config", _out_a_directory),
+    "out-is-a-file": Defect("directory-out", CONFIG, "config", _out_a_file),
+    "out-under-a-file": Defect("out", CONFIG, "config", _out_under_a_file),
+    "sidecar-is-a-directory": Defect("sidecar", CONFIG, "config", _sidecar_directory),
+}
+
+
+def _contract_pairs():
+    """(command, defect, the values of its pool this command runs), for every
+    command that reads the defect's slot."""
+    for name, defect in DEFECTS.items():
+        readers = [c for c in COMMANDS if _reads(c, defect.slot)]
+        for k, command in enumerate(readers):
+            share = defect.pool[k::len(readers)] or (defect.pool[k % len(defect.pool)],)
+            yield pytest.param(command, name, share, id=f"{name}:{command}")
+
+
+CONTRACT_PAIRS = list(_contract_pairs())
 
 
 @pytest.fixture(scope="module")
-def degenerate(hostile):
-    """The hostile fixture's sane inputs plus a second and third checkpoint, an
-    all-failed and a one-entry manifest, and a dataset with one test row."""
-    root = hostile["root"]
-    for seed in (1, 2):
-        save_checkpoint(init_checkpoint(HOSTILE_ARCH, seed), root / f"init{seed}.ckpt")
-    cfg = datagen.DatasetConfig(input_dim=4, num_classes=3, num_train=24, num_val=24,
-                                num_test=1, num_shift=24)
-    datagen.save_csv(datagen.generate(cfg), root / "one-test-row")
-    failed = {"index": 0, "config": {}, "path": None, "val_accuracy": None,
+def parser():
+    return cli.build_parser()
+
+
+@pytest.fixture
+def one_parser(monkeypatch, parser):
+    """``cli.main`` on one parser: building it is most of a failing run's time."""
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+
+@pytest.fixture(scope="module")
+def contract(tmp_path_factory):
+    """Sane inputs for every slot, and the files defects draw on."""
+    root = tmp_path_factory.mktemp("contract")
+    cfg = datagen.DatasetConfig(input_dim=4, num_classes=3, num_train=ROWS, num_val=ROWS,
+                                num_test=ROWS, num_shift=ROWS)
+    datagen.save_csv(datagen.generate(cfg), root / "data")
+    datagen.save_csv(datagen.generate(dataclasses.replace(cfg, num_test=1)), root / "one-test-row")
+    (root / "config.json").write_text(json.dumps({
+        "dataset": dataclasses.asdict(cfg), "arch": {"layer_widths": list(ARCH.layer_widths)},
+        "pretrain": {"epochs": 1}, "sweep": {"configs": [{"epochs": 1}]}}))
+    sane = init_checkpoint(ARCH, 0)
+    signs = np.where(PortableRng(1).uniforms(sane.vector.size) < 0.5, -1.0, 1.0)
+    checkpoints = {"ckpt": sane, "ckpt_b": init_checkpoint(ARCH, 1),
+                   "ckpt_c": init_checkpoint(ARCH, 2),
+                   "overflow": Checkpoint(sane.layout, (3e38 * signs).astype(np.float32), {})}
+    fx = {"root": root, "config": root / "config.json", "data": root / "data",
+          "one-test-row": root / "one-test-row"}
+    for name, ckpt in checkpoints.items():
+        fx[name] = root / f"{name}.ckpt"
+        save_checkpoint(ckpt, fx[name])
+    fx["manifest"] = _write_manifest(root / "manifest.json", fx["ckpt"], fx["ckpt"])
+    fx["pairs"] = _pairs_file(root / "pairs.json",
+                              [(fx["ckpt"], fx["ckpt_b"]), (fx["ckpt_b"], fx["ckpt_c"])])
+    doc = _manifest_doc(fx["ckpt"], fx["ckpt"])
+    failed = {"path": None, "val_accuracy": None,
               "error": "DivergenceError: non-finite training loss at step 0"}
-    doc = _manifest_doc(hostile["sane"])
-    (root / "all-failed.json").write_text(json.dumps(
-        {**doc, "entries": [failed, {**failed, "index": 1}]}))
-    (root / "one-entry.json").write_text(json.dumps({**doc, "entries": doc["entries"][:1]}))
-    return {**hostile, "init1": root / "init1.ckpt", "init2": root / "init2.ckpt",
-            "one-test-row": root / "one-test-row", "all-failed": root / "all-failed.json",
-            "one-entry": root / "one-entry.json"}
+    fx["all-failed"] = root / "all-failed.json"
+    fx["all-failed"].write_text(json.dumps(
+        {**doc, "entries": [{**e, **failed} for e in doc["entries"]]}))
+    fx["one-entry"] = root / "one-entry.json"
+    fx["one-entry"].write_text(json.dumps({**doc, "entries": doc["entries"][:1]}))
+    run_ok(["soup", "uniform", "--manifest", str(fx["manifest"]), "--out", str(root / "soup.ckpt")])
+    run_ok(["eval", "--ckpt", str(fx["ckpt"]), "--data", str(fx["data"]),
+            "--out", str(root / "eval.json")])
+    fx["soup"], fx["eval_report"] = root / "soup.ckpt.soup.json", root / "eval.json"
+    return fx
 
 
-def _pairs_file(path: Path, endpoints: list[tuple[Path, Path]]) -> Path:
-    path.write_text(json.dumps([{"id": f"p{i}", "theta0": str(a), "theta1": str(b)}
-                                for i, (a, b) in enumerate(endpoints)]))
-    return path
-
-
-def _degenerate_argv(command: str, kind: str, fx: dict, tmp: Path) -> list[str]:
-    inputs = {"ckpt": fx["sane"], "ckpt_b": fx["init1"], "ckpt_c": fx["init2"],
-              "data": fx["data"], "manifest": fx["sane-manifest"],
-              "dataset_set": DEGENERATE_DATASETS.get(kind, ""), "out": tmp / "out"}
-    distinct = [(fx["sane"], fx["init1"]), (fx["init1"], fx["init2"])]
-    if kind == "equal-endpoints":
-        inputs["ckpt_b"] = fx["sane"]
-        inputs["pairs"] = _pairs_file(tmp / "pairs.json", [(a, a) for a, _ in distinct])
-    else:
-        inputs["pairs"] = _pairs_file(tmp / "pairs.json", distinct)
-    if kind in ("all-failed-manifest", "one-entry-manifest"):
-        inputs["manifest"] = fx[kind.removesuffix("-manifest")]
-    elif kind == "one-row-test-split":
-        inputs["data"] = fx["one-test-row"]
-    text = {k: str(v) for k, v in inputs.items()}
-    return [arg.format(**text) for arg in DEGENERATE_COMMANDS[command]]
+def _outputs(tmp: Path) -> dict:
+    """Every path under ``tmp`` named out*, with its bytes (None for a directory)."""
+    return {str(p.relative_to(tmp)): None if p.is_dir() else p.read_bytes()
+            for top in tmp.glob("out*") for p in (top, *top.rglob("*"))}
 
 
 def _strict_json(text: str):
@@ -1435,110 +1104,130 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-def _assert_parses_finite(path: Path) -> None:
-    """The artifact at ``path`` reads back, and every number in it is finite."""
+def _assert_finite(path: Path) -> None:
+    """Every number in the artifact (or directory of artifacts) at ``path`` is finite."""
     if path.is_dir():
-        ds = datagen.load_csv(path)
-        assert all(np.isfinite(split.x).all() for split in ds.splits.values())
-    elif path.suffix == ".ckpt":
-        assert np.isfinite(load_checkpoint(path).vector).all()
-    elif path.suffix == ".json":
+        for child in path.iterdir():
+            _assert_finite(child)
+    elif path.read_bytes().startswith(b"SOUPCKPT"):
+        assert np.isfinite(load_checkpoint(path).vector).all(), path
+    elif path.read_text().startswith(("{", "[")):
         _strict_json(path.read_text())
-    else:
-        rows = list(csv.reader(path.read_text().splitlines()))
-        assert len(rows) >= 2, rows
-        for cell in (c for row in rows[1:] for c in row):
+    else:  # a table: its "#" comment, header and rows
+        assert len(path.read_text().splitlines()) >= 2, path
+        for token in re.split(r"[,\s=]+", path.read_text()):
             try:
-                value = float(cell)
+                value = float(token)
             except ValueError:
-                continue  # a label or NA
-            assert math.isfinite(value), (path, cell)
+                continue  # a label, a name or NA
+            assert math.isfinite(value), (path, token)
 
 
-@pytest.mark.parametrize("case", sorted(DEGENERATE_CASES), ids="-".join)
-def test_degenerate_input_exits_documented_code(degenerate, case):
-    command, kind = case
-    with tempfile.TemporaryDirectory(dir=degenerate["root"]) as name:
-        tmp = Path(name)
-        argv = _degenerate_argv(command, kind, degenerate, tmp)
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        assert code == DEGENERATE_CASES[case] and code in (0, 2, 6), (argv, stderr.getvalue())
-        artifacts = sorted(tmp.glob("out*"))
-        if code == cli.EXIT_OK:
-            assert stderr.getvalue() == ""
-            assert artifacts
-            for path in artifacts:
-                _assert_parses_finite(path)
-        else:
-            lines = stderr.getvalue().splitlines()
-            assert len(lines) == 1, lines
-            assert set(json.loads(lines[0])) == {"error", "type", "message"}
-            assert not artifacts
+def _run(command: str, inputs: dict, flags) -> tuple[int, str, list[str]]:
+    text = {k: str(v) for k, v in inputs.items()}
+    argv = [arg.format(**text) for arg in COMMANDS[command]]
+    argv += [*flags, "--out", str(inputs["out"])]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue(), argv
 
 
-@pytest.mark.parametrize("command", ["interp", "calibrate-ckpt"])
-def test_overflowing_checkpoint_writes_no_csv(hostile, tmp_path, capsys, command):
-    out = tmp_path / "out.csv"
-    inputs = {"ckpt": hostile["overflow"], "data": hostile["data"]}
-    assert cli.main(_hostile_argv(command, inputs, out)) == cli.EXIT_SHAPE
-    assert _single_error_line(capsys)["error"] == "non-finite"
-    assert not out.exists()
+@pytest.mark.parametrize("command, name, values", CONTRACT_PAIRS)
+def test_exit_code_contract(one_parser, contract, command, name, values):
+    defect = DEFECTS[name]
+    code, category = defect.exits.get(command, (defect.code, defect.category))
+    for value in values:
+        with tempfile.TemporaryDirectory(dir=contract["root"]) as tmp:
+            inputs = {**contract, "tmp": Path(tmp), "flags": [], "out": Path(tmp) / "out"}
+            defect.make(inputs, value)
+            before = _outputs(Path(tmp))
+            got, err, argv = _run(command, inputs, inputs["flags"])
+            assert got == code, (argv, err)
+            if code != cli.EXIT_OK:
+                (line,) = err.splitlines()
+                payload = json.loads(line)
+                assert sorted(payload) == ["error", "message", "type"]
+                assert payload["error"] == category and payload["message"], payload
+                assert _outputs(Path(tmp)) == before
+                continue
+            assert err == ""
+            assert inputs["out"].exists()
+            for path in Path(tmp).glob("out*"):
+                _assert_finite(path)
+            if defect.same_as:
+                reference = {**inputs, "out": Path(tmp) / "reference"}
+                assert _run(command, reference, defect.same_as)[0] == cli.EXIT_OK
+                assert inputs["out"].read_bytes() == reference["out"].read_bytes()
 
 
-@pytest.mark.parametrize(
-    "widths, with_config",
-    [(arch.layer_widths, True) for arch in MISFIT_ARCHES]
-    + [((5, 6, 3), False), ((4, 6, 2), False)],
-)
-def test_sweep_from_a_base_that_does_not_fit_exits_shape_code(
-    hostile, tmp_path, capsys, widths, with_config
-):
-    data = tmp_path / "data"
-    shutil.copytree(hostile["data"], data)
-    if not with_config:  # the labels alone then bound the class count
-        (data / "config.json").unlink()
-    base = tmp_path / "base.ckpt"
-    save_checkpoint(init_checkpoint(ArchSpec(widths), 0), base)
-    out = tmp_path / "sweep"
-    argv = ["sweep", "--set", 'sweep.configs=[{"epochs": 1}, {"epochs": 1, "seed": 1}]',
-            "--data", str(data), "--base", str(base), "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_SHAPE
-    assert _single_error_line(capsys)["type"] == "ShapeMismatchError"
-    assert not out.exists()
+def test_every_command_form_has_a_contract_row():
+    # A new command, kind, source or switch must join the table to pass.
+    def forms(parser, words=()):
+        sub = _subcommands(parser)
+        if sub is None:
+            yield words, parser
+            return
+        for word, child in sub.items():
+            yield from forms(child, (*words, word))
+
+    for words, parser in forms(cli.build_parser()):
+        rows = [argv for argv in COMMANDS.values() if _words(argv) == words]
+        assert rows, words
+        for group in parser._mutually_exclusive_groups:  # calibrate --ckpt or --manifest
+            for action in group._group_actions:
+                assert any(action.option_strings[0] in argv for argv in rows), (words, action)
+        for action in parser._actions:  # soup learned with and without --by-layer
+            if isinstance(action, argparse._StoreTrueAction):
+                flag = action.option_strings[0]
+                assert {flag in argv for argv in rows} == {True, False}, (words, flag)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "greedy", "learned"])
-def test_soup_over_checkpoints_of_different_shapes_exits_shape_code(
-    hostile, tmp_path, capsys, kind
-):
-    entries = []
-    for index, arch in enumerate([ArchSpec((4, 5, 3)), ArchSpec((4, 6, 3))]):
-        save_checkpoint(init_checkpoint(arch, index), tmp_path / f"m{index}.ckpt")
-        entries.append({"index": index, "config": {}, "path": f"m{index}.ckpt",
-                        "val_accuracy": 0.5})
+def test_malformed_pairs_file_message_names_the_file(workspace, tmp_path, capsys):
+    pairs = tmp_path / "pairs.json"
+    for raw in PAIRS_FILES.values():
+        pairs.write_bytes(raw)
+        argv = ["approx", "--pairs", str(pairs), "--data", str(workspace["data"]),
+                "--out", str(tmp_path / "a.csv")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert str(pairs) in _single_error_line(capsys)["message"]
+
+
+def test_every_bad_field_value_is_a_format_error(contract, tmp_path):
+    # The contract table shares these pools out; here each value is tried once.
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"theta0_digest": "", "entries": entries}))
-    out = tmp_path / "soup.ckpt"
-    argv = ["soup", kind, "--manifest", str(manifest), "--out", str(out)]
-    if kind != "uniform":
-        argv += ["--data", str(hostile["data"])]
-    assert cli.main(argv) == cli.EXIT_SHAPE
-    assert _single_error_line(capsys)["error"] == "shape-mismatch"
-    assert not list(tmp_path.glob("soup.ckpt*"))
-
-
-def test_malformed_dataset_config_exits_format_code(workspace, tmp_path, capsys):
+    for field, values in BAD_ENTRY_FIELDS.items():
+        for value in values:
+            doc = _manifest_doc(contract["ckpt"], contract["ckpt"])
+            doc["entries"][0][field] = value
+            manifest.write_text(json.dumps(doc))
+            with pytest.raises(DataFormatError):
+                trainer.load_manifest(manifest)
     data = tmp_path / "data"
-    shutil.copytree(workspace["data"], data)
+    shutil.copytree(contract["data"], data)
     config = json.loads((data / "config.json").read_text())
-    (data / "config.json").write_text(json.dumps({**config, "num_classes": "x"}))
-    out = tmp_path / "r.json"
-    argv = ["eval", "--ckpt", str(workspace["base"]), "--data", str(data), "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_FORMAT
-    assert _single_error_line(capsys)["error"] == "data-format"
-    assert not out.exists()
+    for field in [*config, "unknown_field"]:
+        for value in BAD_CONFIG_VALUES:
+            (data / "config.json").write_text(json.dumps({**config, field: value}))
+            with pytest.raises(DataFormatError):
+                datagen.load_csv(data)
+
+
+def test_every_bad_header_field_and_config_section_is_rejected(contract):
+    # The contract table shares these pools out too; here each value is tried once.
+    blob = contract["ckpt"].read_bytes()
+    sane = load_checkpoint(contract["ckpt"])
+    assert content_digest(deserialize(_with_header_entry(blob))) == content_digest(sane)
+    for field, values in BAD_HEADER_FIELDS.items():
+        for value in values:
+            with pytest.raises(CheckpointFormatError):
+                deserialize(_with_header_entry(blob, **{field: value}))
+    config = str(contract["config"])
+    assert cli.load_run_config(config).arch == ARCH
+    for section, values in BAD_CONFIG_SECTIONS.items():
+        for value in values:
+            with pytest.raises(ConfigError):
+                cli.load_run_config(config, [f"{section}={json.dumps(value)}"])
 
 
 # ------------------------------------------------------------------- soups
@@ -1782,31 +1471,6 @@ def test_plane_csv_shape_and_metric_header(workspace, tmp_path):
     assert len(lines[2].split(",")) == 1 + 4
 
 
-def test_bad_range_spec_exits_config_code(workspace, tmp_path, capsys):
-    run_fail(
-        [
-            "plane",
-            "--ckpt-a",
-            str(workspace["base"]),
-            "--ckpt-b",
-            str(workspace["base"]),
-            "--ckpt-c",
-            str(workspace["base"]),
-            "--data",
-            str(workspace["data"]),
-            "--x-range",
-            "0:1",
-            "--y-range",
-            "0:1:3",
-            "--out",
-            str(tmp_path / "p.csv"),
-        ],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )
-
-
 # ----------------------------------------------------- grid-study / approx
 
 
@@ -1829,20 +1493,6 @@ def test_grid_study_emits_all_ordered_pairs(workspace, tmp_path):
     diagonal = [l for l in lines[1:] if l.split(",")[0] == l.split(",")[1]]
     assert len(diagonal) == 4
     assert all(float(l.split(",")[4]) == 0.0 for l in diagonal)
-
-
-def test_grid_study_on_one_successful_entry_exits_config_code(workspace, tmp_path, capsys):
-    sweep = workspace["manifest"].parent
-    doc = json.loads(workspace["manifest"].read_text())
-    entry = {**doc["entries"][0], "path": str(sweep / doc["entries"][0]["path"])}
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({**doc, "entries": [entry]}))
-    out = tmp_path / "grid.csv"
-    argv = ["grid-study", "--manifest", str(manifest), "--data", str(workspace["data"]),
-            "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert _single_error_line(capsys)["error"] == "config"
-    assert not out.exists()
 
 
 def test_approx_command_writes_records_and_summary(workspace, tmp_path):
@@ -1892,27 +1542,6 @@ def test_approx_command_writes_records_and_summary(workspace, tmp_path):
     assert lines[1] == header
     assert len(lines) == 2 + 2
     assert lines[2].startswith("p01,val,0.5,1.0,")
-
-
-def test_approx_pair_file_rejects_unknown_keys(workspace, tmp_path, capsys):
-    pairs_file = tmp_path / "pairs.json"
-    pairs_file.write_text(
-        json.dumps([{"id": "x", "theta0": "a", "theta1": "b", "note": "?"}])
-    )
-    run_fail(
-        [
-            "approx",
-            "--pairs",
-            str(pairs_file),
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(tmp_path / "a.csv"),
-        ],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )
 
 
 # ------------------------------------------------------- calibrate / report
@@ -2007,10 +1636,3 @@ def test_report_merges_manifest_soup_and_eval(workspace, tmp_path):
     assert payload["evals"][0]["split"] == "test"
 
 
-def test_report_without_inputs_exits_config_code(tmp_path, capsys):
-    run_fail(
-        ["report", "--out", str(tmp_path / "r.json")],
-        cli.EXIT_CONFIG,
-        "config",
-        capsys,
-    )

@@ -306,6 +306,15 @@ def test_equal_mass_bins_sizes_differ_by_at_most_one():
     assert max(sizes) - min(sizes) <= 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 103])
+def test_more_bins_than_predictions_give_one_prediction_per_bin(n):
+    rng = np.random.default_rng(4)
+    conf, correct = rng.random(n), rng.integers(0, 2, n)
+    bins = ensembles.equal_mass_bins(conf, correct, num_bins=n + 500)
+    assert bins == ensembles.equal_mass_bins(conf, correct, num_bins=max(n, 1))
+    assert [b.count for b in bins] == [1] * n
+
+
 def test_confidences_use_first_index_on_ties():
     logits = np.array([[1.0, 1.0, 0.0]])
     conf, correct = ensembles.confidences_and_correct(logits, np.array([0]))
