@@ -59,7 +59,6 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     SoupkitError,
-    decode,
 )
 from .fileio import read_json, write_json
 
@@ -99,7 +98,7 @@ def _parse_override(text: str) -> tuple[list[str], object]:
 
 def load_run_config(path: str | None, overrides: Sequence[str] = ()) -> RunConfig:
     """The run config of an optional JSON file plus --set overrides."""
-    from .schema import RunConfig
+    from .schema import RunConfig, decode
 
     doc = {} if path is None else read_json(path, ConfigError)
     if not isinstance(doc, dict):
@@ -339,7 +338,7 @@ def cmd_grid_study(args: argparse.Namespace) -> None:
 
 
 def _pairs_from_file(path: str) -> list[PairSpec]:
-    from .schema import PairEntry
+    from .schema import PairEntry, decode
 
     raw = read_json(path, ConfigError)
     if not isinstance(raw, list):

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .fileio import cell, write_table
 from .tensorstore import Checkpoint, content_digest
 from .tinynet import (
@@ -89,6 +90,8 @@ def ensemble_accuracy_fn(X: np.ndarray, y: np.ndarray) -> Callable[[Sequence[Che
 
     def score(members: Sequence[Checkpoint]) -> float:
         logits = logit_ensemble(members, X, logits_cache=cache)
+        if not np.isfinite(logits).all():  # argmax would take the first NaN as the prediction
+            raise NonFiniteError("non-finite ensemble logits")
         # First index wins ties, matching single-model prediction.
         pred = np.argmax(logits, axis=1)
         return float(np.mean(pred == labels))
@@ -196,14 +199,15 @@ def ece_equal_mass(
     confidences: np.ndarray, correct: np.ndarray, num_bins: int = 15
 ) -> float:
     """Equal-mass expected calibration error."""
-    confidences = np.asarray(confidences, dtype=np.float64)
-    total = confidences.shape[0]
+    return _ece(equal_mass_bins(confidences, correct, num_bins))
+
+
+def _ece(bins: list[BinStat]) -> float:
+    """Expected calibration error of bins that hold every prediction once."""
+    total = sum(b.count for b in bins)
     if total == 0:
         raise ValueError("need at least one prediction")
-    return sum(
-        (b.count / total) * abs(b.accuracy - b.mean_confidence)
-        for b in equal_mass_bins(confidences, correct, num_bins)
-    )
+    return sum((b.count / total) * abs(b.accuracy - b.mean_confidence) for b in bins)
 
 
 def confidences_and_correct(
@@ -244,17 +248,17 @@ def calibration_report(
     fit = fit_temperature(fit_logits, fit_labels)
     eval_logits = np.asarray(eval_logits, dtype=np.float64)
     eval_labels = np.asarray(eval_labels)
-    conf1, corr = confidences_and_correct(eval_logits, eval_labels, 1.0)
-    confb, corrb = confidences_and_correct(eval_logits, eval_labels, fit.beta)
+    before = equal_mass_bins(*confidences_and_correct(eval_logits, eval_labels, 1.0), num_bins)
+    after = equal_mass_bins(*confidences_and_correct(eval_logits, eval_labels, fit.beta), num_bins)
     return CalibrationReport(
         beta=fit.beta,
         degenerate=fit.degenerate,
         nll_before=loss_ce(eval_logits, eval_labels, 0.0, 1.0),
         nll_after=loss_ce(eval_logits, eval_labels, 0.0, fit.beta),
-        ece_before=ece_equal_mass(conf1, corr, num_bins),
-        ece_after=ece_equal_mass(confb, corrb, num_bins),
-        bins_before=equal_mass_bins(conf1, corr, num_bins),
-        bins_after=equal_mass_bins(confb, corrb, num_bins),
+        ece_before=_ece(before),
+        ece_after=_ece(after),
+        bins_before=before,
+        bins_after=after,
     )
 
 

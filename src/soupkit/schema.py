@@ -1,26 +1,107 @@
-"""Every record soupkit reads back from a file, declared once.
+"""Every record soupkit builds or reads back from a file, declared and checked once.
 
-A record is a dataclass whose annotations are its file's types, and
-:func:`soupkit.errors.decode` is the one way to read it: a run config
-(:class:`RunConfig`), a sweep manifest (:class:`SweepManifest`), a
-checkpoint header (:class:`CheckpointHeader`) and an ``approx --pairs``
-entry (:class:`PairEntry`).  This module needs neither NumPy nor the
-training code, so reading a record loads neither.
+A record is a dataclass whose annotations are its file's types, and building
+one checks it, so a record is valid from the moment it exists.  :func:`decode`
+is the one way to read a record: a run config (:class:`RunConfig`), a sweep
+manifest (:class:`SweepManifest`), a checkpoint header (:class:`CheckpointHeader`)
+and an ``approx --pairs`` entry (:class:`PairEntry`).  This module needs neither
+NumPy nor the training code, so reading a record loads neither.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import lru_cache
+from numbers import Integral, Real
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, DataFormatError, check_fields, decode
+from .errors import ConfigError, DataFormatError, SoupkitError
 from .fileio import read_json, write_json
 
 if TYPE_CHECKING:
     from .tensorstore import Checkpoint
+
+# A record class's field annotations, resolved once per class.
+_field_types = lru_cache(maxsize=None)(typing.get_type_hints)
+
+
+def _matches(value: object, hint: object) -> bool:
+    """True if ``value`` has type ``hint``.  A bool is neither an int nor a float here, an
+    int is any Integral (8.0 is not), and a float any finite Real."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_matches(value, arg) for arg in args)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1:] == (Ellipsis,):
+            return all(_matches(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_matches, value, args))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is int:
+        return isinstance(value, Integral)
+    if hint is float:
+        return isinstance(value, Real) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
+class _Record:
+    """Base of every record: building one raises ConfigError unless each field matches
+    its annotation (NaN and ``true`` pass range checks), then checks the record's rules."""
+
+    def __post_init__(self) -> None:
+        for name, hint in _field_types(type(self)).items():
+            value = getattr(self, name)
+            if not _matches(value, hint):
+                shown = hint.__name__ if isinstance(hint, type) else hint
+                raise ConfigError(f"{name} must be {shown}, got {value!r} (floats must be "
+                                  "finite, bools are not ints)")
+        self._check()
+
+    def _check(self) -> None:
+        """The record's rules beyond its field types; a broken one raises."""
+
+
+def _convert(value: object, hint: object, where: str, error: type[SoupkitError]) -> object:
+    """Parsed JSON ``value`` as a ``hint``: objects become records, lists tuples."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return None if value is None else _convert(value, args[0], where, error)
+    if is_dataclass(hint):
+        return decode(hint, value, where, error)
+    if origin is tuple and isinstance(value, list):
+        if args[-1:] == (Ellipsis,):
+            return tuple(_convert(item, args[0], f"{where}[{i}]", error)
+                         for i, item in enumerate(value))
+        return tuple(value)
+    return value
+
+
+def decode(cls: type, raw: object, where: str, error: type[SoupkitError] = ConfigError):
+    """The ``cls`` record from the JSON object ``raw``; lists become tuples and objects
+    nested records.  A bad ``raw`` raises ``error``, the category of the file it was
+    read from, with ``where`` in front of the message."""
+    if not isinstance(raw, dict):
+        raise error(f"{where} must be an object, got {raw!r}")
+    hints = _field_types(cls)
+    unknown = sorted(set(raw) - set(hints))
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if unknown or missing:
+        raise error(f"{where}: unknown keys {unknown}, missing keys {missing}")
+    # Nested records are built first: their errors already say where they are.
+    values = {k: _convert(v, hints[k], f"{where}.{k}", error) for k, v in raw.items()}
+    try:
+        return cls(**values)
+    except (ConfigError, TypeError, ValueError) as exc:  # the record does not know its file
+        raise error(f"{where}: {exc}") from exc
+
 
 SHIFT_KINDS = ("mean-shift", "noise-inflation", "rotation")
 OPTIMIZERS = ("sgd", "adamw")
@@ -32,7 +113,7 @@ MIXUP_ALPHA_MAX = 4.0
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(_Record):
     input_dim: int = 16
     num_classes: int = 8
     num_train: int = 4096
@@ -45,8 +126,7 @@ class DatasetConfig:
     shift_magnitude: float = 1.5
     seed: int = 0
 
-    def validate(self) -> None:
-        check_fields(self)
+    def _check(self) -> None:
         for name in ("input_dim", "num_train", "num_val", "num_test", "num_shift"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -60,12 +140,12 @@ class DatasetConfig:
 
 
 @dataclass(frozen=True)
-class ArchSpec:
+class ArchSpec(_Record):
     """Full width chain, input through hidden layers to class count."""
 
     layer_widths: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.layer_widths) < 3:
             raise ValueError("need at least one hidden layer: (in, hidden..., classes)")
         if any(w < 1 for w in self.layer_widths):
@@ -85,7 +165,7 @@ class ArchSpec:
 
 
 @dataclass(frozen=True)
-class HyperConfig:
+class HyperConfig(_Record):
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
     epochs: int = 8
@@ -99,8 +179,7 @@ class HyperConfig:
     ema_decay: float | None = None
     sam_rho: float | None = None
 
-    def validate(self) -> None:
-        check_fields(self)
+    def _check(self) -> None:
         for name in ("learning_rate", "weight_decay", "mixup_alpha", "input_noise_std"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
@@ -130,7 +209,7 @@ class HyperConfig:
 
 
 @dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(_Record):
     """Sampling ranges for random hyperparameter search.
 
     Draw order per candidate, from PortableRng(derive_seed(master, i)):
@@ -152,9 +231,8 @@ class SearchSpace:
     optimizer: str = "adamw"
     schedule: str = "cosine"
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         """ConfigError unless every candidate drawn from this space is a valid HyperConfig."""
-        check_fields(self)
         for name in ("lr_exponent_range", "wd_exponent_range", "epochs_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -169,13 +247,12 @@ class SearchSpace:
             raise ConfigError("mixup_max and noise_std_max must be nonnegative")
         if self.mixup_max > MIXUP_ALPHA_MAX:
             raise ConfigError(f"mixup_max must be at most {MIXUP_ALPHA_MAX}")
-        # Fields every candidate copies as they are.
-        fixed = HyperConfig(batch_size=self.batch_size, optimizer=self.optimizer, schedule=self.schedule)
-        fixed.validate()
+        # Fields every candidate copies as they are; building the config checks them.
+        HyperConfig(batch_size=self.batch_size, optimizer=self.optimizer, schedule=self.schedule)
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """A sweep's configs: ``count`` random-search draws from ``space`` (default
     SearchSpace()) seeded by ``master_seed``, or the ``configs`` listed."""
 
@@ -184,8 +261,7 @@ class SweepSpec:
     space: SearchSpace | None = None
     configs: tuple[HyperConfig, ...] | None = None
 
-    def validate(self) -> None:
-        check_fields(self)
+    def _check(self) -> None:
         if self.configs is not None:
             if not self.configs or (self.count, self.master_seed, self.space) != (None,) * 3:
                 raise ConfigError("configs must be a nonempty list, with no count, master_seed "
@@ -196,7 +272,7 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """A run config; each section is optional until a command needs it."""
 
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -205,8 +281,8 @@ class RunConfig:
     sweep: SweepSpec | None = None
 
 
-@dataclass
-class SweepEntry:
+@dataclass(frozen=True)
+class SweepEntry(_Record):
     index: int
     config: HyperConfig
     path: str | None = None
@@ -215,14 +291,13 @@ class SweepEntry:
     ema_val_accuracy: float | None = None
     error: str | None = None
 
-    def validate(self) -> None:
-        check_fields(self)
+    def _check(self) -> None:
         if self.error is None and (self.path is None or self.val_accuracy is None):
             raise ConfigError("an entry without error needs a path and a val_accuracy")
 
 
 @dataclass
-class SweepManifest:
+class SweepManifest(_Record):
     """A sweep's entries; ``directory`` is where the file lies, not a field of it."""
 
     entries: tuple[SweepEntry, ...]
@@ -255,7 +330,7 @@ def load_manifest(path: str | Path) -> SweepManifest:
 
 
 @dataclass(frozen=True)
-class TensorEntry:
+class TensorEntry(_Record):
     """One tensor of a checkpoint header: ``nbytes`` of float32 at ``offset`` past the
     payload base."""
 
@@ -264,8 +339,7 @@ class TensorEntry:
     offset: int
     nbytes: int
 
-    def validate(self) -> None:
-        check_fields(self)
+    def _check(self) -> None:
         if min(self.shape, default=1) < 0 or self.nbytes != math.prod(self.shape) * 4:
             raise ConfigError(f"tensor {self.name!r}: shape {self.shape} does not match "
                               f"{self.nbytes} bytes")
@@ -274,13 +348,13 @@ class TensorEntry:
 
 
 @dataclass(frozen=True)
-class CheckpointHeader:
+class CheckpointHeader(_Record):
     tensors: tuple[TensorEntry, ...]
     meta: dict
 
 
 @dataclass(frozen=True)
-class PairEntry:
+class PairEntry(_Record):
     """One entry of an ``approx --pairs`` file; checkpoint paths are relative to the file."""
 
     id: str

@@ -50,9 +50,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CheckpointFormatError, NonFiniteError, ShapeMismatchError, decode
+from .errors import CheckpointFormatError, NonFiniteError, ShapeMismatchError
 from .fileio import atomic_write_bytes
-from .schema import CheckpointHeader, TensorEntry
+from .schema import CheckpointHeader, TensorEntry, decode
 
 MAGIC = b"SOUPCKPT"
 FORMAT_VERSION = 1

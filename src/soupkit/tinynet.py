@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError
 from .rng import PortableRng, derive_seed
 from .schema import ArchSpec
 from .tensorstore import Checkpoint, Params, as_params, axpy
@@ -369,9 +369,12 @@ def predictions(logits: np.ndarray) -> np.ndarray:
 
 
 def evaluate_logits(logits: np.ndarray, labels: np.ndarray) -> EvalReport:
-    """Loss and top-1 error of known logits."""
+    """Loss and top-1 error of known logits; NonFiniteError when the loss is not finite,
+    since argmax over NaN logits picks the first NaN, not a prediction."""
     labels = np.asarray(labels)
     loss = loss_ce(logits, labels)
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"non-finite loss {loss!r} over {labels.size} rows")
     err = float(np.mean(predictions(logits) != labels))
     return EvalReport(count=len(labels), loss=loss, top1_error=err)
 

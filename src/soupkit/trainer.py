@@ -193,7 +193,6 @@ def _finalize(params: Params, meta: dict[str, str], dataset: Dataset) -> Checkpo
 
 def pretrain(arch: ArchSpec, dataset: Dataset, cfg: HyperConfig) -> Checkpoint:
     """Train a fresh base model from a seeded init; returns theta0."""
-    cfg.validate()
     init = init_checkpoint(arch, cfg.seed)
     params, _, loss_init, loss_final = _train_loop(as_params(init), cfg, dataset)
     meta = {
@@ -212,7 +211,6 @@ def finetune(theta0: Checkpoint, h: HyperConfig, dataset: Dataset) -> TrainResul
 
     A base that does not fit the dataset raises ShapeMismatchError.
     """
-    h.validate()
     base_digest = content_digest(theta0)
     params, ema, loss_init, loss_final = _train_loop(as_params(theta0), h, dataset)
     meta = {
@@ -235,7 +233,6 @@ def random_search_configs(
     count: int, master_seed: int, space: SearchSpace = SearchSpace()
 ) -> list[HyperConfig]:
     """Independent random-search candidates; lr/wd are log-uniform."""
-    space.validate()
     configs = []
     for i in range(count):
         rng = PortableRng(derive_seed(master_seed, i))
@@ -313,22 +310,21 @@ def run_sweep(
 
     entries = []
     for index, h in enumerate(configs):
-        entry = SweepEntry(index=index, config=h)
-        entries.append(entry)
         try:
             result = finetune(theta0, h, dataset)
         except SoupkitError as exc:
-            entry.error = f"{type(exc).__name__}: {exc}"
+            entries.append(SweepEntry(index, h, error=f"{type(exc).__name__}: {exc}"))
             continue
         name = f"model_{index:03d}.ckpt"
         save_checkpoint(result.checkpoint, out_dir / name)
-        entry.path = name
-        entry.val_accuracy = float(result.checkpoint.meta["val_accuracy"])
+        ema_name = ema_accuracy = None
         if result.ema is not None:
             ema_name = f"model_{index:03d}.ema.ckpt"
             save_checkpoint(result.ema, out_dir / ema_name)
-            entry.ema_path = ema_name
-            entry.ema_val_accuracy = float(result.ema.meta["val_accuracy"])
+            ema_accuracy = float(result.ema.meta["val_accuracy"])
+        accuracy = float(result.checkpoint.meta["val_accuracy"])
+        entries.append(SweepEntry(index, h, path=name, val_accuracy=accuracy,
+                                  ema_path=ema_name, ema_val_accuracy=ema_accuracy))
 
     manifest = SweepManifest(entries=tuple(entries), theta0_digest=content_digest(theta0))
     manifest.directory = str(out_dir)

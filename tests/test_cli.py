@@ -902,6 +902,12 @@ DEFECTS = {
     "set-arch-not-the-data": Defect(
         "--set", CONFIG, "config", _flags, (("--set", "arch.layer_widths=[5, 8, 3]"),),
         exits={"datagen": SUCCESS, "sweep": SUCCESS}),
+    # only a sweep draws from the space, and 10**-exponent is an infinite rate
+    # here (this exited 6 once, writing the manifest)
+    "set-space-draws-an-infinite-rate": Defect(
+        "--set", CONFIG, "config", _flags,
+        (("--set", SPACE_SWEEP, "--set", "sweep.space.lr_exponent_range=[-400,-350]"),),
+        exits={"datagen": SUCCESS, "pretrain": SUCCESS}),
     "set-diverging-pretrain": Defect(
         "--set", DIVERGED, "divergence", _flags,
         (("--set", "pretrain.optimizer=sgd", "--set", "pretrain.learning_rate=1e8",
@@ -954,11 +960,10 @@ DEFECTS = {
         "model", SHAPE, "shape-mismatch", _misfit_without_data_config, ((5, 6, 3), (4, 6, 2)),
         exits={"soup-uniform": SUCCESS}),
     # A sweep records each fine-tune that diverges and goes on; soup uniform runs
-    # no model; soup greedy and grid-study score by accuracy alone, and argmax
-    # takes the first NaN logit; the plane's axes overflow.
+    # no model; the plane's axes overflow.
     "model-overflowing": Defect(
         "model", SHAPE, "non-finite", lambda inputs, _: _use_model(inputs, inputs["overflow"]),
-        exits={**dict.fromkeys(("sweep", "soup-uniform", "soup-greedy", "grid-study"), SUCCESS),
+        exits={**dict.fromkeys(("sweep", "soup-uniform"), SUCCESS),
                "plane": (SHAPE, "degenerate-geometry")}),
     "model-missing": Defect("model", MISSING, "missing-input",
                             lambda inputs, _: _use_model(inputs, inputs["tmp"] / "missing.ckpt")),

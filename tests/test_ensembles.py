@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from soupkit import ensembles, soups
+from soupkit.errors import NonFiniteError
 from soupkit.rng import PortableRng
-from soupkit.tinynet import forward, loss_ce
+from soupkit.tensorstore import Checkpoint
+from soupkit.tinynet import ArchSpec, forward, init_checkpoint, loss_ce
 
 
 # --------------------------------------------------------- logit ensemble
@@ -101,6 +103,17 @@ def test_greedy_ensemble_on_trained_models_beats_best_individual(
     pooled = scorer([desk_models[i] for i in members])
     best_single = max(scorer([m]) for m in desk_models)
     assert pooled >= best_single
+
+
+def test_greedy_ensemble_takes_no_accuracy_from_overflowing_logits(desk_models, desk_dataset):
+    # Weights of 3e38 are finite in float32, but four hidden layers of them overflow
+    # the logits; argmax would score such a member, and the greedy step reject it.
+    shapes = init_checkpoint(ArchSpec((8, 5, 5, 5, 5, 4)), 0)
+    overflowing = Checkpoint.from_arrays({n: np.full(a.shape, 3e38) for n, a in shapes.items()})
+    val = desk_dataset.splits["val"]
+    scorer = ensembles.ensemble_accuracy_fn(val.x, val.y)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        ensembles.greedy_ensemble([*desk_models, overflowing], scorer)
 
 
 # ------------------------------------------------------ temperature fitting

@@ -1,7 +1,10 @@
-"""The config decoder: one JSON-object -> dataclass path, typed by the annotations.
+"""The records of ``soupkit.schema``: each checks itself when it is built, and
+:func:`~soupkit.schema.decode` is the one JSON-object -> record path, typed by the
+annotations.
 
-The wrong-type test walks ``dataclasses.fields`` of every config class,
-so a field added later is covered without editing this file.
+The wrong-type tests walk ``dataclasses.fields`` of every record, and a
+record missing from ``VALID`` fails a test, so a record or field added later
+is covered without editing the walk.
 """
 
 from __future__ import annotations
@@ -13,18 +16,37 @@ import typing
 
 import pytest
 
-from soupkit.datagen import DatasetConfig
-from soupkit.errors import ConfigError, decode
-from soupkit.tinynet import ArchSpec
-from soupkit.trainer import HyperConfig, SearchSpace, SweepEntry
+from soupkit import schema
+from soupkit.errors import ConfigError
+from soupkit.schema import (
+    ArchSpec,
+    CheckpointHeader,
+    DatasetConfig,
+    HyperConfig,
+    PairEntry,
+    RunConfig,
+    SearchSpace,
+    SweepEntry,
+    SweepManifest,
+    SweepSpec,
+    TensorEntry,
+    decode,
+)
 
-# A valid JSON object per config class; the fields it leaves out keep their defaults.
+# A valid JSON object per record; the fields it leaves out keep their defaults.
 VALID = {
     DatasetConfig: {},
     HyperConfig: {},
     SearchSpace: {},
+    SweepSpec: {"count": 2, "master_seed": 0},
+    RunConfig: {},
     SweepEntry: {"index": 0, "config": {}, "path": "m.ckpt", "val_accuracy": 0.5},
+    SweepManifest: {"entries": [{"index": 0, "config": {}, "error": "x"}], "theta0_digest": "d"},
     ArchSpec: {"layer_widths": [4, 5, 3]},
+    TensorEntry: {"name": "w", "shape": [2, 3], "offset": 0, "nbytes": 24},
+    CheckpointHeader: {"tensors": [{"name": "w", "shape": [], "offset": 0, "nbytes": 4}],
+                       "meta": {}},
+    PairEntry: {"id": "a", "theta0": "a.ckpt", "theta1": "b.ckpt"},
 }
 
 
@@ -33,6 +55,8 @@ def _valid_value(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return _valid_value(args[0])
+    if dataclasses.is_dataclass(hint):
+        return VALID[hint]
     return {int: 1, float: 0.5, str: "s"}[hint]
 
 
@@ -45,7 +69,7 @@ def _wrong_values(hint) -> list:
     if origin is tuple:
         items = [args[0]] * 3 if args[-1] is Ellipsis else list(args)
         good = [_valid_value(item) for item in items]
-        wrong = [good[:-1], good + good[-1:]] if args[-1] is not Ellipsis else [good[:1]]
+        wrong = [good[:-1], good + good[-1:]] if args[-1] is not Ellipsis else []
         for i, item in enumerate(items):
             wrong += [good[:i] + [bad] + good[i + 1:] for bad in _wrong_values(item)]
         return [*wrong, 5, "s"]
@@ -55,13 +79,30 @@ def _wrong_values(hint) -> list:
         int: [True, False, 8.0, 1.5, "8", None],
         float: [math.nan, math.inf, -math.inf, "0.5", True, None],
         str: [5, 0.5, True, None, ["s"]],
+        dict: [5, "s", [], None],
     }[hint]
+
+
+def _built(value, hint):
+    """JSON ``value`` as code passes it to a field of type ``hint``: lists become
+    tuples, and the objects of VALID their records."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        return _built(value, args[0])
+    if dataclasses.is_dataclass(hint) and value == VALID[hint]:
+        return decode(hint, value, "valid")
+    if origin is tuple and isinstance(value, list):
+        if args[-1] is Ellipsis:
+            return tuple(_built(item, args[0]) for item in value)
+        return tuple(value)
+    return value
 
 
 CASES = [
     pytest.param(cls, field.name, bad, id=f"{cls.__name__}.{field.name}={bad!r}")
     for cls in VALID
     for field in dataclasses.fields(cls)
+    if field.init
     for bad in _wrong_values(typing.get_type_hints(cls)[field.name])
 ]
 
@@ -72,11 +113,23 @@ def test_decode_rejects_a_wrong_typed_value_in_every_field(cls, name, bad):
         decode(cls, {**VALID[cls], name: bad}, "where")
 
 
+@pytest.mark.parametrize("cls, name, bad", CASES)
+def test_building_a_record_with_a_wrong_typed_value_raises(cls, name, bad):
+    valid = decode(cls, VALID[cls], "valid")
+    values = {f.name: getattr(valid, f.name) for f in dataclasses.fields(cls) if f.init}
+    with pytest.raises(ConfigError):
+        cls(**{**values, name: _built(bad, typing.get_type_hints(cls)[name])})
+
+
 def test_every_config_class_and_field_is_walked():
+    declared = {obj for obj in vars(schema).values()
+                if dataclasses.is_dataclass(obj) and obj.__module__ == schema.__name__}
+    assert declared == set(VALID)
     assert {case.values[0] for case in CASES} == set(VALID)
     for cls in VALID:
+        assert cls.__post_init__ is schema._Record.__post_init__
         named = {case.values[1] for case in CASES if case.values[0] is cls}
-        assert named == {field.name for field in dataclasses.fields(cls)}
+        assert named == {field.name for field in dataclasses.fields(cls) if field.init}
 
 
 def test_decode_builds_tuples_and_nested_configs():

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from oracles import checkpoints_equal
 from soupkit import tinynet
-from soupkit.errors import ShapeMismatchError
+from soupkit.errors import NonFiniteError, ShapeMismatchError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint, Params
 from soupkit.tinynet import (
@@ -485,6 +485,14 @@ def test_evaluate_calibrated_loss():
     report = evaluate_logits(logits, labels)
     assert report.calibrated_loss is None
     assert report.loss == pytest.approx(loss_ce(logits, labels), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_reports_no_accuracy_from_non_finite_logits(bad):
+    # argmax would pick the first NaN as the prediction: an accuracy of nothing
+    logits = np.array([[1.0, 2.0, 0.0], [bad, 0.0, 1.0]])
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite loss"):
+        evaluate_logits(logits, np.array([1, 2]))
 
 
 def test_argmax_ties_break_to_lowest_index():

@@ -11,9 +11,10 @@ import pytest
 
 from oracles import checkpoints_equal
 from soupkit import trainer
-from soupkit.datagen import Dataset, DatasetConfig, generate
-from soupkit.errors import ConfigError, DivergenceError, ShapeMismatchError, decode
+from soupkit.datagen import Dataset, DatasetConfig, Split, generate
+from soupkit.errors import ConfigError, DivergenceError, NonFiniteError, ShapeMismatchError
 from soupkit.rng import PortableRng
+from soupkit.schema import decode
 from soupkit.tensorstore import content_digest, load, serialize
 from soupkit.tinynet import ArchSpec, evaluate, init_checkpoint
 from soupkit.trainer import (
@@ -265,28 +266,28 @@ def test_training_bytes_are_pinned(small_data):
 
 def test_hyperconfig_validation():
     with pytest.raises(ConfigError):
-        HyperConfig(learning_rate=-1).validate()
+        HyperConfig(learning_rate=-1)
     with pytest.raises(ConfigError):
-        HyperConfig(epochs=0).validate()
+        HyperConfig(epochs=0)
     with pytest.raises(ConfigError):
-        HyperConfig(optimizer="lbfgs").validate()
+        HyperConfig(optimizer="lbfgs")
     with pytest.raises(ConfigError):
-        HyperConfig(schedule="linear").validate()
+        HyperConfig(schedule="linear")
     with pytest.raises(ConfigError):
-        HyperConfig(label_smoothing=1.0).validate()
+        HyperConfig(label_smoothing=1.0)
     with pytest.raises(ConfigError):
-        HyperConfig(ema_decay=1.5).validate()
+        HyperConfig(ema_decay=1.5)
     with pytest.raises(ConfigError):
-        HyperConfig(sam_rho=-0.1).validate()
+        HyperConfig(sam_rho=-0.1)
 
 
 def test_mixup_alpha_is_capped_where_the_beta_sampler_still_returns():
-    HyperConfig(mixup_alpha=trainer.MIXUP_ALPHA_MAX).validate()
-    SearchSpace(mixup_max=trainer.MIXUP_ALPHA_MAX).validate()
+    HyperConfig(mixup_alpha=trainer.MIXUP_ALPHA_MAX)
+    SearchSpace(mixup_max=trainer.MIXUP_ALPHA_MAX)
     with pytest.raises(ConfigError, match="mixup_alpha"):
-        HyperConfig(mixup_alpha=20.0).validate()
+        HyperConfig(mixup_alpha=20.0)
     with pytest.raises(ConfigError, match="mixup_max"):
-        SearchSpace(mixup_max=4.5).validate()
+        SearchSpace(mixup_max=4.5)
 
 
 def test_sweep_with_a_tiny_mixup_alpha_finishes(small_data, tmp_path):
@@ -407,6 +408,21 @@ def test_run_sweep_partial_failure(small_data, tmp_path):
     raw = json.loads((tmp_path / "manifest.json").read_text())
     assert raw["entries"][1]["error"] is not None
     assert load_manifest(tmp_path / "manifest.json").entries[1].error == manifest.entries[1].error
+
+
+def test_a_non_finite_validation_loss_fails_the_entry_and_pretrain(small_data, tmp_path):
+    # Validation rows this far out overflow the logits, and an accuracy taken by
+    # argmax over NaN logits would be recorded as if it were a prediction's.
+    far = Split(np.full(small_data.val.x.shape, 1e308), small_data.val.y)
+    data = Dataset(splits={**small_data.splits, "val": far}, config=small_data.config)
+    theta0 = pretrain(ARCH, small_data, _fast())
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="non-finite loss"):
+            pretrain(ARCH, data, _fast())
+        manifest = run_sweep(theta0, [_fast(seed=1), _fast(seed=2, ema_decay=0.9)], data, tmp_path)
+    assert [e.error.split(":")[0] for e in manifest.entries] == ["NonFiniteError"] * 2
+    assert [e.path for e in manifest.entries] == [None, None]
+    assert load_manifest(tmp_path / "manifest.json").entries == manifest.entries
 
 
 # another input width, fewer classes than the labels, more than the config
