@@ -58,7 +58,7 @@ from .tinynet import (
     hessian_quadratic_form,
     logit_second_directional,
     loss_ce,
-    predictions,
+    top1_error,
 )
 
 ALPHA_FD_STEP = 0.05
@@ -77,10 +77,6 @@ def _segment(theta0: Checkpoint | Params, theta1: Checkpoint | Params) -> tuple[
     """Both endpoints in float64 and the delta theta1 - theta0 between them."""
     p0, p1 = as_params(theta0), as_params(theta1)
     return p0, p1, axpy(p1, p0, -1.0)
-
-
-def _error_rate(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(predictions(logits) != labels))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
@@ -388,7 +384,7 @@ def _approx_record(
     approx = c_alpha * (-second_derivative + beta**2 * variance)
 
     true_loss_diff = loss_ce(f_soup, labels, 0.0, beta) - loss_ce(f_ens, labels, 0.0, beta)
-    true_err_diff = _error_rate(f_soup, labels) - _error_rate(f_ens, labels)
+    true_err_diff = top1_error(f_soup, labels) - top1_error(f_ens, labels)
 
     values = (approx, true_loss_diff, true_err_diff, second_derivative, variance)
     if not all(math.isfinite(v) for v in values):

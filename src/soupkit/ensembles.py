@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError
 from .fileio import cell, write_table
 from .tensorstore import Checkpoint, content_digest
 from .tinynet import (
@@ -48,55 +47,41 @@ _FLAT_EPS = 1e-12
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def logit_ensemble(
-    models: Sequence[Checkpoint],
-    X: np.ndarray,
-    *,
-    logits_cache: dict[str, np.ndarray] | None = None,
+def _uniform_mean(
+    models: Sequence[Checkpoint], logits_of: Callable[[Checkpoint], np.ndarray]
 ) -> np.ndarray:
-    """Uniform mean of per-model logits, shape [n, num_classes].
-
-    Sums ``(1/k) * logits`` left to right over the k models.
-    ``logits_cache`` maps a checkpoint's ``content_digest`` to its
-    logits on this X: a member found there is not forwarded again, and
-    a missing one is added.  Use one cache per X.
-    """
+    """Sum of ``(1/k) * logits_of(model)`` left to right over the k models,
+    taking one model's logits at a time."""
     if not models:
-        raise ValueError("logit_ensemble needs at least one model")
+        raise ValueError("a logit ensemble needs at least one model")
     w = 1.0 / len(models)
-
-    def logits_of(model: Checkpoint) -> np.ndarray:
-        if logits_cache is None or not isinstance(model, Checkpoint):
-            return forward(model, X)
-        key = content_digest(model)
-        if key not in logits_cache:
-            logits_cache[key] = forward(model, X)
-        return logits_cache[key]
-
     acc = w * logits_of(models[0])
     for model in models[1:]:
         acc = acc + w * logits_of(model)
     return acc
 
 
+def logit_ensemble(models: Sequence[Checkpoint], X: np.ndarray) -> np.ndarray:
+    """Uniform mean of per-model logits, shape [n, num_classes]: the sum of
+    ``(1/k) * forward(model, X)`` left to right over the k models."""
+    return _uniform_mean(models, lambda model: forward(model, X))
+
+
 def ensemble_accuracy_fn(X: np.ndarray, y: np.ndarray) -> Callable[[Sequence[Checkpoint]], float]:
-    """Scorer: top-1 accuracy of the uniform logit ensemble of a pool.
+    """Scorer: the accuracy ``evaluate_logits`` reports for the uniform logit ensemble of a pool.
 
     Each distinct member (by content digest) is forwarded once over the
     scorer's life, so a greedy search forwards every candidate once.
     """
-    labels = np.asarray(y)
     cache: dict[str, np.ndarray] = {}
 
-    def score(members: Sequence[Checkpoint]) -> float:
-        logits = logit_ensemble(members, X, logits_cache=cache)
-        if not np.isfinite(logits).all():  # argmax would take the first NaN as the prediction
-            raise NonFiniteError("non-finite ensemble logits")
-        # First index wins ties, matching single-model prediction.
-        pred = np.argmax(logits, axis=1)
-        return float(np.mean(pred == labels))
+    def logits_of(model: Checkpoint) -> np.ndarray:
+        key = content_digest(model)
+        if key not in cache:
+            cache[key] = forward(model, X)
+        return cache[key]
 
-    return score
+    return lambda members: evaluate_logits(_uniform_mean(members, logits_of), y).accuracy
 
 
 def greedy_ensemble(

@@ -237,6 +237,8 @@ class SearchSpace(_Record):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ConfigError(f"{name} must be an ordered pair, got {(lo, hi)!r}")
+            if name != "epochs_range" and lo < -308:  # a rate 10**-exponent past 1e308 is inf
+                raise ConfigError(f"{name} must not go below -308, got {(lo, hi)!r}")
         if self.epochs_range[0] < 1:
             raise ConfigError(f"epochs_range must hold integers >= 1, got {self.epochs_range!r}")
         for name in ("smoothing_max", "smoothing_off_probability", "mixup_off_probability",

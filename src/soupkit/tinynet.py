@@ -368,6 +368,11 @@ def predictions(logits: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(logits), axis=-1)
 
 
+def top1_error(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose prediction is not the label."""
+    return float(np.mean(predictions(logits) != labels))
+
+
 def evaluate_logits(logits: np.ndarray, labels: np.ndarray) -> EvalReport:
     """Loss and top-1 error of known logits; NonFiniteError when the loss is not finite,
     since argmax over NaN logits picks the first NaN, not a prediction."""
@@ -375,8 +380,7 @@ def evaluate_logits(logits: np.ndarray, labels: np.ndarray) -> EvalReport:
     loss = loss_ce(logits, labels)
     if not np.isfinite(loss):
         raise NonFiniteError(f"non-finite loss {loss!r} over {labels.size} rows")
-    err = float(np.mean(predictions(logits) != labels))
-    return EvalReport(count=len(labels), loss=loss, top1_error=err)
+    return EvalReport(count=len(labels), loss=loss, top1_error=top1_error(logits, labels))
 
 
 def evaluate(

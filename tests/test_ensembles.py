@@ -14,7 +14,14 @@ from soupkit import ensembles, soups
 from soupkit.errors import NonFiniteError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint
-from soupkit.tinynet import ArchSpec, forward, init_checkpoint, loss_ce
+from soupkit.tinynet import (
+    ArchSpec,
+    evaluate_logits,
+    forward,
+    init_checkpoint,
+    loss_ce,
+    predictions,
+)
 
 
 # --------------------------------------------------------- logit ensemble
@@ -49,6 +56,22 @@ def test_logit_ensemble_validates_inputs(desk_models, desk_dataset):
 
 
 # --------------------------------------------------------- greedy members
+
+
+def test_greedy_score_is_the_reported_accuracy(desk_models, desk_dataset):
+    # One of three rows right: 1 - 2/3 and 1/3 differ in the last bit, so a
+    # scorer with its own accuracy rule would rank by another number.
+    X = desk_dataset.splits["val"].x[:3]
+    pool = desk_models[:2]
+    logits = ensembles.logit_ensemble(pool, X)
+    pred = predictions(logits)
+    y = np.where(np.arange(3) == 0, pred, (pred + 1) % logits.shape[1])
+    scorer = ensembles.ensemble_accuracy_fn(X, y)
+    assert scorer(pool) == evaluate_logits(logits, y).accuracy
+    with pytest.raises(ValueError):
+        ensembles.logit_ensemble([], X)
+    with pytest.raises(ValueError):
+        scorer([])
 
 
 def _subset_scorer_table(table):

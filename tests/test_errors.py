@@ -155,14 +155,23 @@ def test_decode_builds_tuples_and_nested_configs():
         (SweepEntry, {**VALID[SweepEntry], "note": "x"}),
         (SweepEntry, {"index": 0, "config": {}}),
         (SearchSpace, {"lr_exponent_range": [4, 1]}),
+        (SearchSpace, {"lr_exponent_range": [-400, -350]}),
+        (SearchSpace, {"wd_exponent_range": [-309, 1]}),
     ],
     ids=["list", "null", "unknown-key", "missing-key", "too-few-widths", "zero-width",
          "entry-missing-index", "entry-unknown-key", "entry-without-error-or-path",
-         "unordered-range"],
+         "unordered-range", "lr-range-draws-an-infinite-rate", "wd-range-draws-an-infinite-rate"],
 )
 def test_decode_rejects_malformed_objects(cls, raw):
     with pytest.raises(ConfigError):
         decode(cls, raw, "where")
+
+
+def test_a_space_that_draws_an_infinite_rate_names_its_range():
+    # 10**-exponent: 1e308 is finite, 1e309 is not
+    decode(SearchSpace, {"wd_exponent_range": [-308, 1]}, "config.sweep.space")
+    with pytest.raises(ConfigError, match=r"^config\.sweep\.space: wd_exponent_range "):
+        decode(SearchSpace, {"wd_exponent_range": [-309, 1]}, "config.sweep.space")
 
 
 def test_a_failed_entry_may_omit_its_path():

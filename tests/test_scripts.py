@@ -1,5 +1,6 @@
 """The scripts in scripts/: the example studies run end to end and write parseable
-CSVs, and the pipeline script runs the commands the benchmark's cli workload runs."""
+CSVs, and the pipeline script runs the commands the benchmark's cli workload runs.
+README's library quickstart runs as written."""
 
 from __future__ import annotations
 
@@ -63,3 +64,13 @@ def test_pipeline_script_runs_the_benchmark_cli_commands(tmp_path, monkeypatch):
     import workloads
 
     assert recorded == workloads.Cli.commands()
+
+
+def test_readme_library_quickstart_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("## Quickstart (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    accuracy, shape, angle = capsys.readouterr().out.splitlines()
+    assert 0.0 <= float(accuracy) <= 1.0
+    assert shape == "(160, 5)"
+    assert 0.0 <= float(angle) <= 180.0
