@@ -615,12 +615,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             args.func(args)
         return EXIT_OK
-    except Exception as exc:  # mapped to documented exit codes below
-        for kind, category, code in _ERROR_EXITS:
-            if isinstance(exc, kind):
-                _emit_error(category, exc)
-                return code
-        raise  # unreachable: Exception is the last mapping
+    except Exception as exc:  # the first row it is an instance of; the last row is Exception
+        _, category, code = next(row for row in _ERROR_EXITS if isinstance(exc, row[0]))
+        _emit_error(category, exc)
+        return code
 
 
 def run() -> int:

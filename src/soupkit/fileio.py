@@ -13,6 +13,7 @@ newline.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -33,11 +34,17 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
             handle.write(data)
         os.replace(tmp, target)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def sha256(data: bytes = b""):
+    try:  # CPython's own module on first use: hashlib loads OpenSSL, which costs start-up
+        from _sha256 import sha256 as new
+    except ImportError:
+        from hashlib import sha256 as new
+    return new(data)
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:

@@ -14,41 +14,66 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import lru_cache
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import lru_cache, partial
 from numbers import Integral, Real
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigError, DataFormatError, SoupkitError
-from .fileio import read_json, write_json
+from .fileio import read_json, sha256, write_json
 
 if TYPE_CHECKING:
     from .tensorstore import Checkpoint
 
-# A record class's field annotations, resolved once per class.
-_field_types = lru_cache(maxsize=None)(typing.get_type_hints)
+
+def _as_is(value: object, where: str, error: type[SoupkitError]) -> object:
+    return value
 
 
-def _matches(value: object, hint: object) -> bool:
-    """True if ``value`` has type ``hint``.  A bool is neither an int nor a float here, an
-    int is any Integral (8.0 is not), and a float any finite Real."""
+def _compile(hint: object) -> tuple[Callable[[object], bool], Callable[..., object]]:
+    """``(check, read)`` for a field annotated ``hint``.  ``check(value)``: a record may hold
+    ``value`` (a bool is no int or float, 8.0 is no int, a float is finite).
+    ``read(value, where, error)``: parsed JSON as a ``hint``, objects as records, lists tuples."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_matches(value, arg) for arg in args)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        check, read = _compile(args[0])
+        return (lambda v: v is None or check(v),
+                lambda v, where, error: None if v is None else read(v, where, error))
+    if is_dataclass(hint):
+        return lambda v: isinstance(v, hint), partial(decode, hint)
+    if origin is tuple and args[-1:] == (Ellipsis,):
+        check, read = _compile(args[0])
+        return (lambda v: isinstance(v, tuple) and all(map(check, v)),
+                lambda v, where, error: tuple(read(item, f"{where}[{i}]", error)
+                                              for i, item in enumerate(v))
+                if isinstance(v, list) else v)
     if origin is tuple:
-        if not isinstance(value, tuple):
-            return False
-        if args[-1:] == (Ellipsis,):
-            return all(_matches(item, args[0]) for item in value)
-        return len(value) == len(args) and all(map(_matches, value, args))
-    if hint in (int, float) and isinstance(value, bool):
-        return False
+        checks = [_compile(arg)[0] for arg in args]
+        return (lambda v: isinstance(v, tuple) and len(v) == len(checks)
+                and all(check(item) for check, item in zip(checks, v)),
+                lambda v, where, error: tuple(v) if isinstance(v, list) else v)
     if hint is int:
-        return isinstance(value, Integral)
+        return lambda v: isinstance(v, Integral) and not isinstance(v, bool), _as_is
     if hint is float:
-        return isinstance(value, Real) and math.isfinite(value)
-    return isinstance(value, hint)
+        return (lambda v: isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v),
+                _as_is)
+    return lambda v: isinstance(v, hint), _as_is
+
+
+@lru_cache(maxsize=None)
+def _plan(cls: type) -> dict[str, types.SimpleNamespace]:
+    """Each field of the record class ``cls`` by name, compiled from its hint on first use:
+    the type text errors show, ``check`` and ``read`` from :func:`_compile`, and whether a
+    file must give the field (it has no default)."""
+    hints, plan = typing.get_type_hints(cls), {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        check, read = _compile(hint)
+        plan[f.name] = types.SimpleNamespace(
+            shown=hint.__name__ if isinstance(hint, type) else str(hint), check=check, read=read,
+            required=f.default is MISSING and f.default_factory is MISSING)
+    return plan
 
 
 class _Record:
@@ -56,31 +81,15 @@ class _Record:
     its annotation (NaN and ``true`` pass range checks), then checks the record's rules."""
 
     def __post_init__(self) -> None:
-        for name, hint in _field_types(type(self)).items():
+        for name, f in _plan(type(self)).items():
             value = getattr(self, name)
-            if not _matches(value, hint):
-                shown = hint.__name__ if isinstance(hint, type) else hint
-                raise ConfigError(f"{name} must be {shown}, got {value!r} (floats must be "
+            if not f.check(value):
+                raise ConfigError(f"{name} must be {f.shown}, got {value!r} (floats must be "
                                   "finite, bools are not ints)")
         self._check()
 
     def _check(self) -> None:
         """The record's rules beyond its field types; a broken one raises."""
-
-
-def _convert(value: object, hint: object, where: str, error: type[SoupkitError]) -> object:
-    """Parsed JSON ``value`` as a ``hint``: objects become records, lists tuples."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):  # X | None
-        return None if value is None else _convert(value, args[0], where, error)
-    if is_dataclass(hint):
-        return decode(hint, value, where, error)
-    if origin is tuple and isinstance(value, list):
-        if args[-1:] == (Ellipsis,):
-            return tuple(_convert(item, args[0], f"{where}[{i}]", error)
-                         for i, item in enumerate(value))
-        return tuple(value)
-    return value
 
 
 def decode(cls: type, raw: object, where: str, error: type[SoupkitError] = ConfigError):
@@ -89,14 +98,13 @@ def decode(cls: type, raw: object, where: str, error: type[SoupkitError] = Confi
     read from, with ``where`` in front of the message."""
     if not isinstance(raw, dict):
         raise error(f"{where} must be an object, got {raw!r}")
-    hints = _field_types(cls)
-    unknown = sorted(set(raw) - set(hints))
-    missing = [f.name for f in fields(cls) if f.name not in raw
-               and f.default is MISSING and f.default_factory is MISSING]
+    plan = _plan(cls)
+    unknown = sorted(raw.keys() - plan.keys())
+    missing = [name for name, f in plan.items() if f.required and name not in raw]
     if unknown or missing:
         raise error(f"{where}: unknown keys {unknown}, missing keys {missing}")
     # Nested records are built first: their errors already say where they are.
-    values = {k: _convert(v, hints[k], f"{where}.{k}", error) for k, v in raw.items()}
+    values = {k: plan[k].read(v, f"{where}.{k}", error) for k, v in raw.items()}
     try:
         return cls(**values)
     except (ConfigError, TypeError, ValueError) as exc:  # the record does not know its file
@@ -200,12 +208,10 @@ class HyperConfig(_Record):
             raise ConfigError("sam_rho must be nonnegative; zero disables the ascent step")
 
     def digest(self) -> str:
-        import hashlib  # see tensorstore.content_digest
-
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:12]
+        return sha256(self.to_json().encode("utf-8")).hexdigest()[:12]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -319,7 +325,7 @@ class SweepManifest(_Record):
 
 
 def save_manifest(manifest: SweepManifest, path: str | Path) -> None:
-    entries = [asdict(e) for e in manifest.entries]
+    entries = [{**vars(e), "config": vars(e.config)} for e in manifest.entries]
     write_json(path, {"theta0_digest": manifest.theta0_digest, "entries": entries})
 
 

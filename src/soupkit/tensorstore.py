@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, astuple
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CheckpointFormatError, NonFiniteError, ShapeMismatchError
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write_bytes, sha256
 from .schema import CheckpointHeader, TensorEntry, decode
 
 MAGIC = b"SOUPCKPT"
@@ -140,7 +139,7 @@ def serialize(ckpt: Checkpoint) -> bytes:
         entries.append(TensorEntry(name, shape, offset, (sl.stop - sl.start) * 4))
         offset = _aligned(offset + entries[-1].nbytes)
     header = json.dumps(
-        {"tensors": [asdict(e) for e in entries], "meta": dict(ckpt.meta)},
+        {"tensors": [vars(e) for e in entries], "meta": dict(ckpt.meta)},
         separators=(",", ":"), ensure_ascii=False,
     ).encode("utf-8")
     payload_base = _aligned(16 + len(header))
@@ -174,7 +173,8 @@ def deserialize(blob: bytes) -> Checkpoint:
     header = decode(CheckpointHeader, raw, "header", CheckpointFormatError)
     payload_base = _aligned(16 + header_len)
     arrays: dict[str, np.ndarray] = {}
-    for name, shape, offset, nbytes in map(astuple, header.tensors):
+    for entry in header.tensors:
+        name, shape, offset, nbytes = entry.name, entry.shape, entry.offset, entry.nbytes
         if name in arrays:
             raise CheckpointFormatError(f"tensor {name!r} declared twice")
         start = payload_base + offset
@@ -202,9 +202,7 @@ def load(path) -> Checkpoint:
 
 def content_digest(ckpt: Checkpoint) -> str:
     """Short hex digest over tensor names, shapes, and payload bytes."""
-    import hashlib  # on first use: loading OpenSSL costs start-up, and most commands never hash
-
-    h = hashlib.sha256()
+    h = sha256()
     stored = ckpt.vector.astype("<f4", copy=False)
     for name, (sl, shape) in zip(ckpt.layout.names, ckpt.layout.spans):
         h.update(name.encode("utf-8"))

@@ -603,6 +603,12 @@ def _config_section(inputs: dict, section_value) -> None:
     _file("config")(inputs, json.dumps(doc).encode())
 
 
+def _config_without(inputs: dict, section: str) -> None:
+    doc = json.loads(inputs["config"].read_text())
+    del doc[section]
+    _file("config")(inputs, json.dumps(doc).encode())
+
+
 def _use_model(inputs: dict, path: Path) -> None:
     """Make ``path`` the checkpoint every reader loads: --ckpt, --base, --ckpt-a,
     both manifest entries and the first pair's theta0."""
@@ -920,6 +926,15 @@ DEFECTS = {
         exits={"pretrain": SUCCESS, "sweep": SUCCESS}),
     "set-one-row-test-split": Defect("--set", OK, None, _flags,
                                      (("--set", "dataset.num_test=1"),)),
+    "set-empty-path-segment": Defect("--set", CONFIG, "config", _flags,
+                                     (("--set", "dataset..x=1"),)),
+    "set-path-through-a-value": Defect("--set", CONFIG, "config", _flags,
+                                       (("--set", "dataset.seed=1", "--set", "dataset.seed.x=1"),)),
+    # a section is needed only by the command that runs it
+    "config-without-arch": Defect("config", CONFIG, "config", _config_without, ("arch",),
+                                  exits={"datagen": SUCCESS, "sweep": SUCCESS}),
+    "config-without-sweep": Defect("config", CONFIG, "config", _config_without, ("sweep",),
+                                   exits={"datagen": SUCCESS, "pretrain": SUCCESS}),
     # ---- the dataset
     "data-split-not-numbers": Defect("data", FORMAT, "data-format", _data(_every_split),
                                      (b"x0,x1\nnot,numbers\n",)),
@@ -1013,6 +1028,9 @@ DEFECTS = {
     "y-range-inf": Defect("--y-range", CONFIG, "config", _flags_before_any_read,
                           (("--y-range=0:inf:3",),)),
     "x-range-two-fields": Defect("--x-range", CONFIG, "config", _flags, (("--x-range", "0:1"),)),
+    **{f"x-range-{name}": Defect("--x-range", CONFIG, "config", _flags_before_any_read,
+                                 (("--x-range", v),))
+       for name, v in (("zero-count", "0:1:0"), ("not-a-number", "a:1:2"))},
     # finite but huge plane coordinates overflow the logits
     "x-range-overflowing": Defect(
         "--x-range", SHAPE, "non-finite", _flags,
@@ -1022,6 +1040,9 @@ DEFECTS = {
                                             ((f"--x-range=0:1:{10**17}",),)),
     **{f"alphas-{v}": Defect("--alphas", CONFIG, "config", _flags, (("--alphas", v),))
        for v in ("0,1.5", "-0.1", "0.5,nan")},
+    **{f"alphas-{name}": Defect("--alphas", CONFIG, "config", _flags_before_any_read,
+                                (("--alphas", v),))
+       for name, v in (("not-a-number", "x"), ("none", ","))},
     **{f"splits-{name}": Defect("--splits", CONFIG, "config", _flags, (("--splits", v),))
        for name, v in (("comma", ","), ("empty", ""), ("two-commas", ",,"))},
     **{f"unknown-{flag[2:]}": Defect(flag, CONFIG, "config", _flags, ((flag, "holdout"),))

@@ -177,3 +177,36 @@ def test_a_space_that_draws_an_infinite_rate_names_its_range():
 def test_a_failed_entry_may_omit_its_path():
     entry = decode(SweepEntry, {"index": 3, "config": {}, "error": "DivergenceError: x"}, "e")
     assert entry.path is None and entry.val_accuracy is None
+
+
+def test_a_record_walks_its_hints_only_on_first_use(monkeypatch):
+    built = {cls: decode(cls, raw, "warm-up") for cls, raw in VALID.items()}
+
+    def walked(*args, **kwargs):
+        raise AssertionError("a record walked its type hints again")
+
+    for name in ("get_origin", "get_args", "get_type_hints"):
+        monkeypatch.setattr(typing, name, walked)
+    for cls, record in built.items():
+        assert decode(cls, VALID[cls], "again") == record
+        assert cls(**{f.name: getattr(record, f.name)
+                      for f in dataclasses.fields(cls) if f.init}) == record
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HyperConfig(epochs=True), "epochs must be int, got True"),
+        (lambda: HyperConfig(ema_decay="x"), "ema_decay must be float | None, got 'x'"),
+        (lambda: ArchSpec([1, 2, 3]), "layer_widths must be tuple[int, ...], got [1, 2, 3]"),
+        (lambda: SearchSpace(epochs_range=(1,)), "epochs_range must be tuple[int, int], got (1,)"),
+        (lambda: SweepSpec(count=2, master_seed=0, space=5),
+         "space must be soupkit.schema.SearchSpace | None, got 5"),
+        (lambda: CheckpointHeader(tensors=(), meta=5), "meta must be dict, got 5"),
+    ],
+    ids=["int", "optional-float", "tuple-of-ints", "pair", "optional-record", "dict"],
+)
+def test_a_wrong_typed_field_names_its_type(build, message):
+    with pytest.raises(ConfigError) as raised:
+        build()
+    assert str(raised.value) == f"{message} (floats must be finite, bools are not ints)"

@@ -1,12 +1,15 @@
-"""The artifact codec: finite-only JSON and CSV writers and the JSON reader."""
+"""The artifact codec: finite-only JSON and CSV writers and the JSON reader, atomic writes
+and the SHA-256 helper."""
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from soupkit.errors import DataFormatError, NonFiniteError
-from soupkit.fileio import cell, read_json, write_json, write_table
+from soupkit.fileio import atomic_write_bytes, cell, read_json, sha256, write_json, write_table
 
 
 def test_cell_formats_each_kind_by_one_rule():
@@ -67,3 +70,21 @@ def test_read_json_raises_the_given_error(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(DataFormatError, match="not valid UTF-8 JSON"):
         read_json(path, DataFormatError)
+
+
+def test_a_failed_write_leaves_the_target_and_no_temporary_file(tmp_path):
+    target = tmp_path / "model.ckpt"
+    target.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(target, "text, not bytes")
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"old"
+
+
+def test_sha256_falls_back_to_hashlib_with_the_same_digest(monkeypatch):
+    data = b"soupkit"
+    own = sha256(data)
+    monkeypatch.setitem(sys.modules, "_sha256", None)  # as on a Python without it
+    fallback = sha256(data)
+    assert type(fallback) is type(hashlib.sha256())
+    assert fallback.hexdigest() == own.hexdigest() == hashlib.sha256(data).hexdigest()

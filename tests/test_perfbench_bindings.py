@@ -70,15 +70,32 @@ def test_records_moved_to_schema_stay_where_perfbench_finds_them(module, name):
     assert getattr(module, name) is getattr(schema, name)
 
 
-def test_schema_loads_no_numpy():
-    # Reading a config, manifest or header needs only the standard library.
+def _loaded_modules(code: str) -> list[str]:
+    """``sys.modules`` after a fresh interpreter runs ``code`` with soupkit importable."""
     src = str(Path(schema.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import json, sys, soupkit.schema; print(json.dumps(sorted(sys.modules)))"
+    code += "; import json, sys; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60, check=True)
-    loaded = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_schema_loads_no_numpy():
+    # Reading a config, manifest or header needs only the standard library.
+    loaded = _loaded_modules("import soupkit.schema")
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
     assert {m for m in loaded if m.startswith("soupkit")} == {
         "soupkit", "soupkit.schema", "soupkit.errors", "soupkit.fileio"}
+
+
+def test_digests_load_no_openssl():
+    # Checkpoint and config digests hash through CPython's own SHA-256, not hashlib's.
+    loaded = _loaded_modules(
+        "from soupkit.schema import HyperConfig; "
+        "from soupkit.tensorstore import content_digest; "
+        "from soupkit.tinynet import ArchSpec, init_checkpoint; "
+        "assert len(content_digest(init_checkpoint(ArchSpec((4, 5, 3)), 0))) == 16; "
+        "assert len(HyperConfig().digest()) == 12")
+    assert "soupkit.tensorstore" in loaded
+    assert "_hashlib" not in loaded

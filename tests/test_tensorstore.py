@@ -415,6 +415,13 @@ def test_default_angle_filter_drops_gain_and_bias():
     assert pair_angle(_zero_like(d), d, flipped) == pytest.approx(0.0, abs=5e-4)
 
 
+def test_dot_of_two_layouts_is_a_shape_mismatch():
+    a = as_params({"w": np.ones(3)})
+    for other in ({"w": np.ones(4)}, {"v": np.ones(3)}, {"w": np.ones((3, 1))}):
+        with pytest.raises(ShapeMismatchError, match="different names or shapes"):
+            dot(a, as_params(other))
+
+
 def test_dot_with_filter_matches_manual_sum():
     d1 = as_params(_random_checkpoint(31))
     d2 = as_params(_random_checkpoint(32))
