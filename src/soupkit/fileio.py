@@ -40,11 +40,10 @@ def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
 
 
 def sha256(data: bytes = b""):
-    try:  # CPython's own module on first use: hashlib loads OpenSSL, which costs start-up
-        from _sha256 import sha256 as new
-    except ImportError:
-        from hashlib import sha256 as new
-    return new(data)
+    # CPython's own module first (_sha2 since 3.12): hashlib loads OpenSSL, costing start-up.
+    for module in ("_sha256", "_sha2", "hashlib"):
+        with contextlib.suppress(ImportError):
+            return __import__(module).sha256(data)
 
 
 def atomic_write_text(path: str | os.PathLike[str], text: str) -> None:

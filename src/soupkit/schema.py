@@ -310,7 +310,7 @@ class SweepManifest(_Record):
 
     entries: tuple[SweepEntry, ...]
     theta0_digest: str = ""
-    directory: str = field(default="", init=False)
+    directory = ""  # no annotation, so no dataclass field: load_manifest sets it
 
     def successful(self) -> list[SweepEntry]:
         return [e for e in self.entries if e.error is None]

@@ -37,6 +37,7 @@ if TYPE_CHECKING:
     from .datagen import Dataset
 
 _INIT_STREAM_TAG = 0x494E4954  # distinct substream for weight init draws
+LOGIT_FD_STEP = 1e-3  # step of logit_second_directional
 
 
 @lru_cache(maxsize=64)
@@ -334,15 +335,13 @@ def logit_second_directional(
     theta: Checkpoint | Mapping[str, np.ndarray],
     delta: Checkpoint | Mapping[str, np.ndarray],
     X: np.ndarray,
-    h: float = 1e-3,
 ) -> np.ndarray:
     """Central second difference of logits along delta, per class.
 
     Returns (f(theta + h*delta) - 2 f(theta) + f(theta - h*delta)) / h**2
-    with shape [n, num_classes], computed entirely in float64.
+    for h = ``LOGIT_FD_STEP``, shape [n, num_classes], all in float64.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    h = LOGIT_FD_STEP
     params, d = as_params(theta), as_params(delta)
     plus, minus = axpy(params, d, h), axpy(params, d, -h)
     return (forward(plus, X) - 2.0 * forward(params, X) + forward(minus, X)) / (h * h)

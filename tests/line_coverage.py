@@ -1,4 +1,4 @@
-"""A pytest plugin that fails the run if a line of the modules in ``MODULES`` never runs.
+"""A pytest plugin that fails the run if a line of a ``soupkit`` module never runs.
 
 Run the whole suite with it, so that the tracer is on before soupkit is imported::
 
@@ -21,11 +21,10 @@ import types
 
 import pytest
 
-MODULES = ("schema", "tensorstore", "fileio")
-
 assert "soupkit" not in sys.modules, "line_coverage must load before soupkit is imported"
 _spec = importlib.util.find_spec("soupkit")  # finds the package without importing it
-_FILES = {os.path.join(_spec.submodule_search_locations[0], f"{name}.py") for name in MODULES}
+_PACKAGE = _spec.submodule_search_locations[0]
+_FILES = {os.path.join(_PACKAGE, name) for name in os.listdir(_PACKAGE) if name.endswith(".py")}
 _ran: dict[str, set[int]] = {path: set() for path in _FILES}
 
 
@@ -77,4 +76,4 @@ def pytest_terminal_summary(terminalreporter):
     for path, missed in _missed.items():
         terminalreporter.write_line(f"line_coverage: {path}: lines never run: {missed}", red=True)
     if not _missed:
-        terminalreporter.write_line(f"line_coverage: every line of {', '.join(MODULES)} ran")
+        terminalreporter.write_line(f"line_coverage: every line of {len(_FILES)} modules in {_PACKAGE} ran")

@@ -11,7 +11,9 @@ one CPU core while leaving real headroom between soups, ensembles, and
 individual models.
 """
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,21 +36,12 @@ from soupkit.tinynet import (
     softmax,
 )
 
-TASK = datagen.DatasetConfig(
-    input_dim=10,
-    num_classes=5,
-    num_train=320,
-    num_val=192,
-    num_test=160,
-    num_shift=160,
-    class_center_scale=0.7,
-    within_class_std=1.0,
-    seed=7,
-)
-ARCH = ArchSpec((10, 16, 5))
-PRETRAIN = trainer.HyperConfig(
-    learning_rate=0.01, weight_decay=1e-4, epochs=3, batch_size=64, seed=11
-)
+# The example scripts define the studies that test_04 and test_10 assert on.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import approx_study  # noqa: E402
+import shift_robustness  # noqa: E402
+from approx_study import PRETRAIN  # noqa: E402
+from shift_robustness import ARCH, TASK  # noqa: E402
 
 # Low-learning-rate search space: every draw stays close enough to the
 # shared initialization that weight averaging remains meaningful.
@@ -158,92 +151,14 @@ def test_03_midpoint_advantage_positive_and_tracks_pair_angle(task):
     )
 
 
-# -- second-order soup-vs-ensemble validation -------------------------------
-
-APPROX_TASK = replace(
-    TASK, num_shift=512, class_center_scale=1.3, within_class_std=0.8, shift_magnitude=2.5
-)
-APPROX_ARCH = ArchSpec((10, 32, 5))
-APPROX_LRS = (0.005, 0.02, 0.1)  # highest rate leaves the averaging-friendly regime
-APPROX_NOISE = (0.0, 2.0)  # the augmentation axis: none vs heavy input noise
-APPROX_SEEDS = (41, 42)
-
-
-def _endpoint_grid_pairs(ds, theta0):
-    """All endpoint pairs of the rate x augmentation x seed checkpoint grid.
-
-    Pair families: different rate (same aug, first seed), different aug
-    (same rate, first seed), different seed (same rate and aug), and each
-    first-seed checkpoint against the shared initialization.
-    """
-    ckpts = {}
-    for lr in APPROX_LRS:
-        for noise in APPROX_NOISE:
-            for seed in APPROX_SEEDS:
-                ckpts[(lr, noise, seed)] = _finetune(
-                    theta0,
-                    ds,
-                    learning_rate=lr,
-                    weight_decay=0.0,
-                    epochs=100,
-                    batch_size=64,
-                    seed=seed,
-                    input_noise_std=noise,
-                )
-    s0 = APPROX_SEEDS[0]
-    pairs = []
-    for noise in APPROX_NOISE:
-        for i in range(len(APPROX_LRS)):
-            for j in range(i + 1, len(APPROX_LRS)):
-                pairs.append(
-                    analysis.PairSpec(
-                        pair_id=f"rate{APPROX_LRS[i]}v{APPROX_LRS[j]}_n{noise}",
-                        theta0=ckpts[(APPROX_LRS[i], noise, s0)],
-                        theta1=ckpts[(APPROX_LRS[j], noise, s0)],
-                        learning_rate=max(APPROX_LRS[i], APPROX_LRS[j]),
-                    )
-                )
-    for lr in APPROX_LRS:
-        pairs.append(
-            analysis.PairSpec(
-                pair_id=f"aug_rate{lr}",
-                theta0=ckpts[(lr, APPROX_NOISE[0], s0)],
-                theta1=ckpts[(lr, APPROX_NOISE[1], s0)],
-                learning_rate=lr,
-            )
-        )
-    for lr in APPROX_LRS:
-        for noise in APPROX_NOISE:
-            pairs.append(
-                analysis.PairSpec(
-                    pair_id=f"seed_rate{lr}_n{noise}",
-                    theta0=ckpts[(lr, noise, APPROX_SEEDS[0])],
-                    theta1=ckpts[(lr, noise, APPROX_SEEDS[1])],
-                    learning_rate=lr,
-                )
-            )
-    for lr in APPROX_LRS:
-        for noise in APPROX_NOISE:
-            pairs.append(
-                analysis.PairSpec(
-                    pair_id=f"init_rate{lr}_n{noise}",
-                    theta0=theta0,
-                    theta1=ckpts[(lr, noise, s0)],
-                    learning_rate=lr,
-                )
-            )
-    return pairs
-
-
 def test_04_loss_gap_approximation_tracks_truth_and_calibration_helps():
-    ds = datagen.generate(APPROX_TASK)
-    theta0 = trainer.pretrain(APPROX_ARCH, ds, PRETRAIN)
-    pairs = _endpoint_grid_pairs(ds, theta0)
+    ds = datagen.generate(approx_study.TASK)
+    theta0 = trainer.pretrain(approx_study.ARCH, ds, approx_study.PRETRAIN)
+    pairs = approx_study.endpoint_pairs(approx_study.checkpoint_grid(ds, theta0), theta0)
     assert len(pairs) == 21
-    alphas = [round(0.1 * i, 1) for i in range(11)]
     splits = {"shift": _split(ds, "shift")}
     reports = {
-        mode: analysis.approx_validation_report(pairs, alphas, splits, beta_mode=mode)
+        mode: analysis.approx_validation_report(pairs, approx_study.ALPHAS, splits, beta_mode=mode)
         for mode in ("calibrate-soup", "fixed-1")
     }
     excluded = {
@@ -473,30 +388,13 @@ def test_09_formats_and_training_are_deterministic(task, tmp_path):
 def test_10_interpolation_curve_has_interior_optimum_under_shift(task):
     ds, _ = task
     shift_x, shift_y = _split(ds, "shift")
-    robust_base = trainer.pretrain(
-        ARCH,
-        ds,
-        trainer.HyperConfig(
-            learning_rate=0.01,
-            weight_decay=1e-4,
-            epochs=10,
-            batch_size=64,
-            seed=11,
-            input_noise_std=0.8,
-        ),
-    )
-    alphas = [round(0.1 * i, 1) for i in range(11)]
+    robust_base = trainer.pretrain(ARCH, ds, shift_robustness.ROBUST_PRETRAIN)
+    alphas = shift_robustness.ALPHAS
     wins = 0
     for seed in range(61, 71):
-        theta1 = _finetune(
-            robust_base,
-            ds,
-            learning_rate=0.02,
-            weight_decay=1e-4,
-            epochs=8,
-            batch_size=64,
-            seed=seed,
-        )
+        theta1 = trainer.finetune(
+            robust_base, replace(shift_robustness.FINETUNE, seed=seed), ds
+        ).checkpoint
         rows = analysis.interpolation_curve(
             robust_base, theta1, alphas, {"shift": (shift_x, shift_y)}
         )

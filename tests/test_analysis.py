@@ -42,6 +42,11 @@ def test_pearson_degenerate_inputs_return_none():
     assert analysis.pearson([1.0], [2.0]) is None
 
 
+def test_pearson_rejects_inputs_of_unequal_length():
+    with pytest.raises(ValueError, match="equal-length"):
+        analysis.pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
 def test_sign_agreement_counts_zero_as_its_own_sign():
     got = analysis.sign_agreement([1.0, -1.0, 0.0, 2.0], [2.0, -3.0, 0.0, -1.0])
     assert got == pytest.approx(0.75)
@@ -523,6 +528,22 @@ def test_report_excludes_highest_learning_rate(desk_models, desk_dataset):
     assert report.summary_excluding_highest_lr.count == 2
     kept = {r.pair_id for r in report.records if r.pair_id != "a"}
     assert kept == {"b", "c"}
+
+
+def test_report_with_every_pair_at_the_top_rate_summarizes_no_record_without_it(
+    desk_models, desk_dataset
+):
+    val = desk_dataset.splits["val"]
+    pairs = [analysis.PairSpec(pair_id, desk_models[0], desk_models[i], learning_rate=0.02)
+             for pair_id, i in (("a", 1), ("b", 2))]
+    report = analysis.approx_validation_report(
+        pairs, [0.5], {"val": (val.x, val.y)}, beta_mode="fixed-1"
+    )
+    assert report.excluded_learning_rate == 0.02
+    assert report.summary_all.count == 2
+    assert report.summary_excluding_highest_lr == analysis.ApproxSummary(
+        pearson=None, sign_agreement=None, count=0, degenerate=True
+    )
 
 
 def test_report_identical_pairs_flagged_degenerate(desk_models, desk_dataset):

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shutil
 import struct
 import subprocess
@@ -400,6 +401,17 @@ def test_main_leaves_the_collector_as_it_found_it(workspace, tmp_path, capsys):
 def test_console_script_is_the_process_entry_point():
     pyproject = (SRC_DIR.parent / "pyproject.toml").read_text()
     assert 'soupkit = "soupkit.cli:run"' in pyproject.splitlines()
+
+
+# runpy warns that it runs soupkit.cli again although the package imported it
+@pytest.mark.filterwarnings("ignore:'soupkit.cli' found in sys.modules:RuntimeWarning")
+def test_python_m_exits_with_the_code_of_run(monkeypatch, capsys, freezes):
+    monkeypatch.setattr(sys, "argv", ["soupkit", "frobnicate"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("soupkit.cli", run_name="__main__")
+    assert exited.value.code == cli.EXIT_CONFIG
+    assert freezes == ["freeze"]
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_module_entry_point_writes_stdout_stderr_and_artifacts(workspace, tmp_path):
@@ -1254,6 +1266,16 @@ def test_every_bad_header_field_and_config_section_is_rejected(contract):
         for value in values:
             with pytest.raises(ConfigError):
                 cli.load_run_config(config, [f"{section}={json.dumps(value)}"])
+
+
+def test_sweep_draws_its_configs_from_count_and_master_seed(workspace, tmp_path):
+    sweep = {"count": 2, "master_seed": 5, "space": {"epochs_range": [1, 1]}}
+    run_ok(["sweep", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
+            "--base", str(workspace["base"]), "--out", str(tmp_path), "--workers", "1",
+            "--set", "sweep=" + json.dumps(sweep)])
+    entries = trainer.load_manifest(tmp_path / "manifest.json").entries
+    assert [e.config for e in entries] == trainer.random_search_configs(
+        2, 5, trainer.SearchSpace(epochs_range=(1, 1)))
 
 
 # ------------------------------------------------------------------- soups

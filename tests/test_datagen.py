@@ -92,6 +92,21 @@ def test_mean_shift_displacement_measured_from_data():
         assert displacement == pytest.approx(m, abs=1e-6)
 
 
+def test_a_shift_direction_of_zero_norm_shifts_along_the_first_axis():
+    # mix64(0) == 0, so this seed makes raw draw 10 exactly 0.  The class
+    # centers and the one-row train, val and test splits take draws 0-9, so
+    # the mean-shift direction's two normals are 0.0 and -0.0: no direction.
+    seed = (-11 * 0x9E3779B97F4A7C15) % 2**64
+    cfg = dict(input_dim=2, num_classes=2, num_train=1, num_val=1, num_test=1, num_shift=1,
+               shift_kind="mean-shift", seed=seed)
+    assert seed == 3719345503411677977
+    shifted = generate(DatasetConfig(**cfg, shift_magnitude=1.5)).shift
+    unshifted = generate(DatasetConfig(**cfg, shift_magnitude=0.0)).shift
+    offset = shifted.x.astype(np.float64) - unshifted.x
+    assert offset[0, 0] == pytest.approx(1.5, abs=1e-6)
+    assert offset[0, 1] == 0.0
+
+
 def test_zero_magnitude_matches_test_distribution_parameters():
     for kind in ("mean-shift", "noise-inflation", "rotation"):
         ds = generate(_small(within_class_std=0.0, shift_kind=kind, shift_magnitude=0.0,

@@ -74,48 +74,6 @@ def test_greedy_score_is_the_reported_accuracy(desk_models, desk_dataset):
         scorer([])
 
 
-def _subset_scorer_table(table):
-    """Score a member list through a frozenset-keyed table.
-
-    The members carry a marker tensor (basis vectors) so the scripted
-    scorer can recover which models were passed in.
-    """
-
-    def score(members):
-        idx = frozenset(
-            int(np.flatnonzero(m["w"])[0]) for m in members
-        )
-        return table[idx]
-
-    return score
-
-
-def _basis_models(k):
-    from soupkit.tensorstore import Checkpoint
-
-    return [
-        Checkpoint.from_arrays({"w": np.eye(k, dtype=np.float32)[i]}) for i in range(k)
-    ]
-
-
-def test_greedy_ensemble_follows_same_recipe_as_greedy_soup():
-    table = {
-        frozenset({0}): 0.9,
-        frozenset({1}): 0.8,
-        frozenset({2}): 0.8,
-        frozenset({3}): 0.1,
-        frozenset({0, 1}): 0.85,
-        frozenset({0, 2}): 0.9,
-        frozenset({0, 2, 3}): 0.7,
-    }
-    members = ensembles.greedy_ensemble(_basis_models(4), _subset_scorer_table(table))
-    assert members == [0, 2]
-    expected = oracles.greedy_pool_oracle(
-        lambda idx: table[frozenset(idx)], [0.9, 0.8, 0.8, 0.1]
-    )
-    assert members == expected
-
-
 def test_greedy_ensemble_on_trained_models_beats_best_individual(
     desk_models, desk_dataset
 ):
@@ -197,6 +155,16 @@ def test_fit_temperature_stays_inside_bracket():
     fit = ensembles.fit_temperature(logits, labels)
     assert 0.05 <= fit.beta <= 20.0
     assert fit.beta > 15.0
+
+
+def test_fit_temperature_keeps_unit_scale_at_an_exact_optimum():
+    # Logits log 3 and 0 predict class 0 with probability 3/4, and three rows
+    # of four are class 0: d NLL / d beta is 0 at beta = 1, which the search
+    # can only approach, so it keeps the unit scale.
+    logits = np.array([[math.log(3.0), 0.0]] * 4)
+    labels = np.array([0, 0, 0, 1])
+    fit = ensembles.fit_temperature(logits, labels)
+    assert fit == ensembles.TemperatureFit(beta=1.0, nll=loss_ce(logits, labels), degenerate=False)
 
 
 def _pinned_fit_inputs():

@@ -157,14 +157,20 @@ def test_decode_builds_tuples_and_nested_configs():
         (SearchSpace, {"lr_exponent_range": [4, 1]}),
         (SearchSpace, {"lr_exponent_range": [-400, -350]}),
         (SearchSpace, {"wd_exponent_range": [-309, 1]}),
+        (SweepManifest, {"entries": [], "directory": "."}),
     ],
     ids=["list", "null", "unknown-key", "missing-key", "too-few-widths", "zero-width",
          "entry-missing-index", "entry-unknown-key", "entry-without-error-or-path",
-         "unordered-range", "lr-range-draws-an-infinite-rate", "wd-range-draws-an-infinite-rate"],
+         "unordered-range", "lr-range-draws-an-infinite-rate", "wd-range-draws-an-infinite-rate",
+         "manifest-directory-key"],
 )
 def test_decode_rejects_malformed_objects(cls, raw):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as raised:
         decode(cls, raw, "where")
+    known = {f.name for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(raw.keys() - known) if isinstance(raw, dict) else []
+    if unknown:  # named as unknown, never passed on to the constructor
+        assert str(raised.value).startswith(f"where: unknown keys {unknown}, ")
 
 
 def test_a_space_that_draws_an_infinite_rate_names_its_range():

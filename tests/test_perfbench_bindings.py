@@ -89,13 +89,25 @@ def test_schema_loads_no_numpy():
         "soupkit", "soupkit.schema", "soupkit.errors", "soupkit.fileio"}
 
 
-def test_digests_load_no_openssl():
+# Python 3.12 renamed CPython's _sha256 to _sha2: a stand-in _sha2 holding 3.11's sha256.
+_AS_ON_PYTHON_3_12 = ("import sys, types, _sha256; sha2 = types.ModuleType('_sha2'); "
+                      "sha2.sha256 = _sha256.sha256; "
+                      "sys.modules.update(_sha2=sha2, _sha256=None); ")
+
+
+@pytest.mark.parametrize("prelude", [
+    pytest.param("", id="this-python"),
+    pytest.param(_AS_ON_PYTHON_3_12, id="python-3.12-module-name",
+                 marks=pytest.mark.skipif(sys.version_info >= (3, 12), reason="_sha2 is real")),
+])
+def test_digests_load_no_openssl(prelude):
     # Checkpoint and config digests hash through CPython's own SHA-256, not hashlib's.
+    ckpt_digest = tensorstore.content_digest(init_checkpoint(ArchSpec((4, 5, 3)), 0))
     loaded = _loaded_modules(
-        "from soupkit.schema import HyperConfig; "
+        prelude + "from soupkit.schema import HyperConfig; "
         "from soupkit.tensorstore import content_digest; "
         "from soupkit.tinynet import ArchSpec, init_checkpoint; "
-        "assert len(content_digest(init_checkpoint(ArchSpec((4, 5, 3)), 0))) == 16; "
-        "assert len(HyperConfig().digest()) == 12")
+        f"assert content_digest(init_checkpoint(ArchSpec((4, 5, 3)), 0)) == {ckpt_digest!r}; "
+        f"assert HyperConfig().digest() == {schema.HyperConfig().digest()!r}")
     assert "soupkit.tensorstore" in loaded
     assert "_hashlib" not in loaded

@@ -34,16 +34,23 @@ def test_uniform_soup_of_one_model_is_that_model(desk_models):
     assert checkpoints_equal(result.checkpoint, desk_models[0], check_meta=False)
 
 
-def test_uniform_soup_rejects_empty():
+@pytest.mark.parametrize("recipe", [
+    soups.uniform_soup,
+    lambda models: soups.greedy_soup(models, lambda ckpt: 0.0),
+    lambda models: ensembles.greedy_ensemble(models, lambda pool: 0.0),
+    lambda models: soups.learned_soup(models, np.zeros((1, 2)), np.zeros(1, dtype=int)),
+], ids=["uniform", "greedy-soup", "greedy-ensemble", "learned"])
+def test_every_recipe_rejects_an_empty_list(recipe):
     with pytest.raises(ValueError):
-        soups.uniform_soup([])
+        recipe([])
 
 
 # ----------------------------------------------------------------- greedy
 
 # Scripted models: model i is the i-th basis vector, so the uniform
-# average of any subset has exactly that subset as its nonzero support
-# and a lookup table can score arbitrary subsets deterministically.
+# average of any subset has exactly that subset as its nonzero support,
+# as has the member list of an ensemble, and a lookup table can score
+# arbitrary subsets deterministically.
 
 
 def _basis_models(k):
@@ -52,15 +59,23 @@ def _basis_models(k):
     ]
 
 
-def _table_scorer(table):
-    def score(ckpt):
-        members = frozenset(int(i) for i in np.flatnonzero(ckpt["w"]))
-        return table[members]
-
-    return score
+def _members(pooled):
+    """The basis models in a soup's checkpoint or an ensemble's member list."""
+    pool = [pooled] if isinstance(pooled, Checkpoint) else pooled
+    return frozenset(int(i) for m in pool for i in np.flatnonzero(m["w"]))
 
 
-def test_greedy_soup_rejects_then_accepts_equal_score():
+# The one greedy recipe (soups.greedy_select) through each of its callers;
+# each returns the indices it kept.
+GREEDY = [
+    pytest.param(lambda models, score: soups.greedy_soup(models, score).ingredient_indices,
+                 id="soup"),
+    pytest.param(ensembles.greedy_ensemble, id="ensemble"),
+]
+
+
+@pytest.mark.parametrize("greedy", GREEDY)
+def test_greedy_recipe_rejects_then_accepts_equal_score(greedy):
     # Visit order 0, 1, 2, 3 (1 before 2: equal individual scores keep
     # input order).  [0,1] drops accuracy -> rejected; [0,2] matches the
     # running best exactly -> accepted (>= keeps); [0,2,3] drops -> out.
@@ -73,16 +88,16 @@ def test_greedy_soup_rejects_then_accepts_equal_score():
         frozenset({0, 2}): 0.9,
         frozenset({0, 2, 3}): 0.7,
     }
-    result = soups.greedy_soup(_basis_models(4), _table_scorer(table))
-    assert result.ingredient_indices == [0, 2]
-    assert result.coefficients == {"all": [0.5, 0.5]}
+    kept = greedy(_basis_models(4), lambda pooled: table[_members(pooled)])
+    assert kept == [0, 2]
     expected = oracles.greedy_pool_oracle(
         lambda idx: table[frozenset(idx)], [0.9, 0.8, 0.8, 0.1]
     )
-    assert result.ingredient_indices == expected
+    assert kept == expected
 
 
-def test_greedy_soup_keeps_first_candidate_even_at_zero_accuracy():
+@pytest.mark.parametrize("greedy", GREEDY)
+def test_greedy_recipe_keeps_first_candidate_even_at_zero_accuracy(greedy):
     table = {
         frozenset({0}): 0.0,
         frozenset({1}): 0.0,
@@ -90,29 +105,24 @@ def test_greedy_soup_keeps_first_candidate_even_at_zero_accuracy():
         frozenset({0, 1}): 0.0,
         frozenset({0, 1, 2}): 0.0,
     }
-    result = soups.greedy_soup(_basis_models(3), _table_scorer(table))
-    assert result.ingredient_indices == [0, 1, 2]  # 0 >= 0 keeps everything
+    kept = greedy(_basis_models(3), lambda pooled: table[_members(pooled)])
+    assert kept == [0, 1, 2]  # 0 >= 0 keeps everything
 
 
+@pytest.mark.parametrize("greedy", GREEDY)
 @pytest.mark.parametrize("multiplier", [31, 37, 41, 43])
-def test_greedy_soup_matches_control_flow_oracle(multiplier):
+def test_greedy_recipe_matches_control_flow_oracle(multiplier, greedy):
     # Deterministic pseudo-random subset scores, identical on both sides.
     def subset_acc(indices):
         return ((multiplier * sum(7**i for i in indices)) % 97) / 97.0
 
     k = 6
-    models = _basis_models(k)
-
-    def score(ckpt):
-        members = sorted(int(i) for i in np.flatnonzero(ckpt["w"]))
-        return subset_acc(members)
-
-    result = soups.greedy_soup(models, score)
+    kept = greedy(_basis_models(k), lambda pooled: subset_acc(sorted(_members(pooled))))
     individual = [subset_acc([i]) for i in range(k)]
     expected = oracles.greedy_pool_oracle(subset_acc, individual)
-    assert result.ingredient_indices == expected
+    assert kept == expected
     # Recipe guarantee: pooled score never drops below the best single model.
-    assert subset_acc(sorted(result.ingredient_indices)) >= max(individual)
+    assert subset_acc(sorted(kept)) >= max(individual)
 
 
 def test_greedy_soup_beats_best_individual_on_trained_models(desk_models, desk_dataset):
@@ -166,13 +176,6 @@ def test_greedy_soup_combines_once_per_pooled_score_and_once_for_the_soup(
     uniform.meta = expected_meta
     assert serialize(result.checkpoint) == serialize(uniform)
     assert result.coefficients == {"all": [1.0 / len(kept)] * len(kept)}
-
-
-@pytest.mark.parametrize("select", [lambda: soups.greedy_soup([], lambda ckpt: 0.0),
-                                    lambda: ensembles.greedy_ensemble([], lambda pool: 0.0)])
-def test_greedy_selection_rejects_an_empty_list(select):
-    with pytest.raises(ValueError):
-        select()
 
 
 # ---------------------------------------------------------------- learned

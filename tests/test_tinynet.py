@@ -383,6 +383,14 @@ def test_grad64_into_a_nan_buffer_equals_a_fresh_gradient(targets_kind):
     assert buffer.vector.tobytes() == want.vector.tobytes()
 
 
+@pytest.mark.parametrize("inv_temperature", [0.0, -1.0])
+def test_grad64_rejects_a_non_positive_inv_temperature(inv_temperature):
+    params = _random_params((4, 6, 3), 6)
+    targets = smoothed_targets(np.array([0, 1, 2]), 3, 0.0)
+    with pytest.raises(ValueError, match="inv_temperature"):
+        grad64(params, np.zeros((3, 4)), targets, inv_temperature=inv_temperature)
+
+
 def test_grad64_rejects_a_buffer_of_another_layout():
     params = as_params(_random_params((4, 6, 3), 6))
     other = as_params(_random_params((4, 7, 3), 6))
@@ -443,7 +451,7 @@ def test_logit_second_directional_quadratic_probe():
         "layer1.weight": np.array([[1.0]]),
         "layer1.bias": np.array([0.0]),
     }
-    out = logit_second_directional(params, delta, np.array([[1.0]]), h=1e-3)
+    out = logit_second_directional(params, delta, np.array([[1.0]]))
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(2.0, abs=1e-3)
 
@@ -456,7 +464,7 @@ def test_logit_second_directional_zero_for_head_direction():
     delta["layer1.weight"] = np.ones_like(params["layer1.weight"])
     delta["layer1.bias"] = np.ones_like(params["layer1.bias"])
     X = PortableRng(2).normals(20).reshape(5, 4)
-    out = logit_second_directional(params, delta, X, h=1e-3)
+    out = logit_second_directional(params, delta, X)
     assert np.max(np.abs(out)) < 1e-7
 
 

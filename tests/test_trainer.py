@@ -229,11 +229,15 @@ def test_partial_final_batch(small_data):
     assert serialize(a.checkpoint) == serialize(b.checkpoint)
 
 
-def test_divergence_raises_with_step_number(small_data):
+@pytest.mark.parametrize("hyper, loss", [
+    (dict(optimizer="sgd", learning_rate=1e8, weight_decay=0.1, epochs=12), "training"),
+    # SAM's ascent step of 1e200 overflows the logits; the loss at the weights stays finite.
+    (dict(sam_rho=1e200), "perturbed"),
+], ids=["training-loss", "sam-perturbed-loss"])
+def test_divergence_raises_with_step_number(small_data, hyper, loss):
     theta0 = pretrain(ARCH, small_data, _fast())
-    bomb = _fast(optimizer="sgd", learning_rate=1e8, weight_decay=0.1, epochs=12)
-    with pytest.raises(DivergenceError, match=r"step \d+"):
-        finetune(theta0, bomb, small_data)
+    with pytest.raises(DivergenceError, match=rf"^non-finite {loss} loss at step \d+$"):
+        finetune(theta0, _fast(**hyper), small_data)
 
 
 # Content digests recorded from an earlier, per-tensor implementation of
