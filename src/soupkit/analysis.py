@@ -73,6 +73,12 @@ ANGLE_EXCLUDED_SUFFIXES = (".gain", ".bias")
 # ----------------------------------------------------------- small helpers
 
 
+def _check_alphas(alphas: Sequence[float]) -> None:
+    for alpha in alphas:
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha {alpha} outside [0, 1]")
+
+
 def _segment(theta0: Checkpoint | Params, theta1: Checkpoint | Params) -> tuple[Params, ...]:
     """Both endpoints in float64 and the delta theta1 - theta0 between them."""
     p0, p1 = as_params(theta0), as_params(theta1)
@@ -144,10 +150,9 @@ def interpolation_curve(
     Interpolates through checkpoint averaging (so alpha 0 and 1 evaluate
     the untouched endpoints bit for bit).
     """
+    _check_alphas(alphas)
     rows = []
     for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha {alpha} outside [0, 1]")
         point = combine([1.0 - alpha, alpha], [theta0, theta1])
         for split_name, (X, y) in splits.items():
             report = evaluate(point, X, y)
@@ -345,9 +350,7 @@ def _alpha_second_derivative(loss_at, alpha: float) -> float:
 
 
 def _check_approx_args(alphas: Sequence[float], beta_mode: str) -> None:
-    for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha {alpha} outside [0, 1]")
+    _check_alphas(alphas)
     if beta_mode not in BETA_MODES:
         raise ValueError(f"beta_mode must be one of {BETA_MODES}")
 
@@ -456,8 +459,7 @@ def integral_oracle(
     theta_tau, weighted by the interpolation kernel; Simpson quadrature
     runs over ``num_nodes`` (odd, >= 3) evenly spaced tau nodes.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
+    _check_alphas([alpha])
     if num_nodes < 3 or num_nodes % 2 == 0:
         raise ValueError("num_nodes must be odd and >= 3")
     p0, p1, delta = _segment(theta0, theta1)

@@ -236,7 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         sweep.count, sweep.master_seed, sweep.space or SearchSpace())
     ds = _load_dataset(args.data)
     theta0 = load_checkpoint(args.base)
-    run_sweep(theta0, configs, ds, args.out, max_workers=args.workers)
+    run_sweep(theta0, configs, ds, args.out)
 
 
 def cmd_soup(args: argparse.Namespace) -> None:
@@ -470,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--base", required=True, help="shared initialization checkpoint")
     p.add_argument("--out", required=True, help="output sweep directory")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored: configs train one after another")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("soup", help="merge sweep checkpoints in weight space")

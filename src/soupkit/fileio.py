@@ -54,18 +54,21 @@ def _reject_constant(token: str) -> None:
     raise ValueError(f"{token} is not a JSON number")
 
 
-def read_json(path: str | os.PathLike[str], error: type[SoupkitError]):
-    """Parsed JSON file; text that is not UTF-8 JSON raises ``error``.
+def parse_json(data: bytes, error: type[SoupkitError], where: str):
+    """Parsed UTF-8 JSON; anything else raises ``error`` naming ``where``.
 
-    Python's parser accepts the tokens NaN, Infinity and -Infinity, which
-    JSON does not have; a file holding one is malformed too, as is one
-    nested too deeply for the parser.
+    Python's parser takes the tokens NaN, Infinity and -Infinity, which JSON
+    does not have: text holding one is malformed, as is text nested too deeply.
     """
-    text = Path(path).read_bytes()
     try:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        return json.loads(text.decode("utf-8"), parse_constant=_reject_constant)
+        return json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
-        raise error(f"{path}: not valid UTF-8 JSON: {exc}") from exc
+        raise error(f"{where}: not valid UTF-8 JSON: {exc}") from exc
+
+
+def read_json(path: str | os.PathLike[str], error: type[SoupkitError]):
+    """Parsed JSON file; a file that is not UTF-8 JSON raises ``error``."""
+    return parse_json(Path(path).read_bytes(), error, str(path))
 
 
 def write_json(path: str | os.PathLike[str], doc: object, *, sort_keys: bool = True) -> None:

@@ -3,7 +3,8 @@
 All recipes assume the ingredients were fine-tuned from one shared base
 so that plain parameter averaging lands in the same loss basin.
 
-* uniform: average everything with weight 1/k.
+* uniform: average everything with weight 1/k, recording the weights and
+  the ingredients' content digests in the meta (so does the greedy soup).
 * greedy: sort candidates by held-out accuracy (descending, ties keep
   input order), then grow the pool, keeping each candidate iff the
   average of pool + candidate does not lower held-out accuracy.  The
@@ -88,7 +89,9 @@ def uniform_soup(models: Sequence[Checkpoint]) -> SoupResult:
         raise ValueError("uniform_soup needs at least one model")
     k = len(models)
     ckpt = combine([1.0 / k] * k, models)
-    ckpt.meta.update({"role": "soup", "soup.kind": "uniform", "soup.size": str(k)})
+    ckpt.meta.update({"recipe": "combine", "recipe.coeffs": ",".join([repr(1.0 / k)] * k),
+                      "recipe.inputs": ",".join(content_digest(m) for m in models),
+                      "role": "soup", "soup.kind": "uniform", "soup.size": str(k)})
     return SoupResult(
         checkpoint=ckpt,
         ingredient_indices=list(range(k)),

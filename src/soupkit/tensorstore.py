@@ -35,9 +35,9 @@ a save/load round trip bit for bit.
 Weight-space arithmetic runs in float64.  :func:`axpy` is the one
 float64 line ``x + t*y`` (deltas, interpolation and plane points stay
 Params); :func:`combine` is the float32 storage combination, rounding
-its float64 sum once into a Checkpoint.  Inner products sum tensor by
-tensor in layout order (:func:`dot`): one sum over the whole vector
-rounds differently.
+its float64 sum once into a Checkpoint with empty meta.  Inner products
+sum tensor by tensor in layout order (:func:`dot`): one sum over the
+whole vector rounds differently.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CheckpointFormatError, NonFiniteError, ShapeMismatchError
-from .fileio import atomic_write_bytes, sha256
+from .fileio import atomic_write_bytes, parse_json, sha256
 from .schema import CheckpointHeader, TensorEntry, decode
 
 MAGIC = b"SOUPCKPT"
@@ -166,10 +166,7 @@ def deserialize(blob: bytes) -> Checkpoint:
         raise CheckpointFormatError(f"unsupported format version {version}")
     if len(blob) < 16 + header_len:
         raise CheckpointFormatError("file ends inside the JSON header")
-    try:  # as in fileio.read_json
-        raw = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise CheckpointFormatError(f"unreadable header: {exc}") from exc
+    raw = parse_json(blob[16 : 16 + header_len], CheckpointFormatError, "header")
     header = decode(CheckpointHeader, raw, "header", CheckpointFormatError)
     payload_base = _aligned(16 + header_len)
     arrays: dict[str, np.ndarray] = {}
@@ -251,7 +248,8 @@ def combine(coeffs: Sequence[float], ckpts: Sequence[Checkpoint]) -> Checkpoint:
     """Linear combination sum_i coeffs[i] * ckpts[i] on the flat vector.
 
     Accumulates left to right over inputs in float64, rounds once to
-    float32.  All inputs must share tensor names, order and shapes.
+    float32, with empty meta.  All inputs must share tensor names, order
+    and shapes.
     """
     if len(ckpts) == 0:
         raise ShapeMismatchError("combine needs at least one checkpoint")
@@ -269,9 +267,4 @@ def combine(coeffs: Sequence[float], ckpts: Sequence[Checkpoint]) -> Checkpoint:
                 f"tensor names or shapes differ: {first.layout.names} vs {other.layout.names}"
             )
         acc += float(c) * other.vector
-    meta = {
-        "recipe": "combine",
-        "recipe.coeffs": ",".join(repr(float(c)) for c in coeffs),
-        "recipe.inputs": ",".join(content_digest(c) for c in ckpts),
-    }
-    return to_checkpoint(Params(first.layout, acc), meta)
+    return to_checkpoint(Params(first.layout, acc), {})

@@ -383,9 +383,20 @@ def test_soup_metadata_records_recipe(desk_models, desk_dataset):
     uniform = soups.uniform_soup(desk_models)
     greedy = soups.greedy_soup(desk_models, soups.accuracy_fn(val.x, val.y))
     learned = soups.learned_soup(desk_models, val.x, val.y)
-    assert uniform.checkpoint.meta["soup.kind"] == "uniform"
+    # combine is arithmetic only: the uniform soup writes its recipe, first.
+    assert combine([0.2] * 5, desk_models).meta == {}
+    assert list(uniform.checkpoint.meta.items()) == [
+        ("recipe", "combine"),
+        ("recipe.coeffs", "0.2,0.2,0.2,0.2,0.2"),
+        ("recipe.inputs", ",".join(content_digest(m) for m in desk_models)),
+        ("role", "soup"), ("soup.kind", "uniform"), ("soup.size", "5"),
+    ]
+    assert list(greedy.checkpoint.meta) == [*uniform.checkpoint.meta, "soup.ingredients"]
     assert greedy.checkpoint.meta["soup.kind"] == "greedy"
     assert learned.checkpoint.meta["soup.kind"] == "learned"
+    assert greedy.checkpoint.meta["recipe.inputs"] == ",".join(
+        content_digest(desk_models[i]) for i in greedy.ingredient_indices
+    )
     assert greedy.checkpoint.meta["soup.ingredients"] == ",".join(
         str(i) for i in greedy.ingredient_indices
     )

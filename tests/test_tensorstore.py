@@ -227,14 +227,6 @@ def test_combine_against_scalar_oracle():
             assert got[name].ravel()[j] == expected
 
 
-def test_combine_records_recipe():
-    ckpts = [_random_checkpoint(1), _random_checkpoint(2)]
-    out = combine([0.5, 0.5], ckpts)
-    assert out.meta["recipe"] == "combine"
-    assert out.meta["recipe.coeffs"] == "0.5,0.5"
-    assert out.meta["recipe.inputs"] == ",".join(content_digest(c) for c in ckpts)
-
-
 @given(
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
