@@ -16,7 +16,8 @@ Numerical conventions
 * The alpha second derivative uses a central difference with step
   ``ALPHA_FD_STEP`` (0.05); alphas closer than that to 0 or 1 fall
   back to the one-sided second difference anchored at the endpoint, so
-  every probe stays inside [0, 1].
+  every probe stays inside [0, 1]. Neighbouring alphas' stencils share
+  points, and a report forwards each point once per (pair, split).
 * The tau-integral uses composite Simpson quadrature on an odd,
   evenly spaced node grid (default 33 nodes).
 
@@ -40,6 +41,7 @@ whose kernel integrates to alpha * (1 - alpha) / 2.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -339,14 +341,50 @@ class ApproxRecord:
     variance_term: float
 
 
+def _stencil(alpha: float) -> tuple[float, float, float]:
+    """Points (a, b, c) of alpha's second difference (L(a) - 2 L(b) + L(c)) / h**2.
+
+    Central, or one-sided from alpha itself where a central probe would
+    leave [0, 1].
+    """
+    h = ALPHA_FD_STEP
+    if alpha - h < 0.0:
+        return alpha, alpha + h, alpha + 2.0 * h
+    if alpha + h > 1.0:
+        return alpha, alpha - h, alpha - 2.0 * h
+    return alpha - h, alpha, alpha + h
+
+
 def _alpha_second_derivative(loss_at, alpha: float) -> float:
     """d2 loss / d alpha2 by second differences staying inside [0, 1]."""
     h = ALPHA_FD_STEP
-    if alpha - h < 0.0:
-        return (loss_at(alpha) - 2.0 * loss_at(alpha + h) + loss_at(alpha + 2.0 * h)) / (h * h)
-    if alpha + h > 1.0:
-        return (loss_at(alpha) - 2.0 * loss_at(alpha - h) + loss_at(alpha - 2.0 * h)) / (h * h)
-    return (loss_at(alpha - h) - 2.0 * loss_at(alpha) + loss_at(alpha + h)) / (h * h)
+    a, b, c = _stencil(alpha)
+    return (loss_at(a) - 2.0 * loss_at(b) + loss_at(c)) / (h * h)
+
+
+class _LinePoints:
+    """Logits of p0 + a * delta on X at the stencil points of an alpha grid.
+
+    Each point is forwarded once, keyed by its exact float (0.35 and
+    0.35000000000000003, or 0.0 and -0.0, are different points), and its
+    logits are dropped after the last stencil that uses them. Each stencil
+    takes each of its points once.
+    """
+
+    def __init__(self, p0: Params, delta: Params, X: np.ndarray, alphas: Sequence[float]):
+        self._p0, self._delta, self._X = p0, delta, X
+        self._uses = Counter(float(a).hex() for alpha in alphas for a in _stencil(alpha))
+        self._logits: dict[str, np.ndarray] = {}
+
+    def take(self, a: float) -> np.ndarray:
+        key = float(a).hex()
+        logits = self._logits.get(key)
+        if logits is None:
+            logits = self._logits[key] = forward(axpy(self._p0, self._delta, a), self._X)
+        self._uses[key] -= 1
+        if not self._uses[key]:
+            del self._logits[key]
+        return logits
 
 
 def _check_approx_args(alphas: Sequence[float], beta_mode: str) -> None:
@@ -356,37 +394,36 @@ def _check_approx_args(alphas: Sequence[float], beta_mode: str) -> None:
 
 
 def _approx_record(
-    p0: Params,
-    delta: Params,
+    line: _LinePoints,
     f0: np.ndarray,
     f1: np.ndarray,
+    delta_f: np.ndarray,
     alpha: float,
-    X: np.ndarray,
     labels: np.ndarray,
     beta_mode: str,
     pair_id: str,
     split: str,
 ) -> ApproxRecord:
-    """One record from the endpoint logits f0, f1, which do not depend on alpha."""
-    delta_f = f1 - f0
-    f_soup = forward(axpy(p0, delta, alpha), X)
+    """One record from the endpoint logits f0, f1 and delta_f = f1 - f0,
+    which do not depend on alpha."""
+    f_soup = line.take(alpha)
     f_ens = (1.0 - alpha) * f0 + alpha * f1
 
     if beta_mode == "fixed-1":
         beta = 1.0
     else:
         beta = fit_temperature(f_soup, labels).beta
+    loss_soup = loss_ce(f_soup, labels, 0.0, beta)
 
     def loss_at(a: float) -> float:
-        f = f_soup if a == alpha else forward(axpy(p0, delta, a), X)
-        return loss_ce(f, labels, 0.0, beta)
+        return loss_soup if a == alpha else loss_ce(line.take(a), labels, 0.0, beta)
 
     second_derivative = _alpha_second_derivative(loss_at, alpha)
     variance = float(np.mean(hessian_quadratic_form(beta * f_soup, delta_f)))
     c_alpha = alpha * (1.0 - alpha) / 2.0
     approx = c_alpha * (-second_derivative + beta**2 * variance)
 
-    true_loss_diff = loss_ce(f_soup, labels, 0.0, beta) - loss_ce(f_ens, labels, 0.0, beta)
+    true_loss_diff = loss_soup - loss_ce(f_ens, labels, 0.0, beta)
     true_err_diff = top1_error(f_soup, labels) - top1_error(f_ens, labels)
 
     values = (approx, true_loss_diff, true_err_diff, second_derivative, variance)
@@ -418,8 +455,9 @@ def soup_vs_ensemble_approx(
     """Second-order estimate of L_soup - L_ens for one (pair, alpha)."""
     _check_approx_args([alpha], beta_mode)
     p0, p1, delta = _segment(theta0, theta1)
+    f0, f1 = forward(p0, X), forward(p1, X)
     return _approx_record(
-        p0, delta, forward(p0, X), forward(p1, X), alpha, X, np.asarray(labels),
+        _LinePoints(p0, delta, X, [alpha]), f0, f1, f1 - f0, alpha, np.asarray(labels),
         beta_mode, pair_id, split,
     )
 
@@ -574,10 +612,11 @@ def approx_validation_report(
         p0, p1, delta = _segment(pair.theta0, pair.theta1)
         for split_name, (X, y) in splits.items():
             f0, f1, labels = forward(p0, X), forward(p1, X), np.asarray(y)
+            line, delta_f = _LinePoints(p0, delta, X, alphas), f1 - f0
             for alpha in alphas:
                 records.append(
                     _approx_record(
-                        p0, delta, f0, f1, alpha, X, labels,
+                        line, f0, f1, delta_f, alpha, labels,
                         beta_mode, pair.pair_id, split_name,
                     )
                 )

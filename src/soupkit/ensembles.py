@@ -28,15 +28,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fileio import cell, write_table
-from .tensorstore import Checkpoint, content_digest
+from .tensorstore import Checkpoint
 from .tinynet import (
     EvalReport,
     check_labels,
     evaluate_logits,
     forward,
-    log_softmax,
+    label_nll,
     loss_ce,
-    onehot_nll,
     softmax,
 )
 
@@ -70,13 +69,17 @@ def logit_ensemble(models: Sequence[Checkpoint], X: np.ndarray) -> np.ndarray:
 def ensemble_accuracy_fn(X: np.ndarray, y: np.ndarray) -> Callable[[Sequence[Checkpoint]], float]:
     """Scorer: the accuracy ``evaluate_logits`` reports for the uniform logit ensemble of a pool.
 
-    Each distinct member (by content digest) is forwarded once over the
-    scorer's life, so a greedy search forwards every candidate once.
+    Each distinct member is forwarded once over the scorer's life, so a
+    greedy search forwards every candidate once. Members are told apart by
+    exact content (tensor names, shapes and stored bytes), so a checkpoint
+    changed in place between two scores is forwarded again, and nothing is
+    hashed with SHA-256.
     """
-    cache: dict[str, np.ndarray] = {}
+    cache: dict[tuple, np.ndarray] = {}
 
     def logits_of(model: Checkpoint) -> np.ndarray:
-        key = content_digest(model)
+        layout = model.layout
+        key = (layout.names, tuple(shape for _, shape in layout.spans), model.vector.tobytes())
         if key not in cache:
             cache[key] = forward(model, X)
         return cache[key]
@@ -111,15 +114,17 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     """Logit scale minimizing mean NLL of beta * logits on this split."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     # loss_ce(logits, labels, 0.0, beta) with the labels checked once
-    labels = check_labels(labels, logits.shape[1])
+    nll_at = label_nll(logits, check_labels(labels, logits.shape[1]))
 
     def nll(log_beta: float) -> float:
-        return onehot_nll(log_softmax(math.exp(log_beta) * logits), labels)
+        return nll_at(math.exp(log_beta))
 
     lo, hi = math.log(BETA_GRID_LO), math.log(BETA_GRID_HI)
+    # ln 0.05 == -ln 20 in float64, so the middle probe is at log beta 0.0 exactly.
     probes = [nll(lo), nll(0.5 * (lo + hi)), nll(hi)]
+    baseline = probes[1]
     if max(probes) - min(probes) < _FLAT_EPS:
-        return TemperatureFit(beta=1.0, nll=nll(0.0), degenerate=True)
+        return TemperatureFit(beta=1.0, nll=baseline, degenerate=True)
 
     # Golden-section search on log beta (NLL is unimodal in the scale).
     a, b = lo, hi
@@ -137,7 +142,6 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
             fd = nll(d)
     best_log = c if fc < fd else d
     best_nll = min(fc, fd)
-    baseline = nll(0.0)
     if baseline <= best_nll:  # never increase NLL on the fit split
         return TemperatureFit(beta=1.0, nll=baseline, degenerate=False)
     return TemperatureFit(beta=math.exp(best_log), nll=best_nll, degenerate=False)

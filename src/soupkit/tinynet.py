@@ -22,9 +22,10 @@ taken to be zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
@@ -220,7 +221,7 @@ def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def onehot_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean of -log_probs[i, labels[i]], for labels that passed :func:`check_labels`.
+    """Mean of -log_probs[i, labels[i]], for one label per row that passed :func:`check_labels`.
 
     Bitwise equal to the one-hot cross-entropy ``-mean(sum(onehot *
     log_probs, axis=1))``: the targets are exactly 1.0 and 0.0, and adding
@@ -230,13 +231,58 @@ def onehot_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
     sum, so the result stays the same there too.
     """
     rows = log_probs.shape[0]
-    if labels.size != rows:
-        raise ValueError(f"{labels.size} labels for {rows} rows of logits")
     if rows and log_probs.min() == -np.inf:
         targets = np.zeros_like(log_probs)
         targets[np.arange(rows), labels] = 1.0
         return float(-np.mean(np.sum(targets * log_probs, axis=1)))
     return float(-np.mean(log_probs[np.arange(rows), labels]))
+
+
+# While beta * max|logits| stays at or below this, every max-shifted scaled
+# logit lies in [-2**1021, 0], so no log-probability is -inf.
+_SAFE_SCALED_BOUND = 2.0**1020
+
+
+def label_nll(logits: np.ndarray, labels: np.ndarray) -> Callable[[float], float]:
+    """``nll(beta)``, the mean NLL of ``beta * logits`` (float64, 2-D) at labels
+    that passed :func:`check_labels`.
+
+    Bitwise ``onehot_nll(log_softmax(beta * logits), labels)`` for every
+    beta > 0, with the work that does not depend on beta done once: the
+    class max, the label column and a bound on the logits. Rounding is
+    monotone, so ``beta * max`` is the max of ``beta * logits``; where the
+    scaled row max is a tie of +0.0 and -0.0 the row's log-sum-exp is at
+    least ln 2, so the sign of that zero changes no log-probability. Within
+    the bound no log-probability is -inf, so a probe sums the exponentials
+    of the shifted logits and takes only the label column's log-probability:
+    no -inf scan and no full ``shifted - lse`` pass. Outside it (no rows, or
+    NaN, infinite or huge scaled logits) a probe computes that expression as
+    it stands.
+    """
+    rows = logits.shape[0]
+    if labels.size != rows:
+        raise ValueError(f"{labels.size} labels for {rows} rows of logits")
+    bound = math.inf
+    if rows:
+        row_max = _class_max(logits)
+        label_logits = logits[np.arange(rows), labels]
+        bound = float(np.maximum(-logits.min(), row_max.max()))  # NaN or inf unless finite
+        exp = np.empty_like(logits)  # the layout beta * logits gets, for the same row sums
+
+    def nll(beta: float) -> float:
+        if not beta * bound <= _SAFE_SCALED_BOUND:
+            return onehot_nll(log_softmax(beta * logits), labels)
+        shift = beta * row_max
+        np.multiply(beta, logits, out=exp)
+        np.subtract(exp, shift, out=exp)
+        np.exp(exp, out=exp)
+        picked = beta * label_logits
+        picked -= shift[:, 0]
+        # np.sum and np.mean call these reductions; a vector's mean is its sum over its length.
+        picked -= np.log(np.add.reduce(exp, axis=-1))
+        return float(-(np.add.reduce(picked) / rows))
+
+    return nll
 
 
 def smoothed_targets(labels: np.ndarray, num_classes: int, smoothing: float) -> np.ndarray:
@@ -263,8 +309,7 @@ def loss_ce(
     if smoothing != 0.0:
         targets = smoothed_targets(labels, logits.shape[1], smoothing)
         return float(-np.mean(np.sum(targets * log_softmax(inv_temperature * logits), axis=1)))
-    labels = check_labels(labels, logits.shape[1])
-    return onehot_nll(log_softmax(inv_temperature * logits), labels)
+    return label_nll(logits, check_labels(labels, logits.shape[1]))(inv_temperature)
 
 
 def grad64(

@@ -1,10 +1,14 @@
-"""Shared desk-scale fixtures: one dataset, one base model, one sweep.
+"""Shared desk-scale fixtures: one dataset, one base model, one sweep, and
+a call counter.
 
-Session-scoped so the (cheap) training runs happen once per test run.
-Tests that need different data or hypers build their own locally.
+The data and models are session-scoped so the (cheap) training runs happen
+once per test run. Tests that need different data or hypers build their
+own locally.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -59,3 +63,27 @@ def desk_models(desk_base, desk_dataset):
         )
         models.append(trainer.finetune(desk_base, h, desk_dataset).checkpoint)
     return models
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Factory: ``count_calls(module, name)`` wraps ``module.name`` in every
+    soupkit module that binds it (``from .tinynet import forward``), so a
+    call through any module is counted, and returns the list that gets the
+    ``id`` of each call's first argument (which object, without comparing
+    arrays)."""
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(first, *args, **kwargs):
+            calls.append(id(first))
+            return original(first, *args, **kwargs)
+
+        for module_name, bound in list(sys.modules.items()):
+            if module_name.startswith("soupkit") and getattr(bound, name, None) is original:
+                monkeypatch.setattr(bound, name, counted)
+        return calls
+
+    return install

@@ -202,3 +202,55 @@ def cross_entropy_product_sum(logits, labels, smoothing=0.0, inv_temperature=1.0
     targets[np.arange(rows), labels] += 1.0 - smoothing
     ls = log_softmax_c_order(inv_temperature * g)
     return float(-np.mean(np.sum(targets * ls, axis=1)))
+
+
+def approx_records_afresh(pairs, alphas, splits, beta_mode):
+    """The loss-gap report's records with every curvature probe forwarded afresh.
+
+    One ``ApproxRecord`` per (pair, split, alpha), in that order. Each alpha
+    forwards its soup and every point of its second difference anew, the
+    difference written out as central, or one-sided from alpha where a
+    central probe would leave [0, 1]; nothing is shared between alphas.
+    """
+    from soupkit import analysis, ensembles
+    from soupkit.tensorstore import as_params, axpy
+
+    h = analysis.ALPHA_FD_STEP
+    records = []
+    for pair in pairs:
+        p0, p1 = as_params(pair.theta0), as_params(pair.theta1)
+        delta = axpy(p1, p0, -1.0)
+        for split, (X, y) in splits.items():
+            f0, f1 = tinynet.forward(p0, X), tinynet.forward(p1, X)
+            for alpha in alphas:
+                f_soup = tinynet.forward(axpy(p0, delta, alpha), X)
+                f_ens = (1.0 - alpha) * f0 + alpha * f1
+                fitted = beta_mode != "fixed-1"
+                beta = ensembles.fit_temperature(f_soup, y).beta if fitted else 1.0
+
+                def loss(a):
+                    return tinynet.loss_ce(tinynet.forward(axpy(p0, delta, a), X), y, 0.0, beta)
+
+                if alpha - h < 0.0:
+                    d2 = loss(alpha) - 2.0 * loss(alpha + h) + loss(alpha + 2.0 * h)
+                elif alpha + h > 1.0:
+                    d2 = loss(alpha) - 2.0 * loss(alpha - h) + loss(alpha - 2.0 * h)
+                else:
+                    d2 = loss(alpha - h) - 2.0 * loss(alpha) + loss(alpha + h)
+                d2 /= h * h
+                variance = float(np.mean(tinynet.hessian_quadratic_form(beta * f_soup, f1 - f0)))
+                records.append(
+                    analysis.ApproxRecord(
+                        pair_id=pair.pair_id,
+                        split=split,
+                        alpha=float(alpha),
+                        beta=beta,
+                        approx_value=alpha * (1.0 - alpha) / 2.0 * (-d2 + beta**2 * variance),
+                        true_loss_diff=tinynet.loss_ce(f_soup, y, 0.0, beta)
+                        - tinynet.loss_ce(f_ens, y, 0.0, beta),
+                        true_err_diff=tinynet.top1_error(f_soup, y) - tinynet.top1_error(f_ens, y),
+                        second_derivative_term=d2,
+                        variance_term=variance,
+                    )
+                )
+    return records

@@ -517,6 +517,37 @@ def test_report_row_count_and_order(desk_models, desk_dataset):
     assert all(r.beta == 1.0 for r in report.records)
 
 
+# The default grid, and one with probe points a rounding apart: 0.35 and
+# 0.35000000000000003, -0.0 and 0.0, and 0.39999999999999997 and 0.4.
+TENTHS = [i / 10 for i in range(11)]
+NEAR_TIES = [-0.0, 0.0, 0.3, 0.35, 0.35000000000000003, 0.4, 1.0]
+
+
+@pytest.mark.parametrize("beta_mode", analysis.BETA_MODES)
+@pytest.mark.parametrize("alphas", [TENTHS, NEAR_TIES], ids=["tenths", "near-ties"])
+def test_report_equals_forwarding_every_probe_afresh(desk_models, desk_dataset, alphas, beta_mode):
+    val, test = desk_dataset.splits["val"], desk_dataset.splits["test"]
+    pairs = _two_pair_setup(desk_models)[:2]
+    splits = {"val": (val.x, val.y), "test": (test.x, test.y)}
+    report = analysis.approx_validation_report(pairs, alphas, splits, beta_mode)
+    want = oracles.approx_records_afresh(pairs, alphas, splits, beta_mode)
+    assert repr(report.records) == repr(want)  # repr tells -0.0 from 0.0
+
+
+def test_line_points_drop_each_point_after_its_last_stencil(desk_models, desk_dataset):
+    val = desk_dataset.splits["val"]
+    p0, _, delta = analysis._segment(desk_models[0], desk_models[1])
+    line = analysis._LinePoints(p0, delta, val.x, TENTHS)
+    held = []
+    for alpha in TENTHS:
+        for a in analysis._stencil(alpha):
+            line.take(a)
+        held.append(len(line._logits))
+    # Seven points are shared by neighbours, e.g. 0.25 by alphas 0.2 and 0.3;
+    # 0.35 (from 0.3) and 0.35000000000000003 (from 0.4) are not.
+    assert held == [2, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0]
+
+
 def test_report_excludes_highest_learning_rate(desk_models, desk_dataset):
     val = desk_dataset.splits["val"]
     pairs = _two_pair_setup(desk_models)

@@ -1,34 +1,22 @@
 """Content-digest counts: only a combination that is stored is hashed.
 
-``count_digests`` wraps ``tensorstore.content_digest`` in every soupkit
-module that binds it (``from .tensorstore import content_digest``), so a
-call through any module is counted. ``combine`` is arithmetic only;
+``count_digests`` records which checkpoint each ``tensorstore.content_digest``
+call through any soupkit module hashes. ``combine`` is arithmetic only;
 ``uniform_soup``, whose checkpoint is the one combination a command saves,
-hashes its ingredients for ``recipe.inputs``.
+hashes its ingredients for ``recipe.inputs``; the greedy-ensemble scorer
+keys its logits by exact content and hashes nothing.
 """
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
-from soupkit import analysis, soups, tensorstore
+from soupkit import analysis, ensembles, soups, tensorstore
 
 
 @pytest.fixture
-def count_digests(monkeypatch):
-    calls = []
-    original = tensorstore.content_digest
-
-    def counted(ckpt):
-        calls.append(id(ckpt))  # which checkpoint, without comparing arrays
-        return original(ckpt)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("soupkit") and getattr(module, "content_digest", None) is original:
-            monkeypatch.setattr(module, "content_digest", counted)
-    return calls
+def count_digests(count_calls):
+    return count_calls(tensorstore, "content_digest")
 
 
 def test_combine_hashes_nothing(desk_models, count_digests):
@@ -56,3 +44,9 @@ def test_a_soup_hashes_each_of_its_ingredients_once(desk_models, desk_dataset, c
     val = desk_dataset.splits["val"]
     greedy = soups.greedy_soup(desk_models, soups.accuracy_fn(val.x, val.y))
     assert count_digests == [id(desk_models[i]) for i in greedy.ingredient_indices]
+
+
+def test_a_greedy_ensemble_hashes_nothing(desk_models, desk_dataset, count_digests):
+    val = desk_dataset.splits["val"]
+    ensembles.greedy_ensemble(desk_models, ensembles.ensemble_accuracy_fn(val.x, val.y))
+    assert count_digests == []

@@ -167,6 +167,12 @@ def test_fit_temperature_keeps_unit_scale_at_an_exact_optimum():
     assert fit == ensembles.TemperatureFit(beta=1.0, nll=loss_ce(logits, labels), degenerate=False)
 
 
+def test_beta_bracket_midpoint_is_unit_scale():
+    # fit_temperature takes its beta = 1 baseline from the middle flatness probe.
+    lo, hi = math.log(ensembles.BETA_GRID_LO), math.log(ensembles.BETA_GRID_HI)
+    assert 0.5 * (lo + hi) == 0.0 and math.exp(0.5 * (lo + hi)) == 1.0
+
+
 def _pinned_fit_inputs():
     rng = PortableRng(2203)
     logits = 2.5 * rng.normals(300 * 8).reshape(300, 8)

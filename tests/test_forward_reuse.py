@@ -1,13 +1,10 @@
 """Forward-pass counts of the analysis paths that reuse known logits.
 
-``count_forwards`` wraps ``tinynet.forward`` in every soupkit module
-that binds it (``from .tinynet import forward``), so a call through any
-module is counted, and checks that reuse changes no result.
+``count_forwards`` counts ``tinynet.forward`` calls through any soupkit
+module; each test also checks that reuse changes no result.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 import pytest
@@ -17,18 +14,8 @@ from soupkit.tensorstore import Checkpoint
 
 
 @pytest.fixture
-def count_forwards(monkeypatch):
-    calls = []
-    original = tinynet.forward
-
-    def counted(theta, X):
-        calls.append(len(X))
-        return original(theta, X)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("soupkit") and getattr(module, "forward", None) is original:
-            monkeypatch.setattr(module, "forward", counted)
-    return calls
+def count_forwards(count_calls):
+    return count_calls(tinynet, "forward")
 
 
 def _splits(ds):
@@ -57,6 +44,24 @@ def test_approx_report_forwards_endpoints_once_per_pair_and_split(
             pair_id=pair.pair_id, split=record.split,
         )
         assert alone == record
+
+
+@pytest.mark.parametrize(
+    "alphas, points",
+    [
+        ([i / 10 for i in range(11)], 26),  # 33 stencil points, 7 shared by neighbours
+        ([-0.0, 0.0, 0.3, 0.35, 0.35000000000000003, 0.4, 1.0], 15),  # 14 by ==
+    ],
+    ids=["tenths", "near-ties"],
+)
+def test_approx_report_forwards_each_line_point_once_per_pair_and_split(
+    desk_base, desk_models, desk_dataset, count_forwards, alphas, points
+):
+    pairs = [analysis.PairSpec(f"p{i}", desk_base, desk_models[i]) for i in range(2)]
+    splits = _splits(desk_dataset)
+    analysis.approx_validation_report(pairs, alphas, splits, beta_mode="fixed-1")
+    P, S = len(pairs), len(splits)
+    assert len(count_forwards) == 2 * P * S + points * P * S
 
 
 def test_greedy_ensemble_forwards_each_model_once(desk_models, desk_dataset, count_forwards):

@@ -6,13 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
 from oracles import checkpoints_equal
-from soupkit import tinynet
+from soupkit import ensembles, tinynet
 from soupkit.errors import NonFiniteError, ShapeMismatchError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint, Params
@@ -279,6 +279,71 @@ def test_loss_ce_keeps_nan_where_product_sum_meets_minus_inf():
         got = loss_ce(logits, labels)
         want = oracles.cross_entropy_product_sum(logits, labels)
     assert np.isnan(got) and _same_bits(got, want)
+
+
+NLL_SPECIALS = [np.nan, np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308,
+                0.0, -0.0, 5e-324, -5e-324]
+
+
+@st.composite
+def nll_cases(draw):
+    """(logits, labels, beta): 0-30 rows of 1-9 classes in C order, Fortran
+    order or a column-strided view, seeded normal logits with up to three cells set to huge, infinite, NaN,
+    signed-zero or subnormal values, and beta in [0.05, 20]."""
+    rows = draw(st.integers(min_value=0, max_value=30))
+    classes = draw(st.integers(min_value=1, max_value=9))
+    scale = draw(st.sampled_from([0.1, 1.0, 10.0, 300.0]))
+    logits = scale * np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(
+        (rows, classes)
+    )
+    if rows:
+        cells = st.tuples(
+            st.integers(0, rows - 1), st.integers(0, classes - 1), st.sampled_from(NLL_SPECIALS)
+        )
+        for row, col, value in draw(st.lists(cells, max_size=3)):
+            logits[row, col] = value
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        logits = np.asfortranarray(logits)
+    elif layout == "strided":
+        logits = np.repeat(logits, 2, axis=1)[:, ::2]
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
+    return logits, np.array(labels, dtype=np.int64), draw(st.floats(0.05, 20.0))
+
+
+@given(nll_cases())
+@example((np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 1.0))  # no rows
+@example((np.array([[np.nan, 0.0], [1.0, 2.0]]), np.array([0, 1]), 0.7))
+@example((np.array([[1e308, -1e308], [0.5, 0.25]]), np.array([1, 0]), 5.0))
+@example((np.array([[3.0], [-2.0]]), np.array([0, 0]), 20.0))  # one class
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+def test_label_nll_loss_ce_and_fit_probes_bitwise_match_product_sum_oracle(case):
+    # Every value must be the bits of onehot_nll(log_softmax(beta * logits)),
+    # and the oracle's bits except that a NaN may carry the other sign.
+    logits, labels, beta = case
+    probes = []
+
+    def recorded(*args):
+        nll = tinynet.label_nll(*args)
+
+        def probe(b):
+            probes.append((b, nll(b)))
+            return probes[-1][1]
+
+        return probe
+
+    with np.errstate(all="ignore"):
+        probes += [(beta, tinynet.label_nll(logits, labels)(beta)),
+                   (beta, loss_ce(logits, labels, 0.0, beta))]
+        with mock.patch.object(ensembles, "label_nll", recorded):
+            fit = ensembles.fit_temperature(logits, labels)
+        assert any(_same_bits(fit.nll, v) for _, v in probes[2:])  # the fit reports a probe
+        for b, got in probes:
+            want = tinynet.onehot_nll(log_softmax(b * logits), labels)
+            oracle = oracles.cross_entropy_product_sum(logits, labels, 0.0, b)
+            assert _same_bits(got, want), (b, got, want)
+            assert _same_bits(got, oracle) or np.isnan(got) and np.isnan(oracle), (b, got, oracle)
 
 
 @given(
