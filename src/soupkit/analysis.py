@@ -18,6 +18,8 @@ Numerical conventions
   back to the one-sided second difference anchored at the endpoint, so
   every probe stays inside [0, 1]. Neighbouring alphas' stencils share
   points, and a report forwards each point once per (pair, split).
+* In ``calibrate-soup`` mode the soup's loss is the temperature fit's
+  own nll, the loss at the fitted beta bit for bit.
 * The tau-integral uses composite Simpson quadrature on an odd,
   evenly spaced node grid (default 33 nodes).
 
@@ -355,13 +357,6 @@ def _stencil(alpha: float) -> tuple[float, float, float]:
     return alpha - h, alpha, alpha + h
 
 
-def _alpha_second_derivative(loss_at, alpha: float) -> float:
-    """d2 loss / d alpha2 by second differences staying inside [0, 1]."""
-    h = ALPHA_FD_STEP
-    a, b, c = _stencil(alpha)
-    return (loss_at(a) - 2.0 * loss_at(b) + loss_at(c)) / (h * h)
-
-
 class _LinePoints:
     """Logits of p0 + a * delta on X at the stencil points of an alpha grid.
 
@@ -393,53 +388,43 @@ def _check_approx_args(alphas: Sequence[float], beta_mode: str) -> None:
         raise ValueError(f"beta_mode must be one of {BETA_MODES}")
 
 
-def _approx_record(
-    line: _LinePoints,
-    f0: np.ndarray,
-    f1: np.ndarray,
-    delta_f: np.ndarray,
-    alpha: float,
-    labels: np.ndarray,
-    beta_mode: str,
-    pair_id: str,
-    split: str,
-) -> ApproxRecord:
-    """One record from the endpoint logits f0, f1 and delta_f = f1 - f0,
-    which do not depend on alpha."""
-    f_soup = line.take(alpha)
-    f_ens = (1.0 - alpha) * f0 + alpha * f1
+def _split_records(
+    segment: tuple[Params, ...], pair_id: str, split: str, X: np.ndarray, y: np.ndarray,
+    alphas: Sequence[float], beta_mode: str,
+) -> list[ApproxRecord]:
+    """One record per alpha for one (pair, split) of the pair's ``_segment``.
 
-    if beta_mode == "fixed-1":
-        beta = 1.0
-    else:
-        beta = fit_temperature(f_soup, labels).beta
-    loss_soup = loss_ce(f_soup, labels, 0.0, beta)
+    The endpoint logits and delta_f = f1 - f0 do not depend on alpha, and
+    each line point is forwarded once. A calibrated soup's loss is the
+    fit's own nll, the loss at the fitted beta.
+    """
+    p0, p1, delta = segment
+    f0, f1, labels = forward(p0, X), forward(p1, X), np.asarray(y)
+    delta_f, line = f1 - f0, _LinePoints(p0, delta, X, alphas)
+    records = []
+    for alpha in alphas:
+        f_soup = line.take(alpha)
+        if beta_mode == "fixed-1":
+            beta, loss_soup = 1.0, loss_ce(f_soup, labels)
+        else:
+            fit = fit_temperature(f_soup, labels)
+            beta, loss_soup = fit.beta, fit.nll
+        # d2 loss / d alpha2 by the second difference; its probe at alpha is the soup.
+        la, lb, lc = (loss_soup if a == alpha else loss_ce(line.take(a), labels, 0.0, beta)
+                      for a in _stencil(alpha))
+        second_derivative = (la - 2.0 * lb + lc) / (ALPHA_FD_STEP * ALPHA_FD_STEP)
+        variance = float(np.mean(hessian_quadratic_form(beta * f_soup, delta_f)))
+        approx = alpha * (1.0 - alpha) / 2.0 * (-second_derivative + beta**2 * variance)
 
-    def loss_at(a: float) -> float:
-        return loss_soup if a == alpha else loss_ce(line.take(a), labels, 0.0, beta)
+        f_ens = (1.0 - alpha) * f0 + alpha * f1
+        true_loss_diff = loss_soup - loss_ce(f_ens, labels, 0.0, beta)
+        true_err_diff = top1_error(f_soup, labels) - top1_error(f_ens, labels)
 
-    second_derivative = _alpha_second_derivative(loss_at, alpha)
-    variance = float(np.mean(hessian_quadratic_form(beta * f_soup, delta_f)))
-    c_alpha = alpha * (1.0 - alpha) / 2.0
-    approx = c_alpha * (-second_derivative + beta**2 * variance)
-
-    true_loss_diff = loss_soup - loss_ce(f_ens, labels, 0.0, beta)
-    true_err_diff = top1_error(f_soup, labels) - top1_error(f_ens, labels)
-
-    values = (approx, true_loss_diff, true_err_diff, second_derivative, variance)
-    if not all(math.isfinite(v) for v in values):
-        raise NonFiniteError(f"non-finite analysis value for pair {pair_id!r} at alpha {alpha}")
-    return ApproxRecord(
-        pair_id=pair_id,
-        split=split,
-        alpha=float(alpha),
-        beta=beta,
-        approx_value=approx,
-        true_loss_diff=true_loss_diff,
-        true_err_diff=true_err_diff,
-        second_derivative_term=second_derivative,
-        variance_term=variance,
-    )
+        values = (approx, true_loss_diff, true_err_diff, second_derivative, variance)
+        if not all(math.isfinite(v) for v in values):
+            raise NonFiniteError(f"non-finite analysis value for pair {pair_id!r} at alpha {alpha}")
+        records.append(ApproxRecord(pair_id, split, float(alpha), beta, *values))
+    return records
 
 
 def soup_vs_ensemble_approx(
@@ -454,12 +439,9 @@ def soup_vs_ensemble_approx(
 ) -> ApproxRecord:
     """Second-order estimate of L_soup - L_ens for one (pair, alpha)."""
     _check_approx_args([alpha], beta_mode)
-    p0, p1, delta = _segment(theta0, theta1)
-    f0, f1 = forward(p0, X), forward(p1, X)
-    return _approx_record(
-        _LinePoints(p0, delta, X, [alpha]), f0, f1, f1 - f0, alpha, np.asarray(labels),
-        beta_mode, pair_id, split,
-    )
+    segment = _segment(theta0, theta1)
+    [record] = _split_records(segment, pair_id, split, X, labels, [alpha], beta_mode)
+    return record
 
 
 # -------------------------------------------------- exact integral identity
@@ -609,17 +591,9 @@ def approx_validation_report(
     _check_approx_args(alphas, beta_mode)
     records = []
     for pair in pairs:
-        p0, p1, delta = _segment(pair.theta0, pair.theta1)
+        segment = _segment(pair.theta0, pair.theta1)
         for split_name, (X, y) in splits.items():
-            f0, f1, labels = forward(p0, X), forward(p1, X), np.asarray(y)
-            line, delta_f = _LinePoints(p0, delta, X, alphas), f1 - f0
-            for alpha in alphas:
-                records.append(
-                    _approx_record(
-                        line, f0, f1, delta_f, alpha, labels,
-                        beta_mode, pair.pair_id, split_name,
-                    )
-                )
+            records += _split_records(segment, pair.pair_id, split_name, X, y, alphas, beta_mode)
     rates = [p.learning_rate for p in pairs if p.learning_rate is not None]
     excluded_rate = max(rates) if rates else None
     if excluded_rate is None:

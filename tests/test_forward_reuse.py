@@ -1,4 +1,5 @@
-"""Forward-pass counts of the analysis paths that reuse known logits.
+"""Forward-pass counts of the analysis paths that reuse known logits, and
+the loss count of the loss-gap report, which reuses a fit's nll.
 
 ``count_forwards`` counts ``tinynet.forward`` calls through any soupkit
 module; each test also checks that reuse changes no result.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from soupkit import analysis, ensembles, tinynet
 from soupkit.tensorstore import Checkpoint
 
@@ -62,6 +64,22 @@ def test_approx_report_forwards_each_line_point_once_per_pair_and_split(
     analysis.approx_validation_report(pairs, alphas, splits, beta_mode="fixed-1")
     P, S = len(pairs), len(splits)
     assert len(count_forwards) == 2 * P * S + points * P * S
+
+
+@pytest.mark.parametrize("beta_mode, per_record", [("calibrate-soup", 3), ("fixed-1", 4)])
+def test_calibrated_approx_record_takes_its_soup_loss_from_the_fit(
+    desk_base, desk_models, desk_dataset, count_calls, beta_mode, per_record
+):
+    # loss_ce runs for the two stencil neighbours and the ensemble, and in
+    # fixed-1 mode for the soup too; a fitted soup's loss is the fit's nll.
+    losses = count_calls(tinynet, "loss_ce")
+    pairs = [analysis.PairSpec(f"p{i}", desk_base, desk_models[i]) for i in range(2)]
+    alphas = [0.0, 0.5, 1.0]
+    splits = _splits(desk_dataset)
+    report = analysis.approx_validation_report(pairs, alphas, splits, beta_mode=beta_mode)
+    assert len(losses) == per_record * len(report.records)
+    want = oracles.approx_records_afresh(pairs, alphas, splits, beta_mode)
+    assert repr(report.records) == repr(want)
 
 
 def test_greedy_ensemble_forwards_each_model_once(desk_models, desk_dataset, count_forwards):
