@@ -53,7 +53,7 @@ import numpy as np
 from .ensembles import fit_temperature
 from .errors import DegenerateBasisError, NonFiniteError
 from .fileio import cell, write_table
-from .tensorstore import Checkpoint, Params, as_params, axpy, combine, dot, to_checkpoint
+from .tensorstore import Checkpoint, Params, as_params, axpy, combine, dot
 from .tinynet import (
     _forward_cached,
     arch_of,
@@ -181,24 +181,25 @@ def write_curve_csv(rows: Sequence[Mapping], path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class PlaneBasis:
-    """Orthonormal 2-D frame spanned by three anchor checkpoints.
+    """Orthonormal 2-D frame spanned by three anchor checkpoints, in float64.
 
     u1 points from the origin (theta0) toward theta1; u2 is the
     Gram-Schmidt remainder of theta2 - theta0.  Coordinates locate the
     three anchors in the (u1, u2) frame, origin first.
     """
 
-    origin: Checkpoint
-    u1: Checkpoint
-    u2: Checkpoint
+    origin: Params
+    u1: Params
+    u2: Params
     coords0: tuple[float, float]
     coords1: tuple[float, float]
     coords2: tuple[float, float]
 
 
-def _plane_frame(
+def plane_basis(
     theta0: Checkpoint, theta1: Checkpoint, theta2: Checkpoint
-) -> tuple[Params, Params, Params, PlaneBasis]:
+) -> PlaneBasis:
+    """The orthonormal frame alone, without evaluating any grid."""
     p0, _, d1 = _segment(theta0, theta1)
     d2 = axpy(as_params(theta2), p0, -1.0)
     n1 = math.sqrt(dot(d1, d1))
@@ -212,22 +213,14 @@ def _plane_frame(
     if n2 <= 1e-9 * math.sqrt(dot(d2, d2)):
         raise DegenerateBasisError("theta2 - theta0 is parallel to theta1 - theta0")
     u2 = Params(p0.layout, resid.vector / n2)
-    basis = PlaneBasis(
-        origin=theta0,
-        u1=to_checkpoint(u1, {"role": "plane-u1"}),
-        u2=to_checkpoint(u2, {"role": "plane-u2"}),
+    return PlaneBasis(
+        origin=p0,
+        u1=u1,
+        u2=u2,
         coords0=(0.0, 0.0),
         coords1=(n1, 0.0),
         coords2=(proj, n2),
     )
-    return p0, u1, u2, basis
-
-
-def plane_basis(
-    theta0: Checkpoint, theta1: Checkpoint, theta2: Checkpoint
-) -> PlaneBasis:
-    """The orthonormal frame alone, without evaluating any grid."""
-    return _plane_frame(theta0, theta1, theta2)[3]
 
 
 def plane_landscape(
@@ -246,13 +239,13 @@ def plane_landscape(
     """
     if metric not in PLANE_METRICS:
         raise ValueError(f"metric must be one of {PLANE_METRICS}")
-    p0, u1, u2, basis = _plane_frame(theta0, theta1, theta2)
+    basis = plane_basis(theta0, theta1, theta2)
     matrix = np.empty((len(ys), len(xs)), dtype=np.float64)
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
             # Far-out points can overflow the logits; evaluate's loss check reports that.
             with np.errstate(over="ignore", invalid="ignore"):
-                report = evaluate(axpy(axpy(p0, u1, x), u2, y), X, labels)
+                report = evaluate(axpy(axpy(basis.origin, basis.u1, x), basis.u2, y), X, labels)
             matrix[i, j] = report.loss if metric == "loss" else report.top1_error
     return matrix, basis
 

@@ -31,7 +31,6 @@ from .fileio import cell, write_table
 from .tensorstore import Checkpoint
 from .tinynet import (
     EvalReport,
-    check_labels,
     evaluate_logits,
     forward,
     label_nll,
@@ -112,9 +111,7 @@ class TemperatureFit:
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     """Logit scale minimizing mean NLL of beta * logits on this split."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    # loss_ce(logits, labels, 0.0, beta) with the labels checked once
-    nll_at = label_nll(logits, check_labels(labels, logits.shape[1]))
+    nll_at = label_nll(logits, labels)  # loss_ce(logits, labels, 0.0, beta), set up once
 
     def nll(log_beta: float) -> float:
         return nll_at(math.exp(log_beta))
@@ -235,15 +232,14 @@ def calibration_report(
     num_bins: int = 15,
 ) -> CalibrationReport:
     fit = fit_temperature(fit_logits, fit_labels)
-    eval_logits = np.asarray(eval_logits, dtype=np.float64)
-    eval_labels = np.asarray(eval_labels)
     before = equal_mass_bins(*confidences_and_correct(eval_logits, eval_labels, 1.0), num_bins)
     after = equal_mass_bins(*confidences_and_correct(eval_logits, eval_labels, fit.beta), num_bins)
+    nll = label_nll(eval_logits, eval_labels)  # loss_ce(..., 0.0, beta), set up once
     return CalibrationReport(
         beta=fit.beta,
         degenerate=fit.degenerate,
-        nll_before=loss_ce(eval_logits, eval_labels, 0.0, 1.0),
-        nll_after=loss_ce(eval_logits, eval_labels, 0.0, fit.beta),
+        nll_before=nll(1.0),
+        nll_after=nll(fit.beta),
         ece_before=_ece(before),
         ece_after=_ece(after),
         bins_before=before,

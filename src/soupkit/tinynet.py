@@ -192,19 +192,31 @@ def _class_max(g: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.asfortranarray(g), axis=-1, keepdims=True)
 
 
+def _normalise(g: np.ndarray, log: bool = True, probs: bool = True) -> tuple:
+    """(log-probabilities, probabilities) of float64 logits ``g`` over the class axis, from
+    one max-shift, one exp and one C-order row sum; a part not asked for is None."""
+    shifted = g - _class_max(g)
+    exp = np.exp(shifted)
+    total = np.add.reduce(exp, axis=-1, keepdims=True)  # np.sum's reduction, minus its wrapper
+    if log:
+        shifted -= np.log(total)
+    if probs:
+        exp /= total
+    return shifted if log else None, exp if probs else None
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    g = np.asarray(logits, dtype=np.float64)
-    e = np.exp(g - _class_max(g))
-    e /= np.sum(e, axis=-1, keepdims=True)
-    return e
+    return _normalise(np.asarray(logits, dtype=np.float64), log=False)[1]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    g = np.asarray(logits, dtype=np.float64)
-    shifted = g - _class_max(g)
-    lse = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    shifted -= lse
-    return shifted
+    return _normalise(np.asarray(logits, dtype=np.float64), probs=False)[0]
+
+
+def _cross_entropy(targets: np.ndarray, log_probs: np.ndarray) -> float:
+    """The one reference cross-entropy, the bits of ``-np.mean(np.sum(targets * log_probs,
+    axis=1))``: np.mean of a float64 vector is its np.add.reduce over its length."""
+    return float(-(np.add.reduce(np.add.reduce(targets * log_probs, axis=1)) / log_probs.shape[0]))
 
 
 def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -220,45 +232,28 @@ def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels
 
 
-def onehot_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean of -log_probs[i, labels[i]], for one label per row that passed :func:`check_labels`.
-
-    Bitwise equal to the one-hot cross-entropy ``-mean(sum(onehot *
-    log_probs, axis=1))``: the targets are exactly 1.0 and 0.0, and adding
-    the products ``0.0 * log_probs[i, c]`` leaves the picked term as it is.
-    The one exception is a log-probability of -inf (the scaled logits
-    overflowed), where ``0.0 * -inf`` is NaN; such rows take the product
-    sum, so the result stays the same there too.
-    """
-    rows = log_probs.shape[0]
-    if rows and log_probs.min() == -np.inf:
-        targets = np.zeros_like(log_probs)
-        targets[np.arange(rows), labels] = 1.0
-        return float(-np.mean(np.sum(targets * log_probs, axis=1)))
-    return float(-np.mean(log_probs[np.arange(rows), labels]))
-
-
 # While beta * max|logits| stays at or below this, every max-shifted scaled
 # logit lies in [-2**1021, 0], so no log-probability is -inf.
 _SAFE_SCALED_BOUND = 2.0**1020
 
 
 def label_nll(logits: np.ndarray, labels: np.ndarray) -> Callable[[float], float]:
-    """``nll(beta)``, the mean NLL of ``beta * logits`` (float64, 2-D) at labels
-    that passed :func:`check_labels`.
+    """``nll(beta)``, the mean NLL of ``beta * logits`` (widened to 2-D float64) at
+    labels that pass :func:`check_labels`.
 
-    Bitwise ``onehot_nll(log_softmax(beta * logits), labels)`` for every
+    Bitwise ``_cross_entropy(onehot, log_softmax(beta * logits))`` for every
     beta > 0, with the work that does not depend on beta done once: the
     class max, the label column and a bound on the logits. Rounding is
     monotone, so ``beta * max`` is the max of ``beta * logits``; where the
     scaled row max is a tie of +0.0 and -0.0 the row's log-sum-exp is at
     least ln 2, so the sign of that zero changes no log-probability. Within
-    the bound no log-probability is -inf, so a probe sums the exponentials
-    of the shifted logits and takes only the label column's log-probability:
-    no -inf scan and no full ``shifted - lse`` pass. Outside it (no rows, or
-    NaN, infinite or huge scaled logits) a probe computes that expression as
-    it stands.
+    the bound no log-probability is -inf, so the products ``0.0 * log_probs``
+    add only zeros: a probe sums the exponentials of the shifted logits and
+    takes only the label column's log-probability. Outside it (no rows, or
+    NaN, infinite or huge scaled logits) a probe computes that expression.
     """
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    labels = check_labels(labels, logits.shape[1])
     rows = logits.shape[0]
     if labels.size != rows:
         raise ValueError(f"{labels.size} labels for {rows} rows of logits")
@@ -271,7 +266,8 @@ def label_nll(logits: np.ndarray, labels: np.ndarray) -> Callable[[float], float
 
     def nll(beta: float) -> float:
         if not beta * bound <= _SAFE_SCALED_BOUND:
-            return onehot_nll(log_softmax(beta * logits), labels)
+            return _cross_entropy(smoothed_targets(labels, logits.shape[1], 0.0),
+                                  log_softmax(beta * logits))
         shift = beta * row_max
         np.multiply(beta, logits, out=exp)
         np.subtract(exp, shift, out=exp)
@@ -303,13 +299,13 @@ def loss_ce(
 ) -> float:
     """Mean label-smoothed cross-entropy of beta * logits: the mean over rows of
     -sum_c targets[c] * log softmax(beta * logits)[c]."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     if inv_temperature <= 0.0:
         raise ValueError("inv_temperature must be positive")
-    if smoothing != 0.0:
-        targets = smoothed_targets(labels, logits.shape[1], smoothing)
-        return float(-np.mean(np.sum(targets * log_softmax(inv_temperature * logits), axis=1)))
-    return label_nll(logits, check_labels(labels, logits.shape[1]))(inv_temperature)
+    if smoothing == 0.0:
+        return label_nll(logits, labels)(inv_temperature)
+    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    targets = smoothed_targets(labels, logits.shape[1], smoothing)
+    return _cross_entropy(targets, log_softmax(inv_temperature * logits))
 
 
 def grad64(
@@ -335,16 +331,9 @@ def grad64(
     elif not isinstance(out, Params) or out.layout != params.layout:
         raise ShapeMismatchError("out must be a Params of the same layout as params")
     cache, logits = _forward_cached(params, X)
-    n = logits.shape[0]
-    # One max-shift and exp pass serves both softmax and log-softmax.  The
-    # ufunc reduction is what np.sum calls, minus its Python wrapper.
-    shifted = inv_temperature * logits
-    shifted -= _class_max(shifted)
-    exp = np.exp(shifted)
-    total = np.add.reduce(exp, axis=-1, keepdims=True)
-    # np.mean of a float64 vector is this sum divided by its length.
-    loss = float(-(np.add.reduce(np.add.reduce(targets * (shifted - np.log(total)), axis=1)) / n))
-    upstream = inv_temperature * (exp / total - targets) / n  # d loss / d logits
+    log_probs, probs = _normalise(inv_temperature * logits)
+    loss = _cross_entropy(targets, log_probs)
+    upstream = inv_temperature * (probs - targets) / logits.shape[0]  # d loss / d logits
     for i in range(len(cache) - 1, -1, -1):
         (weight, bias, gain), layer_in, z, u = cache[i]
         d_z = upstream

@@ -12,7 +12,7 @@ import oracles
 from soupkit import analysis
 from soupkit.errors import DegenerateBasisError
 from soupkit.rng import PortableRng
-from soupkit.tensorstore import Checkpoint, content_digest, dot
+from soupkit.tensorstore import Checkpoint, content_digest, dot, to_checkpoint
 from soupkit.tinynet import ArchSpec, as_params, evaluate, init_checkpoint
 
 
@@ -178,8 +178,8 @@ def test_plane_landscape_bytes_are_pinned(desk_base, desk_models, desk_dataset):
     assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == "fd03c7098744d939"
     assert repr(basis.coords1) == "(1.4340947986854777, 0.0)"
     assert repr(basis.coords2) == "(0.7122845624501305, 0.258518293885309)"
-    assert content_digest(basis.u1) == "4c3969718ec0cd62"
-    assert content_digest(basis.u2) == "9d1001c3bcfaeeb9"
+    assert content_digest(to_checkpoint(basis.u1, {})) == "4c3969718ec0cd62"
+    assert content_digest(to_checkpoint(basis.u2, {})) == "9d1001c3bcfaeeb9"
 
 
 def test_plane_basis_rejects_degenerate_directions():
