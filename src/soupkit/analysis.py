@@ -501,6 +501,8 @@ def relu_flip_count(
     some tau node differs from its sign at tau = 0.  Zero means the
     integral identity's smoothness assumption holds on the path.
     """
+    if num_nodes < 2:
+        raise ValueError("num_nodes must be >= 2")
     p0, _, delta = _segment(theta0, theta1)
     baseline = None
     changed = None

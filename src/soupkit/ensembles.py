@@ -35,6 +35,7 @@ from .tinynet import (
     forward,
     label_nll,
     loss_ce,
+    predictions,
     softmax,
 )
 
@@ -201,7 +202,7 @@ def confidences_and_correct(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max softmax probability and top-1 correctness per example."""
     probs = softmax(inv_temperature * np.asarray(logits, dtype=np.float64))
-    pred = np.argmax(probs, axis=1)
+    pred = predictions(logits)  # top1_error's: a temperature never changes a prediction
     conf = probs[np.arange(probs.shape[0]), pred]
     return conf, (pred == np.asarray(labels)).astype(np.float64)
 

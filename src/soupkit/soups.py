@@ -17,7 +17,8 @@ so that plain parameter averaging lands in the same loss basin.
   optimized by three full-batch steps of the trainer's AdamW step (no
   weight decay) at constant lr 0.1 on a held-out split.  The
   gradient w.r.t. a follows the chain d loss/d alpha_i = <grad_theta
-  loss, theta_i> restricted to the group, then softmax backward.  With
+  loss, theta_i> restricted to the group, then softmax backward; the
+  gradient w.r.t. b reads the logits of the step's own ``grad64`` pass.  With
   ``by_layer`` every ``layer{i}.`` prefix is its own group (the head
   layer included, on its own).
 """
@@ -187,7 +188,7 @@ def learned_soup(
         alpha = softmax(scores)  # one row per group
         beta = float(np.exp(raw[-1]))
         theta = mixed_params(alpha)
-        loss, theta_grad = grad64(theta, X_val, targets, inv_temperature=beta)
+        loss, theta_grad, logits = grad64(theta, X_val, targets, inv_temperature=beta)
         trace.append(loss)
 
         grad = np.empty_like(raw)
@@ -195,9 +196,7 @@ def learned_soup(
             # d loss / d alpha_i restricted to this group's tensors
             d_alpha = np.array([dot(theta_grad, p, names) for p in params_list])
             grad_row[:] = a * (d_alpha - float(np.dot(a, d_alpha)))  # softmax backward
-        logits = forward(theta, X_val)
-        probs = softmax(beta * logits)
-        d_beta = float(np.mean(np.sum((probs - targets) * logits, axis=1)))
+        d_beta = float(np.mean(np.sum((softmax(beta * logits) - targets) * logits, axis=1)))
         grad[-1] = d_beta * beta
         adamw_step(raw, grad, adam, LEARNED_SOUP_LR, weight_decay=0.0)
 

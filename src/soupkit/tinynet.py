@@ -314,13 +314,13 @@ def grad64(
     targets: np.ndarray,
     inv_temperature: float = 1.0,
     out: Params | None = None,
-) -> tuple[float, Params]:
-    """Loss and its gradient w.r.t. every parameter, all float64.
+) -> tuple[float, Params, np.ndarray]:
+    """Loss, its gradient w.r.t. every parameter and the logits, all float64.
 
     Loss is the batch mean of the target-distribution cross-entropy of
-    ``inv_temperature * logits``; the gradient shares the params' layout.
-    With ``out``, a Params of that layout, the gradient overwrites every
-    element of ``out`` and ``out`` is returned; otherwise it is new.
+    ``inv_temperature * logits``; the logits are unscaled, bitwise ``forward(params, X)``.
+    The gradient shares the params' layout: with ``out``, a Params of that layout,
+    it overwrites every element of ``out`` and ``out`` is returned; otherwise it is new.
     """
     if inv_temperature <= 0.0:
         raise ValueError("inv_temperature must be positive")
@@ -345,7 +345,7 @@ def grad64(
         np.add.reduce(d_z, axis=0, out=out[bias])
         if i > 0:
             upstream = d_z @ params[weight].T
-    return loss, out
+    return loss, out, logits
 
 
 def hessian_quadratic_form(logits: np.ndarray, v: np.ndarray) -> np.ndarray | float:

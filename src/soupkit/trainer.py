@@ -162,14 +162,14 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
             # Divergence is detected explicitly below, so let overflow
             # reach the isfinite checks instead of warning.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, _ = grad64(params, xb, tb, out=grads)
+                loss, _, _ = grad64(params, xb, tb, out=grads)
                 if not math.isfinite(loss):
                     raise DivergenceError(f"non-finite training loss at step {step}")
                 if h.sam_rho:
                     norm = math.sqrt(dot(grads, grads))
                     if norm > 0.0:
                         ascended = Params(params.layout, w + h.sam_rho * grads.vector / norm)
-                        loss, _ = grad64(ascended, xb, tb, out=grads)
+                        loss, _, _ = grad64(ascended, xb, tb, out=grads)
                         if not math.isfinite(loss):
                             raise DivergenceError(f"non-finite perturbed loss at step {step}")
             if h.optimizer == "sgd":

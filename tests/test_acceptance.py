@@ -262,7 +262,7 @@ def test_07_analytic_gradients_match_finite_differences():
         labels = np.array([i % widths[-1] for i in range(6)])
         targets = smoothed_targets(labels, widths[-1], 0.1 * (case % 2))
         beta = 1.0 + 0.3 * (case % 3)
-        _, analytic = grad64(params, X, targets, beta)
+        _, analytic, _ = grad64(params, X, targets, beta)
         numeric = oracles.fd_gradient(params, X, targets, beta)
         for name, values in analytic.items():
             rel = np.max(

@@ -492,6 +492,14 @@ def test_integral_oracle_validates_arguments():
         analysis.integral_oracle(theta0, theta1, 0.5, X, num_nodes=16)
 
 
+@pytest.mark.parametrize("num_nodes", [0, 1])
+def test_relu_flip_count_needs_both_ends_of_the_segment(num_nodes):
+    theta0, theta1 = _perturbation_pair(3)
+    X = np.zeros((2, 3), dtype=np.float32)
+    with pytest.raises(ValueError, match="num_nodes must be >= 2"):
+        analysis.relu_flip_count(theta0, theta1, X, num_nodes=num_nodes)
+
+
 # --------------------------------------------------------- scatter report
 
 

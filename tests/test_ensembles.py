@@ -21,6 +21,8 @@ from soupkit.tinynet import (
     init_checkpoint,
     loss_ce,
     predictions,
+    softmax,
+    top1_error,
 )
 
 
@@ -331,6 +333,19 @@ def test_confidences_use_first_index_on_ties():
     assert correct[0] == 1.0  # argmax tie resolves to class 0
     conf2, correct2 = ensembles.confidences_and_correct(logits, np.array([1]))
     assert correct2[0] == 0.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_confidences_count_the_prediction_top1_error_counts(beta):
+    # exp(-1e-17) rounds to 1.0, so the softmax ties classes 0 and 1 while
+    # the logits put class 1 ahead: a temperature must not flip the prediction.
+    logits, labels = np.array([[0.0, 1e-17, -3.0]]), np.array([1])
+    conf, correct = ensembles.confidences_and_correct(logits, labels, beta)
+    assert correct.tolist() == (predictions(logits) == labels).tolist() == [True]
+    assert conf[0] == np.max(softmax(beta * logits))
+    report = ensembles.calibration_report(logits, labels, logits, labels)
+    for bins in (report.bins_before, report.bins_after):
+        assert [b.accuracy for b in bins] == [1.0 - top1_error(logits, labels)]
 
 
 # ------------------------------------------------------------- full report

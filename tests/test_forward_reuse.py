@@ -1,8 +1,11 @@
-"""Forward-pass counts of the analysis paths that reuse known logits, and
-the loss count of the loss-gap report, which reuses a fit's nll.
+"""Forward-pass counts of the analysis paths that reuse known logits, the
+loss count of the loss-gap report, which reuses a fit's nll, and the learned
+soup's one forward: each step takes its logits from its own ``grad64`` pass,
+so ``tinynet.forward`` runs once per soup, for the final trace loss.
 
 ``count_forwards`` counts ``tinynet.forward`` calls through any soupkit
-module; each test also checks that reuse changes no result.
+module; each test also checks that reuse changes no result (the learned
+soup's through ``tests/test_soups.py``'s pinned bytes and its replay).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from soupkit import analysis, ensembles, tinynet
+from soupkit import analysis, ensembles, soups, tinynet
 from soupkit.tensorstore import Checkpoint
 
 
@@ -128,3 +131,15 @@ def test_evaluate_with_calibration_forwards_once(desk_models, desk_dataset, coun
     assert (report.loss, report.top1_error, report.calibrated_loss) == (
         base.loss, base.top1_error, tinynet.loss_ce(logits, test.y, inv_temperature=1.5)
     )
+
+
+@pytest.mark.parametrize("by_layer", [False, True])
+def test_learned_soup_forwards_once_for_its_final_loss(
+    desk_models, desk_dataset, count_calls, count_forwards, by_layer
+):
+    steps = count_calls(tinynet, "grad64")
+    val = desk_dataset.splits["val"]
+    result = soups.learned_soup(desk_models, val.x, val.y, by_layer=by_layer)
+    assert len(steps) == soups.LEARNED_SOUP_EPOCHS
+    assert len(count_forwards) == 1
+    assert len(result.loss_trace) == soups.LEARNED_SOUP_EPOCHS + 1

@@ -170,6 +170,8 @@ def test_forward_bitwise_equals_cached_forward(widths, rows, seed, float32_input
     assert got.dtype == np.float64 and got.shape == (rows, widths[-1])
     assert got.tobytes() == _forward_cached(p, X)[1].tobytes()
     assert X.tobytes() == before.tobytes()  # the in-place kernel leaves its input alone
+    targets = smoothed_targets(np.arange(rows) % widths[-1], widths[-1], 0.0)
+    assert grad64(p, X, targets, 1.7)[2].tobytes() == got.tobytes()  # unscaled logits
 
 
 # ------------------------------------------------------------- losses
@@ -365,9 +367,9 @@ def test_grad64_bitwise_matches_c_order_max(seed, rows, classes, head_scale, bet
         X = X.astype(np.float32)
     labels = np.array([rng.below(classes) for _ in range(rows)])
     targets = smoothed_targets(labels, classes, 0.1 if smooth else 0.0)
-    loss, grads = grad64(params, X, targets, beta)
+    loss, grads, _ = grad64(params, X, targets, beta)
     with mock.patch.object(tinynet, "_class_max", oracles.class_max_c_order):
-        want_loss, want_grads = grad64(params, X, targets, beta)
+        want_loss, want_grads, _ = grad64(params, X, targets, beta)
     assert _same_bits(loss, want_loss)
     assert grads.vector.tobytes() == want_grads.vector.tobytes()
 
@@ -400,7 +402,7 @@ def test_grad_matches_central_differences(widths, seed, smoothing, beta):
     X = rng.normals(5 * widths[0]).reshape(5, widths[0])
     labels = np.array([rng.below(widths[-1]) for _ in range(5)])
     targets = smoothed_targets(labels, widths[-1], smoothing)
-    _, analytic = grad64(params, X, targets, beta)
+    _, analytic, _ = grad64(params, X, targets, beta)
     numeric = oracles.fd_gradient(params, X, targets, beta)
     for name in params:
         scale = np.maximum(np.abs(numeric[name]), 1e-4)
@@ -412,7 +414,7 @@ def test_grad64_shares_checkpoint_layout():
     params = _random_params((4, 6, 3), 3)
     ckpt = Checkpoint.from_arrays(params)
     X = PortableRng(9).normals(12).reshape(3, 4)
-    _, g = grad64(as_params(ckpt), X, smoothed_targets(np.array([0, 1, 2]), 3, 0.0))
+    _, g, _ = grad64(as_params(ckpt), X, smoothed_targets(np.array([0, 1, 2]), 3, 0.0))
     assert g.layout == ckpt.layout
     assert list(g) == list(ckpt)
     for name in ckpt:
@@ -427,7 +429,7 @@ def test_grad64_loss_matches_loss_ce(smoothing, beta):
     params = _random_params((4, 6, 3), 4)
     X = PortableRng(10).normals(12).reshape(3, 4)
     labels = np.array([0, 2, 1])
-    loss, _ = grad64(params, X, smoothed_targets(labels, 3, smoothing), beta)
+    loss, _, _ = grad64(params, X, smoothed_targets(labels, 3, smoothing), beta)
     assert _same_bits(loss, loss_ce(forward(params, X), labels, smoothing, beta))
 
 
@@ -441,9 +443,9 @@ def test_grad64_into_a_nan_buffer_equals_a_fresh_gradient(targets_kind):
     if targets_kind == "mixup":  # rows blended as the trainer's mixup does
         lam, perm = rng.beta(0.4, 0.4), rng.permutation(8)
         X, targets = lam * X + (1 - lam) * X[perm], lam * targets + (1 - lam) * targets[perm]
-    want_loss, want = grad64(params, X, targets, 1.3)
+    want_loss, want, _ = grad64(params, X, targets, 1.3)
     buffer = Params(params.layout, np.full_like(params.vector, np.nan))
-    loss, got = grad64(params, X, targets, 1.3, out=buffer)
+    loss, got, _ = grad64(params, X, targets, 1.3, out=buffer)
     assert got is buffer
     assert _same_bits(loss, want_loss)
     assert buffer.vector.tobytes() == want.vector.tobytes()
