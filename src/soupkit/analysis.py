@@ -55,7 +55,7 @@ from .errors import DegenerateBasisError, NonFiniteError
 from .fileio import cell, write_table
 from .tensorstore import Checkpoint, Params, as_params, axpy, combine, dot
 from .tinynet import (
-    _forward_cached,
+    _forward,
     arch_of,
     evaluate,
     forward,
@@ -507,8 +507,9 @@ def relu_flip_count(
     baseline = None
     changed = None
     for tau in np.linspace(0.0, 1.0, num_nodes):
-        cache, _ = _forward_cached(axpy(p0, delta, float(tau)), X)
-        states = [u > 0.0 for *_, u in cache[:-1]]
+        kept: list[tuple] = []
+        _forward(axpy(p0, delta, float(tau)), X, kept)
+        states = [layer_in > 0.0 for _, layer_in, _ in kept[1:]]  # each hidden layer's relu
         if baseline is None:
             baseline = states
             changed = [np.zeros_like(s) for s in states]

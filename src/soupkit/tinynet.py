@@ -133,48 +133,36 @@ def init_checkpoint(arch: ArchSpec, seed: int) -> Checkpoint:
     return Checkpoint.from_arrays(arrays, meta)
 
 
-def _layers_and_input(params: Params, X: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Per-layer parameter names and X as float64, after the input-width check."""
+def _forward(params: Params, X: np.ndarray, kept: list | None = None) -> np.ndarray:
+    """Float64 logits of X, after the input-width check.  With ``kept``, a list, each layer
+    appends (names, input, preactivation) to it and the gain product goes to a new array, so
+    the preactivation survives; otherwise each layer updates its one matmul result in place.
+    Both modes run the same ufuncs in the same order, so their logits are bitwise equal."""
     layers, widths = _network_of(params)
     x = np.asarray(X, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != widths[0]:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match layer0.weight {params['layer0.weight'].shape}"
         )
-    return layers, x
-
-
-def _forward_cached(params: Params, X: np.ndarray) -> tuple[list[tuple], np.ndarray]:
-    """Logits plus (names, input, preactivation, gained preactivation) per layer, for gradients."""
-    layers, x = _layers_and_input(params, X)
-    cache: list[tuple] = []
-    for weight, bias, gain in layers[:-1]:
-        z = x @ params[weight] + params[bias]
-        u = params[gain] * z
-        cache.append(((weight, bias, gain), x, z, u))
-        x = np.maximum(u, 0.0)
-    weight, bias, _ = layers[-1]
-    cache.append((layers[-1], x, None, None))
-    return cache, x @ params[weight] + params[bias]
+    for names in layers:
+        weight, bias, gain = names
+        z = x @ params[weight]
+        z += params[bias]
+        if kept is not None:
+            kept.append((names, x, z))
+        if gain is None:
+            return z
+        x = np.multiply(z, params[gain], out=None if kept is not None else z)
+        np.maximum(x, 0.0, out=x)
 
 
 def forward(theta: Checkpoint | Mapping[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     """Float64 logits, shape [n, num_classes].
 
     Forward only: each layer updates one fresh matmul result in place
-    and keeps nothing, bitwise equal to ``_forward_cached``'s logits.
+    and keeps nothing; the logits are bitwise those ``grad64`` returns.
     """
-    params = as_params(theta)
-    layers, x = _layers_and_input(params, X)
-    for weight, bias, gain in layers[:-1]:
-        z = x @ params[weight]
-        z += params[bias]
-        z *= params[gain]
-        x = np.maximum(z, 0.0, out=z)
-    weight, bias, _ = layers[-1]
-    z = x @ params[weight]
-    z += params[bias]
-    return z
+    return _forward(as_params(theta), X)
 
 
 def _class_max(g: np.ndarray) -> np.ndarray:
@@ -220,12 +208,12 @@ def _cross_entropy(targets: np.ndarray, log_probs: np.ndarray) -> float:
 
 
 def check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Labels as an array, after checking they are 1-D and lie in [0, num_classes).
+    """Labels as an array, after checking they are 1-D integers in [0, num_classes).
 
     A negative label would otherwise index from the end of a row.
     """
     labels = np.asarray(labels)
-    if labels.ndim != 1:
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":  # a bool array would index as a mask
         raise ValueError("labels must be a 1-D integer array")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError(f"labels out of range for {num_classes} classes")
@@ -330,15 +318,16 @@ def grad64(
         out = Params(params.layout, np.empty_like(params.vector))
     elif not isinstance(out, Params) or out.layout != params.layout:
         raise ShapeMismatchError("out must be a Params of the same layout as params")
-    cache, logits = _forward_cached(params, X)
+    kept: list[tuple] = []
+    logits = _forward(params, X, kept)
     log_probs, probs = _normalise(inv_temperature * logits)
     loss = _cross_entropy(targets, log_probs)
     upstream = inv_temperature * (probs - targets) / logits.shape[0]  # d loss / d logits
-    for i in range(len(cache) - 1, -1, -1):
-        (weight, bias, gain), layer_in, z, u = cache[i]
+    for i in range(len(kept) - 1, -1, -1):
+        (weight, bias, gain), layer_in, z = kept[i]
         d_z = upstream
         if gain is not None:
-            d_u = upstream * (u > 0.0)
+            d_u = upstream * (kept[i + 1][1] > 0.0)  # relu(u) > 0 exactly where u > 0
             np.add.reduce(d_u * z, axis=0, out=out[gain])
             d_z = d_u * params[gain]
         np.matmul(layer_in.T, d_z, out=out[weight])

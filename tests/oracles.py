@@ -53,6 +53,30 @@ def fd_gradient(params, X, targets, inv_temperature=1.0, h=1e-3):
     return grads
 
 
+def relu_states_afresh(arrays0, arrays1, X, num_nodes):
+    """Each hidden layer's ``gain * (x @ W + b) > 0`` at every node of the segment.
+
+    One list per tau of ``np.linspace(0, 1, num_nodes)``, holding one bool
+    array per hidden layer.  Each tensor of the point is ``a0 + tau * (a1 -
+    a0)`` in float64, and the layers are written out as plain expressions.
+    """
+    hidden = sum(name.endswith(".gain") for name in arrays0)
+    nodes = []
+    for tau in np.linspace(0.0, 1.0, num_nodes):
+        point = {}
+        for name, a0 in arrays0.items():
+            a0 = np.asarray(a0, dtype=np.float64)
+            point[name] = a0 + float(tau) * (np.asarray(arrays1[name], dtype=np.float64) - a0)
+        x = np.asarray(X, dtype=np.float64)
+        states = []
+        for i in range(hidden):
+            u = point[f"layer{i}.gain"] * (x @ point[f"layer{i}.weight"] + point[f"layer{i}.bias"])
+            states.append(u > 0.0)
+            x = np.where(u > 0.0, u, 0.0)
+        nodes.append(states)
+    return nodes
+
+
 def per_example_eval(logits, labels):
     """Loss, error via plain math loops (stable logsumexp per row)."""
     losses, wrong = [], 0

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from soupkit import analysis
@@ -490,6 +492,36 @@ def test_integral_oracle_validates_arguments():
         analysis.integral_oracle(theta0, theta1, 1.2, X)
     with pytest.raises(ValueError):
         analysis.integral_oracle(theta0, theta1, 0.5, X, num_nodes=16)
+
+
+@given(
+    widths=st.lists(st.integers(min_value=1, max_value=8), min_size=3, max_size=5),
+    rows=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+    scale=st.sampled_from([0.01, 0.1, 1.0]),
+    num_nodes=st.integers(min_value=2, max_value=9),
+)
+@settings(max_examples=40, deadline=None)
+def test_relu_flip_count_matches_states_recomputed_afresh(widths, rows, seed, scale, num_nodes):
+    rng = PortableRng(seed)
+    arrays0, arrays1 = {}, {}
+    for i in range(len(widths) - 1):
+        fi, fo = widths[i], widths[i + 1]
+        names = [(f"layer{i}.weight", (fi, fo)), (f"layer{i}.bias", (fo,))]
+        if i < len(widths) - 2:
+            names.append((f"layer{i}.gain", (fo,)))  # gains of mixed sign
+        for name, shape in names:
+            size = int(np.prod(shape))
+            arrays0[name] = rng.normals(size).reshape(shape)
+            arrays1[name] = arrays0[name] + scale * rng.normals(size).reshape(shape)
+    X = rng.normals(rows * widths[0]).reshape(rows, widths[0])
+    nodes = oracles.relu_states_afresh(arrays0, arrays1, X, num_nodes)
+    expected = sum(
+        int(np.any([states[k] != nodes[0][k] for states in nodes], axis=0).sum())
+        for k in range(len(nodes[0]))
+    )
+    got = analysis.relu_flip_count(as_params(arrays0), as_params(arrays1), X, num_nodes)
+    assert got == expected
 
 
 @pytest.mark.parametrize("num_nodes", [0, 1])

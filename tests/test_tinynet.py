@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from soupkit.tinynet import (
     as_params,
     evaluate,
     evaluate_logits,
-    _forward_cached,
+    _forward,
     forward,
     grad64,
     hessian_quadratic_form,
@@ -152,7 +153,7 @@ def test_forward_accepts_checkpoint_and_params_equally():
     float32_input=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_forward_bitwise_equals_cached_forward(widths, rows, seed, float32_input):
+def test_forward_kept_and_not_kept_are_bitwise_equal(widths, rows, seed, float32_input):
     rng = PortableRng(seed)
     params = {}
     for i in range(len(widths) - 1):
@@ -168,7 +169,7 @@ def test_forward_bitwise_equals_cached_forward(widths, rows, seed, float32_input
     p = as_params(params)
     got = forward(p, X)
     assert got.dtype == np.float64 and got.shape == (rows, widths[-1])
-    assert got.tobytes() == _forward_cached(p, X)[1].tobytes()
+    assert got.tobytes() == _forward(p, X, []).tobytes()
     assert X.tobytes() == before.tobytes()  # the in-place kernel leaves its input alone
     targets = smoothed_targets(np.arange(rows) % widths[-1], widths[-1], 0.0)
     assert grad64(p, X, targets, 1.7)[2].tobytes() == got.tobytes()  # unscaled logits
@@ -207,6 +208,19 @@ def test_loss_ce_validation():
         loss_ce(logits, np.array([0, 1]), inv_temperature=0.0)
     with pytest.raises(ValueError):
         loss_ce(logits, np.array([0, 1, 2]))  # one label per row
+
+
+def test_labels_must_be_integers():
+    # A bool array would index as a mask: [True, False] gave 2.5067 where [1, 0] gives 0.0067.
+    logits = np.array([[0.0, 5.0], [5.0, 0.0]])
+    for labels in (np.array([True, False]), np.array([1.0, 0.0])):
+        for smoothing in (0.0, 0.1):
+            with pytest.raises(ValueError, match="1-D integer array"):
+                loss_ce(logits, labels, smoothing)
+        with pytest.raises(ValueError, match="1-D integer array"):
+            ensembles.fit_temperature(logits, labels)
+    assert loss_ce(logits, [1, 0]) == pytest.approx(math.log1p(math.exp(-5.0)), rel=1e-12)
+    assert tinynet.check_labels(np.zeros(0, dtype=np.int64), 3).size == 0
 
 
 def test_loss_ce_stability_with_large_logits():
@@ -393,13 +407,23 @@ def test_softmax_gradient_identity():
 
 
 @pytest.mark.parametrize(
-    "widths,seed,smoothing,beta",
-    [((4, 6, 3), 0, 0.0, 1.0), ((3, 5, 4, 2), 1, 0.1, 1.7), ((2, 8, 5), 2, 0.05, 0.6)],
+    "widths,seed,smoothing,beta,mixed_gains",
+    [
+        ((4, 6, 3), 0, 0.0, 1.0, False),
+        ((3, 5, 4, 2), 1, 0.1, 1.7, False),
+        ((2, 8, 5), 2, 0.05, 0.6, False),
+        ((3, 6, 5, 4), 3, 0.0, 1.3, True),
+    ],
 )
-def test_grad_matches_central_differences(widths, seed, smoothing, beta):
+def test_grad_matches_central_differences(widths, seed, smoothing, beta, mixed_gains):
     params = _random_params(widths, seed)
     rng = PortableRng(seed + 100)
     X = rng.normals(5 * widths[0]).reshape(5, widths[0])
+    if mixed_gains:  # every other unit's gain negated, so some z > 0 have gain * z < 0
+        for i in range(len(widths) - 2):
+            params[f"layer{i}.gain"][1::2] *= -1.0
+        z = X @ params["layer0.weight"] + params["layer0.bias"]
+        assert np.any((z > 0.0) & (params["layer0.gain"] * z < 0.0))
     labels = np.array([rng.below(widths[-1]) for _ in range(5)])
     targets = smoothed_targets(labels, widths[-1], smoothing)
     _, analytic, _ = grad64(params, X, targets, beta)
