@@ -417,7 +417,7 @@ def cmd_report(args: argparse.Namespace) -> None:
             "theta0_digest": manifest.theta0_digest,
         }
     for key, paths in (("soups", args.soup), ("evals", args.eval_report)):
-        entries = [{"path": path, **_read_json_object(path)} for path in paths or []]
+        entries = [{**_read_json_object(path), "path": path} for path in paths or []]
         if entries:
             payload[key] = entries
     if not payload:

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ShapeMismatchError
 from .fileio import cell, write_table
 from .tensorstore import Checkpoint
 from .tinynet import (
@@ -56,7 +57,10 @@ def _uniform_mean(
     w = 1.0 / len(models)
     acc = w * logits_of(models[0])
     for model in models[1:]:
-        acc = acc + w * logits_of(model)
+        logits = logits_of(model)
+        if logits.shape != acc.shape:
+            raise ShapeMismatchError(f"logits of shape {logits.shape} do not match {acc.shape}")
+        acc = acc + w * logits
     return acc
 
 

@@ -1,5 +1,5 @@
-"""Shared desk-scale fixtures: one dataset, one base model, one sweep, and
-a call counter.
+"""Shared desk-scale fixtures: one dataset, one base model, one sweep, a
+perturbed pair of small models, and a call counter.
 
 The data and models are session-scoped so the (cheap) training runs happen
 once per test run. Tests that need different data or hypers build their
@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 
 from soupkit import datagen, trainer
-from soupkit.tinynet import ArchSpec
+from soupkit.rng import PortableRng
+from soupkit.tensorstore import Checkpoint
+from soupkit.tinynet import ArchSpec, init_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +66,24 @@ def desk_models(desk_base, desk_dataset):
         )
         models.append(trainer.finetune(desk_base, h, desk_dataset).checkpoint)
     return models
+
+
+@pytest.fixture
+def perturbation_pair():
+    """Factory: ``perturbation_pair(seed, scale=0.01)`` is ``init_checkpoint`` of arch
+    (3, 5, 3) at ``seed``, and that checkpoint plus ``scale`` times normals from
+    ``PortableRng(seed + 1000)``, tensor by tensor, rounded to float32."""
+
+    def make(seed, scale=0.01):
+        theta0 = init_checkpoint(ArchSpec((3, 5, 3)), seed=seed)
+        rng = PortableRng(seed + 1000)
+        arrays = {}
+        for name, values in theta0.items():
+            bump = scale * rng.normals(values.size).reshape(values.shape)
+            arrays[name] = (values.astype(np.float64) + bump).astype(np.float32)
+        return theta0, Checkpoint.from_arrays(arrays)
+
+    return make
 
 
 @pytest.fixture

@@ -7,7 +7,9 @@ each comparison share no code.
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -19,6 +21,19 @@ def checkpoints_equal(a, b, check_meta=True):
     if a.layout != b.layout or a.vector.tobytes() != b.vector.tobytes():
         return False
     return a.meta == b.meta if check_meta else True
+
+
+def soupckpt_bytes(header, payload=b"", version=1):
+    """A SOUPCKPT file as ``tensorstore``'s docstring lays it out, without ``serialize``.
+
+    The magic, the little-endian uint32 version and header length, the header
+    (``bytes`` as given, anything else as compact JSON), zeros up to the next
+    64-byte boundary, then ``payload`` as given.
+    """
+    if not isinstance(header, bytes):
+        header = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    padding = bytes(-(16 + len(header)) % 64)
+    return b"SOUPCKPT" + struct.pack("<II", version, len(header)) + header + padding + payload
 
 
 def fd_gradient(params, X, targets, inv_temperature=1.0, h=1e-3):

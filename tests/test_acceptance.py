@@ -184,19 +184,7 @@ def test_04_loss_gap_approximation_tracks_truth_and_calibration_helps():
     )
 
 
-def test_05_quadrature_identity_matches_ensemble_soup_gap():
-    arch = ArchSpec((3, 5, 3))
-    scale = 0.01
-
-    def perturbation_pair(seed):
-        theta0 = init_checkpoint(arch, seed=seed)
-        rng = PortableRng(seed + 1000)
-        arrays = {}
-        for name, values in theta0.items():
-            bump = scale * rng.normals(values.size).reshape(values.shape)
-            arrays[name] = (values.astype(np.float64) + bump).astype(np.float32)
-        return theta0, Checkpoint.from_arrays(arrays)
-
+def test_05_quadrature_identity_matches_ensemble_soup_gap(perturbation_pair):
     checked, seed, worst = 0, 0, 0.0
     while checked < 50:
         assert seed < 400, "ran out of candidate seeds for smooth pairs"

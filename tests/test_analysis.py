@@ -15,7 +15,7 @@ from soupkit import analysis
 from soupkit.errors import DegenerateBasisError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint, content_digest, dot, to_checkpoint
-from soupkit.tinynet import ArchSpec, as_params, evaluate, init_checkpoint
+from soupkit.tinynet import as_params, evaluate
 
 
 # --------------------------------------------------- statistical helpers
@@ -424,20 +424,9 @@ def test_kernel_integrates_to_quarter_of_alpha_complement():
     assert analysis.interpolation_kernel(0.5, 0.5) == 0.25
 
 
-def _perturbation_pair(seed, scale=0.01):
-    arch = ArchSpec((3, 5, 3))
-    theta0 = init_checkpoint(arch, seed=seed)
-    rng = PortableRng(seed + 1000)
-    arrays = {}
-    for name, values in theta0.items():
-        bump = scale * rng.normals(values.size).reshape(values.shape)
-        arrays[name] = (values.astype(np.float64) + bump).astype(np.float32)
-    return theta0, Checkpoint.from_arrays(arrays)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_integral_oracle_matches_direct_gap(seed):
-    theta0, theta1 = _perturbation_pair(seed)
+def test_integral_oracle_matches_direct_gap(perturbation_pair, seed):
+    theta0, theta1 = perturbation_pair(seed)
     rng = PortableRng(seed + 2000)
     X = rng.normals(8 * 3).reshape(8, 3).astype(np.float32)
     assert analysis.relu_flip_count(theta0, theta1, X) == 0  # smooth path
@@ -447,8 +436,8 @@ def test_integral_oracle_matches_direct_gap(seed):
     assert float(np.max(residual)) < 1e-3 * scale + 1e-6
 
 
-def test_integral_oracle_residual_shrinks_with_more_nodes():
-    theta0, theta1 = _perturbation_pair(7, scale=0.02)
+def test_integral_oracle_residual_shrinks_with_more_nodes(perturbation_pair):
+    theta0, theta1 = perturbation_pair(7, scale=0.02)
     rng = PortableRng(77)
     X = rng.normals(6 * 3).reshape(6, 3).astype(np.float32)
     coarse = float(np.max(analysis.integral_oracle(theta0, theta1, 0.3, X, num_nodes=17)))
@@ -485,8 +474,8 @@ def test_approx_and_integral_oracle_bytes_are_pinned(desk_base, desk_models, des
     assert analysis.relu_flip_count(desk_base, desk_models[0], X, num_nodes=9) == 25
 
 
-def test_integral_oracle_validates_arguments():
-    theta0, theta1 = _perturbation_pair(3)
+def test_integral_oracle_validates_arguments(perturbation_pair):
+    theta0, theta1 = perturbation_pair(3)
     X = np.zeros((2, 3), dtype=np.float32)
     with pytest.raises(ValueError):
         analysis.integral_oracle(theta0, theta1, 1.2, X)
@@ -525,8 +514,8 @@ def test_relu_flip_count_matches_states_recomputed_afresh(widths, rows, seed, sc
 
 
 @pytest.mark.parametrize("num_nodes", [0, 1])
-def test_relu_flip_count_needs_both_ends_of_the_segment(num_nodes):
-    theta0, theta1 = _perturbation_pair(3)
+def test_relu_flip_count_needs_both_ends_of_the_segment(perturbation_pair, num_nodes):
+    theta0, theta1 = perturbation_pair(3)
     X = np.zeros((2, 3), dtype=np.float32)
     with pytest.raises(ValueError, match="num_nodes must be >= 2"):
         analysis.relu_flip_count(theta0, theta1, X, num_nodes=num_nodes)

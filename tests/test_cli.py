@@ -20,7 +20,6 @@ import os
 import re
 import runpy
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
@@ -30,6 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+import oracles
 import soupkit
 from soupkit import analysis, cli, datagen, trainer
 from soupkit.errors import CheckpointFormatError, ConfigError, DataFormatError
@@ -556,8 +556,8 @@ def _pairs_file(path: Path, endpoints: list[tuple[Path, Path]]) -> Path:
 
 def _one_tensor_checkpoint(**entry) -> bytes:
     """A checkpoint file declaring one tensor ``w`` at offset 0, ``entry`` overriding."""
-    header = json.dumps({"tensors": [{"name": "w", "offset": 0, **entry}], "meta": {}}).encode()
-    return b"SOUPCKPT" + struct.pack("<II", 1, len(header)) + header + bytes(64)
+    return oracles.soupckpt_bytes({"tensors": [{"name": "w", "offset": 0, **entry}], "meta": {}},
+                                  bytes(64))
 
 
 def _with_meta_token(token: str) -> bytes:
@@ -571,12 +571,10 @@ def _with_meta_token(token: str) -> bytes:
 def _with_header_entry(blob: bytes, **fields) -> bytes:
     """The checkpoint ``blob`` with ``fields`` set in its first tensor entry; the
     payload moves with the header, so only the entry changes."""
-    (length,) = struct.unpack_from("<I", blob, 12)
-    header = json.loads(blob[16 : 16 + length])
-    payload = blob[(16 + length + 63) // 64 * 64 :]
+    end = 16 + int.from_bytes(blob[12:16], "little")
+    header = json.loads(blob[16:end])
     header["tensors"][0].update(fields)
-    text = json.dumps(header).encode()
-    return blob[:12] + struct.pack("<I", len(text)) + text + bytes(-(16 + len(text)) % 64) + payload
+    return oracles.soupckpt_bytes(header, blob[(end + 63) // 64 * 64 :])
 
 
 # ---- makes: each corrupts the sane inputs in place
@@ -660,9 +658,12 @@ def _misfit(inputs: dict, widths) -> None:
     save_checkpoint(init_checkpoint(ArchSpec(widths), 0), inputs["ckpt"])
 
 
-def _misfit_without_data_config(inputs: dict, widths) -> None:
-    _data(lambda data, _: (data / "config.json").unlink())(inputs, None)
-    _misfit(inputs, widths)
+def _without_data_config(make):
+    """``make`` over a copy of the dataset without config.json."""
+    def without(inputs: dict, value) -> None:
+        _data(lambda data, _: (data / "config.json").unlink())(inputs, None)
+        make(inputs, value)
+    return without
 
 
 def _model_directory(inputs: dict, _) -> None:
@@ -670,10 +671,11 @@ def _model_directory(inputs: dict, _) -> None:
     inputs["ckpt"].mkdir()
 
 
-def _models_of_two_shapes(inputs: dict, _) -> None:
+def _models_of_two_shapes(inputs: dict, widths) -> None:
+    """Models of arch (4, 5, 3) and ``widths`` wherever two are read together."""
     a, b = inputs["tmp"] / "m0.ckpt", inputs["tmp"] / "m1.ckpt"
     save_checkpoint(init_checkpoint(ArchSpec((4, 5, 3)), 0), a)
-    save_checkpoint(init_checkpoint(ArchSpec((4, 6, 3)), 1), b)
+    save_checkpoint(init_checkpoint(ArchSpec(widths), 1), b)
     inputs.update(ckpt=a, ckpt_b=b, ckpt_c=b)
     inputs["manifest"] = _write_manifest(inputs["tmp"] / "manifest.json", a, b)
     inputs["pairs"] = _pairs_file(inputs["tmp"] / "pairs.json", [(a, b), (b, a)])
@@ -808,7 +810,7 @@ UNREADABLE_CHECKPOINTS = {
        [("string", "12"), ("float", [2.5]), ("bool", [True, 2]), ("string-item", ["2"])]},
     # A header that is not a JSON object, or too deeply nested to parse: each
     # exited 1 once (TypeError, RecursionError).
-    **{f"header-{name}": b"SOUPCKPT" + struct.pack("<II", 1, len(h)) + h for name, h in
+    **{f"header-{name}": oracles.soupckpt_bytes(h) for name, h in
        [("list", b"[1]"), ("string", b'"tensors"'), ("nested-too-deeply", DEEPLY_NESTED.encode())]},
     # The sane model with a token JSON does not have as a meta value: each
     # loaded once, the value read as "nan" or "inf".
@@ -996,7 +998,7 @@ DEFECTS = {
                            exits={"soup-uniform": SUCCESS}),
     # without config.json, the labels alone bound the class count
     "model-misfit-without-data-config": Defect(
-        "model", SHAPE, "shape-mismatch", _misfit_without_data_config, ((5, 6, 3), (4, 6, 2)),
+        "model", SHAPE, "shape-mismatch", _without_data_config(_misfit), ((5, 6, 3), (4, 6, 2)),
         exits={"soup-uniform": SUCCESS}),
     # A sweep records each fine-tune that diverges and goes on; soup uniform runs
     # no model; the plane's axes overflow.
@@ -1009,9 +1011,13 @@ DEFECTS = {
     "model-is-a-directory": Defect("model", MISSING, "missing-input", _model_directory),
     # a logit ensemble needs no shared shape
     "models-of-two-shapes": Defect(
-        "models", SHAPE, "shape-mismatch", _models_of_two_shapes,
+        "models", SHAPE, "shape-mismatch", _models_of_two_shapes, ((4, 6, 3),),
         exits=dict.fromkeys(("ensemble-uniform", "ensemble-greedy", "calibrate-manifest"),
                             SUCCESS)),
+    # but it needs one class count, which without config.json the labels do not fix
+    "models-of-two-class-counts-without-data-config": Defect(
+        "models", SHAPE, "shape-mismatch", _without_data_config(_models_of_two_shapes),
+        ((4, 5, 4),)),
     "endpoints-equal": Defect("endpoints", OK, None, _equal_endpoints,
                               exits={"plane": (SHAPE, "degenerate-geometry")}),
     "plane-endpoints-all-equal": Defect("ckpt_c", SHAPE, "degenerate-geometry",
@@ -1696,3 +1702,10 @@ def test_report_merges_manifest_soup_and_eval(workspace, tmp_path):
     assert payload["evals"][0]["split"] == "test"
 
 
+def test_report_names_each_artifact_by_the_path_it_was_read_from(tmp_path):
+    artifact = tmp_path / "s.soup.json"
+    artifact.write_text(json.dumps({"path": "elsewhere", "recipe": "uniform"}))
+    out = tmp_path / "report.json"
+    run_ok(["report", "--soup", str(artifact), "--eval-report", str(artifact), "--out", str(out)])
+    payload = json.loads(out.read_text())
+    assert payload["soups"] == payload["evals"] == [{"path": str(artifact), "recipe": "uniform"}]

@@ -189,78 +189,52 @@ def test_one_example_dataset_round_trips(tmp_path):
     assert len(back.train) == 1
 
 
-def test_malformed_row_rejected(tmp_path):
-    ds = generate(_small())
-    save_csv(ds, tmp_path)
-    path = tmp_path / "val.csv"
-    lines = path.read_text().splitlines()
-    lines[1] = lines[1].rsplit(",", 1)[0]  # drop a feature
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError):
-        load_csv(tmp_path)
+def _row(row: int, text: str):
+    """A split edit that replaces row ``row`` (0 is the header) with ``text``."""
+    def edit(raw: bytes) -> bytes:
+        lines = raw.splitlines()
+        lines[row] = text.encode()
+        return b"\n".join(lines) + b"\n"
+    return edit
 
 
-def test_non_numeric_row_rejected(tmp_path):
-    ds = generate(_small())
-    save_csv(ds, tmp_path)
-    path = tmp_path / "val.csv"
-    lines = path.read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[2] = "not-a-number"
-    lines[1] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError):
-        load_csv(tmp_path)
-
-
-def test_label_out_of_range_rejected(tmp_path):
-    ds = generate(_small())
-    save_csv(ds, tmp_path)
-    path = tmp_path / "val.csv"
-    lines = path.read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[0] = "3"  # num_classes is 3, valid labels are 0..2
-    lines[1] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError):
-        load_csv(tmp_path)
-    parts[0] = "-1"
-    lines[1] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError):
-        load_csv(tmp_path)
-
-
-@pytest.mark.parametrize("value", ["nan", "-inf", "1e39"])
-def test_non_finite_value_rejected_with_file_and_row(tmp_path, value):
+# (file, edit of its bytes or None to remove it, message): one row per raise of
+# load_csv and _parse_split and for the config.json decode. The edits apply to a
+# saved _small() dataset: 6 features, 3 classes.
+MALFORMED_DATASETS = {
+    "config-not-a-generator-config": ("config.json", lambda _: b'{"bogus_key": 1}',
+                                      r"config\.json: unknown keys \['bogus_key'\]"),
+    "split-file-missing": ("shift.csv", None, r"missing split file .*shift\.csv"),
+    "split-not-utf8": ("val.csv", lambda raw: b"\xff" + raw, r"val\.csv: not valid UTF-8"),
+    "no-header": ("train.csv", lambda raw: raw.partition(b"\n")[2],
+                  r"train\.csv: missing 'label,f0,\.\.\.' header"),
+    "header-without-rows": ("test.csv", lambda raw: raw.partition(b"\n")[0],
+                            r"test\.csv: no rows after the header"),
+    "width-not-input-dim": ("config.json",
+                            lambda raw: raw.replace(b'"input_dim": 6', b'"input_dim": 5'),
+                            r"train\.csv: 6 features, config input_dim 5"),
+    "row-missing-a-feature": ("val.csv", _row(1, "0,1,2,3,4,5"),
+                              r"val\.csv: row 1 has 5 features, expected 6"),
+    "cell-not-numeric": ("val.csv", _row(1, "0,1,x,3,4,5,6"),
+                         r"val\.csv: row 1 is not numeric: .*'x'"),
+    **{f"label-{label}": ("val.csv", _row(1, f"{label},1,2,3,4,5,6"),
+                          rf"val\.csv: row 1 label {label} out of range") for label in ("3", "-1")},
     # 1e39 is finite in float64 but overflows the float32 the splits hold.
-    ds = generate(_small())
-    save_csv(ds, tmp_path)
-    path = tmp_path / "test.csv"
-    lines = path.read_text().splitlines()
-    parts = lines[3].split(",")
-    parts[4] = value
-    lines[3] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataFormatError, match=r"test\.csv: row 3 "):
-        load_csv(tmp_path)
+    **{f"value-{value}": ("test.csv", _row(3, f"2,1,2,3,{value},5,6"),
+                          r"test\.csv: row 3 has a value that is not finite in float32")
+       for value in ("nan", "-inf", "1e39")},
+}
 
 
-def test_missing_split_file_rejected(tmp_path):
-    ds = generate(_small())
-    save_csv(ds, tmp_path)
-    (tmp_path / "shift.csv").unlink()
-    with pytest.raises(DataFormatError):
-        load_csv(tmp_path)
-
-
-def test_missing_header_rejected(tmp_path):
-    ds = generate(_small())
-    save_csv(ds, tmp_path)
-    path = tmp_path / "train.csv"
-    body = path.read_text().splitlines()[1:]
-    path.write_text("\n".join(body) + "\n")
-    with pytest.raises(DataFormatError):
+@pytest.mark.parametrize("name, edit, message", MALFORMED_DATASETS.values(), ids=MALFORMED_DATASETS)
+def test_malformed_dataset(tmp_path, name, edit, message):
+    save_csv(generate(_small()), tmp_path)
+    path = tmp_path / name
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(DataFormatError, match=message):
         load_csv(tmp_path)
 
 

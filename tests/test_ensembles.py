@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from soupkit import ensembles, soups
-from soupkit.errors import NonFiniteError
+from soupkit.errors import NonFiniteError, ShapeMismatchError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint
 from soupkit.tinynet import (
@@ -55,6 +55,13 @@ def test_logit_ensemble_validates_inputs(desk_models, desk_dataset):
     X = desk_dataset.splits["test"].x[:4]
     with pytest.raises(ValueError):
         ensembles.logit_ensemble([], X)
+    # Models of 4 and 5 classes: logit_ensemble and the greedy scorer both add their logits.
+    two = [desk_models[0], init_checkpoint(ArchSpec((8, 16, 5)), 0)]
+    message = r"logits of shape \(4, 5\) do not match \(4, 4\)"
+    with pytest.raises(ShapeMismatchError, match=message):
+        ensembles.logit_ensemble(two, X)
+    with pytest.raises(ShapeMismatchError, match=message):
+        ensembles.ensemble_accuracy_fn(X, np.zeros(4, np.int64))(two)
 
 
 # --------------------------------------------------------- greedy members

@@ -90,91 +90,61 @@ def test_file_round_trip(tmp_path):
 
 
 def test_payload_alignment():
+    # Each tensor starts 64-byte aligned past the payload base; gaps hold zeros.
     ckpt = _random_checkpoint(3, (("a", (5,)), ("b", (7,)), ("c", (2, 2))))
-    blob = serialize(ckpt)
-    version, header_len = struct.unpack_from("<II", blob, 8)
-    header = blob[16 : 16 + header_len].decode("utf-8")
-    import json
-
-    entries = json.loads(header)["tensors"]
-    payload_base = (16 + header_len + 63) // 64 * 64
-    assert payload_base % 64 == 0
-    for entry in entries:
-        assert entry["offset"] % 64 == 0
-    # Payloads laid out in header order and non-overlapping.
-    ends = [e["offset"] + e["nbytes"] for e in entries]
-    starts = [e["offset"] for e in entries]
-    assert all(s >= e for s, e in zip(starts[1:], ends[:-1]))
+    entries = [{"name": n, "shape": list(ckpt[n].shape), "offset": 64 * i,
+                "nbytes": 4 * ckpt[n].size} for i, n in enumerate("abc")]
+    payload = b"".join(ckpt[n].astype("<f4").tobytes().ljust(64, b"\0") for n in "ab")
+    header = {"tensors": entries, "meta": {"seed": "3"}}
+    assert serialize(ckpt) == oracles.soupckpt_bytes(header, payload + ckpt["c"].tobytes())
 
 
-def test_bad_magic():
-    blob = bytearray(serialize(_random_checkpoint(1)))
-    blob[0] ^= 0xFF
-    with pytest.raises(CheckpointFormatError, match="bad magic"):
-        deserialize(bytes(blob))
+W = {"name": "w", "shape": [2], "offset": 0, "nbytes": 8}
+VALUES = struct.pack("<2f", 1.5, -2.0)
 
 
-def test_version_mismatch():
-    blob = bytearray(serialize(_random_checkpoint(1)))
-    struct.pack_into("<I", blob, 8, 2)
-    with pytest.raises(CheckpointFormatError, match="unsupported format version 2"):
-        deserialize(bytes(blob))
+def _file(*entries, payload=VALUES, version=1) -> bytes:
+    """A file written from the format description: the valid one, whose tensor ``w``
+    holds 1.5 and -2.0, or that file with other tensor entries, payload or version."""
+    header = {"tensors": [*entries] or [W], "meta": {"k": "v"}}
+    return oracles.soupckpt_bytes(header, payload, version)
 
 
-def test_truncated_payload():
-    blob = serialize(_random_checkpoint(1))
-    with pytest.raises(CheckpointFormatError, match="payload extends past end of file"):
-        deserialize(blob[:-4])
+VALID = _file()
+
+# (file, message): one row per raise of deserialize and per error it wraps.
+MALFORMED_CHECKPOINTS = {
+    "shorter-than-the-magic": (VALID[:6], "file shorter than the 8-byte magic"),
+    "bad-magic": (VALID[1:], r"bad magic b'OUPCKPT\\x01'"),
+    "ends-inside-the-fixed-header": (VALID[:12], "file ends inside the fixed header"),
+    "version-2": (_file(version=2), "unsupported format version 2"),
+    "ends-inside-the-json-header": (VALID[:20], "file ends inside the JSON header"),
+    "header-not-json": (oracles.soupckpt_bytes(b"not json"), "header: not valid UTF-8 JSON"),
+    "name-not-a-string": (_file({**W, "name": 5}), r"tensors\[0\]: name must be str, got 5"),
+    "shape-not-its-bytes": (_file({**W, "shape": [3]}, payload=bytes(12)),
+                            r"tensors\[0\]: tensor 'w': shape \(3,\) does not match 8 bytes"),
+    "declared-twice": (_file(W, W), "tensor 'w' declared twice"),
+    "payload-past-the-end": (VALID[:-4], "tensor 'w' payload extends past end of file"),
+    "shape-numpy-cannot-build": (_file({**W, "shape": [0, 10**30], "nbytes": 0}, payload=b""),
+                                 rf"tensor 'w': shape \(0, {10**30}\): "),
+    # A stored NaN is a malformed file, not a non-finite result.
+    "nan-stored": (_file(payload=struct.pack("<2f", 1.5, math.nan)),
+                   "tensor 'w' contains non-finite values"),
+}
 
 
-def test_truncated_header():
-    blob = serialize(_random_checkpoint(1))
-    with pytest.raises(CheckpointFormatError, match="file ends inside the JSON header"):
-        deserialize(blob[:20])
-    with pytest.raises(CheckpointFormatError, match="file shorter than the 8-byte magic"):
-        deserialize(blob[:6])
+@pytest.mark.parametrize("blob, message", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint(blob, message):
+    with pytest.raises(CheckpointFormatError, match=message) as info:
+        deserialize(blob)
+    assert not isinstance(info.value, NonFiniteError)
 
 
-def test_duplicate_tensor_names():
-    import json
-
-    entry = {"name": "w", "shape": [2], "offset": 0, "nbytes": 8}
-    header = json.dumps({"tensors": [entry, entry], "meta": {}}).encode()
-    payload_base = (16 + len(header) + 63) // 64 * 64
-    blob = bytearray(payload_base + 8)
-    blob[0:8] = b"SOUPCKPT"
-    struct.pack_into("<II", blob, 8, 1, len(header))
-    blob[16 : 16 + len(header)] = header
-    with pytest.raises(CheckpointFormatError, match="'w' declared twice"):
-        deserialize(bytes(blob))
-
-
-def test_header_size_inconsistency():
-    import json
-
-    entry = {"name": "w", "shape": [3], "offset": 0, "nbytes": 8}  # 3*4 != 8
-    header = json.dumps({"tensors": [entry], "meta": {}}).encode()
-    payload_base = (16 + len(header) + 63) // 64 * 64
-    blob = bytearray(payload_base + 12)
-    blob[0:8] = b"SOUPCKPT"
-    struct.pack_into("<II", blob, 8, 1, len(header))
-    blob[16 : 16 + len(header)] = header
-    with pytest.raises(CheckpointFormatError, match=r"shape \(3,\) does not match 8 bytes"):
-        deserialize(bytes(blob))
-
-
-def test_non_string_tensor_name_is_a_header_error():
-    import json
-
-    entry = {"name": 5, "shape": [2], "offset": 0, "nbytes": 8}
-    header = json.dumps({"tensors": [entry], "meta": {}}).encode()
-    payload_base = (16 + len(header) + 63) // 64 * 64
-    blob = bytearray(payload_base + 8)
-    blob[0:8] = b"SOUPCKPT"
-    struct.pack_into("<II", blob, 8, 1, len(header))
-    blob[16 : 16 + len(header)] = header
-    with pytest.raises(CheckpointFormatError, match="name must be str, got 5"):
-        deserialize(bytes(blob))
+def test_a_file_written_from_the_format_description_loads():
+    ckpt = deserialize(VALID)
+    assert ckpt.layout.names == ("w",) and ckpt.meta == {"k": "v"}
+    assert ckpt.vector.tobytes() == VALUES
+    assert serialize(ckpt) == VALID
 
 
 def test_meta_preserved_and_stringified():
@@ -188,16 +158,6 @@ def test_non_finite_rejected_on_construction():
         Checkpoint.from_arrays({"a": ok, "w": np.array([1.0, np.nan], dtype=np.float32)})
     with pytest.raises(NonFiniteError, match="'w'"):
         Checkpoint.from_arrays({"w": np.array([np.inf], dtype=np.float32), "b": ok})
-
-
-def test_non_finite_payload_is_a_format_error_naming_the_tensor():
-    blob = bytearray(serialize(_random_checkpoint(1)))
-    header_len = struct.unpack_from("<I", blob, 12)[0]
-    payload_base = (16 + header_len + 63) // 64 * 64
-    struct.pack_into("<f", blob, payload_base + 4, np.nan)  # second value of layer0.weight
-    with pytest.raises(CheckpointFormatError, match="'layer0.weight'") as info:
-        deserialize(bytes(blob))
-    assert not isinstance(info.value, NonFiniteError)
 
 
 def test_checkpoint_and_params_share_one_layout():
