@@ -125,22 +125,30 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
     train = dataset.train
     num_classes = check_fits_data(params0, dataset)
     X_all = train.x.astype(np.float64)
-    base_targets = smoothed_targets(train.y, num_classes, h.label_smoothing)
+    params = params0.copy()
+    ema = params0.copy() if h.ema_decay is not None else None
+    # The epoch buffers live in _run_epochs' frame, so neither loss forward
+    # over the whole training set runs with them alive.
+    loss_initial = loss_ce(forward(params, X_all), train.y, h.label_smoothing)
+    _run_epochs(params, ema, h, X_all, smoothed_targets(train.y, num_classes, h.label_smoothing))
+    loss_final = loss_ce(forward(params, X_all), train.y, h.label_smoothing)
+    return params, ema, loss_initial, loss_final
+
+
+def _run_epochs(
+    params: Params, ema: Params | None, h: HyperConfig, X_all: np.ndarray, base_targets: np.ndarray
+) -> None:
+    """Train params (and its EMA) in place for h.epochs epochs over X_all."""
     # Each epoch gathers its order into these once; a batch is then a slice.
     X_epoch = np.empty_like(X_all)
     T_epoch = np.empty_like(base_targets)
-
-    params = params0.copy()
     w = params.vector
     grads = Params(params.layout, np.empty_like(w))  # every grad64 call overwrites it
-    ema = params0.copy() if h.ema_decay is not None else None
     adam = AdamState.zeros_like(w) if h.optimizer == "adamw" else None
 
-    n = len(train.y)
+    n = len(X_all)
     steps_per_epoch = (n + h.batch_size - 1) // h.batch_size
     total_steps = h.epochs * steps_per_epoch
-    loss_initial = loss_ce(forward(params, X_all), train.y, h.label_smoothing)
-
     step = 0
     for epoch in range(h.epochs):
         rng = PortableRng(derive_seed(h.seed, epoch))
@@ -180,9 +188,6 @@ def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Para
                 ema.vector *= h.ema_decay
                 ema.vector += (1.0 - h.ema_decay) * w
             step += 1
-
-    loss_final = loss_ce(forward(params, X_all), train.y, h.label_smoothing)
-    return params, ema, loss_initial, loss_final
 
 
 def _finalize(params: Params, meta: dict[str, str], dataset: Dataset) -> Checkpoint:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from oracles import checkpoints_equal
 from soupkit import trainer
 from soupkit.datagen import Dataset, DatasetConfig, Split, generate
 from soupkit.errors import ConfigError, DivergenceError, NonFiniteError, ShapeMismatchError
+from soupkit.fileio import sha256
 from soupkit.rng import PortableRng
 from soupkit.schema import decode
 from soupkit.tensorstore import content_digest, load, serialize
-from soupkit.tinynet import ArchSpec, evaluate, init_checkpoint
+from soupkit.tinynet import ArchSpec, evaluate, forward, init_checkpoint
 from soupkit.trainer import (
     AdamState,
     HyperConfig,
@@ -255,14 +257,55 @@ PINNED_FINETUNES = [
 ]
 
 
+# content_digest hashes no meta, so these digests of the serialized files
+# (theta0, then each fine-tune above and its EMA) pin every checkpoint's
+# train_loss_initial, train_loss_final and val_accuracy as well.
+PINNED_FILE_DIGESTS = [
+    "2791b698644ffbb7",
+    "e759841a2c3ce343",
+    "06c5245885565eb3",
+    "16eb0cc6e945d8f0",
+    "cb285117f2b827a9",
+]
+
+
 def test_training_bytes_are_pinned(small_data):
     theta0 = pretrain(ARCH, small_data, _fast())
     assert content_digest(theta0) == PINNED_BASE_DIGEST
+    files = [theta0]
     for overrides, want, want_ema in PINNED_FINETUNES:
         result = finetune(theta0, _fast(**overrides), small_data)
         assert content_digest(result.checkpoint) == want, overrides
         ema = None if result.ema is None else content_digest(result.ema)
         assert ema == want_ema, overrides
+        files += [c for c in (result.checkpoint, result.ema) if c is not None]
+    assert [sha256(serialize(c)).hexdigest()[:16] for c in files] == PINNED_FILE_DIGESTS
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(mixup_alpha=0.3, input_noise_std=0.1, label_smoothing=0.1, ema_decay=0.9, sam_rho=0.05),
+], ids=["plain", "every-option"])
+def test_finetune_peak_memory_is_one_forward_plus_the_training_copy(overrides):
+    # The epoch buffers (gathered inputs and targets, about twice the float64
+    # copy here) are freed before the final loss forward over the training
+    # set and built only after the first, so neither forward runs with them.
+    data = generate(DatasetConfig(num_train=4096, num_val=64, num_test=1, num_shift=1))
+    theta0 = init_checkpoint(ArchSpec((16, 64, 64, 8)), 0)
+    h = HyperConfig(epochs=1, **overrides)
+    forward_peak = _traced_peak(lambda: forward(theta0, data.train.x))
+    finetune_peak = _traced_peak(lambda: finetune(theta0, h, data))
+    bound = data.train.x.astype(np.float64).nbytes + 256 * 1024
+    assert finetune_peak - forward_peak <= bound
 
 
 # ------------------------------------------------------------- config
