@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -121,6 +124,52 @@ class TrainResult:
     ema: Checkpoint | None
 
 
+# (get, set) thread-count symbols of the OpenBLAS behind NumPy, tried in order:
+# NumPy 2 wheels, NumPy 1.x wheels, then a system OpenBLAS.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _blas_thread_calls() -> tuple | None:
+    """(get, set) of the thread count of NumPy's OpenBLAS, or None if it has none of these pairs."""
+    import ctypes  # only commands that train load it
+
+    umath = sys.modules.get("numpy._core._multiarray_umath") or sys.modules["numpy.core._multiarray_umath"]
+    library = ctypes.CDLL(umath.__file__)  # symbol lookups also search the libraries it links
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(library, get_name) and hasattr(library, set_name):
+            get, set_ = getattr(library, get_name), getattr(library, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body's BLAS calls on one OpenBLAS thread, then restore the caller's count.
+
+    OpenBLAS computes each output element on one thread whatever the count, so
+    no byte changes.  Training's few large forwards gain too little from a second
+    thread to pay for its packing buffer and its spinning after each call.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    caller = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(caller)
+
+
 def _train_loop(params0: Params, h: HyperConfig, dataset: Dataset) -> tuple[Params, Params | None, float, float]:
     train = dataset.train
     num_classes = check_fits_data(params0, dataset)
@@ -196,6 +245,7 @@ def _finalize(params: Params, meta: dict[str, str], dataset: Dataset) -> Checkpo
     return ckpt
 
 
+@_one_blas_thread()
 def pretrain(arch: ArchSpec, dataset: Dataset, cfg: HyperConfig) -> Checkpoint:
     """Train a fresh base model from a seeded init; returns theta0."""
     init = init_checkpoint(arch, cfg.seed)
@@ -211,6 +261,7 @@ def pretrain(arch: ArchSpec, dataset: Dataset, cfg: HyperConfig) -> Checkpoint:
     return _finalize(params, meta, dataset)
 
 
+@_one_blas_thread()
 def finetune(theta0: Checkpoint, h: HyperConfig, dataset: Dataset) -> TrainResult:
     """Fine-tune from a shared base; deterministic in (theta0, h, dataset).
 

@@ -116,8 +116,10 @@ VALID = _file()
 MALFORMED_CHECKPOINTS = {
     "shorter-than-the-magic": (VALID[:6], "file shorter than the 8-byte magic"),
     "bad-magic": (VALID[1:], r"bad magic b'OUPCKPT\\x01'"),
+    "ends-after-the-magic": (VALID[:8], "file ends inside the fixed header"),
     "ends-inside-the-fixed-header": (VALID[:12], "file ends inside the fixed header"),
     "version-2": (_file(version=2), "unsupported format version 2"),
+    "ends-after-the-fixed-header": (VALID[:16], "file ends inside the JSON header"),
     "ends-inside-the-json-header": (VALID[:20], "file ends inside the JSON header"),
     "header-not-json": (oracles.soupckpt_bytes(b"not json"), "header: not valid UTF-8 JSON"),
     "name-not-a-string": (_file({**W, "name": 5}), r"tensors\[0\]: name must be str, got 5"),

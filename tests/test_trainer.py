@@ -18,7 +18,7 @@ from soupkit.fileio import sha256
 from soupkit.rng import PortableRng
 from soupkit.schema import decode
 from soupkit.tensorstore import content_digest, load, serialize
-from soupkit.tinynet import ArchSpec, evaluate, forward, init_checkpoint
+from soupkit.tinynet import ArchSpec, check_fits_data, evaluate, forward, init_checkpoint
 from soupkit.trainer import (
     AdamState,
     HyperConfig,
@@ -207,6 +207,23 @@ def test_sam_zero_rho_is_exactly_vanilla(small_data):
     assert checkpoints_equal(vanilla.checkpoint, zero.checkpoint, check_meta=False)
 
 
+def test_sam_skips_the_ascent_when_the_gradient_is_zero(small_data, monkeypatch):
+    # A zero gradient has no direction to ascend along; dividing by its norm
+    # would make every weight NaN and end the fine-tune in DivergenceError.
+    real_grad64 = trainer.grad64
+
+    def zero_grad64(params, X, targets, out):
+        loss, grad, logits = real_grad64(params, X, targets, out=out)
+        out.vector[:] = 0.0
+        return loss, grad, logits
+
+    monkeypatch.setattr(trainer, "grad64", zero_grad64)
+    theta0 = init_checkpoint(ARCH, 0)
+    sam = finetune(theta0, _fast(sam_rho=0.05), small_data)
+    vanilla = finetune(theta0, _fast(sam_rho=None), small_data)
+    assert checkpoints_equal(sam.checkpoint, vanilla.checkpoint, check_meta=False)
+
+
 def test_sam_positive_rho_changes_and_reproduces(small_data):
     theta0 = pretrain(ARCH, small_data, _fast())
     sam = finetune(theta0, _fast(sam_rho=0.05), small_data)
@@ -269,7 +286,20 @@ PINNED_FILE_DIGESTS = [
 ]
 
 
-def test_training_bytes_are_pinned(small_data):
+@pytest.fixture
+def no_blas_thread_calls(monkeypatch):
+    """Training as on a NumPy whose BLAS is not an OpenBLAS: the thread-count lookup finds nothing."""
+    monkeypatch.setattr(trainer, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+    trainer._blas_thread_calls.cache_clear()
+    assert trainer._blas_thread_calls() is None
+    yield
+    trainer._blas_thread_calls.cache_clear()
+
+
+@pytest.mark.parametrize("blas", ["openblas", "no-thread-calls"])
+def test_training_bytes_are_pinned(small_data, blas, request):
+    if blas == "no-thread-calls":
+        request.getfixturevalue("no_blas_thread_calls")
     theta0 = pretrain(ARCH, small_data, _fast())
     assert content_digest(theta0) == PINNED_BASE_DIGEST
     files = [theta0]
@@ -280,6 +310,39 @@ def test_training_bytes_are_pinned(small_data):
         assert ema == want_ema, overrides
         files += [c for c in (result.checkpoint, result.ema) if c is not None]
     assert [sha256(serialize(c)).hexdigest()[:16] for c in files] == PINNED_FILE_DIGESTS
+
+
+def test_training_runs_on_one_blas_thread_and_restores_the_callers_count(
+    small_data, monkeypatch
+):
+    calls = trainer._blas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy's BLAS exposes no OpenBLAS thread count")
+    get, set_ = calls
+    seen = []
+
+    def recording(fn):
+        def call(*args, **kwargs):
+            seen.append((fn.__name__, get()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("forward", "grad64", "evaluate"):
+        monkeypatch.setattr(trainer, name, recording(getattr(trainer, name)))
+    caller = get()
+    set_(2)
+    try:
+        theta0 = pretrain(ARCH, small_data, _fast())
+        assert get() == 2
+        finetune(theta0, _fast(), small_data)
+        assert get() == 2
+        with pytest.raises(DivergenceError):
+            finetune(theta0, _fast(sam_rho=1e200), small_data)
+        assert get() == 2
+    finally:
+        set_(caller)
+    assert {name for name, _ in seen} == {"forward", "grad64", "evaluate"}
+    assert {threads for _, threads in seen} == {1}
 
 
 def _traced_peak(fn) -> int:
@@ -485,9 +548,10 @@ def test_base_that_does_not_fit_the_data_raises_before_writing(small_data, tmp_p
 
 def test_dataset_without_config_bounds_the_class_count_by_its_labels(small_data):
     bare = Dataset(splits=small_data.splits)  # labels 0..2
+    assert check_fits_data(init_checkpoint(ArchSpec((6, 10, 3)), 0), bare) == 3
     result = finetune(init_checkpoint(ArchSpec((6, 10, 4)), 0), _fast(), bare)
     assert result.checkpoint["layer1.weight"].shape == (10, 4)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError, match="does not fit"):
         finetune(init_checkpoint(ArchSpec((6, 10, 2)), 0), _fast(), bare)
 
 
