@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -53,6 +52,7 @@ import numpy as np
 from .ensembles import fit_temperature
 from .errors import DegenerateBasisError, NonFiniteError
 from .fileio import cell, write_table
+from .schema import Record
 from .tensorstore import Checkpoint, Params, as_params, axpy, combine, dot
 from .tinynet import (
     _forward,
@@ -179,8 +179,7 @@ def write_curve_csv(rows: Sequence[Mapping], path: str | Path) -> None:
 # ------------------------------------------------------------ 2-D landscape
 
 
-@dataclass(frozen=True)
-class PlaneBasis:
+class PlaneBasis(Record):
     """Orthonormal 2-D frame spanned by three anchor checkpoints, in float64.
 
     u1 points from the origin (theta0) toward theta1; u2 is the
@@ -263,8 +262,7 @@ def write_plane_csv(
 # ------------------------------------------------------ endpoint-pair study
 
 
-@dataclass(frozen=True)
-class GridStudyCell:
+class GridStudyCell(Record):
     """One (a, b) index range: endpoint-average accuracy vs best inside."""
 
     a: int
@@ -308,14 +306,13 @@ def grid_endpoint_study(
 
 def write_grid_study_csv(cells: Sequence[GridStudyCell], path: str | Path) -> None:
     header = ("a", "b", "pair_accuracy", "best_in_range", "advantage")
-    write_table(path, header, map(astuple, cells))
+    write_table(path, header, (vars(c).values() for c in cells))
 
 
 # ---------------------------------------- soup vs ensemble, second order
 
 
-@dataclass(frozen=True)
-class ApproxRecord:
+class ApproxRecord(Record):
     """One evaluation of the second-order loss-gap approximation.
 
     ``approx_value`` is composed exactly as
@@ -522,8 +519,7 @@ def relu_flip_count(
 # ------------------------------------------------------- validation report
 
 
-@dataclass(frozen=True)
-class PairSpec:
+class PairSpec(Record):
     """One (theta0, theta1) endpoint pair for the validation scatter.
 
     ``learning_rate`` tags the pair for the highest-lr exclusion (use
@@ -536,16 +532,14 @@ class PairSpec:
     learning_rate: float | None = None
 
 
-@dataclass(frozen=True)
-class ApproxSummary:
+class ApproxSummary(Record):
     pearson: float | None
     sign_agreement: float | None
     count: int
     degenerate: bool
 
 
-@dataclass
-class ApproxValidationReport:
+class ApproxValidationReport(Record, frozen=False):
     records: list[ApproxRecord]
     summary_all: ApproxSummary
     summary_excluding_highest_lr: ApproxSummary
@@ -608,9 +602,7 @@ def approx_validation_report(
 
 def write_approx_csv(report: ApproxValidationReport, path: str | Path) -> None:
     def fmt(summary: ApproxSummary) -> str:
-        return "pearson={} sign_agreement={} count={} degenerate={}".format(
-            *map(cell, (summary.pearson, summary.sign_agreement, summary.count, summary.degenerate))
-        )
+        return " ".join(f"{key}={cell(value)}" for key, value in vars(summary).items())
 
     comment = "beta_mode={} all: {} excluding_highest_lr: {} excluded_learning_rate={}".format(
         report.beta_mode,
@@ -620,4 +612,4 @@ def write_approx_csv(report: ApproxValidationReport, path: str | Path) -> None:
     )
     header = ("pair", "split", "alpha", "beta", "approx_value", "true_loss_diff", "true_err_diff",
               "second_derivative_term", "variance_term")
-    write_table(path, header, map(astuple, report.records), comment)
+    write_table(path, header, (vars(r).values() for r in report.records), comment)

@@ -31,7 +31,6 @@ Magnitude 0 reproduces the base test distribution for every kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +38,12 @@ import numpy as np
 from .errors import DataFormatError
 from .fileio import atomic_write_text, read_json, write_json
 from .rng import PortableRng
-from .schema import DatasetConfig, decode
+from .schema import DatasetConfig, Record, decode
 
 SPLIT_NAMES = ("train", "val", "test", "shift")
 
 
-@dataclass
-class Split:
+class Split(Record, frozen=False):
     x: np.ndarray  # float32, [n, input_dim]
     y: np.ndarray  # int64 labels, [n]
 
@@ -53,8 +51,7 @@ class Split:
         return len(self.y)
 
 
-@dataclass
-class Dataset:
+class Dataset(Record, frozen=False):
     splits: dict[str, Split]
     config: DatasetConfig | None = None
 

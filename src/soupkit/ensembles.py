@@ -21,7 +21,6 @@ at most one, then sum_b (n_b / N) * |accuracy_b - mean confidence_b|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .fileio import cell, write_table
+from .schema import Record
 from .tensorstore import Checkpoint
 from .tinynet import (
     EvalReport,
@@ -107,8 +107,7 @@ def greedy_ensemble(
     return greedy_select(models, val_accuracy_fn)
 
 
-@dataclass(frozen=True)
-class TemperatureFit:
+class TemperatureFit(Record):
     beta: float
     nll: float
     degenerate: bool
@@ -149,8 +148,7 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> TemperatureFit:
     return TemperatureFit(beta=math.exp(best_log), nll=best_nll, degenerate=False)
 
 
-@dataclass(frozen=True)
-class BinStat:
+class BinStat(Record):
     count: int
     mean_confidence: float
     accuracy: float
@@ -211,8 +209,7 @@ def confidences_and_correct(
     return conf, (pred == np.asarray(labels)).astype(np.float64)
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(Record):
     """Before/after metrics for one fitted logit scale.
 
     ``beta`` is fitted on the fit split; NLL/ECE pairs are measured on

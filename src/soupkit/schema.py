@@ -14,7 +14,7 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from functools import lru_cache, partial
 from numbers import Integral, Real
 from pathlib import Path
@@ -25,6 +25,57 @@ from .fileio import read_json, sha256, write_json
 
 if TYPE_CHECKING:
     from .tensorstore import Checkpoint
+
+
+class Record:
+    """Base of every record: a dataclass whose ``__init__``, ``__repr__``, ``__eq__`` and, unless
+    declared ``frozen=False``, ``__hash__`` and ``__setattr__`` are shared, so no record ``exec``s
+    code; one without a docstring gets ``Name(fields)``, not one made by ``inspect.signature``."""
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        if cls.__dict__.get("__annotations__"):  # else a base without fields, like _Record
+            cls.__doc__ = cls.__doc__ or f"{cls.__name__}({', '.join(cls.__annotations__)})"
+            cls._fields = fields(dataclass(init=False, repr=False, eq=False)(cls))
+            if frozen:
+                cls.__hash__ = Record._hash
+                cls.__setattr__ = cls.__delattr__ = Record._frozen
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        declared, name = self._fields, type(self).__qualname__
+        if len(args) > len(declared):
+            raise TypeError(f"{name}() takes {len(declared)} positional arguments, got {len(args)}")
+        for f, value in zip(declared, args):
+            if f.name in kwargs:
+                raise TypeError(f"{name}() got multiple values for argument {f.name!r}")
+            kwargs[f.name] = value
+        values = {f.name: kwargs.pop(f.name) if f.name in kwargs else f.default  # field order
+                  if f.default_factory is MISSING else f.default_factory() for f in declared}
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+        missing = [key for key, value in values.items() if value is MISSING]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments {missing}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks the record once its fields are set; a broken one raises."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def _frozen(self, name: str, *value: object) -> None:
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _as_is(value: object, where: str, error: type[SoupkitError]) -> object:
@@ -76,7 +127,7 @@ def _plan(cls: type) -> dict[str, types.SimpleNamespace]:
     return plan
 
 
-class _Record:
+class _Record(Record):
     """Base of every record: building one raises ConfigError unless each field matches
     its annotation (NaN and ``true`` pass range checks), then checks the record's rules."""
 
@@ -120,7 +171,6 @@ SCHEDULES = ("constant", "cosine")
 MIXUP_ALPHA_MAX = 4.0
 
 
-@dataclass(frozen=True)
 class DatasetConfig(_Record):
     input_dim: int = 16
     num_classes: int = 8
@@ -147,7 +197,6 @@ class DatasetConfig(_Record):
             raise ConfigError(f"shift_kind must be one of {SHIFT_KINDS}")
 
 
-@dataclass(frozen=True)
 class ArchSpec(_Record):
     """Full width chain, input through hidden layers to class count."""
 
@@ -172,7 +221,6 @@ class ArchSpec(_Record):
         return len(self.layer_widths) - 1
 
 
-@dataclass(frozen=True)
 class HyperConfig(_Record):
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
@@ -214,7 +262,6 @@ class HyperConfig(_Record):
         return json.dumps(vars(self), sort_keys=True)
 
 
-@dataclass(frozen=True)
 class SearchSpace(_Record):
     """Sampling ranges for random hyperparameter search.
 
@@ -259,7 +306,6 @@ class SearchSpace(_Record):
         HyperConfig(batch_size=self.batch_size, optimizer=self.optimizer, schedule=self.schedule)
 
 
-@dataclass(frozen=True)
 class SweepSpec(_Record):
     """A sweep's configs: ``count`` random-search draws from ``space`` (default
     SearchSpace()) seeded by ``master_seed``, or the ``configs`` listed."""
@@ -279,7 +325,6 @@ class SweepSpec(_Record):
                               f"configs), got {self.count!r} and {self.master_seed!r}")
 
 
-@dataclass(frozen=True)
 class RunConfig(_Record):
     """A run config; each section is optional until a command needs it."""
 
@@ -289,7 +334,6 @@ class RunConfig(_Record):
     sweep: SweepSpec | None = None
 
 
-@dataclass(frozen=True)
 class SweepEntry(_Record):
     index: int
     config: HyperConfig
@@ -304,8 +348,7 @@ class SweepEntry(_Record):
             raise ConfigError("an entry without error needs a path and a val_accuracy")
 
 
-@dataclass
-class SweepManifest(_Record):
+class SweepManifest(_Record, frozen=False):
     """A sweep's entries; ``directory`` is where the file lies, not a field of it."""
 
     entries: tuple[SweepEntry, ...]
@@ -337,7 +380,6 @@ def load_manifest(path: str | Path) -> SweepManifest:
     return manifest
 
 
-@dataclass(frozen=True)
 class TensorEntry(_Record):
     """One tensor of a checkpoint header: ``nbytes`` of float32 at ``offset`` past the
     payload base."""
@@ -355,13 +397,11 @@ class TensorEntry(_Record):
             raise ConfigError(f"tensor {self.name!r}: negative offset {self.offset}")
 
 
-@dataclass(frozen=True)
 class CheckpointHeader(_Record):
     tensors: tuple[TensorEntry, ...]
     meta: dict
 
 
-@dataclass(frozen=True)
 class PairEntry(_Record):
     """One entry of an ``approx --pairs`` file; checkpoint paths are relative to the file."""
 

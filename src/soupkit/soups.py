@@ -26,7 +26,6 @@ so that plain parameter averaging lands in the same loss basin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,6 +33,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 from .fileio import write_json
+from .schema import Record
 from .tensorstore import (
     Checkpoint,
     Params,
@@ -58,8 +58,7 @@ LEARNED_SOUP_LR = 0.1
 LEARNED_SOUP_EPOCHS = 3
 
 
-@dataclass
-class SoupResult:
+class SoupResult(Record, frozen=False):
     """A merged checkpoint plus the recipe that produced it.
 
     ``temperature`` is the logit scale beta to apply at prediction time

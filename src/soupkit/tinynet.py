@@ -23,7 +23,6 @@ taken to be zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeMismatchError
 from .rng import PortableRng, derive_seed
-from .schema import ArchSpec
+from .schema import ArchSpec, Record
 from .tensorstore import Checkpoint, Params, as_params, axpy
 
 if TYPE_CHECKING:
@@ -370,8 +369,7 @@ def logit_second_directional(
     return (forward(plus, X) - 2.0 * forward(params, X) + forward(minus, X)) / (h * h)
 
 
-@dataclass
-class EvalReport:
+class EvalReport(Record, frozen=False):
     """Scalar metrics of one model (or merged model) on one split."""
 
     count: int

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -33,7 +32,7 @@ from .datagen import Dataset
 from .errors import ConfigError, DivergenceError, SoupkitError
 from .rng import PortableRng, derive_seed
 from .schema import MIXUP_ALPHA_MAX, load_manifest  # noqa: F401  (re-exported)
-from .schema import ArchSpec, HyperConfig, SearchSpace, SweepEntry, SweepManifest, save_manifest
+from .schema import ArchSpec, HyperConfig, Record, SearchSpace, SweepEntry, SweepManifest, save_manifest
 from .tensorstore import (
     Checkpoint,
     Params,
@@ -89,8 +88,7 @@ def sgd_step(w: np.ndarray, g: np.ndarray, lr: float, weight_decay: float) -> No
     w -= lr * (g + weight_decay * w)
 
 
-@dataclass
-class AdamState:
+class AdamState(Record, frozen=False):
     m: np.ndarray
     v: np.ndarray
     t: int = 0
@@ -118,8 +116,7 @@ def adamw_step(
     w -= lr * (state.m / bc1 / (np.sqrt(state.v / bc2) + ADAM_EPS) + weight_decay * w)
 
 
-@dataclass
-class TrainResult:
+class TrainResult(Record, frozen=False):
     checkpoint: Checkpoint
     ema: Checkpoint | None
 
