@@ -17,7 +17,8 @@ Exit codes:
     2  configuration problem (bad value, unknown key, bad flag, an empty
        --splits, a size too large to allocate, or an --out that exists as
        the wrong kind: a directory where a file is written or the reverse;
-       it is checked before any work, so nothing is written)
+       checked before any work, and inside datagen's or sweep's --out
+       before each file is written)
     3  missing input file or directory, or a directory given as an input file
     4  training diverged (non-finite loss)
     5  malformed input file (checkpoint, dataset or manifest format)
@@ -260,6 +261,7 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
 
     models = _manifest_models(args.manifest)
     ds = _load_dataset(args.data, models)
+    X, y = _split_arrays(ds, args.eval_split)
     if args.kind == "greedy":
         sel_x, sel_y = _split_arrays(ds, args.split)
         members = ensembles.greedy_ensemble(
@@ -267,7 +269,6 @@ def cmd_ensemble(args: argparse.Namespace) -> None:
         )
     else:
         members = list(range(len(models)))
-    X, y = _split_arrays(ds, args.eval_split)
     report = evaluate_logits(ensembles.logit_ensemble([models[i] for i in members], X), y)
     payload = {
         "kind": args.kind,

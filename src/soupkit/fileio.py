@@ -22,11 +22,13 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import NonFiniteError, SoupkitError
+from .errors import ConfigError, NonFiniteError, SoupkitError
 
 
 def atomic_write_bytes(path: str | os.PathLike[str], data: bytes) -> None:
     target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"{target} is a directory; a file is written there")
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
     try:

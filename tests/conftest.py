@@ -3,7 +3,7 @@ perturbed pair of small models, and a call counter.
 
 The data and models are session-scoped so the (cheap) training runs happen
 once per test run. Tests that need different data or hypers build their
-own locally.
+own locally. Each run's summary ends with the numeric platform it ran on.
 """
 
 from __future__ import annotations
@@ -17,6 +17,39 @@ from soupkit import datagen, trainer
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import Checkpoint
 from soupkit.tinynet import ArchSpec, init_checkpoint
+
+
+def _numeric_platform() -> str:
+    """NumPy's version, its OpenBLAS core and its enabled dispatch targets; a
+    part this NumPy does not expose (NumPy 1.x, another BLAS) reads "unknown"."""
+
+    def probe(read) -> str:
+        try:
+            return read()
+        except (ImportError, AttributeError, OSError):
+            return "unknown"
+
+    def core() -> str:
+        import ctypes
+
+        from numpy._core import _multiarray_umath as umath
+
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+
+    def dispatch() -> str:
+        from numpy._core import _multiarray_umath as umath
+
+        return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+    return f"NumPy {np.__version__}, OpenBLAS {probe(core)}, dispatch {probe(dispatch)}"
+
+
+def pytest_terminal_summary(terminalreporter):
+    # Tier-1's pinned bytes hold on one OpenBLAS kernel and one NumPy dispatch
+    # level (README, "Determinism and threading"), so every run names its own.
+    terminalreporter.write_line(f"numeric platform: {_numeric_platform()}")
 
 
 @pytest.fixture(scope="session")

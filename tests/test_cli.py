@@ -1,10 +1,12 @@
-"""End-to-end tests of the command-line interface.
+"""End-to-end tests of the command-line interface, over one table.
 
-A module-scoped workspace runs the real pipeline once (datagen ->
-pretrain -> sweep of four configs); individual tests drive each
-subcommand against those artifacts and check outputs and determinism.
-The documented exit codes are one contract table: every input defect runs
-over every command that reads that input.
+COMMANDS holds every command form the parser accepts, its inputs written as
+{slot} placeholders, and the module-scoped ``contract`` fixture gives each
+slot a small sane input. Every command run here is a form of that table:
+ARTIFACTS checks what each form writes from the sane inputs, DEFECTS runs
+every input defect over every command that reads that input (the
+documented exit codes), and the process-level tests run forms in a fresh
+interpreter.
 """
 
 import argparse
@@ -31,7 +33,7 @@ import pytest
 
 import oracles
 import soupkit
-from soupkit import analysis, cli, datagen, trainer
+from soupkit import analysis, cli, datagen, ensembles, tinynet, trainer
 from soupkit.errors import CheckpointFormatError, ConfigError, DataFormatError
 from soupkit.rng import PortableRng
 from soupkit.tensorstore import (
@@ -46,121 +48,56 @@ from soupkit.tinynet import ArchSpec, evaluate, init_checkpoint
 
 SRC_DIR = Path(soupkit.__file__).resolve().parent.parent
 
-RUN_CONFIG = {
-    "dataset": {
-        "input_dim": 6,
-        "num_classes": 3,
-        "num_train": 160,
-        "num_val": 96,
-        "num_test": 96,
-        "num_shift": 96,
-        "class_center_scale": 1.4,
-        "seed": 5,
-    },
-    "arch": {"layer_widths": [6, 12, 3]},
-    "pretrain": {
-        "learning_rate": 0.01,
-        "weight_decay": 0.0001,
-        "epochs": 3,
-        "batch_size": 64,
-        "seed": 3,
-    },
-    "sweep": {
-        "configs": [
-            {"learning_rate": 0.02, "epochs": 2, "batch_size": 64, "seed": 21},
-            {
-                "learning_rate": 0.01,
-                "epochs": 3,
-                "batch_size": 64,
-                "seed": 22,
-                "label_smoothing": 0.1,
-            },
-            {"learning_rate": 0.005, "epochs": 2, "batch_size": 64, "seed": 23},
-            {"learning_rate": 0.02, "epochs": 3, "batch_size": 64, "seed": 24},
-        ]
-    },
+# ------------------------------------------------------ the command forms
+#
+# Every weight +-3e38 with random signs is finite in float32, but the logits of
+# this arch overflow, so every loss and confidence computed from them is NaN.
+ARCH = ArchSpec((4, 5, 5, 5, 5, 3))
+ROWS = 24  # rows in each split of the table's dataset
+
+# argv before --out. {ckpt_b} and {ckpt_c} are two more checkpoints; {pairs}
+# pairs {ckpt} with {ckpt_b} and {ckpt_b} with {ckpt_c}.
+COMMANDS = {
+    "datagen": ["datagen", "--config", "{config}"],
+    "pretrain": ["pretrain", "--config", "{config}", "--data", "{data}"],
+    "sweep": ["sweep", "--config", "{config}", "--data", "{data}", "--base", "{ckpt}"],
+    "soup-uniform": ["soup", "uniform", "--manifest", "{manifest}"],
+    "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
+    "soup-learned": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}"],
+    "soup-learned-by-layer": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}",
+                              "--by-layer"],
+    "ensemble-uniform": ["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}"],
+    "ensemble-greedy": ["ensemble", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
+    "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--data", "{data}"],
+    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--ckpt-c", "{ckpt_c}",
+              "--data", "{data}", "--x-range", "0:1:2", "--y-range", "0:1:2"],
+    "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}"],
+    "approx": ["approx", "--pairs", "{pairs}", "--data", "{data}", "--alphas", "0,0.5,1"],
+    "calibrate-ckpt": ["calibrate", "--ckpt", "{ckpt}", "--data", "{data}"],
+    "calibrate-manifest": ["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
+    "report": ["report", "--manifest", "{manifest}", "--soup", "{soup}",
+               "--eval-report", "{eval_report}"],
 }
+INPUT_SLOTS = ("config", "data", "ckpt", "ckpt_b", "ckpt_c", "manifest", "pairs", "soup",
+               "eval_report")
+WRITES_DIRECTORY = ("datagen", "sweep")
 
 
-def run_ok(argv):
-    assert cli.main(argv) == cli.EXIT_OK
+def _argv(command: str, inputs: dict, flags=()) -> list[str]:
+    """``command``'s form on ``inputs``, --out ``inputs["out"]``, then ``flags``,
+    which override a flag of the form given twice."""
+    text = {k: str(v) for k, v in inputs.items()}
+    return [arg.format(**text) for arg in COMMANDS[command]] + ["--out", text["out"], *flags]
 
 
-def run_fail(argv, code, category, capsys):
-    assert cli.main(argv) == code
-    err = capsys.readouterr().err.strip().splitlines()[-1]
-    payload = json.loads(err)
-    assert payload["error"] == category
-    assert payload["type"]
-    assert payload["message"]
-
-
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cliws")
-    config = root / "run.json"
-    config.write_text(json.dumps(RUN_CONFIG))
-    data = root / "data"
-    base = root / "base.ckpt"
-    sweep = root / "sweep"
-    run_ok(["datagen", "--config", str(config), "--out", str(data)])
-    run_ok(
-        ["pretrain", "--config", str(config), "--data", str(data), "--out", str(base)]
-    )
-    run_ok(
-        [
-            "sweep",
-            "--config",
-            str(config),
-            "--data",
-            str(data),
-            "--base",
-            str(base),
-            "--out",
-            str(sweep),
-        ]
-    )
-    return {
-        "root": root,
-        "config": config,
-        "data": data,
-        "base": base,
-        "manifest": sweep / "manifest.json",
-    }
-
-
-# ----------------------------------------------------------- datagen/config
-
-
-def test_datagen_writes_all_splits(workspace):
-    ds = datagen.load_csv(workspace["data"])
-    assert set(ds.splits) == set(datagen.SPLIT_NAMES)
-    assert ds.splits["train"].x.shape == (160, 6)
-    assert ds.config is not None and ds.config.num_classes == 3
-
-
-def test_set_override_changes_generated_data(workspace, tmp_path):
-    out = tmp_path / "smaller"
-    run_ok(
-        [
-            "datagen",
-            "--config",
-            str(workspace["config"]),
-            "--set",
-            "dataset.num_train=64",
-            "--out",
-            str(out),
-        ]
-    )
-    assert datagen.load_csv(out).splits["train"].x.shape[0] == 64
-
-
-def test_set_override_without_config_file(tmp_path):
-    out = tmp_path / "defaults"
-    run_ok(["datagen", "--set", "dataset.num_train=32", "--out", str(out)])
-    ds = datagen.load_csv(out)
-    assert ds.splits["train"].x.shape[0] == 32
-    assert ds.config.input_dim == datagen.DatasetConfig().input_dim
+def _run(command: str, inputs: dict, flags=()) -> tuple[int, str, list[str]]:
+    """``cli.main`` of ``_argv``: its exit code, its stderr and the argv."""
+    argv = _argv(command, inputs, flags)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue(), argv
 
 
 # ------------------------------------------- usage, imports, entry points
@@ -207,6 +144,13 @@ def _modules(names) -> set[str]:
     return {f"soupkit.{name}" if name in soupkit.__all__ else name for name in names}
 
 
+def _env() -> dict:
+    """This environment with soupkit's source directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "module, absent",
     [
@@ -219,90 +163,74 @@ def _modules(names) -> set[str]:
 def test_import_loads_no_module_that_only_some_commands_run(module, absent):
     # Start-up is most of a short command's time: each command imports the
     # library modules it runs, so a fresh interpreter must not load these.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     code = f"import json, sys, soupkit.{module}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+                          env=_env(), timeout=60, check=True)
     loaded = set(json.loads(proc.stdout))
     assert f"soupkit.{module}" in loaded
     assert sorted(loaded & _modules(absent)) == []
 
 
-# A command's own process: (argv before --out, library modules it must not
-# load, modules it must load). The manifest commands read their manifest through
-# soupkit.schema, so none loads the training code; soup learned steps
-# trainer.adamw_step, which shows that a load made during a command is seen.
+# A form's own process: (library modules it must not load, modules it must
+# load). The manifest commands read their manifest through soupkit.schema, so
+# none loads the training code; soup learned steps trainer.adamw_step, which
+# shows that a load made during a command is seen.
 COMMAND_IMPORTS = {
-    "soup-uniform": (["soup", "uniform", "--manifest", "{manifest}"], ("trainer",),
-                     ("schema", "tensorstore", "soups")),
-    "soup-greedy": (["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
-                    ("trainer",), ("soups", "datagen")),
-    "soup-learned": (["soup", "learned", "--manifest", "{manifest}", "--data", "{data}"], (),
-                     ("trainer",)),
-    "ensemble-uniform": (["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}"],
-                         ("trainer",), ("ensembles",)),
-    "ensemble-greedy": (["ensemble", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
-                        ("trainer",), ("ensembles",)),
-    "grid-study": (["grid-study", "--manifest", "{manifest}", "--data", "{data}"], ("trainer",),
-                   ("analysis",)),
-    "calibrate-manifest": (["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
-                           ("trainer",), ("ensembles",)),
-    "report-manifest": (["report", "--manifest", "{manifest}"],
-                        ("trainer", "datagen", "tensorstore", "tinynet", "numpy"), ("schema",)),
+    "datagen": (("tensorstore", "tinynet", "trainer"), ("datagen",)),
+    "pretrain": (("analysis", "soups", "ensembles"), ("trainer",)),
+    "soup-uniform": (("trainer",), ("schema", "tensorstore", "soups")),
+    "soup-greedy": (("trainer",), ("soups", "datagen")),
+    "soup-learned": ((), ("trainer",)),
+    "ensemble-uniform": (("trainer",), ("ensembles",)),
+    "ensemble-greedy": (("trainer",), ("ensembles",)),
+    "eval": (("analysis", "soups", "trainer"), ("ensembles",)),
+    "interp": (("soups", "trainer"), ("analysis",)),
+    "grid-study": (("trainer",), ("analysis",)),
+    "calibrate-manifest": (("trainer",), ("ensembles",)),
+    "report": (("trainer", "datagen", "tensorstore", "tinynet", "numpy"), ("schema",)),
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_IMPORTS))
-def test_command_loads_only_the_modules_it_runs(workspace, tmp_path, command):
-    template, absent, present = COMMAND_IMPORTS[command]
-    paths = {"manifest": workspace["manifest"], "data": workspace["data"]}
-    argv = [arg.format(**paths) for arg in template] + ["--out", str(tmp_path / "out")]
+def test_command_loads_only_the_modules_it_runs(contract, tmp_path, command):
+    absent, present = COMMAND_IMPORTS[command]
+    argv = _argv(command, {**contract, "out": tmp_path / "out"})
     code = ("import json, sys; from soupkit import cli; "
             "print(json.dumps([cli.main(sys.argv[1:]), sorted(sys.modules)]))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+                          env=_env(), timeout=120, check=True)
     exit_code, loaded = json.loads(proc.stdout)
     assert exit_code == cli.EXIT_OK, proc.stderr
     assert sorted(set(loaded) & _modules(absent)) == []
     assert _modules(present) <= set(loaded)
 
 
-# Runs that import no NumPy: (argv, documented exit code). A computing
-# command checks its flags and config before it imports the library.
+# Runs that import no NumPy: (form, flags with {slots}, documented exit code);
+# "help" is no form. A computing command checks its flags and config before it
+# imports the library.
 NUMPY_FREE_RUNS = {
-    "help": (["--help"], cli.EXIT_OK),
-    "unknown-flag": (["report", "--bogus", "--out", "{out}"], cli.EXIT_CONFIG),
-    "report-manifest": (["report", "--manifest", "{manifest}", "--out", "{out}"], cli.EXIT_OK),
-    "missing-config": (["datagen", "--config", "{missing}", "--out", "{out}"],
-                       cli.EXIT_MISSING_INPUT),
-    "bad-set": (["pretrain", "--config", "{config}", "--set", "pretrain.epochs=1.5",
-                 "--data", "{data}", "--out", "{out}"], cli.EXIT_CONFIG),
-    "out-of-the-wrong-kind": (["eval", "--ckpt", "{base}", "--data", "{data}", "--out", "{dir}"],
-                              cli.EXIT_CONFIG),
-    "bad-alphas": (["interp", "--ckpt-a", "{base}", "--ckpt-b", "{base}", "--data", "{data}",
-                    "--alphas", "0,2", "--out", "{out}"], cli.EXIT_CONFIG),
-    "bad-second-range": (["plane", "--ckpt-a", "{base}", "--ckpt-b", "{base}", "--ckpt-c",
-                          "{base}", "--data", "{data}", "--x-range=0:1:3", "--y-range=0:1:0",
-                          "--out", "{out}"], cli.EXIT_CONFIG),
+    "help": (None, ["--help"], cli.EXIT_OK),
+    "unknown-flag": ("report", ["--bogus"], cli.EXIT_CONFIG),
+    "report": ("report", [], cli.EXIT_OK),
+    "missing-config": ("datagen", ["--config", "{missing}"], cli.EXIT_MISSING_INPUT),
+    "bad-set": ("pretrain", ["--set", "pretrain.epochs=1.5"], cli.EXIT_CONFIG),
+    "out-of-the-wrong-kind": ("eval", ["--out", "{dir}"], cli.EXIT_CONFIG),
+    "bad-alphas": ("interp", ["--alphas", "0,2"], cli.EXIT_CONFIG),
+    "bad-second-range": ("plane", ["--x-range=0:1:3", "--y-range=0:1:0"], cli.EXIT_CONFIG),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NUMPY_FREE_RUNS))
-def test_front_end_runs_where_numpy_cannot_be_imported(workspace, tmp_path, case):
-    template, expected = NUMPY_FREE_RUNS[case]
+def test_front_end_runs_where_numpy_cannot_be_imported(contract, tmp_path, case):
+    command, flags, expected = NUMPY_FREE_RUNS[case]
     out = tmp_path / "out"
-    paths = {**workspace, "missing": tmp_path / "missing.json", "out": out, "dir": tmp_path}
-    argv = [arg.format(**paths) for arg in template]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    flags = [flag.format(missing=tmp_path / "missing.json", dir=tmp_path) for flag in flags]
+    argv = _argv(command, {**contract, "out": out}, flags) if command else flags
     runs = []
     for block in ("", "sys.modules['numpy'] = None; "):  # None makes `import numpy` fail
         code = f"import sys; {block}from soupkit import cli; sys.exit(cli.run())"
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, env=env, timeout=60)
+                              text=True, env=_env(), timeout=60)
         runs.append((proc.returncode, proc.stdout, proc.stderr,
                      out.read_bytes() if out.is_file() else None))
         out.unlink(missing_ok=True)
@@ -310,16 +238,9 @@ def test_front_end_runs_where_numpy_cannot_be_imported(workspace, tmp_path, case
     assert runs[1] == runs[0]
 
 
-def _single_error_line(capsys) -> dict:
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1, lines
-    return json.loads(lines[0])
-
-
 def _run_cli_process(argv, env_updates=()):
     """Run the CLI in a fresh interpreter, where NumPy warnings reach stderr unfiltered."""
-    env = {k: v for k, v in os.environ.items() if k != "SOUPKIT_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    env = {k: v for k, v in _env().items() if k != "SOUPKIT_THREADS"}
     env.update(env_updates)
     return subprocess.run(
         [sys.executable, "-m", "soupkit.cli", *argv], capture_output=True, text=True, env=env,
@@ -327,10 +248,9 @@ def _run_cli_process(argv, env_updates=()):
     )
 
 
-def test_overflow_in_a_subprocess_prints_one_json_line(workspace, tmp_path):
+def test_overflow_in_a_subprocess_prints_one_json_line(contract, tmp_path):
     out = tmp_path / "e.json"
-    proc = _run_cli_process(["eval", "--ckpt", str(workspace["base"]), "--data",
-                             str(workspace["data"]), "--beta", "1e308", "--out", str(out)])
+    proc = _run_cli_process(_argv("eval", {**contract, "out": out}, ["--beta", "1e308"]))
     assert proc.returncode == cli.EXIT_SHAPE
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, lines
@@ -338,15 +258,13 @@ def test_overflow_in_a_subprocess_prints_one_json_line(workspace, tmp_path):
     assert not out.exists()
 
 
-def test_overflowing_sweep_workers_print_nothing(workspace, tmp_path):
+def test_overflowing_sweep_workers_print_nothing(contract, tmp_path):
     # Input noise of 1e308 overflows outside the guarded gradient step; both
     # entries then diverge.
     configs = [{"input_noise_std": 1e308, "epochs": 1, "seed": s} for s in (1, 2)]
     out = tmp_path / "sweep"
-    proc = _run_cli_process(["sweep", "--config", str(workspace["config"]),
-                             "--set", f"sweep.configs={json.dumps(configs)}",
-                             "--data", str(workspace["data"]), "--base", str(workspace["base"]),
-                             "--out", str(out)])
+    proc = _run_cli_process(_argv("sweep", {**contract, "out": out},
+                                  ["--set", f"sweep.configs={json.dumps(configs)}"]))
     assert proc.returncode == cli.EXIT_OK
     assert proc.stderr == ""
     entries = json.loads((out / "manifest.json").read_text())["entries"]
@@ -365,18 +283,18 @@ def freezes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "command, flags, code",
     [
-        (["eval", "--ckpt", "{base}", "--data", "{data}"], cli.EXIT_OK),
-        (["frobnicate"], cli.EXIT_CONFIG),
-        (["eval", "--ckpt", "{missing}", "--data", "{data}"], cli.EXIT_MISSING_INPUT),
+        ("eval", [], cli.EXIT_OK),
+        (None, ["frobnicate"], cli.EXIT_CONFIG),
+        ("eval", ["--ckpt", "{missing}"], cli.EXIT_MISSING_INPUT),
     ],
 )
 def test_run_returns_the_exit_code_of_main(
-    workspace, tmp_path, monkeypatch, capsys, freezes, argv, code
+    contract, tmp_path, monkeypatch, capsys, freezes, command, flags, code
 ):
-    paths = {"base": workspace["base"], "data": workspace["data"], "missing": tmp_path / "x.ckpt"}
-    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "e.json")]
+    flags = [flag.format(missing=tmp_path / "x.ckpt") for flag in flags]
+    argv = _argv(command, {**contract, "out": tmp_path / "e.json"}, flags) if command else flags
     monkeypatch.setattr(sys, "argv", ["soupkit", *argv])
     assert cli.run() == code
     assert freezes == ["freeze"]
@@ -390,10 +308,9 @@ def test_run_freezes_only_after_main_returns(monkeypatch, freezes):
     assert freezes == ["main", "freeze"]
 
 
-def test_main_leaves_the_collector_as_it_found_it(workspace, tmp_path, capsys):
+def test_main_leaves_the_collector_as_it_found_it(contract, tmp_path):
     state = gc.isenabled(), gc.get_freeze_count()
-    run_ok(["eval", "--ckpt", str(workspace["base"]), "--data", str(workspace["data"]),
-            "--out", str(tmp_path / "e.json")])
+    assert _run("eval", {**contract, "out": tmp_path / "e.json"})[0] == cli.EXIT_OK
     assert cli.main(["frobnicate"]) == cli.EXIT_CONFIG
     assert (gc.isenabled(), gc.get_freeze_count()) == state
 
@@ -414,17 +331,17 @@ def test_python_m_exits_with_the_code_of_run(monkeypatch, capsys, freezes):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
-def test_module_entry_point_writes_stdout_stderr_and_artifacts(workspace, tmp_path):
+def test_module_entry_point_writes_stdout_stderr_and_artifacts(contract, tmp_path):
     proc = _run_cli_process(["--help"])
     assert proc.returncode == 0 and proc.stdout.startswith("usage: soupkit")
     assert proc.stderr == ""
 
     def eval_argv(ckpt, out):
-        return ["eval", "--ckpt", str(ckpt), "--data", str(workspace["data"]), "--out", str(out)]
+        return _argv("eval", {**contract, "ckpt": ckpt, "out": out})
 
-    proc = _run_cli_process(eval_argv(workspace["base"], tmp_path / "e.json"))
+    proc = _run_cli_process(eval_argv(contract["ckpt"], tmp_path / "e.json"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-    run_ok(eval_argv(workspace["base"], tmp_path / "in-process.json"))
+    assert cli.main(eval_argv(contract["ckpt"], tmp_path / "in-process.json")) == cli.EXIT_OK
     assert (tmp_path / "e.json").read_bytes() == (tmp_path / "in-process.json").read_bytes()
     proc = _run_cli_process(eval_argv(tmp_path / "x.ckpt", tmp_path / "m.json"))
     assert proc.returncode == cli.EXIT_MISSING_INPUT
@@ -435,47 +352,12 @@ def test_module_entry_point_writes_stdout_stderr_and_artifacts(workspace, tmp_pa
 
 # ------------------------------------------ the exit-code contract, one table
 #
-# COMMANDS holds every command form the parser accepts, its inputs written as
-# {slot} placeholders. DEFECTS gives each input defect the slot it corrupts,
-# its exit code and its stderr category. test_exit_code_contract runs every
-# defect over every command that reads its slot, and checks the contract each
-# run shares: the exit code; on failure one JSON line on stderr naming the
-# category, and nothing new under --out; on success an empty stderr and
-# artifacts that hold only finite numbers.
-
-# Every weight +-3e38 with random signs is finite in float32, but the logits of
-# this arch overflow, so every loss and confidence computed from them is NaN.
-ARCH = ArchSpec((4, 5, 5, 5, 5, 3))
-ROWS = 24  # rows in each split of the table's dataset
-
-# argv before a defect's flags and --out. {ckpt_b} and {ckpt_c} are two more
-# checkpoints; {pairs} pairs {ckpt} with {ckpt_b} and {ckpt_b} with {ckpt_c}.
-COMMANDS = {
-    "datagen": ["datagen", "--config", "{config}"],
-    "pretrain": ["pretrain", "--config", "{config}", "--data", "{data}"],
-    "sweep": ["sweep", "--config", "{config}", "--data", "{data}", "--base", "{ckpt}"],
-    "soup-uniform": ["soup", "uniform", "--manifest", "{manifest}"],
-    "soup-greedy": ["soup", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
-    "soup-learned": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}"],
-    "soup-learned-by-layer": ["soup", "learned", "--manifest", "{manifest}", "--data", "{data}",
-                              "--by-layer"],
-    "ensemble-uniform": ["ensemble", "uniform", "--manifest", "{manifest}", "--data", "{data}"],
-    "ensemble-greedy": ["ensemble", "greedy", "--manifest", "{manifest}", "--data", "{data}"],
-    "eval": ["eval", "--ckpt", "{ckpt}", "--data", "{data}"],
-    "interp": ["interp", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--data", "{data}",
-               "--alphas", "0,0.5,1"],
-    "plane": ["plane", "--ckpt-a", "{ckpt}", "--ckpt-b", "{ckpt_b}", "--ckpt-c", "{ckpt_c}",
-              "--data", "{data}", "--x-range", "0:1:2", "--y-range", "0:1:2"],
-    "grid-study": ["grid-study", "--manifest", "{manifest}", "--data", "{data}"],
-    "approx": ["approx", "--pairs", "{pairs}", "--data", "{data}", "--alphas", "0,0.5,1"],
-    "calibrate-ckpt": ["calibrate", "--ckpt", "{ckpt}", "--data", "{data}"],
-    "calibrate-manifest": ["calibrate", "--manifest", "{manifest}", "--data", "{data}"],
-    "report": ["report", "--manifest", "{manifest}", "--soup", "{soup}",
-               "--eval-report", "{eval_report}"],
-}
-INPUT_SLOTS = ("config", "data", "ckpt", "ckpt_b", "ckpt_c", "manifest", "pairs", "soup",
-               "eval_report")
-WRITES_DIRECTORY = ("datagen", "sweep")
+# DEFECTS gives each input defect the slot it corrupts, its exit code and its
+# stderr category. test_exit_code_contract runs every defect over every
+# command that reads its slot, and checks the contract each run shares: the
+# exit code; on failure one JSON line on stderr naming the category, and
+# nothing new under --out; on success an empty stderr and artifacts that hold
+# only finite numbers.
 
 
 def _subcommands(parser: argparse.ArgumentParser) -> dict | None:
@@ -719,6 +601,11 @@ def _out_a_directory(inputs: dict, _) -> None:
 
 def _out_a_file(inputs: dict, _) -> None:
     inputs["out"].write_text("kept")
+
+
+def _directories_under_out(inputs: dict, names) -> None:
+    for name in names:
+        (inputs["out"] / name).mkdir(parents=True)
 
 
 def _out_under_a_file(inputs: dict, _) -> None:
@@ -1080,6 +967,9 @@ DEFECTS = {
     # ---- --out: an existing path of the wrong kind is left as it was
     "out-is-a-directory": Defect("file-out", CONFIG, "config", _out_a_directory),
     "out-is-a-file": Defect("directory-out", CONFIG, "config", _out_a_file),
+    # a directory where the command writes its first file
+    "out-holds-a-directory": Defect("directory-out", CONFIG, "config", _directories_under_out,
+                                    (("config.json", "model_000.ckpt"),)),
     "out-under-a-file": Defect("out", CONFIG, "config", _out_under_a_file),
     "sidecar-is-a-directory": Defect("sidecar", CONFIG, "config", _sidecar_directory),
 }
@@ -1141,9 +1031,8 @@ def contract(tmp_path_factory):
         {**doc, "entries": [{**e, **failed} for e in doc["entries"]]}))
     fx["one-entry"] = root / "one-entry.json"
     fx["one-entry"].write_text(json.dumps({**doc, "entries": doc["entries"][:1]}))
-    run_ok(["soup", "uniform", "--manifest", str(fx["manifest"]), "--out", str(root / "soup.ckpt")])
-    run_ok(["eval", "--ckpt", str(fx["ckpt"]), "--data", str(fx["data"]),
-            "--out", str(root / "eval.json")])
+    assert _run("soup-uniform", {**fx, "out": root / "soup.ckpt"})[0] == cli.EXIT_OK
+    assert _run("eval", {**fx, "out": root / "eval.json"})[0] == cli.EXIT_OK
     fx["soup"], fx["eval_report"] = root / "soup.ckpt.soup.json", root / "eval.json"
     return fx
 
@@ -1177,16 +1066,6 @@ def _assert_finite(path: Path) -> None:
             except ValueError:
                 continue  # a label, a name or NA
             assert math.isfinite(value), (path, token)
-
-
-def _run(command: str, inputs: dict, flags) -> tuple[int, str, list[str]]:
-    text = {k: str(v) for k, v in inputs.items()}
-    argv = [arg.format(**text) for arg in COMMANDS[command]]
-    argv += [*flags, "--out", str(inputs["out"])]
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr):
-        code = cli.main(argv)
-    return code, stderr.getvalue(), argv
 
 
 @pytest.mark.parametrize("command, name, values", CONTRACT_PAIRS)
@@ -1227,6 +1106,7 @@ def test_every_command_form_has_a_contract_row():
         for word, child in sub.items():
             yield from forms(child, (*words, word))
 
+    assert {command for command, _, _ in ARTIFACTS.values()} == set(COMMANDS)
     for words, parser in forms(cli.build_parser()):
         rows = [argv for argv in COMMANDS.values() if _words(argv) == words]
         assert rows, words
@@ -1239,14 +1119,13 @@ def test_every_command_form_has_a_contract_row():
                 assert {flag in argv for argv in rows} == {True, False}, (words, flag)
 
 
-def test_malformed_pairs_file_message_names_the_file(workspace, tmp_path, capsys):
+def test_malformed_pairs_file_message_names_the_file(contract, tmp_path):
     pairs = tmp_path / "pairs.json"
     for raw in PAIRS_FILES.values():
         pairs.write_bytes(raw)
-        argv = ["approx", "--pairs", str(pairs), "--data", str(workspace["data"]),
-                "--out", str(tmp_path / "a.csv")]
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        assert str(pairs) in _single_error_line(capsys)["message"]
+        code, err, _ = _run("approx", {**contract, "pairs": pairs, "out": tmp_path / "a.csv"})
+        assert code == cli.EXIT_CONFIG
+        assert str(pairs) in json.loads(err)["message"]
 
 
 def test_every_bad_field_value_is_a_format_error(contract, tmp_path):
@@ -1286,426 +1165,227 @@ def test_every_bad_header_field_and_config_section_is_rejected(contract):
                 cli.load_run_config(config, [f"{section}={json.dumps(value)}"])
 
 
-def test_sweep_draws_its_configs_from_count_and_master_seed(workspace, tmp_path):
-    sweep = {"count": 2, "master_seed": 5, "space": {"epochs_range": [1, 1]}}
-    run_ok(["sweep", "--config", str(workspace["config"]), "--data", str(workspace["data"]),
-            "--base", str(workspace["base"]), "--out", str(tmp_path),
-            "--set", "sweep=" + json.dumps(sweep)])
-    entries = trainer.load_manifest(tmp_path / "manifest.json").entries
-    assert [e.config for e in entries] == trainer.random_search_configs(
-        2, 5, trainer.SearchSpace(epochs_range=(1, 1)))
+# -------------------------------------- what each command writes, one table
+#
+# ARTIFACTS holds, for each form of COMMANDS and each flag that changes what
+# it writes, the flags and a check of the artifact at --out. It checks only
+# what the command itself decides: which inputs, splits, defaults and ranges
+# reach the library, and the keys and values of the JSON it writes. The
+# library's own results (the greedy recipes' gains, the learned soup's trace,
+# the CSV layouts) are tested against the library in the library's tests.
 
 
-# ------------------------------------------------------------------- soups
+def _json(path: Path):
+    return json.loads(Path(path).read_text())
 
 
-def test_soup_uniform_single_model_matches_member(workspace, tmp_path):
-    doc = json.loads(workspace["manifest"].read_text())
-    doc["entries"] = doc["entries"][:1]
-    single = workspace["manifest"].parent / "manifest_single.json"
-    single.write_text(json.dumps(doc))
-    out = tmp_path / "solo.ckpt"
-    run_ok(["soup", "uniform", "--manifest", str(single), "--out", str(out)])
-    member = load_checkpoint(workspace["manifest"].parent / doc["entries"][0]["path"])
-    merged = load_checkpoint(out)
-    assert set(merged) == set(member)
-    for name in member:
-        assert np.array_equal(merged[name], member[name])
+def _rows(path: Path) -> list[list[str]]:
+    """The CSV at ``path`` without its "#" comment, as lists of fields."""
+    return [line.split(",") for line in path.read_text().splitlines() if line[0] != "#"]
 
 
-def test_soup_greedy_beats_best_individual_on_selection_split(workspace, tmp_path):
-    out = tmp_path / "greedy.ckpt"
-    run_ok(
-        [
-            "soup",
-            "greedy",
-            "--manifest",
-            str(workspace["manifest"]),
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(out),
-        ]
-    )
-    sidecar = json.loads(Path(str(out) + ".soup.json").read_text())
-    manifest = trainer.load_manifest(workspace["manifest"])
-    ds = datagen.load_csv(workspace["data"])
-    val = ds.splits["val"]
-    soup_acc = evaluate(load_checkpoint(out), val.x, val.y).accuracy
-    best_individual = max(e.val_accuracy for e in manifest.successful())
-    assert soup_acc >= best_individual
-    assert sidecar["ingredient_indices"]
-    assert sidecar["temperature"] == 1.0
+def _evaluate(fx: dict, slot: str, split: str):
+    """``evaluate`` of the checkpoint in ``slot`` on ``split`` of the contract dataset."""
+    data = datagen.load_csv(fx["data"]).splits[split]
+    return evaluate(load_checkpoint(fx[slot]), data.x, data.y)
 
 
-def test_soup_learned_by_layer_records_trace_and_groups(workspace, tmp_path):
-    out = tmp_path / "learned.ckpt"
-    run_ok(
-        [
-            "soup",
-            "learned",
-            "--manifest",
-            str(workspace["manifest"]),
-            "--data",
-            str(workspace["data"]),
-            "--by-layer",
-            "--out",
-            str(out),
-        ]
-    )
-    sidecar = json.loads(Path(str(out) + ".soup.json").read_text())
-    assert len(sidecar["loss_trace"]) == 4
-    assert sidecar["loss_trace"][-1] <= sidecar["loss_trace"][0] + 1e-9
-    assert len(sidecar["coefficients"]) >= 2
-    for weights in sidecar["coefficients"].values():
-        assert abs(sum(weights) - 1.0) < 1e-6
+def _datagen_writes_the_config_dataset(out, fx):
+    # The contract dataset is datagen.save_csv of its config's dataset section.
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in fx["data"].iterdir()}
 
 
-# --------------------------------------------------------------- ensembles
+def _datagen_takes_the_set_value(out, fx):
+    ds = datagen.load_csv(out)
+    assert {name: len(split.y) for name, split in ds.splits.items()} == {
+        **dict.fromkeys(datagen.SPLIT_NAMES, ROWS), "train": 7}
 
 
-def test_ensemble_uniform_reports_metrics(workspace, tmp_path):
-    out = tmp_path / "ens.json"
-    run_ok(
-        [
-            "ensemble",
-            "uniform",
-            "--manifest",
-            str(workspace["manifest"]),
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(out),
-        ]
-    )
-    payload = json.loads(out.read_text())
-    assert payload["members"] == [0, 1, 2, 3]
-    assert payload["split"] == "test"
-    assert 0.0 <= payload["accuracy"] <= 1.0
-    assert payload["accuracy"] == 1.0 - payload["top1_error"]
-    assert payload["count"] == 96
+def _pretrain_trains_the_config_arch(out, fx):
+    ckpt = trainer.pretrain(ARCH, datagen.load_csv(fx["data"]), trainer.HyperConfig(epochs=1))
+    assert out.read_bytes() == serialize(ckpt)
 
 
-def test_ensemble_greedy_selects_nonempty_subset(workspace, tmp_path):
-    out = tmp_path / "gens.json"
-    run_ok(
-        [
-            "ensemble",
-            "greedy",
-            "--manifest",
-            str(workspace["manifest"]),
-            "--data",
-            str(workspace["data"]),
-            "--eval-split",
-            "val",
-            "--out",
-            str(out),
-        ]
-    )
-    payload = json.loads(out.read_text())
-    assert payload["members"]
-    assert set(payload["members"]) <= {0, 1, 2, 3}
-    manifest = trainer.load_manifest(workspace["manifest"])
-    best_individual = max(e.val_accuracy for e in manifest.successful())
-    assert payload["accuracy"] >= best_individual
+def _sweep_of(configs: list):
+    def check(out, fx):
+        entries = trainer.load_manifest(out / "manifest.json").entries
+        assert [e.config for e in entries] == configs
+        assert [e.path for e in entries] == [f"model_{i:03d}.ckpt" for i in range(len(configs))]
+    return check
 
 
-# -------------------------------------------------------- eval/interp/plane
+def _soup(groups: list[str], trace: int, temperature=None):
+    """A soup check: the sidecar's digest is the checkpoint's, ``groups`` each
+    hold one weight per manifest entry, the loss trace has ``trace`` points
+    (a recipe without one writes none) and the logit scale is ``temperature``
+    (None: learned, so only positive)."""
+    def check(out, fx):
+        sidecar = _json(f"{out}.soup.json")
+        assert sidecar.pop("digest") == content_digest(load_checkpoint(out))
+        assert {g: len(w) for g, w in sidecar.pop("coefficients").items()} == dict.fromkeys(
+            groups, 2)
+        assert len(sidecar.pop("loss_trace", ())) == trace
+        assert sidecar.pop("ingredient_indices") in ([0], [0, 1])
+        scale = sidecar.pop("temperature")
+        assert scale > 0 and temperature in (None, scale)
+        assert sidecar == {}
+    return check
 
 
-def test_eval_reports_match_library_and_are_idempotent(workspace, tmp_path):
-    out1, out2 = tmp_path / "e1.json", tmp_path / "e2.json"
-    argv = [
-        "eval",
-        "--ckpt",
-        str(workspace["base"]),
-        "--data",
-        str(workspace["data"]),
-        "--split",
-        "val",
-    ]
-    run_ok(argv + ["--out", str(out1)])
-    run_ok(argv + ["--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
-    payload = json.loads(out1.read_text())
-    ds = datagen.load_csv(workspace["data"])
-    val = ds.splits["val"]
-    report = evaluate(load_checkpoint(workspace["base"]), val.x, val.y)
-    assert payload["loss"] == report.loss
-    assert payload["accuracy"] == report.accuracy
-    assert 0.0 <= payload["ece"] <= 1.0
-    assert payload["beta"] is None
+def _uniform_soup_of_two_copies(out, fx):
+    # The contract manifest holds {ckpt} twice.
+    _soup(["all"], 0, 1.0)(out, fx)
+    soup, ckpt = load_checkpoint(out), load_checkpoint(fx["ckpt"])
+    assert list(soup) == list(ckpt)
+    assert all(np.array_equal(soup[name], ckpt[name]) for name in ckpt)
 
 
-def test_eval_with_beta_scales_calibrated_loss_only(workspace, tmp_path):
-    out = tmp_path / "eb.json"
-    run_ok(
-        [
-            "eval",
-            "--ckpt",
-            str(workspace["base"]),
-            "--data",
-            str(workspace["data"]),
-            "--split",
-            "val",
-            "--beta",
-            "0.5",
-            "--out",
-            str(out),
-        ]
-    )
-    payload = json.loads(out.read_text())
-    assert payload["beta"] == 0.5
-    assert payload["calibrated_loss"] != payload["loss"]
+def _ensemble(kind: str, split: str):
+    def check(out, fx):
+        # Every member is {ckpt}, and the mean of equal logits is those logits.
+        report = _evaluate(fx, "ckpt", split)
+        assert _json(out) == {"kind": kind, "members": [0, 1], "split": split, "count": ROWS,
+                              "loss": report.loss, "top1_error": report.top1_error,
+                              "accuracy": 1.0 - report.top1_error}
+    return check
 
 
-def test_interp_curve_covers_grid_and_hits_endpoints(workspace, tmp_path):
-    manifest = trainer.load_manifest(workspace["manifest"])
-    model0 = manifest.checkpoint_path(manifest.entries[0])
-    out = tmp_path / "curve.csv"
-    run_ok(
-        [
-            "interp",
-            "--ckpt-a",
-            str(workspace["base"]),
-            "--ckpt-b",
-            str(model0),
-            "--data",
-            str(workspace["data"]),
-            "--splits",
-            "val,test",
-            "--out",
-            str(out),
-        ]
-    )
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "alpha,split,loss,top1_error"
-    assert len(lines) == 1 + 11 * 2
-    ds = datagen.load_csv(workspace["data"])
-    val = ds.splits["val"]
-    base_report = evaluate(load_checkpoint(workspace["base"]), val.x, val.y)
-    alpha0_val = next(l for l in lines[1:] if l.startswith("0.0,val,"))
-    assert float(alpha0_val.split(",")[2]) == base_report.loss
+def _eval(split: str, beta: float | None):
+    def check(out, fx):
+        payload, report = _json(out), _evaluate(fx, "ckpt", split)
+        calibrated = payload.pop("calibrated_loss")
+        assert 0.0 <= payload.pop("ece") <= 1.0
+        assert payload == {"ckpt": str(fx["ckpt"]), "split": split, "beta": beta, "count": ROWS,
+                           "loss": report.loss, "top1_error": report.top1_error,
+                           "accuracy": 1.0 - report.top1_error}
+        if beta is not None:
+            assert calibrated != report.loss
+    return check
 
 
-def test_interp_output_is_deterministic(workspace, tmp_path):
-    manifest = trainer.load_manifest(workspace["manifest"])
-    model0 = manifest.checkpoint_path(manifest.entries[0])
-    argv = [
-        "interp",
-        "--ckpt-a",
-        str(workspace["base"]),
-        "--ckpt-b",
-        str(model0),
-        "--data",
-        str(workspace["data"]),
-        "--alphas",
-        "0,0.5,1",
-    ]
-    out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
-    run_ok(argv + ["--out", str(out1)])
-    run_ok(argv + ["--out", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
+def _interp_at_the_default_alphas(out, fx):
+    _, *rows = _rows(out)
+    assert [row[:2] for row in rows] == [
+        [repr(i / 10), split] for i in range(11) for split in ("val", "test")]
+    assert float(rows[0][2]) == _evaluate(fx, "ckpt", "val").loss
+    assert float(rows[-1][2]) == _evaluate(fx, "ckpt_b", "test").loss
 
 
-def test_plane_csv_shape_and_metric_header(workspace, tmp_path):
-    manifest = trainer.load_manifest(workspace["manifest"])
-    paths = [manifest.checkpoint_path(e) for e in manifest.entries[:2]]
-    out = tmp_path / "plane.csv"
-    run_ok(
-        [
-            "plane",
-            "--ckpt-a",
-            str(workspace["base"]),
-            "--ckpt-b",
-            str(paths[0]),
-            "--ckpt-c",
-            str(paths[1]),
-            "--data",
-            str(workspace["data"]),
-            "--metric",
-            "error",
-            "--x-range=-0.25:1.25:4",
-            "--y-range=-0.25:1.25:3",
-            "--out",
-            str(out),
-        ]
-    )
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("# metric=error")
-    assert len(lines) == 2 + 3  # comment, x header, three y rows
-    assert len(lines[2].split(",")) == 1 + 4
+def _plane(metric: str, ys: int, xs: int):
+    def check(out, fx):
+        assert out.read_text().startswith(f"# metric={metric} ")
+        assert [len(row) for row in _rows(out)] == [1 + xs] * (1 + ys)
+    return check
 
 
-# ----------------------------------------------------- grid-study / approx
+def _grid_of_two_models(out, fx):
+    assert len(_rows(out)) == 1 + 2 * 3 // 2  # a header, then each a <= b of k = 2 models
 
 
-def test_grid_study_emits_all_ordered_pairs(workspace, tmp_path):
-    out = tmp_path / "grid.csv"
-    run_ok(
-        [
-            "grid-study",
-            "--manifest",
-            str(workspace["manifest"]),
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(out),
-        ]
-    )
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "a,b,pair_accuracy,best_in_range,advantage"
-    assert len(lines) == 1 + 4 * 5 // 2
-    diagonal = [l for l in lines[1:] if l.split(",")[0] == l.split(",")[1]]
-    assert len(diagonal) == 4
-    assert all(float(l.split(",")[4]) == 0.0 for l in diagonal)
+def _approx(splits: tuple[str, ...], alphas: tuple[str, ...], beta: str | None = None):
+    def check(out, fx):
+        _, *rows = _rows(out)
+        assert sorted(row[:3] for row in rows) == sorted(
+            [pair, split, alpha] for pair in ("p0", "p1") for split in splits for alpha in alphas)
+        assert beta is None or {row[3] for row in rows} == {beta}
+    return check
 
 
-def test_approx_command_writes_records_and_summary(workspace, tmp_path):
-    manifest = trainer.load_manifest(workspace["manifest"])
-    pairs_file = workspace["manifest"].parent / "pairs.json"
-    pairs_file.write_text(
-        json.dumps(
-            [
-                {
-                    "id": "p01",
-                    "theta0": manifest.entries[0].path,
-                    "theta1": manifest.entries[1].path,
-                    "learning_rate": 0.02,
-                },
-                {
-                    "id": "p23",
-                    "theta0": manifest.entries[2].path,
-                    "theta1": manifest.entries[3].path,
-                },
-            ]
-        )
-    )
-    out = tmp_path / "approx.csv"
-    run_ok(
-        [
-            "approx",
-            "--pairs",
-            str(pairs_file),
-            "--data",
-            str(workspace["data"]),
-            "--splits",
-            "val",
-            "--alphas",
-            "0.5",
-            "--beta-mode",
-            "fixed-1",
-            "--out",
-            str(out),
-        ]
-    )
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    header = (
-        "pair,split,alpha,beta,approx_value,true_loss_diff,true_err_diff,"
-        "second_derivative_term,variance_term"
-    )
-    assert lines[1] == header
-    assert len(lines) == 2 + 2
-    assert lines[2].startswith("p01,val,0.5,1.0,")
-
-
-# ------------------------------------------------------- calibrate / report
-
-
-def test_calibrate_single_checkpoint(workspace, tmp_path):
-    out = tmp_path / "cal.csv"
-    run_ok(
-        [
-            "calibrate",
-            "--ckpt",
-            str(workspace["base"]),
-            "--data",
-            str(workspace["data"]),
-            "--bins",
-            "10",
-            "--out",
-            str(out),
-        ]
-    )
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("# beta=")
-    assert lines[1] == "stage,bin,count,mean_confidence,accuracy"
-
-
-def test_calibrate_manifest_ensemble(workspace, tmp_path):
-    out = tmp_path / "cal_ens.csv"
-    run_ok(
-        [
-            "calibrate",
-            "--manifest",
-            str(workspace["manifest"]),
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(out),
-        ]
-    )
+def _calibrate_at_the_default_bins(out, fx):
     assert out.read_text().startswith("# beta=")
+    header, *rows = _rows(out)
+    assert header == ["stage", "bin", "count", "mean_confidence", "accuracy"]
+    assert len(rows) == 2 * 15  # before and after the fit
 
 
-def test_calibrate_loads_models_then_the_dataset_then_its_splits(workspace, tmp_path, capsys):
+def _report_merges_its_inputs(out, fx):
+    sweep = {"total": 2, "successful": 2, "failed": 0, "best_val_accuracy": 0.5,
+             "mean_val_accuracy": 0.5, "theta0_digest": ""}
+    assert _json(out) == {"sweep": sweep, **{key: [{**_json(fx[slot]), "path": str(fx[slot])}]
+                                             for key, slot in (("soups", "soup"),
+                                                               ("evals", "eval_report"))}}
+
+
+# case: (form, flags, check of the artifact at --out)
+ARTIFACTS = {
+    "datagen": ("datagen", (), _datagen_writes_the_config_dataset),
+    "datagen-set": ("datagen", ("--set", "dataset.num_train=7"), _datagen_takes_the_set_value),
+    "pretrain": ("pretrain", (), _pretrain_trains_the_config_arch),
+    "sweep": ("sweep", (), _sweep_of([trainer.HyperConfig(epochs=1)])),
+    "sweep-drawn": ("sweep", ("--set", SPACE_SWEEP),
+                    _sweep_of(trainer.random_search_configs(2, 0, trainer.SearchSpace()))),
+    "soup-uniform": ("soup-uniform", (), _uniform_soup_of_two_copies),
+    "soup-greedy": ("soup-greedy", (), _soup(["all"], 0, 1.0)),
+    "soup-learned": ("soup-learned", (), _soup(["all"], 4)),
+    "soup-learned-by-layer": ("soup-learned-by-layer", (),
+                              _soup([f"layer{i}." for i in range(len(ARCH.layer_widths) - 1)], 4)),
+    "ensemble-uniform": ("ensemble-uniform", (), _ensemble("uniform", "test")),
+    "ensemble-greedy": ("ensemble-greedy", (), _ensemble("greedy", "test")),
+    "ensemble-greedy-eval-split": ("ensemble-greedy", ("--eval-split", "val"),
+                                   _ensemble("greedy", "val")),
+    "eval": ("eval", (), _eval("test", None)),
+    "eval-beta": ("eval", ("--split", "val", "--beta", "0.5"), _eval("val", 0.5)),
+    "interp": ("interp", (), _interp_at_the_default_alphas),
+    "plane": ("plane", (), _plane("loss", 2, 2)),
+    "plane-error": ("plane", ("--metric", "error", "--x-range=-0.25:1.25:4",
+                              "--y-range=-0.25:1.25:3"), _plane("error", 3, 4)),
+    "grid-study": ("grid-study", (), _grid_of_two_models),
+    "approx": ("approx", (), _approx(("val", "test"), ("0.0", "0.5", "1.0"))),
+    "approx-fixed-beta": ("approx", ("--splits", "val", "--alphas", "0.5", "--beta-mode",
+                                     "fixed-1"), _approx(("val",), ("0.5",), "1.0")),
+    "calibrate-ckpt": ("calibrate-ckpt", (), _calibrate_at_the_default_bins),
+    "calibrate-manifest": ("calibrate-manifest", (), _calibrate_at_the_default_bins),
+    "report": ("report", (), _report_merges_its_inputs),
+}
+
+
+@pytest.mark.parametrize("case", list(ARTIFACTS))
+def test_each_command_writes_its_documented_artifact(one_parser, contract, tmp_path, case):
+    command, flags, check = ARTIFACTS[case]
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        code, err, argv = _run(command, {**contract, "out": tmp_path / run / "out"}, flags)
+        assert (code, err) == (cli.EXIT_OK, ""), argv
+    assert _outputs(tmp_path / "first") == _outputs(tmp_path / "second")  # deterministic
+    check(tmp_path / "first" / "out", contract)
+
+
+def test_set_override_without_config_file(tmp_path):
+    out = tmp_path / "defaults"
+    assert cli.main(["datagen", "--set", "dataset.num_train=32", "--out", str(out)]) == cli.EXIT_OK
+    ds = datagen.load_csv(out)
+    assert ds.splits["train"].x.shape[0] == 32
+    assert ds.config.input_dim == datagen.DatasetConfig().input_dim
+
+
+def test_calibrate_loads_models_then_the_dataset_then_its_splits(contract, tmp_path, count_calls):
     # The order of soup, ensemble and grid-study: with an unknown --fit-split
-    # too, a missing or misfit model is the error reported.
+    # too, a missing or misfit model is the error reported. No command forwards
+    # a model before it has found every split it names; soupkit.ensembles,
+    # imported above, holds the forward that counts.
     misfit = tmp_path / "misfit.ckpt"
     save_checkpoint(init_checkpoint(ArchSpec((5, 6, 3)), 0), misfit)
-    out = tmp_path / "cal.csv"
-    argv = ["calibrate", "--data", str(workspace["data"]), "--fit-split", "nope", "--out", str(out)]
-    run_fail([*argv, "--manifest", str(tmp_path / "missing.json")], cli.EXIT_MISSING_INPUT,
-             "missing-input", capsys)
-    run_fail([*argv, "--ckpt", str(misfit)], cli.EXIT_SHAPE, "shape-mismatch", capsys)
-    run_fail([*argv, "--ckpt", str(workspace["base"])], cli.EXIT_CONFIG, "config", capsys)
-    assert not out.exists()
+    forwards = count_calls(tinynet, "forward")
+    nope = ("--fit-split", "nope")
+    for command, slots, flags, code, category in [
+        ("calibrate-manifest", {"manifest": tmp_path / "missing.json"}, nope, cli.EXIT_MISSING_INPUT,
+         "missing-input"),
+        ("calibrate-ckpt", {"ckpt": misfit}, nope, cli.EXIT_SHAPE, "shape-mismatch"),
+        ("calibrate-ckpt", {}, nope, cli.EXIT_CONFIG, "config"),
+        ("ensemble-greedy", {}, ("--eval-split", "nope"), cli.EXIT_CONFIG, "config"),
+    ]:
+        got, err, argv = _run(command, {**contract, **slots, "out": tmp_path / "out"}, flags)
+        assert (got, json.loads(err)["error"]) == (code, category), argv
+    assert forwards == []
+    assert not (tmp_path / "out").exists()
 
 
-def test_report_merges_manifest_soup_and_eval(workspace, tmp_path):
-    soup_out = tmp_path / "s.ckpt"
-    run_ok(
-        ["soup", "uniform", "--manifest", str(workspace["manifest"]), "--out", str(soup_out)]
-    )
-    eval_out = tmp_path / "e.json"
-    run_ok(
-        [
-            "eval",
-            "--ckpt",
-            str(soup_out),
-            "--data",
-            str(workspace["data"]),
-            "--out",
-            str(eval_out),
-        ]
-    )
-    report_out = tmp_path / "report.json"
-    run_ok(
-        [
-            "report",
-            "--manifest",
-            str(workspace["manifest"]),
-            "--soup",
-            str(soup_out) + ".soup.json",
-            "--eval-report",
-            str(eval_out),
-            "--out",
-            str(report_out),
-        ]
-    )
-    payload = json.loads(report_out.read_text())
-    assert payload["sweep"]["total"] == 4
-    assert payload["sweep"]["successful"] == 4
-    assert payload["sweep"]["best_val_accuracy"] >= payload["sweep"]["mean_val_accuracy"]
-    assert payload["soups"][0]["ingredient_indices"] == [0, 1, 2, 3]
-    assert payload["evals"][0]["split"] == "test"
-
-
-def test_report_names_each_artifact_by_the_path_it_was_read_from(tmp_path):
+def test_report_names_each_artifact_by_the_path_it_was_read_from(contract, tmp_path):
     artifact = tmp_path / "s.soup.json"
     artifact.write_text(json.dumps({"path": "elsewhere", "recipe": "uniform"}))
     out = tmp_path / "report.json"
-    run_ok(["report", "--soup", str(artifact), "--eval-report", str(artifact), "--out", str(out)])
+    inputs = {**contract, "soup": artifact, "eval_report": artifact, "out": out}
+    assert _run("report", inputs)[0] == cli.EXIT_OK
     payload = json.loads(out.read_text())
     assert payload["soups"] == payload["evals"] == [{"path": str(artifact), "recipe": "uniform"}]
